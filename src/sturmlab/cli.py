@@ -1,23 +1,23 @@
 """Command-line driver: generate prefixes, verify identities, estimate exponents.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
-3 insufficient precision to decide.
+Exit codes: 0 all checks pass, 1 verification failure, 2 usage error or an
+input past a resource cap, 3 insufficient precision to decide.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable
+from typing import NamedTuple
 
 from .access import mismatch, symbol_at
 from .approximants import check_error_bounds_auto, bound_constants_hold, growth_law_holds
-from .errors import IndecisiveEnclosureError, InsufficientPrecisionError
+from .errors import CapExceededError, IndecisiveEnclosureError, InsufficientPrecisionError
 from .exponent import closed_form_exponent, empirical_exponent, exponent_sandwich
 from .numeration import (
     DigitVector,
@@ -37,32 +37,45 @@ from .transforms import (
 )
 from .words import fixed_point_prefix, word_identities
 
-LEMMAS = (
-    "lemma1",      # defining word identities
-    "lemma2",      # logarithmic random access vs. generated prefix
-    "lemma3",      # numeration round-trip, uniqueness, normalization
-    "lemma4",      # shift-mismatch law vs. direct comparison
-    "formula3",    # two-sided approximant error bounds
-    "growth",      # next-error growth law
-    "constants",   # error sandwiched between c1/q^(1+theta) and c2/q^(1+theta)
-    "affine",      # coded-pair value identity
-    "blocks",      # difference-operator block determinism
-    "sba",         # golden rotation power-sum affine probe
-)
 
-_N_DEFAULTS = {
-    "lemma1": "2..10",
-    "lemma4": "0..12",
-    "formula3": "2..12",
-    "growth": "2..10",
-    "constants": "2..10",
-    "blocks": "1..8",
+class LemmaSpec(NamedTuple):
+    """How one sweep entry expands: ``_check_<lemma>(*cell, *params)`` per grid cell."""
+
+    axes: tuple[str, ...]          # grid axes, a subset of ("k", "b", "n") in that order
+    params: tuple[str, ...] = ()   # scalar entry fields passed after the axis values
+    n: str = "2..10"               # --n default
+    depth: int = 200               # --depth default
+
+
+LEMMA_TABLE = {
+    # defining word identities
+    "lemma1": LemmaSpec(("k", "n")),
+    # logarithmic random access vs. generated prefix
+    "lemma2": LemmaSpec(("k",), ("imax",)),
+    # numeration round-trip, uniqueness, normalization
+    "lemma3": LemmaSpec(("k",), ("imax", "seed", "cases")),
+    # shift-mismatch law vs. direct comparison
+    "lemma4": LemmaSpec(("k", "n"), ("imax",), n="0..12"),
+    # two-sided approximant error bounds
+    "formula3": LemmaSpec(("k", "b", "n"), n="2..12"),
+    # next-error growth law
+    "growth": LemmaSpec(("k", "b", "n")),
+    # error sandwiched between c1/q^(1+theta) and c2/q^(1+theta)
+    "constants": LemmaSpec(("k", "b", "n")),
+    # coded-pair value identity
+    "affine": LemmaSpec(("k", "b"), ("depth",)),
+    # difference-operator block determinism; n is the difference order
+    "blocks": LemmaSpec(("k", "n"), ("imax",), n="1..8"),
+    # golden rotation power-sum affine probe
+    "sba": LemmaSpec(("b",), ("depth",), depth=400),
 }
+
+LEMMAS = tuple(LEMMA_TABLE)
 
 TSV_COLUMNS = ("lemma", "k", "b", "n", "status", "detail")
 
 Row = dict[str, str]
-Task = tuple[tuple, Callable[[], Row]]
+Task = tuple[tuple, str, tuple]   # (sort key, lemma, arguments of _check_<lemma>)
 
 
 class UsageError(ValueError):
@@ -237,61 +250,33 @@ def _check_sba(b: int, depth: int) -> Row:
     return _row("sba", None, b, None, True, detail)
 
 
-def _plan(entry: dict) -> list[Task]:
-    """Expand one sweep definition into sorted-key row tasks."""
+def _plan(entry) -> list[Task]:
+    """Expand one sweep definition into one task per grid cell."""
+    if not isinstance(entry, dict):
+        raise UsageError(f"each sweep definition must be a JSON object, got {entry!r}")
     lemma = entry.get("lemma")
     if lemma not in LEMMAS:
         raise UsageError(f"unknown lemma {lemma!r}; choose from {', '.join(LEMMAS)}")
-    ks = parse_range(str(entry.get("k", "1")))
-    bs = parse_range(str(entry.get("b", "2")))
-    ns = parse_range(str(entry.get("n", _N_DEFAULTS.get(lemma, "2..10"))))
-    imax = int(entry.get("imax", 10000))
-    depth = int(entry.get("depth", 400 if lemma == "sba" else 200))
-    seed = int(entry.get("seed", 0))
-    cases = int(entry.get("cases", 1000))
-    if imax < 1 or depth < 1 or cases < 1:
+    spec = LEMMA_TABLE[lemma]
+    grid = {
+        "k": parse_range(str(entry.get("k", "1"))),
+        "b": parse_range(str(entry.get("b", "2"))),
+        "n": parse_range(str(entry.get("n", spec.n))),
+    }
+    scalars = {
+        "imax": int(entry.get("imax", 10000)),
+        "depth": int(entry.get("depth", spec.depth)),
+        "seed": int(entry.get("seed", 0)),
+        "cases": int(entry.get("cases", 1000)),
+    }
+    if scalars["imax"] < 1 or scalars["depth"] < 1 or scalars["cases"] < 1:
         raise UsageError("imax, depth, and cases must be >= 1")
+    params = tuple(scalars[p] for p in spec.params)
     tasks: list[Task] = []
-    if lemma == "lemma1":
-        for k in ks:
-            for n in ns:
-                tasks.append((_key(lemma, k, None, n),
-                              lambda k=k, n=n: _check_lemma1(k, n)))
-    elif lemma == "lemma2":
-        for k in ks:
-            tasks.append((_key(lemma, k, None, None),
-                          lambda k=k: _check_lemma2(k, imax)))
-    elif lemma == "lemma3":
-        for k in ks:
-            tasks.append((_key(lemma, k, None, None),
-                          lambda k=k: _check_lemma3(k, imax, seed, cases)))
-    elif lemma == "lemma4":
-        for k in ks:
-            for n in ns:
-                tasks.append((_key(lemma, k, None, n),
-                              lambda k=k, n=n: _check_lemma4(k, n, imax)))
-    elif lemma in ("formula3", "growth", "constants"):
-        fn = {"formula3": _check_formula3, "growth": _check_growth,
-              "constants": _check_constants}[lemma]
-        for k in ks:
-            for b in bs:
-                for n in ns:
-                    tasks.append((_key(lemma, k, b, n),
-                                  lambda fn=fn, k=k, b=b, n=n: fn(k, b, n)))
-    elif lemma == "affine":
-        for k in ks:
-            for b in bs:
-                tasks.append((_key(lemma, k, b, None),
-                              lambda k=k, b=b: _check_affine(k, b, depth)))
-    elif lemma == "blocks":
-        for k in ks:
-            for order in ns:
-                tasks.append((_key(lemma, k, None, order),
-                              lambda k=k, order=order: _check_blocks(k, order, imax)))
-    elif lemma == "sba":
-        for b in bs:
-            tasks.append((_key(lemma, None, b, None),
-                          lambda b=b: _check_sba(b, depth)))
+    for cell in itertools.product(*(grid[axis] for axis in spec.axes)):
+        coords = dict(zip(spec.axes, cell))
+        key = _key(lemma, coords.get("k"), coords.get("b"), coords.get("n"))
+        tasks.append((key, lemma, cell + params))
     return tasks
 
 
@@ -341,14 +326,10 @@ def cmd_verify(args) -> int:
             if value is not None:
                 entry[field] = value
         entries = [entry]
-    tasks: list[Task] = []
-    for entry in entries:
-        tasks.extend(_plan(entry))
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [(key, pool.submit(fn)) for key, fn in tasks]
-        keyed_rows = [(key, fut.result()) for key, fut in futures]
-    keyed_rows.sort(key=lambda kr: kr[0])
-    rows = [r for _, r in keyed_rows]
+    tasks = [task for entry in entries for task in _plan(entry)]
+    tasks.sort(key=lambda task: task[0])
+    # Looked up per call, so a patched module attribute takes effect.
+    rows = [globals()[f"_check_{lemma}"](*check_args) for _, lemma, check_args in tasks]
     _emit_table(rows, args.format, sys.stdout)
     return 0 if all(r["status"] == "PASS" for r in rows) else 1
 
@@ -418,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--depth", type=int, help="series depth for value identities")
     v.add_argument("--seed", type=int, help="seed for randomized sweeps")
     v.add_argument("--cases", type=int, help="randomized case count")
-    v.add_argument("--jobs", type=int, default=4, help="parallel workers")
+    v.add_argument("--jobs", type=int, default=4,
+                   help="accepted and ignored; checks run serially")
     v.add_argument("--format", choices=("tsv", "json"), default="tsv")
     v.add_argument("--json", dest="config", metavar="FILE",
                    help="JSON file with a list of sweep definitions")
@@ -445,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InsufficientPrecisionError, IndecisiveEnclosureError) as exc:

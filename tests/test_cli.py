@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -124,6 +125,102 @@ def test_verify_fail_row_forces_exit_one(monkeypatch, capsys):
                        "--n", "2..3")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("config", [[1], ["lemma1"], [{"lemma": "lemma1"}, None]],
+                         ids=["int", "string", "null"])
+def test_verify_json_entry_must_be_object(config, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "--json", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "JSON object" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lemma", "lemma1", "--k", "3", "--n", "14"),
+    ("--lemma", "lemma2", "--k", "1", "--imax", "200000000"),
+], ids=["lemma1-length", "lemma2-imax"])
+def test_verify_cap_exceeded_is_exit_two(argv, capsys):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+# A config whose sweeps arrive out of key order and lean on the per-lemma
+# defaults of --n and --depth.
+PINNED_CONFIG = [
+    {"lemma": "sba", "b": "2"},
+    {"lemma": "lemma4", "k": "2", "imax": 100},
+    {"lemma": "blocks", "k": "1", "imax": 300},
+    {"lemma": "affine", "k": "1", "b": "3"},
+    {"lemma": "lemma1", "k": "2"},
+    {"lemma": "growth", "k": "1"},
+    {"lemma": "constants", "k": "1", "b": "3"},
+    {"lemma": "formula3"},
+    {"lemma": "lemma2", "k": "3"},
+    {"lemma": "lemma3", "k": "1", "imax": 100, "cases": 20},
+]
+
+# verify stdout as (sha256, bytes), recorded before the lemma table replaced
+# the per-lemma planning code and the thread pool.
+PINNED = [
+    pytest.param(("--lemma", "lemma1", "--k", "1..2", "--n", "2..5"),
+                 "5a57f5fc5c2c368ca5f0103163fac51f014b12fe0d6f586ca5e00452ac32384c", 426,
+                 id="lemma1"),
+    pytest.param(("--lemma", "lemma2", "--k", "1..2", "--imax", "500"),
+                 "5ab6ddda0d4027559616ed99143d799d8b2afaa0aa1aaa899010778d6ed0336f", 118,
+                 id="lemma2"),
+    pytest.param(("--lemma", "lemma3", "--k", "1..2", "--imax", "200", "--seed", "3",
+                  "--cases", "50"),
+                 "ebe39567a9d675ffb61272ea4664ee2fd044f1c04c29544d49a6c917482a5c86", 138,
+                 id="lemma3"),
+    pytest.param(("--lemma", "lemma4", "--k", "1..2", "--n", "0..4", "--imax", "200"),
+                 "090f387547a2841678288e2be982ac50ca0f38f9c6730f25f3f7d47b14706cf7", 700,
+                 id="lemma4"),
+    pytest.param(("--lemma", "formula3", "--k", "1", "--b", "2,3", "--n", "2..6"),
+                 "0556e1e9ec0ff0356d91c51d0ef2e2279d107ce0239efa8f094f1ef9ae1e674c", 2213,
+                 id="formula3"),
+    pytest.param(("--lemma", "growth", "--k", "1..2", "--b", "2", "--n", "2..5"),
+                 "82236e65d09b3b3f656ca234e8b9225b87f5665344493623a26b117ed8335720", 426,
+                 id="growth"),
+    pytest.param(("--lemma", "constants", "--k", "1", "--b", "2,10", "--n", "2..5"),
+                 "90d67eb9017800aad0e109f043bc6f89244cc373ce08c1a351044c637f155f3c", 446,
+                 id="constants"),
+    pytest.param(("--lemma", "affine", "--k", "1..2", "--b", "2", "--depth", "60"),
+                 "7d270076e37109d496591409d8299e79a119bc92d0bb7ac4a02d457a52720eb5", 165,
+                 id="affine"),
+    pytest.param(("--lemma", "blocks", "--k", "1..2", "--n", "1..3", "--imax", "300"),
+                 "15bfd9b2a2940898ca177c5af3f733213387859664922e3247a2aa68ff062d3c", 254,
+                 id="blocks"),
+    pytest.param(("--lemma", "sba", "--b", "2,3", "--depth", "80"),
+                 "c63064941eb64bd601fdaa0dd646b569221cd3eede1004378bd4f0e251649d65", 222,
+                 id="sba"),
+    pytest.param(("--lemma", "formula3", "--k", "2", "--b", "3", "--n", "2..4",
+                  "--format", "json"),
+                 "9b00305a2ec7520e67d6e52f331e81aeee1e4466dc63bc85c0b9594aa7e6242e", 2049,
+                 id="formula3-json"),
+    pytest.param(("--json", PINNED_CONFIG),
+                 "80ad56c95181eeb0ecce2a740d6053a24095b92ea15801d52f65c148a058a80e", 13163,
+                 id="config"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256, size", PINNED)
+def test_verify_stdout_pinned(argv, sha256, size, tmp_path, capsys):
+    if argv[0] == "--json":
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(argv[1]))
+        argv = ("--json", str(cfg))
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
+
+
+def test_pinned_cases_cover_every_lemma():
+    single = {p.values[0][1] for p in PINNED if p.values[0][0] == "--lemma"}
+    assert single == set(cli.LEMMAS)
 
 
 def test_verify_sba_row(capsys):
