@@ -3,14 +3,17 @@
 The prefix of length f_n, read as base-b digits, yields p/q with
 q = b^{f_n} - 1; the gap q*x - p is a signed series supported exactly on the
 indices where the fixed point disagrees with its f_n-shift.  Everything here
-is exact: enclosures are rational intervals, and the large-n bound checks
-reduce to integer sign evaluations on sparse power sums.
+is exact: enclosures are integer numerators over one known denominator, the
+dense bound checks decide by integer cross-multiplication, and the large-n
+bound checks reduce to integer sign evaluations on sparse power sums.
+Reduced ``Fraction`` values are built only when something reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapExceededError, IndecisiveEnclosureError
 from .numeration import get_basis, to_digits
@@ -141,6 +144,8 @@ class ApproximantRecord:
 
     ``sign`` is the certified sign of x - p/q; ``delta_lo``/``delta_hi``
     bracket its absolute value, so 0 < delta_lo <= |x - p/q| <= delta_hi.
+    They are ``num_lo``/``num_hi`` over the denominator
+    ``(b-1) * b^(depth-1) * q``, reduced on first read.
     """
 
     k: int
@@ -148,10 +153,25 @@ class ApproximantRecord:
     b: int
     p: int
     q: int
-    delta_lo: Fraction
-    delta_hi: Fraction
+    num_lo: int
+    num_hi: int
     sign: int
     depth: int
+
+    @cached_property
+    def _deltas(self) -> tuple[Fraction, Fraction]:
+        # b^(depth-1) is coprime to (b-1)*q, so only the first step of each
+        # reduction needs a gcd of full size.
+        scale, rest = self.b ** (self.depth - 1), (self.b - 1) * self.q
+        return Fraction(self.num_lo, scale) / rest, Fraction(self.num_hi, scale) / rest
+
+    @property
+    def delta_lo(self) -> Fraction:
+        return self._deltas[0]
+
+    @property
+    def delta_hi(self) -> Fraction:
+        return self._deltas[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,7 +188,13 @@ class ApproximantRecord:
 
 
 def approximant(k: int, n: int, b: int, depth: int | None = None) -> ApproximantRecord:
-    """Build the level-n approximant and certify the sign of x - p/q."""
+    """Build the level-n approximant and certify the sign of x - p/q.
+
+    With W the depth-prefix value, x lies in [W / b^(depth-1), that plus
+    1 / ((b-1) * b^(depth-1))], so over the denominator (b-1) * b^(depth-1) * q
+    the enclosure of x - p/q has the integer numerators
+    N_lo = (b-1) * (W*q - p * b^(depth-1)) and N_hi = N_lo + q.
+    """
     _require_base(b)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -186,22 +212,28 @@ def approximant(k: int, n: int, b: int, depth: int | None = None) -> Approximant
     prefix = fixed_point_prefix(k, depth)
     p = b * word_value(prefix[:fn], b)
     q = b**fn - 1
-    st = series_truncation(prefix, b, digit_cap=1)
-    pq = Fraction(p, q)
-    lo = st.value - pq
-    hi = st.value + st.tail_bound - pq
+    lo = (b - 1) * (word_value(prefix, b) * q - p * b ** (depth - 1))
+    hi = lo + q
     if lo > 0:
-        sign, abs_lo, abs_hi = 1, lo, hi
+        sign, num_lo, num_hi = 1, lo, hi
     elif hi < 0:
-        sign, abs_lo, abs_hi = -1, -hi, -lo
+        sign, num_lo, num_hi = -1, -hi, -lo
     else:
         raise IndecisiveEnclosureError(
             f"enclosure of x - p/q straddles zero at depth {depth}; increase depth"
         )
     return ApproximantRecord(
         k=k, n=n, b=b, p=p, q=q,
-        delta_lo=abs_lo, delta_hi=abs_hi, sign=sign, depth=depth,
+        num_lo=num_lo, num_hi=num_hi, sign=sign, depth=depth,
     )
+
+
+def _require_materializable_bounds(b: int, fn: int, fn1: int) -> None:
+    if (fn + fn1) * max(b.bit_length() - 1, 1) > _MAX_POWER_BITS:
+        raise CapExceededError(
+            "bounds would need integers too large to materialize; "
+            "use scaled_error_bounds_hold instead"
+        )
 
 
 def error_bounds(k: int, n: int, b: int) -> tuple[Fraction, Fraction]:
@@ -212,11 +244,7 @@ def error_bounds(k: int, n: int, b: int) -> tuple[Fraction, Fraction]:
     _require_base(b)
     basis = get_basis(k)
     fn, fn1 = basis.value(n), basis.value(n + 1)
-    if (fn + fn1) * max(b.bit_length() - 1, 1) > _MAX_POWER_BITS:
-        raise CapExceededError(
-            "bounds would need integers too large to materialize; "
-            "use scaled_error_bounds_hold instead"
-        )
+    _require_materializable_bounds(b, fn, fn1)
     q = b**fn - 1
     lower = Fraction(b - 1, q * b ** (fn1 - 1))
     upper = Fraction(1, q * b ** (fn1 - 2))
@@ -228,9 +256,9 @@ class BoundsCheck:
     """Outcome of the two-sided gap-bound check at one (k, n, b).
 
     Truthiness is ``holds``; the side flags say which inequality carried or
-    failed.  The dense route fills in the bound values and the certified
-    enclosure of |x - p/q|; the scaled route decides by integer sign tests
-    and leaves those fields unset.
+    failed.  The dense route keeps its approximant ``record``, from which the
+    bound values and the certified enclosure of |x - p/q| are built on first
+    read; the scaled route decides by integer sign tests and leaves them None.
     """
 
     k: int
@@ -240,25 +268,55 @@ class BoundsCheck:
     lower_ok: bool
     upper_ok: bool
     route: str  # "dense" or "scaled"
-    lower: Fraction | None = None
-    upper: Fraction | None = None
-    delta_lo: Fraction | None = None
-    delta_hi: Fraction | None = None
+    record: ApproximantRecord | None = None
 
     def __bool__(self) -> bool:
         return self.holds
 
+    @cached_property
+    def _bounds(self) -> tuple[Fraction | None, Fraction | None]:
+        if self.record is None:
+            return None, None
+        return error_bounds(self.k, self.n, self.b)
+
+    @property
+    def lower(self) -> Fraction | None:
+        return self._bounds[0]
+
+    @property
+    def upper(self) -> Fraction | None:
+        return self._bounds[1]
+
+    @property
+    def delta_lo(self) -> Fraction | None:
+        return None if self.record is None else self.record.delta_lo
+
+    @property
+    def delta_hi(self) -> Fraction | None:
+        return None if self.record is None else self.record.delta_hi
+
 
 def check_error_bounds(record: ApproximantRecord) -> BoundsCheck:
-    """Certify lower <= |x - p/q| <= upper from the record's enclosure."""
-    lower, upper = error_bounds(record.k, record.n, record.b)
-    lower_ok = record.delta_lo >= lower
-    upper_ok = record.delta_hi <= upper
+    """Certify lower <= |x - p/q| <= upper from the record's enclosure.
+
+    Both sides share the factor 1/q with the record's denominator, so they
+    reduce to num_lo * b^(f_{n+1}-1) >= (b-1)^2 * b^(depth-1) and
+    num_hi * b^(f_{n+1}-2) <= (b-1) * b^(depth-1).  Cancelling the common
+    power of b leaves a single b^|depth - f_{n+1}| on one side.
+    """
+    k, n, b = record.k, record.n, record.b
+    _require_base(b)
+    basis = get_basis(k)
+    fn1 = basis.value(n + 1)
+    _require_materializable_bounds(b, basis.value(n), fn1)
+    e = record.depth - fn1
+    up, down = b ** max(e, 0), b ** max(-e, 0)
+    lower_ok = record.num_lo * down >= (b - 1) ** 2 * up
+    upper_ok = record.num_hi * down <= (b - 1) * b * up
     return BoundsCheck(
-        k=record.k, n=record.n, b=record.b,
+        k=k, n=n, b=b,
         holds=lower_ok and upper_ok, lower_ok=lower_ok, upper_ok=upper_ok,
-        route="dense", lower=lower, upper=upper,
-        delta_lo=record.delta_lo, delta_hi=record.delta_hi,
+        route="dense", record=record,
     )
 
 
@@ -292,8 +350,11 @@ def _power_sum_sign(b: int, terms: list[tuple[int, int]]) -> int:
     """Sign of sum(c * b^e) without materializing the large powers.
 
     ``terms`` holds (exponent, coefficient) pairs; exponents must be >= 0.
-    Works from the top exponent down, folding nearby terms exactly and
-    stopping early once the accumulated head outweighs every remaining term.
+    Works from the top exponent down, stopping as soon as bit lengths show
+    that the accumulated head outweighs every remaining term, and folding
+    the next term in exactly otherwise.  A fold only happens when b^gap has
+    under twice the bit length of the remaining coefficient mass, so no
+    power grows past that.
     """
     _require_base(b)
     merged: dict[int, int] = {}
@@ -307,16 +368,13 @@ def _power_sum_sign(b: int, terms: list[tuple[int, int]]) -> int:
     acc = items[0][1]
     frame = items[0][0]
     rest_abs = sum(abs(c) for _, c in items[1:])
+    b_bits = b.bit_length() - 1  # 2^b_bits <= b
     for e, c in items[1:]:
         gap = frame - e
         if acc != 0:
             # Everything at exponents <= e sums to at most rest_abs in the
-            # b^e frame, so a large enough gap settles the sign outright.
-            if gap > 64:
-                if rest_abs < abs(acc) << 63:
-                    return 1 if acc > 0 else -1
-                raise AssertionError("unexpectedly heavy tail in power-sum check")
-            if abs(acc) * b**gap > rest_abs:
+            # b^e frame, and rest_abs < 2^bits(rest_abs) <= |acc| * b^gap.
+            if rest_abs.bit_length() <= abs(acc).bit_length() - 1 + gap * b_bits:
                 return 1 if acc > 0 else -1
             acc *= b**gap
         acc += c

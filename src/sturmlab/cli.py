@@ -250,6 +250,14 @@ def _check_sba(b: int, depth: int) -> Row:
     return _row("sba", None, b, None, True, detail)
 
 
+def _int_field(entry: dict, name: str, default: int) -> int:
+    value = entry.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _plan(entry) -> list[Task]:
     """Expand one sweep definition into one task per grid cell."""
     if not isinstance(entry, dict):
@@ -263,12 +271,8 @@ def _plan(entry) -> list[Task]:
         "b": parse_range(str(entry.get("b", "2"))),
         "n": parse_range(str(entry.get("n", spec.n))),
     }
-    scalars = {
-        "imax": int(entry.get("imax", 10000)),
-        "depth": int(entry.get("depth", spec.depth)),
-        "seed": int(entry.get("seed", 0)),
-        "cases": int(entry.get("cases", 1000)),
-    }
+    defaults = {"imax": 10000, "depth": spec.depth, "seed": 0, "cases": 1000}
+    scalars = {name: _int_field(entry, name, value) for name, value in defaults.items()}
     if scalars["imax"] < 1 or scalars["depth"] < 1 or scalars["cases"] < 1:
         raise UsageError("imax, depth, and cases must be >= 1")
     params = tuple(scalars[p] for p in spec.params)

@@ -110,6 +110,31 @@ class ContinuedFraction:
     exact: bool  # True when the expansion terminated before the term cap
 
 
+def _convergents(num: int, den: int, max_terms: int):
+    """Yield (a, p, q) for each quotient a and convergent p/q of num/den.
+
+    Stops after ``max_terms`` terms or when the expansion terminates.  The
+    quotients of num/den need not be in lowest terms: scaling both leaves
+    every quotient unchanged.
+    """
+    pm2, pm1 = 0, 1
+    qm2, qm1 = 1, 0
+    for _ in range(max_terms):
+        if not den:
+            return
+        a, rem = divmod(num, den)
+        pm2, pm1 = pm1, a * pm1 + pm2
+        qm2, qm1 = qm1, a * qm1 + qm2
+        yield a, pm1, qm1
+        num, den = den, rem
+
+
+def _check_determinant(prev: tuple[int, int], last: tuple[int, int]) -> None:
+    """Consecutive convergents p0/q0, p1/q1 satisfy |p1*q0 - p0*q1| = 1."""
+    if abs(last[0] * prev[1] - prev[0] * last[1]) != 1:
+        raise AssertionError("convergent recurrence lost the determinant")
+
+
 def continued_fraction(x, max_terms: int = 64) -> ContinuedFraction:
     """Continued-fraction expansion of a non-negative rational ``x``."""
     if max_terms < 1:
@@ -117,25 +142,18 @@ def continued_fraction(x, max_terms: int = 64) -> ContinuedFraction:
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be >= 0")
-    num, den = x.numerator, x.denominator
     quotients: list[int] = []
     convergents: list[tuple[int, int]] = []
-    pm2, pm1 = 0, 1
-    qm2, qm1 = 1, 0
-    while den and len(quotients) < max_terms:
-        a, rem = divmod(num, den)
+    for a, p, q in _convergents(x.numerator, x.denominator, max_terms):
         quotients.append(a)
-        pm2, pm1 = pm1, a * pm1 + pm2
-        qm2, qm1 = qm1, a * qm1 + qm2
-        convergents.append((pm1, qm1))
-        num, den = den, rem
+        convergents.append((p, q))
     if len(convergents) >= 2:
-        p1, q1 = convergents[-1]
-        p0, q0 = convergents[-2]
-        if abs(p1 * q0 - p0 * q1) != 1:
-            raise AssertionError("convergent recurrence lost the determinant")
+        _check_determinant(convergents[-2], convergents[-1])
+    p, q = convergents[-1]
     return ContinuedFraction(
-        quotients=quotients, convergents=convergents, exact=(den == 0)
+        quotients=quotients,
+        convergents=convergents,
+        exact=p * x.denominator == q * x.numerator,
     )
 
 
@@ -154,24 +172,30 @@ def empirical_exponent(k: int, b: int, digits: int) -> float:
 
     Convergents of the truncation match those of the full value while
     q^2 stays below b^digits; within that range, successive denominator
-    ratios log q_{m+1} / log q_m estimate theta term by term.  The earliest
-    convergents carry no asymptotic signal and are excluded.
+    ratios log q_{m+1} / log q_m estimate theta term by term.  The expansion
+    stops at the first convergent past that bound.  The earliest convergents
+    carry no asymptotic signal and are excluded.
     """
     if b < 2:
         raise ValueError("base must be >= 2")
     if digits < 40:
         raise ValueError("digits must be >= 40")
     x = fixed_point_series(k, b, digits).value
-    cf = continued_fraction(x, max_terms=4 * digits)
     precision = b**digits
     head_floor = b ** max(2, digits // 20)
     ratios: list[float] = []
-    for (_, q_m), (_, q_next) in zip(cf.convergents, cf.convergents[1:]):
-        if q_m < head_floor:
+    prev = last = None
+    for _, p, q in _convergents(x.numerator, x.denominator, 4 * digits):
+        prev, last = last, (p, q)
+        if prev is None:
             continue
-        if q_next * q_next > precision:
+        if q * q > precision:
             break
-        ratios.append(big_log2(q_next) / big_log2(q_m))
+        q_m = prev[1]
+        if q_m >= head_floor:
+            ratios.append(big_log2(q) / big_log2(q_m))
+    if prev is not None:
+        _check_determinant(prev, last)
     if len(ratios) < 5:
         raise InsufficientPrecisionError(
             f"only {len(ratios)} trustworthy convergent ratios at depth {digits}; "

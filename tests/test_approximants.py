@@ -24,6 +24,7 @@ from sturmlab import (
     series_truncation,
     word_value,
 )
+from sturmlab.approximants import _power_sum_sign
 from sturmlab.numeration import basis_value
 
 
@@ -135,6 +136,47 @@ def test_scaled_route_agrees_with_dense():
                 assert s.holds and s.route == "scaled", (k, b, n)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("b", [2, 3, 10, 2**40], ids=["2", "3", "10", "2^40"])
+def test_dense_route_matches_fraction_arithmetic(k, b):
+    """Integer decisions and lazily built values equal plain Fraction arithmetic."""
+    for n in range(0, 5):
+        fn, fn1 = basis_value(k, n), basis_value(k, n + 1)
+        depth = default_depth(k, n)
+        symbols = fixed_point_prefix(k, depth).symbols
+        w = 0
+        for c in symbols:
+            w = w * b + c
+        head = 0
+        for c in symbols[:fn]:
+            head = head * b + c
+        pq = Fraction(b * head, b**fn - 1)
+        x_lo = Fraction(w, b ** (depth - 1))
+        x_hi = x_lo + Fraction(1, (b - 1) * b ** (depth - 1))
+        lo, hi = x_lo - pq, x_hi - pq
+        assert lo > 0 or hi < 0, (k, b, n)
+        delta_lo, delta_hi = (lo, hi) if lo > 0 else (-hi, -lo)
+        q = b**fn - 1
+        lower = Fraction(b - 1, q * b ** (fn1 - 1))
+        upper = Fraction(1, q * b ** (fn1 - 2))
+
+        rec = approximant(k, n, b)
+        assert rec.sign == (1 if lo > 0 else -1)
+        chk = check_error_bounds(rec)
+        assert chk.lower_ok == (delta_lo >= lower), (k, b, n)
+        assert chk.upper_ok == (delta_hi <= upper), (k, b, n)
+        assert chk.holds == (chk.lower_ok and chk.upper_ok)
+        assert (chk.lower, chk.upper) == (lower, upper)
+        assert (chk.delta_lo, chk.delta_hi) == (delta_lo, delta_hi)
+        assert (rec.delta_lo, rec.delta_hi) == (delta_lo, delta_hi)
+
+
+def test_scaled_route_leaves_values_unset():
+    chk = scaled_error_bounds_hold(1, 4, 3)
+    assert chk.record is None
+    assert (chk.lower, chk.upper, chk.delta_lo, chk.delta_hi) == (None,) * 4
+
+
 def test_auto_route_switches():
     small = check_error_bounds_auto(1, 3, 2)
     assert small.route == "dense"
@@ -146,6 +188,41 @@ def test_auto_route_switches():
 def test_bounds_grid_large_n_scaled():
     for (k, b, n) in [(1, 2, 15), (2, 3, 15), (3, 10, 15), (1, 10, 25)]:
         assert check_error_bounds_auto(k, n, b).holds, (k, b, n)
+
+
+@pytest.mark.parametrize("k, n", [(1, 22), (5, 20)])
+def test_scaled_route_heavy_tail_at_wide_base(k, n):
+    # Both cells used to end in AssertionError("unexpectedly heavy tail").
+    chk = check_error_bounds_auto(k, n, 10**30)
+    assert chk.route == "scaled"
+    assert chk.holds and chk.lower_ok and chk.upper_ok
+
+
+def test_power_sum_sign_matches_exact_sum():
+    import random
+
+    rng = random.Random(20261017)
+    for trial in range(400):
+        b = rng.choice([2, 3, 10, 2**40, 10**30])
+        terms = []
+        e = rng.randrange(0, 400)
+        for _ in range(rng.randint(1, 8)):
+            c = rng.choice([1, -1]) * rng.randrange(1, b * b + 2)
+            if rng.random() < 0.4:
+                # c*b^(e+1) - c*b*b^e cancels exactly; the sign lives lower down.
+                terms += [(e + 1, c), (e, -c * b)]
+            else:
+                terms.append((e, c))
+            # Gaps up to 200, so many exceed 64.
+            e = max(0, e - rng.choice([0, 1, 2, 63, 64, 65, 200]))
+        # A heavy tail: many terms at the bottom exponents.
+        if rng.random() < 0.5:
+            terms += [(rng.randrange(0, 3), rng.randrange(1, b * b)) for _ in range(30)]
+        exact = sum(c * b**e for e, c in terms)
+        want = (exact > 0) - (exact < 0)
+        assert _power_sum_sign(b, terms) == want, (trial, b, terms)
+    assert _power_sum_sign(10, [(3, 1), (2, -10)]) == 0
+    assert _power_sum_sign(10, []) == 0
 
 
 def test_power_guard_raises():

@@ -137,6 +137,19 @@ def test_verify_json_entry_must_be_object(config, tmp_path, capsys):
     assert err.startswith("error:") and "JSON object" in err
 
 
+@pytest.mark.parametrize("config", [
+    [{"lemma": "lemma2", "imax": None}],
+    [{"lemma": "affine", "depth": []}],
+    [{"lemma": "lemma3", "cases": float("inf")}],
+], ids=["imax-null", "depth-list", "cases-infinity"])
+def test_verify_json_entry_field_of_wrong_type(config, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "--json", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "integer" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("--lemma", "lemma1", "--k", "3", "--n", "14"),
     ("--lemma", "lemma2", "--k", "1", "--imax", "200000000"),
@@ -248,6 +261,16 @@ def test_exponent_with_empirical(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["cf_empirical"] - 2.61803) < 0.05
+
+
+def test_exponent_stdout_pinned(capsys):
+    # sha256 and byte count recorded before the expansion stopped at the
+    # trust bound.
+    code, out, _ = run(capsys, "exponent", "--k", "2", "--b", "2", "--digits", "2000")
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "54b7f44edf421032483fdb9e2fe695b9afb1a862b010e7cc435a4d1cfbeb16ad", 247)
 
 
 def test_exponent_tight_tolerance_fails(capsys):

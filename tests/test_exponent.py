@@ -11,9 +11,11 @@ from sturmlab import (
     empirical_exponent,
     exponent_sandwich,
     exponent_upper_bound,
+    fixed_point_series,
     ratio_limit_enclosure,
     reversed_quotient_limsup,
 )
+from sturmlab.exponent import big_log2
 from sturmlab.numeration import basis_value
 
 
@@ -105,6 +107,26 @@ def test_empirical_exponent_binary():
 def test_empirical_exponent_base_ten():
     mu = empirical_exponent(1, 10, 600)
     assert abs(mu - 2.61803) < 0.05
+
+
+@pytest.mark.parametrize("digits", [200, 2000])
+@pytest.mark.parametrize("b", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_empirical_exponent_matches_full_expansion(k, b, digits):
+    """Stopping at the trust bound gives the full expansion's estimate."""
+    x = fixed_point_series(k, b, digits).value
+    cf = continued_fraction(x, max_terms=4 * digits)
+    precision = b**digits
+    head_floor = b ** max(2, digits // 20)
+    ratios = []
+    for (_, q_m), (_, q_next) in zip(cf.convergents, cf.convergents[1:]):
+        if q_m < head_floor:
+            continue
+        if q_next * q_next > precision:
+            break
+        ratios.append(big_log2(q_next) / big_log2(q_m))
+    assert len(ratios) >= 5
+    assert empirical_exponent(k, b, digits) == 1.0 + max(ratios)
 
 
 def test_empirical_exponent_insufficient_depth():
