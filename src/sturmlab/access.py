@@ -3,7 +3,9 @@
 The n-th symbol is 1 exactly when the bottom digit of the regular
 representation of n equals k.  Shifting an index by a basis value f_n flips
 the symbol only for indices whose low digits match one of two fixed patterns,
-which gives a direct description of where a prefix and its shift disagree.
+which gives a direct description of where a prefix and its shift disagree:
+per index (``mismatch``) or as the offsets of the mismatch pairs
+(``_mismatch_offsets``), which the scaled bound checks sum over.
 """
 
 from __future__ import annotations
@@ -80,10 +82,46 @@ def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
     return MismatchVerdict(False, 0)
 
 
+def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:
+    """Offsets h with a mismatch pair at f_{n+1}-2+h, f_{n+1}-1+h, for h <= cutoff.
+
+    h ranges over sums of regular digit vectors re-weighted to start at basis
+    index n+1, excluding vectors whose bottom digit is k (those indices carry
+    a digit k at position n+1 and the shift leaves their symbols alone).
+    """
+    basis = get_basis(k)
+    out: list[int] = []
+    j = 0
+    prev_h = -1
+    while True:
+        digits = to_digits(k, j)
+        h = sum(
+            d * basis.value(n + 1 + t) for t, d in enumerate(digits.digits) if d
+        )
+        if h < prev_h:
+            raise AssertionError("offset enumeration lost monotonicity")
+        prev_h = h
+        if h > cutoff:
+            return out
+        if digits.digit(0) != k:
+            out.append(h)
+        j += 1
+
+
 def mismatch_positions(k: int, n: int, limit: int) -> list[int]:
-    """All indices i < limit where the fixed point differs from its f_n-shift."""
+    """All indices i < limit where the fixed point differs from its f_n-shift.
+
+    Emits the pair f_{n+1}-2+h, f_{n+1}-1+h for each mismatch offset h, so
+    the cost follows the number of mismatches rather than ``limit``.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > POSITION_SCAN_CAP:
         raise CapExceededError(f"scan limit {limit} exceeds cap {POSITION_SCAN_CAP}")
-    return [i for i in range(limit) if mismatch(k, i, n).differs]
+    start = get_basis(k).value(n + 1) - 2
+    out: list[int] = []
+    for h in _mismatch_offsets(k, n, limit - 1 - start):
+        out.extend(i for i in (start + h, start + 1 + h) if i < limit)
+    return out

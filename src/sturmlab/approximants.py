@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .access import _mismatch_offsets
 from .errors import CapExceededError, IndecisiveEnclosureError
-from .numeration import get_basis, to_digits
-from .words import GeneralWord, Word, fixed_point_prefix
+from .numeration import get_basis
+from .words import GeneralWord, fixed_point_prefix
 
 DEPTH_CAP = 1_000_000
-DENSE_AUTO_LIMIT = 300_000
+DENSE_AUTO_LIMIT = 300_000  # symbols of the dense route's prefix
+DENSE_AUTO_BITS = 1_000_000  # that prefix's symbols times floor(log2 b)
 
 _MAX_POWER_BITS = 8_000_000  # refuse to materialize integers past ~1 MB
 
@@ -81,7 +83,6 @@ class SeriesTruncation:
     depth: int
     value: Fraction
     tail_bound: Fraction
-    k: int | None = None
 
     @property
     def upper(self) -> Fraction:
@@ -114,28 +115,7 @@ def fixed_point_series(k: int, b: int, depth: int) -> SeriesTruncation:
     """Enclosure of x = sum of fixed-point symbols at 1/b^i, truncated at ``depth``."""
     if depth > DEPTH_CAP:
         raise CapExceededError(f"depth {depth} exceeds cap {DEPTH_CAP}")
-    w = fixed_point_prefix(k, depth)
-    st = series_truncation(w, b, digit_cap=1)
-    return SeriesTruncation(
-        b=st.b, depth=st.depth, value=st.value, tail_bound=st.tail_bound, k=k
-    )
-
-
-def approximant_numerator(k: int, n: int, b: int) -> int:
-    """p = b * (value of the length-f_n prefix in base b)."""
-    _require_base(b)
-    basis = get_basis(k)
-    fn = basis.value(n)
-    return b * word_value(fixed_point_prefix(k, fn), b)
-
-
-def approximant_denominator(k: int, n: int, b: int) -> int:
-    """q = b^{f_n} - 1."""
-    _require_base(b)
-    fn = get_basis(k).value(n)
-    if fn * max(b.bit_length() - 1, 1) > _MAX_POWER_BITS:
-        raise CapExceededError("denominator would be too large to materialize")
-    return b**fn - 1
+    return series_truncation(fixed_point_prefix(k, depth), b, digit_cap=1)
 
 
 @dataclass(frozen=True)
@@ -172,19 +152,6 @@ class ApproximantRecord:
     @property
     def delta_hi(self) -> Fraction:
         return self._deltas[1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "b": self.b,
-            "p": str(self.p),
-            "q": str(self.q),
-            "delta_lo": f"{self.delta_lo.numerator}/{self.delta_lo.denominator}",
-            "delta_hi": f"{self.delta_hi.numerator}/{self.delta_hi.denominator}",
-            "sign": self.sign,
-            "depth": self.depth,
-        }
 
 
 def approximant(k: int, n: int, b: int, depth: int | None = None) -> ApproximantRecord:
@@ -320,32 +287,6 @@ def check_error_bounds(record: ApproximantRecord) -> BoundsCheck:
     )
 
 
-def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:
-    """Offsets h with a mismatch pair at f_{n+1}-2+h, f_{n+1}-1+h, for h <= cutoff.
-
-    h ranges over sums of regular digit vectors re-weighted to start at basis
-    index n+1, excluding vectors whose bottom digit is k (those indices carry
-    a digit k at position n+1 and the shift leaves their symbols alone).
-    """
-    basis = get_basis(k)
-    out: list[int] = []
-    j = 0
-    prev_h = -1
-    while True:
-        digits = to_digits(k, j)
-        h = sum(
-            d * basis.value(n + 1 + t) for t, d in enumerate(digits.digits) if d
-        )
-        if h < prev_h:
-            raise AssertionError("offset enumeration lost monotonicity")
-        prev_h = h
-        if h > cutoff:
-            return out
-        if digits.digit(0) != k:
-            out.append(h)
-        j += 1
-
-
 def _power_sum_sign(b: int, terms: list[tuple[int, int]]) -> int:
     """Sign of sum(c * b^e) without materializing the large powers.
 
@@ -424,33 +365,17 @@ def scaled_error_bounds_hold(k: int, n: int, b: int) -> BoundsCheck:
 
 
 def check_error_bounds_auto(k: int, n: int, b: int) -> BoundsCheck:
-    """Verify the gap bounds, picking the dense or scaled route by size."""
-    if default_depth(k, n) <= DENSE_AUTO_LIMIT:
+    """Verify the gap bounds, picking the dense or scaled route by size.
+
+    The dense route reads a prefix of ``default_depth`` symbols as base-b
+    digits, so it stays in use only while both that symbol count and its
+    size in bits are small.
+    """
+    depth = default_depth(k, n)
+    bits = depth * max(b.bit_length() - 1, 1)
+    if depth <= DENSE_AUTO_LIMIT and bits <= DENSE_AUTO_BITS:
         return check_error_bounds(approximant(k, n, b))
     return scaled_error_bounds_hold(k, n, b)
-
-
-@dataclass(frozen=True)
-class LeadingErrorTerm:
-    """First mismatch pair of the gap series: exponent and the two signs."""
-
-    exponent: int
-    signs: tuple[int, int]
-
-
-def leading_error_term(k: int, n: int) -> LeadingErrorTerm:
-    """Location and signs of the dominant pair in the series for x - p/q.
-
-    The series over 1/b starts at exponent f_n + f_{n+1} - 2 with sign
-    (-1)^n, immediately followed by the opposite sign one place lower.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    basis = get_basis(k)
-    s = 1 if n % 2 == 0 else -1
-    return LeadingErrorTerm(
-        exponent=basis.value(n) + basis.value(n + 1) - 2, signs=(s, -s)
-    )
 
 
 def log2_enclosure(x: int, bits: int = 40) -> tuple[Fraction, Fraction]:

@@ -65,7 +65,6 @@ class ExponentEstimate:
     theta_sequence: list[Fraction] = field(repr=False)
     lower: float
     upper: float
-    cf_empirical: float | None = None
 
 
 def _float_below(x: Fraction) -> float:
@@ -202,25 +201,3 @@ def empirical_exponent(k: int, b: int, digits: int) -> float:
             "increase digits"
         )
     return 1.0 + max(ratios)
-
-
-def reversed_quotient_limsup(quotients: list[int], window: int = 8) -> float:
-    """Largest value of a_t + 1/(a_{t-1} + 1/(...)) over the last ``window`` steps.
-
-    Feeding the quotient list in reverse nesting order turns the tail behavior
-    of the expansion into a running value; its peaks over a trailing window
-    proxy the limsup that controls the exponent.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not quotients:
-        raise ValueError("quotient list must be non-empty")
-    if any(a < 1 for a in quotients):
-        raise ValueError("quotients must be >= 1")
-    values: list[float] = []
-    v = float(quotients[0])
-    values.append(v)
-    for a in quotients[1:]:
-        v = a + 1.0 / v
-        values.append(v)
-    return max(values[-window:])

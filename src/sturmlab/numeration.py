@@ -143,17 +143,6 @@ class DigitVector:
                 return False
         return True
 
-    def to_csv(self) -> str:
-        """Comma-separated digits, least significant first."""
-        return ",".join(str(x) for x in self._d)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DigitVector":
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(int(t) for t in text.split(","))
-
     def __repr__(self) -> str:
         return f"DigitVector({list(self._d)})"
 
@@ -194,19 +183,6 @@ def from_digits(k: int, digits: Sequence[int] | DigitVector) -> int:
     basis.value(len(seq) - 1)
     vals = basis._vals
     return sum(x * vals[i + 2] for i, x in enumerate(seq) if x)
-
-
-def digit_at(k: int, n: int, i: int) -> int:
-    """Digit at position ``i`` of the regular representation of ``n``."""
-    return to_digits(k, n).digit(i)
-
-
-def congruent(k: int, m: int, n: int, j: int) -> bool:
-    """True when m and n share all regular digits at positions < j."""
-    if j < 0:
-        raise ValueError("position bound must be >= 0")
-    dm, dn = to_digits(k, m), to_digits(k, n)
-    return all(dm.digit(i) == dn.digit(i) for i in range(j))
 
 
 def normalize(k: int, digits: Sequence[int] | DigitVector) -> DigitVector:

@@ -11,24 +11,9 @@ from typing import Iterable, Iterator, Union
 
 from .errors import CapExceededError
 
-DEFAULT_LENGTH_CAP = 100_000_000
-
-_length_cap = DEFAULT_LENGTH_CAP
+LENGTH_CAP = 100_000_000  # longest word any constructor will build
 
 WordLike = Union[str, bytes, bytearray, Iterable[int], "GeneralWord"]
-
-
-def get_length_cap() -> int:
-    """Current global cap on constructed word lengths."""
-    return _length_cap
-
-
-def set_length_cap(cap: int) -> None:
-    """Set the global cap on constructed word lengths."""
-    global _length_cap
-    if cap < 1:
-        raise ValueError("length cap must be positive")
-    _length_cap = cap
 
 
 def _coerce_symbols(data: WordLike) -> bytes:
@@ -51,9 +36,9 @@ class GeneralWord:
 
     def __init__(self, data: WordLike = b"", alphabet_size: int | None = None):
         sym = _coerce_symbols(data)
-        if len(sym) > _length_cap:
+        if len(sym) > LENGTH_CAP:
             raise CapExceededError(
-                f"word of length {len(sym)} exceeds cap {_length_cap}"
+                f"word of length {len(sym)} exceeds cap {LENGTH_CAP}"
             )
         hi = max(sym) if sym else 0
         if alphabet_size is None:
@@ -68,9 +53,9 @@ class GeneralWord:
     @classmethod
     def _wrap(cls, sym: bytes, alphabet_size: int) -> "GeneralWord":
         # Trusted fast path: callers guarantee symbols < alphabet_size.
-        if len(sym) > _length_cap:
+        if len(sym) > LENGTH_CAP:
             raise CapExceededError(
-                f"word of length {len(sym)} exceeds cap {_length_cap}"
+                f"word of length {len(sym)} exceeds cap {LENGTH_CAP}"
             )
         w = object.__new__(cls)
         w._sym = sym
@@ -116,9 +101,9 @@ class GeneralWord:
             return NotImplemented
         if times < 0:
             raise ValueError("repetition count must be non-negative")
-        if len(self._sym) * times > _length_cap:
+        if len(self._sym) * times > LENGTH_CAP:
             raise CapExceededError(
-                f"word of length {len(self._sym) * times} exceeds cap {_length_cap}"
+                f"word of length {len(self._sym) * times} exceeds cap {LENGTH_CAP}"
             )
         return type(self)._wrap(self._sym * times, self._alpha)
 
@@ -173,8 +158,8 @@ def substitute(k: int, w: Word) -> Word:
     sym = w.symbols
     zeros = sym.count(0)
     out_len = zeros * (k + 1) + (len(sym) - zeros)
-    if out_len > _length_cap:
-        raise CapExceededError(f"image of length {out_len} exceeds cap {_length_cap}")
+    if out_len > LENGTH_CAP:
+        raise CapExceededError(f"image of length {out_len} exceeds cap {LENGTH_CAP}")
     # Route old 1s through a placeholder so the expansion of 0 cannot collide.
     out = (
         sym.replace(b"\x01", b"\x02")
@@ -217,8 +202,8 @@ def fixed_point_prefix(k: int, length: int) -> Word:
         raise ValueError("k must be >= 1")
     if length < 0:
         raise ValueError("length must be >= 0")
-    if length > _length_cap:
-        raise CapExceededError(f"prefix of length {length} exceeds cap {_length_cap}")
+    if length > LENGTH_CAP:
+        raise CapExceededError(f"prefix of length {length} exceeds cap {LENGTH_CAP}")
     if length == 0:
         return Word._wrap(b"")
     prev = b"\x00"

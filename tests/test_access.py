@@ -54,6 +54,9 @@ def test_mismatch_against_direct_comparison():
                 v = mismatch(k, i, n)
                 assert v.differs == (direct != 0), (k, n, i)
                 assert v.sign == direct, (k, n, i)
+            assert mismatch_positions(k, n, 4000) == [
+                i for i in range(4000) if prefix[i + fn] != prefix[i]
+            ], (k, n)
 
 
 def test_mismatch_guard_cases_k1():

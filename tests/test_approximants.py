@@ -8,8 +8,6 @@ from sturmlab import (
     IndecisiveEnclosureError,
     Word,
     approximant,
-    approximant_denominator,
-    approximant_numerator,
     bound_constants_hold,
     check_error_bounds,
     check_error_bounds_auto,
@@ -18,7 +16,6 @@ from sturmlab import (
     fixed_point_prefix,
     fixed_point_series,
     growth_law_holds,
-    leading_error_term,
     log2_enclosure,
     scaled_error_bounds_hold,
     series_truncation,
@@ -84,10 +81,10 @@ def test_worked_instance():
 
 
 def test_numerator_denominator():
-    assert approximant_numerator(1, 2, 2) == 4
-    assert approximant_denominator(1, 2, 2) == 7
+    rec = approximant(1, 2, 2)
+    assert (rec.p, rec.q) == (4, 7)
     # q = b^{f_n} - 1 always.
-    assert approximant_denominator(2, 3, 10) == 10 ** basis_value(2, 3) - 1
+    assert approximant(2, 3, 10).q == 10 ** basis_value(2, 3) - 1
 
 
 def test_enclosure_brackets_true_difference():
@@ -111,14 +108,6 @@ def test_sign_matches_parity():
 def test_shallow_depth_is_indecisive():
     with pytest.raises(IndecisiveEnclosureError):
         approximant(1, 2, 2, depth=5)
-
-
-def test_record_serialization():
-    d = approximant(1, 3, 2).to_json_dict()
-    assert d["p"] == str(approximant_numerator(1, 3, 2))
-    assert d["q"] == str(approximant_denominator(1, 3, 2))
-    assert "/" in d["delta_lo"]
-    assert d["n"] == 3
 
 
 def test_bounds_grid_dense():
@@ -183,6 +172,12 @@ def test_auto_route_switches():
     big = check_error_bounds_auto(3, 14, 2)
     assert big.route == "scaled"
     assert big.holds
+    # Few symbols, but each one a 99-bit digit: the dense route would build
+    # integers of about 11.6 million bits.
+    wide = check_error_bounds_auto(1, 20, 10**30)
+    assert wide.route == "scaled"
+    assert wide.holds and wide.lower_ok and wide.upper_ok
+    assert check_error_bounds_auto(1, 13, 2**40).route == "dense"
 
 
 def test_bounds_grid_large_n_scaled():
@@ -229,7 +224,7 @@ def test_power_guard_raises():
     with pytest.raises(CapExceededError):
         error_bounds(1, 60, 2)
     with pytest.raises(CapExceededError):
-        approximant_denominator(1, 60, 2)
+        approximant(1, 60, 2)
 
 
 def test_growth_law():
@@ -248,13 +243,6 @@ def test_bound_constants():
             for n in range(2, 8):
                 assert bound_constants_hold(k, b, n), (k, b, n)
     assert bound_constants_hold(1, 2, 50)
-
-
-def test_leading_error_term():
-    lt = leading_error_term(1, 2)
-    assert lt.exponent == basis_value(1, 2) + basis_value(1, 3) - 2
-    assert lt.signs == (1, -1)
-    assert leading_error_term(1, 3).signs == (-1, 1)
 
 
 def test_log2_enclosure():

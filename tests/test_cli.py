@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +301,16 @@ def test_exponent_tsv_mode(capsys):
 def test_exponent_bad_range(capsys):
     code, _, err = run(capsys, "exponent", "--k", "1", "--n", "30")
     assert code == 2 and "at least two" in err
+
+
+def test_traced_names_exist():
+    """Every function the benchmark tracer wraps is still defined where it looks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for kinds in (traced.TIMED, traced.COUNTED):
+        for module, names in kinds.items():
+            mod = importlib.import_module(f"sturmlab.{module}")
+            for name in names:
+                assert callable(getattr(mod, name, None)), f"{module}.{name}"

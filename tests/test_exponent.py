@@ -13,7 +13,6 @@ from sturmlab import (
     exponent_upper_bound,
     fixed_point_series,
     ratio_limit_enclosure,
-    reversed_quotient_limsup,
 )
 from sturmlab.exponent import big_log2
 from sturmlab.numeration import basis_value
@@ -61,7 +60,6 @@ def test_sandwich_contains_target():
         target = closed_form_exponent(k)
         assert est.lower <= target <= est.upper
         assert est.upper - est.lower < 1e-6
-        assert est.cf_empirical is None
         assert est.target == pytest.approx(target)
 
 
@@ -134,16 +132,3 @@ def test_empirical_exponent_insufficient_depth():
         empirical_exponent(5, 2, 40)
     with pytest.raises(ValueError):
         empirical_exponent(1, 2, 10)
-
-
-def test_reversed_quotient_limsup():
-    # All-ones quotients drive the recursion to the golden ratio.
-    v = reversed_quotient_limsup([1] * 40)
-    assert v == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-6)
-    assert reversed_quotient_limsup([2, 1, 4], window=1) == pytest.approx(4 + 2 / 3)
-    with pytest.raises(ValueError):
-        reversed_quotient_limsup([])
-    with pytest.raises(ValueError):
-        reversed_quotient_limsup([1, 0, 2])
-    with pytest.raises(ValueError):
-        reversed_quotient_limsup([1, 2], window=0)

@@ -5,8 +5,6 @@ import pytest
 from sturmlab import (
     DigitVector,
     basis_value,
-    congruent,
-    digit_at,
     from_digits,
     get_basis,
     normalize,
@@ -56,13 +54,6 @@ def test_digit_vector_basics():
         DigitVector([1, -1])
     with pytest.raises(ValueError):
         d.digit(-1)
-
-
-def test_digit_vector_csv_round_trip():
-    d = DigitVector([1, 0, 2])
-    assert d.to_csv() == "1,0,2"
-    assert DigitVector.from_csv("1,0,2") == d
-    assert DigitVector.from_csv("") == DigitVector([])
 
 
 def test_regularity_predicate():
@@ -125,17 +116,6 @@ def test_uniqueness_oracle_bound_handling():
 def test_from_digits_rejects_negative():
     with pytest.raises(ValueError):
         from_digits(1, [1, -1])
-
-
-def test_digit_at_and_congruence():
-    assert digit_at(1, 12, 0) == 1
-    assert digit_at(1, 12, 1) == 0
-    assert digit_at(1, 12, 4) == 1
-    assert digit_at(1, 12, 9) == 0
-    # 12 = (1,0,1,0,1), 4 = (1,0,1): first disagreement at position 4.
-    assert congruent(1, 12, 4, 4)
-    assert not congruent(1, 12, 4, 5)
-    assert congruent(2, 0, 0, 10)
 
 
 def test_normalize_identity_on_regular():

@@ -6,13 +6,12 @@ from sturmlab import (
     Word,
     distinct_factors,
     fixed_point_prefix,
-    get_length_cap,
     iterate_word,
-    set_length_cap,
     substitute,
     swap_last_two,
     word_identities,
 )
+from sturmlab import words
 from sturmlab.numeration import basis_value
 
 
@@ -133,14 +132,10 @@ def test_factor_counts_are_sturmian():
             assert len(distinct_factors(w, m)) == m + 1
 
 
-def test_length_cap_guard():
-    old = get_length_cap()
-    try:
-        set_length_cap(100)
-        with pytest.raises(CapExceededError):
-            fixed_point_prefix(1, 101)
-        with pytest.raises(CapExceededError):
-            Word("01") * 51
-        assert fixed_point_prefix(1, 100).to_string().startswith("01001")
-    finally:
-        set_length_cap(old)
+def test_length_cap_guard(monkeypatch):
+    monkeypatch.setattr(words, "LENGTH_CAP", 100)
+    with pytest.raises(CapExceededError):
+        fixed_point_prefix(1, 101)
+    with pytest.raises(CapExceededError):
+        Word("01") * 51
+    assert fixed_point_prefix(1, 100).to_string().startswith("01001")
