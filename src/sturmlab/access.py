@@ -49,14 +49,26 @@ class MismatchVerdict:
     sign: int
 
 
+# Verdicts are frozen, so every call shares these three.
+_SAME = MismatchVerdict(False, 0)
+_UP = MismatchVerdict(True, 1)
+_DOWN = MismatchVerdict(True, -1)
+
+
+def _low_digits(digits: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Digits at positions 0..width-1, zero-padded to ``width``."""
+    low = digits[:width]
+    return low + (0,) * (width - len(low))
+
+
 @lru_cache(maxsize=256)
 def _shift_patterns(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Digit patterns (positions 0..n) of f_{n+1} - 2 and f_{n+1} - 1."""
-    dm2 = to_digits(k, get_basis(k).value(n + 1) - 2)
-    dm1 = to_digits(k, get_basis(k).value(n + 1) - 1)
-    pat2 = tuple(dm2.digit(i) for i in range(n + 1))
-    pat1 = tuple(dm1.digit(i) for i in range(n + 1))
-    return pat2, pat1
+    fn1 = get_basis(k).value(n + 1)
+    return (
+        _low_digits(to_digits(k, fn1 - 2).digits, n + 1),
+        _low_digits(to_digits(k, fn1 - 1).digits, n + 1),
+    )
 
 
 def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
@@ -70,16 +82,16 @@ def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
         raise ValueError("n must be >= 0")
     if i < 0:
         raise ValueError("index must be >= 0")
-    d = to_digits(k, i)
-    if d.digit(n + 1) == k:
-        return MismatchVerdict(False, 0)
+    d = to_digits(k, i).digits
+    if len(d) > n + 1 and d[n + 1] == k:
+        return _SAME
     pat2, pat1 = _shift_patterns(k, n)
-    low = tuple(d.digit(t) for t in range(n + 1))
+    low = _low_digits(d, n + 1)
     if low == pat2:
-        return MismatchVerdict(True, 1 if n % 2 == 0 else -1)
+        return _UP if n % 2 == 0 else _DOWN
     if low == pat1:
-        return MismatchVerdict(True, -1 if n % 2 == 0 else 1)
-    return MismatchVerdict(False, 0)
+        return _DOWN if n % 2 == 0 else _UP
+    return _SAME
 
 
 def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:

@@ -180,11 +180,11 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> Row:
 def _check_lemma4(k: int, n: int, imax: int) -> Row:
     fn = get_basis(k).value(n)
     fn1 = get_basis(k).value(n + 1)
-    prefix = fixed_point_prefix(k, imax + fn)
+    sym = fixed_point_prefix(k, imax + fn).symbols
     bad = 0
     first_scanned = None
     for i in range(imax):
-        direct = prefix[i + fn] - prefix[i]
+        direct = sym[i + fn] - sym[i]
         verdict = mismatch(k, i, n)
         if verdict.differs != (direct != 0) or verdict.sign != direct:
             bad += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
@@ -181,8 +182,7 @@ def from_digits(k: int, digits: Sequence[int] | DigitVector) -> int:
         return 0
     basis = get_basis(k)
     basis.value(len(seq) - 1)
-    vals = basis._vals
-    return sum(x * vals[i + 2] for i, x in enumerate(seq) if x)
+    return sum(map(mul, seq, basis._vals[2 : 2 + len(seq)]))
 
 
 def normalize(k: int, digits: Sequence[int] | DigitVector) -> DigitVector:

@@ -35,8 +35,12 @@ def difference(u: GeneralWord, order: int = 1) -> Word:
     sym = u.symbols
     if max(sym, default=0) > 1:
         raise ValueError("difference is defined on binary words")
+    # Symbols are 0/1 bytes, so one XOR of the big-endian integers of the word
+    # and its shift takes every adjacent difference at once, with no carries.
     for _ in range(order):
-        sym = bytes(x ^ y for x, y in zip(sym, sym[1:]))
+        sym = (
+            int.from_bytes(sym[:-1], "big") ^ int.from_bytes(sym[1:], "big")
+        ).to_bytes(len(sym) - 1, "big")
     return Word._wrap(sym)
 
 
@@ -245,9 +249,11 @@ def block_determinism(
 
     The order-th difference at position i depends only on the block
     u_i..u_{i+order}, through the parity mask of binomial coefficients.  The
-    table is rebuilt from the mask and cross-checked against the iterated
-    operator at every position; a Sturmian word shows exactly order+2 blocks
-    (warned otherwise, not raised).
+    mask evaluation, an XOR of shifted copies of the whole word, must equal
+    the iterated operator at every position; the table is then rebuilt from
+    the distinct (block, difference) pairs, and no block may force two
+    values.  A Sturmian word shows exactly order+2 blocks (warned otherwise,
+    not raised).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -257,20 +263,23 @@ def block_determinism(
     sym = head.symbols
     if max(sym) > 1:
         raise ValueError("block determinism is defined on binary words")
-    mask = [j for j in range(order + 1) if (j & order) == j]
     diff = difference(head, order).symbols
+    width = order + 1
+    positions = len(sym) - order
+    by_mask = 0
+    for j in range(width):
+        if (j & order) == j:
+            by_mask ^= int.from_bytes(sym[j : j + positions], "big")
+    # Bytes of 0/1 XOR without carries: equal integers mean equal symbols
+    # at every position.
+    if by_mask != int.from_bytes(diff, "big"):
+        raise RuntimeError(
+            "binomial-mask evaluation disagrees with the iterated operator"
+        )
+    pairs = set(zip((sym[i : i + width] for i in range(positions)), diff))
     table: dict[Word, int] = {}
-    for i in range(len(sym) - order):
-        block = Word._wrap(sym[i : i + order + 1])
-        acc = 0
-        for j in mask:
-            acc ^= sym[i + j]
-        if acc != diff[i]:
-            raise RuntimeError(
-                "binomial-mask evaluation disagrees with the iterated operator"
-            )
-        seen = table.setdefault(block, acc)
-        if seen != acc:
+    for block, value in sorted(pairs):
+        if table.setdefault(Word._wrap(block), value) != value:
             raise RuntimeError("one block produced two different difference values")
     count = len(table)
     if count != order + 2:

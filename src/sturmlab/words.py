@@ -169,18 +169,39 @@ def substitute(k: int, w: Word) -> Word:
     return Word._wrap(out)
 
 
+def _next_iterate(cur: bytes, prev: bytes, k: int, limit: int) -> bytes:
+    """The first ``limit`` symbols of U_{m+1} = U_m^k U_{m-1}, built by one join.
+
+    Pieces past ``limit`` are never copied, so the result is the only new
+    allocation of its size.
+    """
+    kept = []
+    for piece in [cur] * k + [prev]:
+        if limit <= 0:
+            break
+        kept.append(piece[:limit])
+        limit -= len(piece)
+    return b"".join(kept)
+
+
 def _chain(k: int, n: int) -> list[Word]:
     """Words U_0 .. U_n where U_0 = 0, U_1 = 0^k 1, U_{m+1} = U_m^k U_{m-1}."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    chain = [Word._wrap(b"\x00")]
+    chain = [b"\x00"]
     if n >= 1:
-        chain.append(Word._wrap(b"\x00" * k + b"\x01"))
+        chain.append(b"\x00" * k + b"\x01")
     while len(chain) <= n:
-        chain.append(chain[-1] * k + chain[-2])
-    return chain[: n + 1]
+        cur, prev = chain[-1], chain[-2]
+        out_len = len(cur) * k + len(prev)
+        if out_len > LENGTH_CAP:
+            raise CapExceededError(
+                f"word of length {out_len} exceeds cap {LENGTH_CAP}"
+            )
+        chain.append(_next_iterate(cur, prev, k, out_len))
+    return [Word._wrap(sym) for sym in chain[: n + 1]]
 
 
 def iterate_word(k: int, n: int) -> Word:
@@ -211,7 +232,7 @@ def fixed_point_prefix(k: int, length: int) -> Word:
     # Truncating an iterate beyond ``length`` is safe: the truncation only
     # ever bites on the final round, after which the loop exits.
     while len(cur) < length:
-        prev, cur = cur, (cur * k + prev)[:length]
+        prev, cur = cur, _next_iterate(cur, prev, k, length)
     return Word._wrap(cur[:length])
 
 
@@ -228,9 +249,15 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     chain = _chain(k, n + 2)
     un_1, un, un2 = chain[n - 1], chain[n], chain[n + 2]
     id1 = un_1 + un == swap_last_two(un + un_1)
-    ups = swap_last_two(un_1)
-    id2 = un2 == un + (un * k + ups) * k
-    return id1, id2
+    # Match U_{n+2} piece by piece in place instead of building the right side.
+    pieces = [un.symbols] + ([un.symbols] * k + [swap_last_two(un_1).symbols]) * k
+    big = un2.symbols
+    pos = 0
+    for piece in pieces:
+        if not big.startswith(piece, pos):
+            return id1, False
+        pos += len(piece)
+    return id1, pos == len(big)
 
 
 def distinct_factors(w: GeneralWord, m: int) -> set[GeneralWord]:

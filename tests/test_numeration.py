@@ -118,6 +118,27 @@ def test_from_digits_rejects_negative():
         from_digits(1, [1, -1])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_from_digits_matches_weighted_sum(k):
+    """Irregular digits, digits above k, trailing zeros, empty and DigitVector input."""
+    rng = random.Random(4400 + k)
+    cases = [[], [0], [0, 0, 0], [k + 5], [0, 0, 7, 0, 0], [k] * 12, [1] * 40]
+    cases += [
+        [rng.randint(0, 3 * k + 2) for _ in range(rng.randint(0, 30))]
+        + [0] * rng.randint(0, 3)
+        for _ in range(200)
+    ]
+    for raw in cases:
+        expected = sum(x * basis_value(k, i) for i, x in enumerate(raw))
+        assert from_digits(k, raw) == expected, raw
+        assert from_digits(k, tuple(raw)) == expected, raw
+        assert from_digits(k, iter(raw)) == expected, raw
+        assert from_digits(k, DigitVector(raw)) == expected, raw
+    for n in (0, 1, k, 10**6, 10**30):
+        d = to_digits(k, n)
+        assert from_digits(k, d) == sum(x * basis_value(k, i) for i, x in enumerate(d.digits))
+
+
 def test_normalize_identity_on_regular():
     rng = random.Random(11)
     for _ in range(500):

@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from sturmlab import (
     shift_product,
     value_affine_relation,
 )
+from sturmlab import transforms
 
 
 def test_difference_basic():
@@ -157,6 +159,56 @@ def test_block_table_consistent_with_difference():
     for i in range(0, 1500, 7):
         block = Word(sym[i : i + order + 1])
         assert table[block] == d[i]
+
+
+def _per_position_difference(sym: bytes, order: int) -> bytes:
+    for _ in range(order):
+        sym = bytes(x ^ y for x, y in zip(sym, sym[1:]))
+    return sym
+
+
+def _differential_words(order: int, rng: random.Random) -> list[bytes]:
+    words = []
+    for length in (order + 1, order + 2, order + 3, 64, 257):
+        words.append(bytes(length))
+        words.append(b"\x01" * length)
+        words += [bytes(rng.randint(0, 1) for _ in range(length)) for _ in range(4)]
+    words += [fixed_point_prefix(k, 300).symbols for k in (1, 2, 3)]
+    return words
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_whole_word_transforms_match_per_position(order):
+    """Random, constant and Sturmian words: every output against a loop done here."""
+    rng = random.Random(9100 + order)
+    for sym in _differential_words(order, rng):
+        u = Word(sym)
+        expected = _per_position_difference(sym, order)
+        assert difference(u, order).symbols == expected, (order, sym)
+        assert difference_by_binomial(u, order).symbols == expected, (order, sym)
+        table_here: dict[bytes, int] = {}
+        for i, value in enumerate(expected):
+            assert table_here.setdefault(sym[i : i + order + 1], value) == value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            count, table = block_determinism(u, order)
+        assert count == len(table_here)
+        assert {block.symbols: value for block, value in table.items()} == table_here
+
+
+@pytest.mark.parametrize("flip_at", [0, 1, 500, -2, -1])
+def test_block_determinism_checks_every_position(monkeypatch, flip_at):
+    """A single wrong symbol of the iterated difference, anywhere, is caught."""
+    exact = transforms.difference
+
+    def flipped(u, order=1):
+        sym = bytearray(exact(u, order).symbols)
+        sym[flip_at] ^= 1
+        return Word(bytes(sym))
+
+    monkeypatch.setattr(transforms, "difference", flipped)
+    with pytest.raises(RuntimeError, match="binomial-mask evaluation disagrees"):
+        block_determinism(fixed_point_prefix(2, 1000), 3)
 
 
 def test_floor_golden():

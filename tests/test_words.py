@@ -108,6 +108,39 @@ def test_word_identities_small_grid():
             assert word_identities(k, n) == (True, True)
 
 
+@pytest.mark.parametrize("corrupt", ["flip_first", "flip_last", "drop_last", "append"])
+def test_word_identities_detects_a_wrong_iterate(monkeypatch, corrupt):
+    """The piecewise match of U_{n+2} fails on any symbol or length change."""
+    exact = words._chain
+
+    def corrupted(k, n):
+        chain = exact(k, n)
+        sym = bytearray(chain[-1].symbols)
+        if corrupt == "flip_first":
+            sym[0] ^= 1
+        elif corrupt == "flip_last":
+            sym[-1] ^= 1
+        elif corrupt == "drop_last":
+            del sym[-1]
+        else:
+            sym.append(0)
+        return chain[:-1] + [Word(bytes(sym))]
+
+    monkeypatch.setattr(words, "_chain", corrupted)
+    for k in (1, 3):
+        assert word_identities(k, 5) == (True, False)
+
+
+def test_fixed_point_prefix_cuts_the_iterate():
+    """Lengths at, just past and inside the pieces of the last round."""
+    for k in (1, 2, 3, 4):
+        big = iterate_word(k, 9).symbols
+        for n in range(1, 7):
+            fn = basis_value(k, n)
+            for length in (fn - 1, fn, fn + 1, 2 * fn + 3, k * fn, k * fn + 1):
+                assert fixed_point_prefix(k, length).symbols == big[:length]
+
+
 def test_word_identities_rejects_small_n():
     with pytest.raises(ValueError):
         word_identities(1, 1)
@@ -138,4 +171,6 @@ def test_length_cap_guard(monkeypatch):
         fixed_point_prefix(1, 101)
     with pytest.raises(CapExceededError):
         Word("01") * 51
+    with pytest.raises(CapExceededError):
+        word_identities(1, 9)
     assert fixed_point_prefix(1, 100).to_string().startswith("01001")
