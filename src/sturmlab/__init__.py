@@ -22,7 +22,6 @@ from .approximants import (
     error_bounds,
     fixed_point_series,
     growth_law_holds,
-    log2_enclosure,
     scaled_error_bounds_hold,
     series_truncation,
     word_value,
@@ -131,7 +130,6 @@ __all__ = [
     "get_basis",
     "growth_law_holds",
     "iterate_word",
-    "log2_enclosure",
     "mismatch",
     "mismatch_positions",
     "normalize",

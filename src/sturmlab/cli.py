@@ -364,9 +364,8 @@ def cmd_exponent(args) -> int:
         "agrees": agrees,
     }
     if args.format == "tsv":
-        for field_name in ("schema", "k", "b", "target", "lower", "upper",
-                           "cf_empirical", "n_range", "digits", "tol", "agrees"):
-            print(f"{field_name}\t{doc[field_name]}")
+        for name, value in doc.items():
+            print(f"{name}\t{value}")
     else:
         print(json.dumps(doc, indent=2))
     return 0 if agrees else 1

@@ -8,7 +8,7 @@ cross-checked empirically from continued-fraction convergents of truncations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -62,7 +62,6 @@ class ExponentEstimate:
     """A bracketing of the exponent from finitely many denominator ratios."""
 
     target: float
-    theta_sequence: list[Fraction] = field(repr=False)
     lower: float
     upper: float
 
@@ -92,12 +91,7 @@ def exponent_sandwich(k: int, n_min: int = 2, n_max: int = 12) -> ExponentEstima
     m, big = min(thetas), max(thetas)
     lower = _float_below(1 + m)
     upper = _float_above(exponent_upper_bound(m, big, big))
-    return ExponentEstimate(
-        target=closed_form_exponent(k),
-        theta_sequence=thetas,
-        lower=lower,
-        upper=upper,
-    )
+    return ExponentEstimate(target=closed_form_exponent(k), lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)

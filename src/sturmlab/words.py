@@ -10,8 +10,11 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Union
 
 from .errors import CapExceededError
+from .numeration import get_basis
 
 LENGTH_CAP = 100_000_000  # longest word any constructor will build
+
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # symbol byte -> ASCII digit
 
 WordLike = Union[str, bytes, bytearray, Iterable[int], "GeneralWord"]
 
@@ -120,19 +123,14 @@ class GeneralWord:
         """Decimal-digit rendering; only defined for alphabets of size <= 10."""
         if self._alpha > 10:
             raise ValueError("word has symbols above 9; no digit rendering")
-        return "".join(str(c) for c in self._sym)
+        return self._sym.translate(_DIGITS).decode("ascii")
 
     def __repr__(self) -> str:
-        if len(self._sym) <= 40:
-            body = self.to_string() if self._alpha <= 10 else repr(self._sym)
-        else:
-            head = self._sym[:37]
-            body = (
-                "".join(str(c) for c in head) + "..."
-                if self._alpha <= 10
-                else repr(head) + "..."
-            )
-        return f"{type(self).__name__}({body!s}, len={len(self._sym)})"
+        head = self if len(self._sym) <= 40 else self[:37]
+        body = head.to_string() if self._alpha <= 10 else repr(head._sym)
+        if head is not self:
+            body += "..."
+        return f"{type(self).__name__}({body}, len={len(self._sym)})"
 
 
 class Word(GeneralWord):
@@ -190,17 +188,16 @@ def _chain(k: int, n: int) -> list[Word]:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    # |U_n| = f_n, and the iterates only grow, so one check covers them all.
+    length = get_basis(k).value(n)
+    if length > LENGTH_CAP:
+        raise CapExceededError(f"word of length {length} exceeds cap {LENGTH_CAP}")
     chain = [b"\x00"]
     if n >= 1:
         chain.append(b"\x00" * k + b"\x01")
     while len(chain) <= n:
         cur, prev = chain[-1], chain[-2]
-        out_len = len(cur) * k + len(prev)
-        if out_len > LENGTH_CAP:
-            raise CapExceededError(
-                f"word of length {out_len} exceeds cap {LENGTH_CAP}"
-            )
-        chain.append(_next_iterate(cur, prev, k, out_len))
+        chain.append(_next_iterate(cur, prev, k, len(cur) * k + len(prev)))
     return [Word._wrap(sym) for sym in chain[: n + 1]]
 
 

@@ -16,7 +16,6 @@ from sturmlab import (
     fixed_point_prefix,
     fixed_point_series,
     growth_law_holds,
-    log2_enclosure,
     scaled_error_bounds_hold,
     series_truncation,
     word_value,
@@ -237,39 +236,50 @@ def test_growth_law():
     assert growth_law_holds(2, 10, 40)
 
 
+def _exact_grid():
+    """(k, b, n, f_n, f_{n+1}) wherever the exact power comparison stays small."""
+    for k in range(1, 9):
+        for b in (2, 3, 4, 10, 2**40):
+            for n in range(0, 13):
+                fn, fn1 = basis_value(k, n), basis_value(k, n + 1)
+                if fn * fn1 * b.bit_length() <= 2 * 10**6:
+                    yield k, b, n, fn, fn1
+
+
+def test_growth_law_matches_exact_comparison():
+    fails = set()
+    for k, b, n, fn, fn1 in _exact_grid():
+        # q_{n+1} < b^2 q_n^theta, raised to the f_n-th power.
+        exact = (b**fn1 - 1) ** fn < b ** (2 * fn) * (b**fn - 1) ** fn1
+        assert growth_law_holds(k, b, n) == exact, (k, b, n)
+        if not exact:
+            fails.add((k, b, n))
+    assert {(2, 2, 0), (3, 2, 0), (4, 2, 0)} <= fails
+
+
+def test_lower_constant_matches_exact_comparison():
+    fails = set()
+    for k, b, n, fn, fn1 in _exact_grid():
+        # q^theta >= b^(f_{n+1}-3), raised to the f_n-th power.
+        q = b**fn - 1
+        exact = q**fn1 * b ** (3 * fn) >= b ** (fn * fn1)
+        gaps = check_error_bounds_auto(k, n, b).holds
+        assert bound_constants_hold(k, b, n) == (gaps and exact), (k, b, n)
+        if not exact:
+            fails.add((k, b, n))
+    assert (3, 2, 0) in fails
+
+
+def test_growth_law_past_the_power_cap_raises():
+    # The law holds here ((1 - 2^-40)^(2^40+1) is near 1/e), but Bernoulli's
+    # inequality cannot show it and the exact powers have ~2^45 bits.
+    with pytest.raises(CapExceededError):
+        growth_law_holds(2**40, 2**40, 0)
+
+
 def test_bound_constants():
     for k in (1, 2):
         for b in (2, 3):
             for n in range(2, 8):
                 assert bound_constants_hold(k, b, n), (k, b, n)
     assert bound_constants_hold(1, 2, 50)
-
-
-def test_log2_enclosure():
-    lo, hi = log2_enclosure(1)
-    assert lo == 0 == hi
-    lo, hi = log2_enclosure(1024)
-    assert lo == 10 == hi
-    lo, hi = log2_enclosure(10)
-    assert lo < hi
-    assert hi - lo <= Fraction(1, 2**38)
-    # log2(10) = 3.3219280948873623...
-    ref = Fraction(33219280948873623, 10**16)
-    assert lo <= ref <= hi
-    with pytest.raises(ValueError):
-        log2_enclosure(0)
-
-
-def test_log2_enclosure_random_consistency():
-    import math
-    import random
-
-    rng = random.Random(5)
-    for _ in range(50):
-        x = rng.randrange(2, 10**9)
-        lo, hi = log2_enclosure(x, bits=50)
-        assert lo <= hi
-        assert hi - lo <= Fraction(1, 2**48)
-        # Double precision is ~2^-52 relative here, far inside the pad.
-        assert float(lo) <= math.log2(x) + 1e-12
-        assert math.log2(x) - 1e-12 <= float(hi)

@@ -218,6 +218,16 @@ PINNED = [
     pytest.param(("--json", PINNED_CONFIG),
                  "80ad56c95181eeb0ecce2a740d6053a24095b92ea15801d52f65c148a058a80e", 13163,
                  id="config"),
+    # Recorded before the growth and constant laws were decided by Bernoulli's
+    # inequality with an exact fallback.
+    pytest.param(("--lemma", "growth", "--k", "1..4", "--b", "2,3,10,1099511627776",
+                  "--n", "1..40"),
+                 "56c64c0862fb63dcf4dfe7328093ea0b2df4b760fc9bb1f82c2cd072396b5989", 34602,
+                 id="growth-wide"),
+    pytest.param(("--lemma", "constants", "--k", "1..3", "--b", "2,1099511627776",
+                  "--n", "1..24"),
+                 "bcb2cd1610951f9c4e09534f147be2d77920326bb50ec0a03df28baf00d56747", 8468,
+                 id="constants-wide"),
 ]
 
 
@@ -296,6 +306,10 @@ def test_exponent_tsv_mode(capsys):
     fields = dict(line.split("\t") for line in out.strip().splitlines())
     assert fields["schema"] == "1"
     assert fields["agrees"] == "True"
+    # Recorded while the TSV rows came from a hand-kept tuple of field names.
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "a82244a0575e89dcf69345de45c9013db9a55f3eb9a7a61110068b43143798a0", 155)
 
 
 def test_exponent_bad_range(capsys):

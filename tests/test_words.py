@@ -174,3 +174,20 @@ def test_length_cap_guard(monkeypatch):
     with pytest.raises(CapExceededError):
         word_identities(1, 9)
     assert fixed_point_prefix(1, 100).to_string().startswith("01001")
+
+
+def test_length_cap_checked_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("an iterate was built before the length check")
+
+    monkeypatch.setattr(words, "_next_iterate", no_build)
+    # U_16 at k = 3 has f_16 = 239,244,622 symbols.
+    with pytest.raises(CapExceededError, match="239244622"):
+        word_identities(3, 14)
+
+
+@pytest.mark.parametrize("alphabet", range(2, 11))
+def test_to_string_matches_per_symbol_digits(alphabet):
+    sym = bytes(range(alphabet - 1, -1, -1)) * 5 + bytes(range(alphabet)) * 5
+    w = GeneralWord(sym, alphabet_size=alphabet)
+    assert w.to_string() == "".join(str(c) for c in sym)
