@@ -48,10 +48,10 @@ from .exponent import (
 )
 from .numeration import (
     Basis,
-    DigitVector,
     basis_value,
     from_digits,
     get_basis,
+    is_regular,
     normalize,
     to_digits,
     uniqueness_oracle,
@@ -91,7 +91,6 @@ __all__ = [
     "CapExceededError",
     "ContinuedFraction",
     "DegenerateSystemError",
-    "DigitVector",
     "ExponentEstimate",
     "GeneralWord",
     "IndecisiveEnclosureError",
@@ -129,6 +128,7 @@ __all__ = [
     "from_digits",
     "get_basis",
     "growth_law_holds",
+    "is_regular",
     "iterate_word",
     "mismatch",
     "mismatch_positions",

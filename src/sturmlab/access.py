@@ -2,19 +2,18 @@
 
 The n-th symbol is 1 exactly when the bottom digit of the regular
 representation of n equals k.  Shifting an index by a basis value f_n flips
-the symbol only for indices whose low digits match one of two fixed patterns,
-which gives a direct description of where a prefix and its shift disagree:
-per index (``mismatch``) or as the offsets of the mismatch pairs
-(``_mismatch_offsets``), which the scaled bound checks sum over.
+the symbol only for indices whose digits 0..n are worth f_{n+1} - 2 or
+f_{n+1} - 1, which gives a direct description of where a prefix and its
+shift disagree: per index (``mismatch``) or as the offsets of the mismatch
+pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapExceededError
-from .numeration import get_basis, to_digits
+from .numeration import _digit_and_low, from_digits, get_basis, to_digits
 
 POSITION_SCAN_CAP = 50_000_000
 
@@ -28,17 +27,7 @@ def symbol_at(k: int, n: int) -> int:
     if n <= k:
         # The fixed point starts 0^k 1.
         return 1 if n == k else 0
-    basis = get_basis(k)
-    top = basis.largest_index_leq(n)
-    vals = basis._vals
-    rem = n
-    for j in range(top + 2, 2, -1):
-        f = vals[j]
-        d = rem // f
-        if d:
-            rem -= d * f
-    # rem is now the bottom digit (weight f_0 = 1).
-    return 1 if rem == k else 0
+    return 1 if _digit_and_low(k, n, 0)[0] == k else 0
 
 
 @dataclass(frozen=True)
@@ -55,41 +44,27 @@ _UP = MismatchVerdict(True, 1)
 _DOWN = MismatchVerdict(True, -1)
 
 
-def _low_digits(digits: tuple[int, ...], width: int) -> tuple[int, ...]:
-    """Digits at positions 0..width-1, zero-padded to ``width``."""
-    low = digits[:width]
-    return low + (0,) * (width - len(low))
-
-
-@lru_cache(maxsize=256)
-def _shift_patterns(k: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Digit patterns (positions 0..n) of f_{n+1} - 2 and f_{n+1} - 1."""
-    fn1 = get_basis(k).value(n + 1)
-    return (
-        _low_digits(to_digits(k, fn1 - 2).digits, n + 1),
-        _low_digits(to_digits(k, fn1 - 1).digits, n + 1),
-    )
-
-
 def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
     """Compare the fixed point at i and i + f_n by digits alone.
 
     The symbols differ exactly when digits 0..n of i reproduce those of
     f_{n+1} - 2 or f_{n+1} - 1 while the digit of i at position n + 1 stays
     below k.  The sign is (-1)^n on the first pattern and flips on the second.
+    Digits 0..n of a regular vector are the regular vector of their value, which
+    is below f_{n+1}; as regular vectors are unique, the patterns match exactly
+    when that value equals f_{n+1} - 2 or f_{n+1} - 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if i < 0:
         raise ValueError("index must be >= 0")
-    d = to_digits(k, i).digits
-    if len(d) > n + 1 and d[n + 1] == k:
+    digit, low = _digit_and_low(k, i, n + 1)
+    if digit == k:
         return _SAME
-    pat2, pat1 = _shift_patterns(k, n)
-    low = _low_digits(d, n + 1)
-    if low == pat2:
+    fn1 = get_basis(k).value(n + 1)
+    if low == fn1 - 2:
         return _UP if n % 2 == 0 else _DOWN
-    if low == pat1:
+    if low == fn1 - 1:
         return _DOWN if n % 2 == 0 else _UP
     return _SAME
 
@@ -101,21 +76,19 @@ def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:
     index n+1, excluding vectors whose bottom digit is k (those indices carry
     a digit k at position n+1 and the shift leaves their symbols alone).
     """
-    basis = get_basis(k)
+    shift = (0,) * (n + 1)
     out: list[int] = []
     j = 0
     prev_h = -1
     while True:
         digits = to_digits(k, j)
-        h = sum(
-            d * basis.value(n + 1 + t) for t, d in enumerate(digits.digits) if d
-        )
+        h = from_digits(k, shift + digits)
         if h < prev_h:
             raise AssertionError("offset enumeration lost monotonicity")
         prev_h = h
         if h > cutoff:
             return out
-        if digits.digit(0) != k:
+        if digits[:1] != (k,):
             out.append(h)
         j += 1
 

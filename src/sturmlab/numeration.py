@@ -4,6 +4,8 @@ The basis starts f_{-2} = 1 - k, f_{-1} = 1, f_0 = 1, so positions 0, 1, 2, ...
 of a digit vector weight f_0, f_1, f_2, ...  A digit vector is *regular* when
 every digit lies in 0..k and a digit equal to k forces a zero just below it;
 each non-negative integer then has exactly one regular representation.
+Digit vectors are plain little-endian tuples of ints; this module is the only
+one that knows the basis table's layout or walks a value's digits.
 """
 
 from __future__ import annotations
@@ -86,74 +88,25 @@ def basis_value(k: int, n: int) -> int:
     return get_basis(k).value(n)
 
 
-class DigitVector:
-    """An immutable little-endian digit vector (position i weights f_i)."""
-
-    __slots__ = ("_d",)
-
-    def __init__(self, digits: Iterable[int] = ()):
-        d = tuple(digits)
-        if any(x < 0 for x in d):
-            raise ValueError("digits must be non-negative")
-        while d and d[-1] == 0:
-            d = d[:-1]
-        self._d = d
-
-    @classmethod
-    def _trusted(cls, stripped: tuple[int, ...]) -> "DigitVector":
-        dv = object.__new__(cls)
-        dv._d = stripped
-        return dv
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return self._d
-
-    def digit(self, i: int) -> int:
-        """Digit at position ``i`` (zero beyond the stored length)."""
-        if i < 0:
-            raise ValueError("position must be >= 0")
-        return self._d[i] if i < len(self._d) else 0
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def __iter__(self):
-        return iter(self._d)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, DigitVector):
-            return self._d == other._d
-        if isinstance(other, (tuple, list)):
-            trimmed = tuple(other)
-            while trimmed and trimmed[-1] == 0:
-                trimmed = trimmed[:-1]
-            return self._d == trimmed
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._d)
-
-    def is_regular(self, k: int) -> bool:
-        """True when digits lie in 0..k and a digit k has a 0 below it."""
-        d = self._d
-        for i, x in enumerate(d):
-            if x > k:
-                return False
-            if x == k and i > 0 and d[i - 1] != 0:
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        return f"DigitVector({list(self._d)})"
+def is_regular(k: int, digits: Sequence[int]) -> bool:
+    """True when digits lie in 0..k and a digit k has a 0 below it."""
+    below = 0
+    for x in digits:
+        if x < 0 or x > k or (x == k and below):
+            return False
+        below = x
+    return True
 
 
-def to_digits(k: int, n: int) -> DigitVector:
-    """The unique regular digit vector of value ``n`` (greedy, most significant first)."""
+def to_digits(k: int, n: int) -> tuple[int, ...]:
+    """The unique regular digit vector of value ``n`` (greedy, most significant first).
+
+    Little-endian, with no trailing zeros; ``()`` for 0.
+    """
     if n < 0:
         raise ValueError("value must be >= 0")
     if n == 0:
-        return DigitVector._trusted(())
+        return ()
     basis = get_basis(k)
     top = basis.largest_index_leq(n)
     vals = basis._vals
@@ -167,17 +120,32 @@ def to_digits(k: int, n: int) -> DigitVector:
             rem -= d * f
     if rem:
         raise AssertionError("greedy digitization failed to exhaust the value")
-    return DigitVector._trusted(tuple(out))
+    return tuple(out)
 
 
-def from_digits(k: int, digits: Sequence[int] | DigitVector) -> int:
+def _digit_and_low(k: int, n: int, pos: int) -> tuple[int, int]:
+    """Digit of ``n`` at position ``pos`` and the value of its digits below ``pos``.
+
+    The greedy walk of ``to_digits`` cut short: reducing modulo f_top, ...,
+    f_{pos+1} leaves the value of digits 0..pos, which splits at f_pos.
+    Returns ``(0, n)`` when n < f_pos.
+    """
+    basis = get_basis(k)
+    top = basis.largest_index_leq(n)
+    if top < pos:
+        return 0, n
+    vals = basis._vals
+    rem = n
+    for j in range(top + 2, pos + 2, -1):
+        rem %= vals[j]
+    return divmod(rem, vals[pos + 2])
+
+
+def from_digits(k: int, digits: Iterable[int]) -> int:
     """Value of a digit vector (digits need not be regular)."""
-    if isinstance(digits, DigitVector):
-        seq = digits.digits
-    else:
-        seq = tuple(digits)
-        if any(x < 0 for x in seq):
-            raise ValueError("digits must be non-negative")
+    seq = tuple(digits)
+    if min(seq, default=0) < 0:
+        raise ValueError("digits must be non-negative")
     if not seq:
         return 0
     basis = get_basis(k)
@@ -185,8 +153,8 @@ def from_digits(k: int, digits: Sequence[int] | DigitVector) -> int:
     return sum(map(mul, seq, basis._vals[2 : 2 + len(seq)]))
 
 
-def normalize(k: int, digits: Sequence[int] | DigitVector) -> DigitVector:
-    """Regularize a digit vector without changing its value.
+def normalize(k: int, digits: Iterable[int]) -> tuple[int, ...]:
+    """Regularize a digit vector without changing its value (no trailing zeros).
 
     Repeatedly clears the highest violation: a digit k at position i0+1 over a
     non-zero digit at i0.  One unit is borrowed at i0, the alternating run of
@@ -194,10 +162,7 @@ def normalize(k: int, digits: Sequence[int] | DigitVector) -> DigitVector:
     k*f_{i+1} = f_{i+2} - f_i telescoped along the run keeps the value fixed.
     Digits must already lie in 0..k.
     """
-    if isinstance(digits, DigitVector):
-        d = list(digits.digits)
-    else:
-        d = list(digits)
+    d = list(digits)
     if any(x < 0 for x in d):
         raise ValueError("digits must be non-negative")
     if any(x > k for x in d):
@@ -226,10 +191,12 @@ def normalize(k: int, digits: Sequence[int] | DigitVector) -> DigitVector:
             raise AssertionError("carry overflowed a digit during normalization")
     else:
         raise AssertionError("normalization did not settle within the step cap")
-    out = DigitVector(d)
+    while d and d[-1] == 0:
+        d.pop()
+    out = tuple(d)
     if from_digits(k, out) != value_before:
         raise AssertionError("normalization changed the represented value")
-    if not out.is_regular(k):
+    if not is_regular(k, out):
         raise AssertionError("normalization left an irregular vector")
     return out
 

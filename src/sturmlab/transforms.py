@@ -110,8 +110,8 @@ class AffineDecomposition:
         return self.a0 == 0 and self.a1 == 0
 
 
-def _observed_blocks(u: GeneralWord, prefix_len: int | None) -> tuple[tuple[int, int], ...]:
-    sym = u.symbols if prefix_len is None else u.symbols[:prefix_len]
+def _observed_blocks(u: GeneralWord) -> tuple[tuple[int, int], ...]:
+    sym = u.symbols
     if len(sym) < 2:
         raise ValueError("need at least two symbols to observe blocks")
     return tuple(sorted({(sym[i], sym[i + 1]) for i in range(len(sym) - 1)}))
@@ -166,17 +166,15 @@ def _affine_solution(
     return solution[0], solution[1], solution[2]
 
 
-def affine_decompose(
-    u: GeneralWord, coding: PairCoding, prefix_len: int | None = None
-) -> AffineDecomposition:
+def affine_decompose(u: GeneralWord, coding: PairCoding) -> AffineDecomposition:
     """Express the pair coding affinely over the three blocks a Sturmian word has.
 
-    Demands exactly three distinct length-2 blocks in the inspected prefix;
+    Demands exactly three distinct length-2 blocks in the word;
     the three equations then pin (a0, a1, a2) uniquely (any three distinct
     points of the unit square are affinely independent), and the identity
     holds at every position because it holds per block.
     """
-    blocks = _observed_blocks(u, prefix_len)
+    blocks = _observed_blocks(u)
     if len(blocks) != 3:
         raise NonSturmianError(
             f"expected exactly 3 distinct length-2 blocks, found {len(blocks)}"
@@ -221,7 +219,7 @@ def value_affine_relation(
     if len(u) < depth + 1:
         raise ValueError("word must supply depth + 1 symbols")
     head = u[: depth + 1]
-    blocks = _observed_blocks(head, None)
+    blocks = _observed_blocks(head)
     a0, a1, a2 = _affine_solution(blocks, coding)
     v = shift_product(head, coding)
     # Truncations: u cut at `depth` symbols, v naturally has `depth` symbols.
@@ -242,9 +240,7 @@ def value_affine_relation(
     )
 
 
-def block_determinism(
-    u: GeneralWord, order: int, prefix_len: int | None = None
-) -> tuple[int, dict[Word, int]]:
+def block_determinism(u: GeneralWord, order: int) -> tuple[int, dict[Word, int]]:
     """Map each length-(order+1) block to the difference symbol it forces.
 
     The order-th difference at position i depends only on the block
@@ -257,13 +253,12 @@ def block_determinism(
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    head = u if prefix_len is None else u[:prefix_len]
-    if len(head) <= order:
+    if len(u) <= order:
         raise ValueError("prefix must be longer than the order")
-    sym = head.symbols
+    sym = u.symbols
     if max(sym) > 1:
         raise ValueError("block determinism is defined on binary words")
-    diff = difference(head, order).symbols
+    diff = difference(u, order).symbols
     width = order + 1
     positions = len(sym) - order
     by_mask = 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sturmlab import (
@@ -27,7 +29,7 @@ def test_symbol_rule_is_lowest_digit():
     """Symbol at n is 1 exactly when the lowest regular digit of n equals k."""
     for k in (1, 2, 3):
         for n in range(2000):
-            expected = 1 if to_digits(k, n).digit(0) == k else 0
+            expected = 1 if to_digits(k, n)[:1] == (k,) else 0
             assert symbol_at(k, n) == expected
 
 
@@ -59,6 +61,20 @@ def test_mismatch_against_direct_comparison():
             assert mismatch_positions(k, n, 4000) == [
                 i for i in range(4000) if prefix[i + fn] != prefix[i]
             ], (k, n)
+
+
+def test_mismatch_against_symbol_at_large_indices():
+    """Large n at large i, where a prefix is out of reach: compare with symbol_at."""
+    for k in (1, 2, 3, 4):
+        rng = random.Random(7700 + k)
+        for n in range(0, 21):
+            fn = basis_value(k, n)
+            indices = [rng.randrange(10**12) for _ in range(300)]
+            indices += mismatch_positions(k, n, 4000)
+            for i in indices:
+                direct = symbol_at(k, i + fn) - symbol_at(k, i)
+                v = mismatch(k, i, n)
+                assert (v.differs, v.sign) == (direct != 0, direct), (k, n, i)
 
 
 def test_mismatch_guard_cases_k1():

@@ -118,10 +118,13 @@ def test_bounds_grid_dense():
 
 def test_scaled_route_agrees_with_dense():
     for k in (1, 2, 3):
-        for b in (2, 3, 10):
+        for b in (2, 3, 10, 2**40, 10**30):
             for n in range(0, 7):
                 s = scaled_error_bounds_hold(k, n, b)
                 assert s.holds and s.route == "scaled", (k, b, n)
+                d = check_error_bounds(approximant(k, n, b))
+                assert d.route == "dense", (k, b, n)
+                assert (d.lower_ok, d.upper_ok) == (s.lower_ok, s.upper_ok), (k, b, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -162,6 +162,18 @@ def test_verify_cap_exceeded_is_exit_two(argv, capsys):
     assert err.startswith("error:") and "cap" in err
 
 
+def test_verify_lemma3_cap_precedes_round_trip(monkeypatch, capsys):
+    """The uniqueness cap on --imax refuses the sweep before any value is digitised."""
+    def digitised(k, n):
+        raise AssertionError("round trip ran before the cap check")
+
+    monkeypatch.setattr(cli, "to_digits", digitised)
+    code, out, err = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
+                         "--imax", "5000001")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
 # A config whose sweeps arrive out of key order and lean on the per-lemma
 # defaults of --n and --depth.
 PINNED_CONFIG = [

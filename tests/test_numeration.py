@@ -3,14 +3,15 @@ import random
 import pytest
 
 from sturmlab import (
-    DigitVector,
     basis_value,
     from_digits,
     get_basis,
+    is_regular,
     normalize,
     to_digits,
     uniqueness_oracle,
 )
+from sturmlab.numeration import _digit_and_low
 
 
 def test_basis_seeds_and_recurrence():
@@ -42,42 +43,29 @@ def test_largest_index_leq():
     assert basis.largest_index_leq(17) == 3
 
 
-def test_digit_vector_basics():
-    d = DigitVector([0, 2, 1, 0, 0])
-    assert d.digits == (0, 2, 1)
-    assert d.digit(1) == 2
-    assert d.digit(10) == 0
-    assert d == [0, 2, 1]
-    assert d == DigitVector((0, 2, 1, 0))
-    assert DigitVector([]) == DigitVector([0, 0])
-    with pytest.raises(ValueError):
-        DigitVector([1, -1])
-    with pytest.raises(ValueError):
-        d.digit(-1)
-
-
 def test_regularity_predicate():
-    assert DigitVector([1, 0, 1]).is_regular(1)
-    assert not DigitVector([1, 1]).is_regular(1)        # digit k over nonzero
-    assert not DigitVector([0, 2]).is_regular(1)        # digit above k
-    assert DigitVector([0, 2, 0, 2]).is_regular(2)
-    assert not DigitVector([1, 2]).is_regular(2)
-    assert DigitVector([2, 1, 0, 2]).is_regular(2)
+    assert is_regular(1, (1, 0, 1))
+    assert not is_regular(1, (1, 1))        # digit k over nonzero
+    assert not is_regular(1, (0, 2))        # digit above k
+    assert is_regular(2, (0, 2, 0, 2))
+    assert not is_regular(2, (1, 2))
+    assert is_regular(2, (2, 1, 0, 2))
+    assert not is_regular(1, (1, -1))       # negative digit
 
 
 def test_to_digits_examples():
     # 12 = f_4 + f_2 + f_0 = 8 + 3 + 1 for k=1.
-    assert to_digits(1, 12) == [1, 0, 1, 0, 1]
-    assert to_digits(1, 0) == []
+    assert to_digits(1, 12) == (1, 0, 1, 0, 1)
+    assert to_digits(1, 0) == ()
     # 16 = 2*f_2 + 2*f_0 = 14 + 2 for k=2.
-    assert to_digits(2, 16) == [2, 0, 2]
+    assert to_digits(2, 16) == (2, 0, 2)
 
 
 def test_round_trip_dense_range():
     for k in (1, 2, 3, 4):
         for n in range(20000):
             d = to_digits(k, n)
-            assert d.is_regular(k)
+            assert is_regular(k, d)
             assert from_digits(k, d) == n
 
 
@@ -98,7 +86,18 @@ def test_to_digits_greedy_is_msf():
             if n > 0:
                 top = basis.largest_index_leq(n)
                 assert len(d) == top + 1
-                assert d.digit(top) >= 1
+                assert d[top] >= 1
+
+
+def test_digit_and_low_matches_digits():
+    """The cut-short greedy walk agrees with slicing the full digit vector."""
+    for k in (1, 2, 3, 4):
+        rng = random.Random(600 + k)
+        for n in [*range(5000), *(rng.randrange(10**12) for _ in range(500))]:
+            d = to_digits(k, n)
+            for pos in range(len(d) + 2):
+                digit = d[pos] if pos < len(d) else 0
+                assert _digit_and_low(k, n, pos) == (digit, from_digits(k, d[:pos])), (k, n, pos)
 
 
 def test_uniqueness_oracle_small():
@@ -120,7 +119,7 @@ def test_from_digits_rejects_negative():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_from_digits_matches_weighted_sum(k):
-    """Irregular digits, digits above k, trailing zeros, empty and DigitVector input."""
+    """Irregular digits, digits above k, trailing zeros and empty input."""
     rng = random.Random(4400 + k)
     cases = [[], [0], [0, 0, 0], [k + 5], [0, 0, 7, 0, 0], [k] * 12, [1] * 40]
     cases += [
@@ -133,10 +132,9 @@ def test_from_digits_matches_weighted_sum(k):
         assert from_digits(k, raw) == expected, raw
         assert from_digits(k, tuple(raw)) == expected, raw
         assert from_digits(k, iter(raw)) == expected, raw
-        assert from_digits(k, DigitVector(raw)) == expected, raw
     for n in (0, 1, k, 10**6, 10**30):
         d = to_digits(k, n)
-        assert from_digits(k, d) == sum(x * basis_value(k, i) for i, x in enumerate(d.digits))
+        assert from_digits(k, d) == sum(x * basis_value(k, i) for i, x in enumerate(d))
 
 
 def test_normalize_identity_on_regular():
@@ -145,14 +143,14 @@ def test_normalize_identity_on_regular():
         k = rng.randint(1, 4)
         n = rng.randrange(10**6)
         d = to_digits(k, n)
-        assert normalize(k, list(d.digits)) == d
+        assert normalize(k, list(d)) == d
 
 
 def test_normalize_rewrites_violations():
     # k=1: (0,1,1) means f_1 + f_2 = 2 + 3 = 5 = f_3, i.e. (0,0,0,1).
-    assert normalize(1, [0, 1, 1]) == [0, 0, 0, 1]
+    assert normalize(1, [0, 1, 1]) == (0, 0, 0, 1)
     # k=2: (1,2,0) is fine, but (0,1,2) = 3 + 14 = value 17 = f_3.
-    assert normalize(2, [0, 1, 2]) == [0, 0, 0, 1]
+    assert normalize(2, [0, 1, 2]) == (0, 0, 0, 1)
 
 
 def test_normalize_properties_random():
@@ -163,16 +161,18 @@ def test_normalize_properties_random():
         nd = normalize(k, raw)
         # Value-preserving and regular.
         assert from_digits(k, nd) == from_digits(k, raw)
-        assert nd.is_regular(k)
+        assert is_regular(k, nd)
         # Idempotent.
-        assert normalize(k, list(nd.digits)) == nd
+        assert normalize(k, list(nd)) == nd
         # Low-index stability: digits below the lowest violation survive.
+        # nd has no trailing zeros, so pad it to raw's length first.
+        padded = nd + (0,) * (len(raw) - len(nd))
         viol = [i for i in range(len(raw) - 1) if raw[i + 1] == k and raw[i] != 0]
         if viol:
             vmin = min(viol)
-            assert all(nd.digit(i) == raw[i] for i in range(vmin))
+            assert padded[:vmin] == tuple(raw[:vmin])
         else:
-            assert nd == DigitVector(raw)
+            assert padded == tuple(raw)
 
 
 def test_normalize_rejects_out_of_range():
