@@ -18,13 +18,14 @@ from functools import cached_property
 from .access import _mismatch_offsets
 from .errors import CapExceededError, IndecisiveEnclosureError
 from .numeration import get_basis
-from .words import GeneralWord, fixed_point_prefix
+from .words import _DIGITS, GeneralWord, fixed_point_prefix
 
 DEPTH_CAP = 1_000_000
 DENSE_AUTO_LIMIT = 300_000  # symbols of the dense route's prefix
 DENSE_AUTO_BITS = 1_000_000  # that prefix's symbols times floor(log2 b)
 
 _MAX_POWER_BITS = 8_000_000  # refuse to materialize integers past ~1 MB
+_DIGIT_LEAF = 4_000  # digits per int(str, b) call, under CPython's 4300 limit
 
 
 def default_depth(k: int, n: int) -> int:
@@ -42,16 +43,19 @@ def word_value(w: GeneralWord, b: int) -> int:
     """Integer value of ``w`` read as base-b digits, most significant first.
 
     Symbols may equal or exceed b; the evaluation is plain polynomial in b.
+    When every symbol is a digit of b, chunks of the word convert in C with
+    ``int(str, b)``; other words fall back to a Horner loop per chunk.
     """
     _require_base(b)
     sym = w.symbols
     if not sym:
         return 0
     hi = max(sym)
+    digits = hi < 10 and hi < b <= 36
     # int(str, b) is limited to ~4300 digits unless b is a power of two.
-    cheap = b & (b - 1) == 0 or len(sym) <= 4000
-    if hi < b <= 36 and w.alphabet_size <= 10 and cheap:
-        return int(w.to_string(), b)
+    if digits and b & (b - 1) == 0:
+        return int(sym.translate(_DIGITS), b)
+    leaf = _DIGIT_LEAF if digits else 256
     powers: dict[int, int] = {}
 
     def power(e: int) -> int:
@@ -63,7 +67,9 @@ def word_value(w: GeneralWord, b: int) -> int:
 
     def split(lo: int, hi_: int) -> int:
         n = hi_ - lo
-        if n <= 256:
+        if n <= leaf:
+            if digits:
+                return int(sym[lo:hi_].translate(_DIGITS), b)
             acc = 0
             for c in sym[lo:hi_]:
                 acc = acc * b + c
@@ -377,19 +383,24 @@ def check_error_bounds_auto(k: int, n: int, b: int) -> BoundsCheck:
     return scaled_error_bounds_hold(k, n, b)
 
 
-def _bernoulli_settles(b: int, fn: int, fn1: int, c: int) -> bool:
-    """Whether Bernoulli's inequality proves (1 - b^-f_n)^theta >= b^-c.
+def _law_settles(b: int, fn: int, fn1: int, c: int) -> bool:
+    """Whether (1 - b^-f_n)^theta >= b^-c follows without f_n-th powers.
 
-    With theta = f_{n+1}/f_n >= 1, (1 - x)^theta >= 1 - theta*x, so the
-    integer inequality f_n * b^{f_n} * (b^c - 1) >= f_{n+1} * b^c suffices.
-    Since b^{f_n} >= 2^{f_n*(bits(b)-1)} and b^c - 1 >= b^c / 2, bit lengths
-    decide it without building b^{f_n} once f_n*(bits(b)-1) > bits(f_{n+1}) + 1.
-    When it does not hold, the caller compares f_n-th powers exactly; past
-    ``_MAX_POWER_BITS`` those powers are refused with CapExceededError.
+    With x = b^-f_n and theta = f_{n+1}/f_n, ln(1 - x) >= -x/(1 - x) =
+    -1/(b^{f_n} - 1), so theta <= c * ln(b) * (b^{f_n} - 1) suffices; since
+    ln b >= (bits(b)-1) * ln 2 and ln 2 > 2/3, so does the integer inequality
+    3*f_{n+1} <= 2*c*(bits(b)-1)*f_n*(b^{f_n} - 1).  For c >= 2 it holds on
+    every cell where Bernoulli's 1 - theta*x >= b^-c does (theta >= 2 when
+    f_n = 1), so Bernoulli is not tried.  As b^{f_n} - 1 >=
+    2^{f_n*(bits(b)-1) - 1}, bit lengths decide it without building b^{f_n}
+    once f_n*(bits(b)-1) > bits(f_{n+1}) + 1.  When it does not hold, the
+    caller compares f_n-th powers exactly; past ``_MAX_POWER_BITS`` those
+    powers are refused with CapExceededError.
     """
-    if fn * (b.bit_length() - 1) > fn1.bit_length() + 1:
+    b_bits = b.bit_length() - 1
+    if fn * b_bits > fn1.bit_length() + 1:
         return True
-    if fn * b**fn * (b**c - 1) >= fn1 * b**c:
+    if 3 * fn1 <= 2 * c * b_bits * fn * (b**fn - 1):
         return True
     if fn * fn1 * b.bit_length() > _MAX_POWER_BITS:
         raise CapExceededError(
@@ -402,7 +413,7 @@ def growth_law_holds(k: int, b: int, n: int) -> bool:
     """Check q_{n+1} < b^2 * q_n^(f_{n+1}/f_n).
 
     As q_{n+1} < b^{f_{n+1}} and q_n^theta = b^{f_{n+1}} (1 - b^-f_n)^theta, the
-    law holds whenever Bernoulli settles c = 2; otherwise it is decided as
+    law holds whenever ``_law_settles`` with c = 2; otherwise it is decided as
     q_{n+1}^{f_n} < b^{2 f_n} * q_n^{f_{n+1}}.
     """
     _require_base(b)
@@ -410,7 +421,7 @@ def growth_law_holds(k: int, b: int, n: int) -> bool:
         raise ValueError("n must be >= 0")
     basis = get_basis(k)
     fn, fn1 = basis.value(n), basis.value(n + 1)
-    if _bernoulli_settles(b, fn, fn1, 2):
+    if _law_settles(b, fn, fn1, 2):
         return True
     return (b**fn1 - 1) ** fn < b ** (2 * fn) * (b**fn - 1) ** fn1
 
@@ -419,7 +430,7 @@ def bound_constants_hold(k: int, b: int, n: int) -> bool:
     """Check (b-1)/b^2 / q^(1+theta) <= |x - p/q| <= b^2 / q^(1+theta).
 
     The upper constant follows from q < b^{f_n} alone; the lower reduces to
-    q^theta >= b^{f_{n+1}-3}, which holds whenever Bernoulli settles c = 3 and
+    q^theta >= b^{f_{n+1}-3}, which holds whenever ``_law_settles`` with c = 3 and
     is otherwise decided raised to the f_n-th power.  The middle inequality
     is the certified two-sided gap bound.
     """
@@ -428,7 +439,7 @@ def bound_constants_hold(k: int, b: int, n: int) -> bool:
         return False
     basis = get_basis(k)
     fn, fn1 = basis.value(n), basis.value(n + 1)
-    if _bernoulli_settles(b, fn, fn1, 3):
+    if _law_settles(b, fn, fn1, 3):
         return True
     q = b**fn - 1
     return q**fn1 * b ** (3 * fn) >= b ** (fn * fn1)

@@ -13,8 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .approximants import SeriesTruncation, fixed_point_series, series_truncation
+from .approximants import (
+    DEPTH_CAP,
+    SeriesTruncation,
+    fixed_point_series,
+    series_truncation,
+    word_value,
+)
 from .errors import (
+    CapExceededError,
     DegenerateSystemError,
     IndecisiveEnclosureError,
     MissingCodingError,
@@ -322,15 +329,17 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
         raise ValueError("base must be >= 2")
     if depth < 50:
         raise ValueError("depth must be >= 50")
-    # Exact truncation of (b-1) * sum b^{-floor(n*golden)} up to exponent `depth`.
-    acc = 0
+    if depth > DEPTH_CAP:
+        raise CapExceededError(f"depth {depth} exceeds cap {DEPTH_CAP}")
+    # Exact truncation of (b-1) * sum b^{-floor(n*golden)} up to exponent `depth`:
+    # the exponents are distinct and >= 1, so sum b^(depth-e) is the value of
+    # the 0/1 word with a 1 at each position e.
+    marks = bytearray(depth + 1)
     n = 1
-    while True:
-        e = floor_golden(n)
-        if e > depth:
-            break
-        acc += b ** (depth - e)
+    while (e := floor_golden(n)) <= depth:
+        marks[e] = 1
         n += 1
+    acc = word_value(Word._wrap(bytes(marks)), b)
     sum_lo = Fraction((b - 1) * acc, b**depth)
     # Cut terms have exponents > depth; they sum below (b-1) * b^-depth / (b-1).
     sum_hi = sum_lo + Fraction(1, b**depth)

@@ -1,3 +1,6 @@
+import itertools
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,7 @@ from sturmlab import (
     series_truncation,
     word_value,
 )
-from sturmlab.approximants import _power_sum_sign
+from sturmlab.approximants import _law_settles, _power_sum_sign
 from sturmlab.numeration import basis_value
 
 
@@ -33,14 +36,58 @@ def test_word_value_basics():
     assert word_value(GeneralWord([3, 1], alphabet_size=4), 2) == 7
 
 
-def test_word_value_long_words_both_paths():
-    # Long enough to force the divide-and-conquer path for b=3.
-    w = fixed_point_prefix(1, 6000)
-    direct = 0
-    for c in w:
-        direct = direct * 3 + c
-    assert word_value(w, 3) == direct
-    assert word_value(w, 2) == int(w.to_string(), 2)
+def _horner(sym, b, chunk=1000):
+    """Plain Horner evaluation, run in base b^chunk over chunks read in base b."""
+    def horner(digits, base):
+        acc = 0
+        for d in digits:
+            acc = acc * base + d
+        return acc
+
+    sym = bytes(-len(sym) % chunk) + bytes(sym)  # leading zeros keep the value
+    return horner(
+        (horner(sym[i : i + chunk], b) for i in range(0, len(sym), chunk)), b**chunk
+    )
+
+
+@pytest.fixture
+def default_str_digit_limit():
+    """Run under CPython's default int/str digit limit, as library callers do."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+WORD_VALUE_BASES = (2, 3, 5, 10, 16, 36, 37, 2**40)
+WORD_VALUE_LENGTHS = (0, 1, 255, 256, 257, 3999, 4000, 4001, 4301, 12001)
+
+
+def test_word_value_matches_horner(default_str_digit_limit):
+    rng = random.Random(8)
+    for n in WORD_VALUE_LENGTHS:
+        words = [
+            Word(bytes(rng.randrange(2) for _ in range(n))),
+            GeneralWord(bytes(rng.randrange(10) for _ in range(n)), alphabet_size=10),
+            # Symbols 10..35 are digits of base 36 but not decimal digits.
+            GeneralWord(bytes(rng.randrange(10, 36) for _ in range(n)), alphabet_size=36),
+            GeneralWord(bytes(rng.randrange(256) for _ in range(n)), alphabet_size=256),
+        ]
+        for w in words:
+            for b in WORD_VALUE_BASES:
+                assert word_value(w, b) == _horner(w.symbols, b), (n, b, w.alphabet_size)
+
+
+def test_word_value_long_words_both_paths(default_str_digit_limit):
+    # One base per route: whole-word conversion, digit chunks, Horner chunks.
+    w = fixed_point_prefix(1, 300_000)
+    for b in (2, 3, 10, 37):
+        assert word_value(w, b) == _horner(w.symbols, b), b
 
 
 def test_series_truncation_brackets_limit():
@@ -273,11 +320,36 @@ def test_lower_constant_matches_exact_comparison():
     assert (3, 2, 0) in fails
 
 
+def test_law_settles_soundly_and_wherever_bernoulli_does():
+    # At n = 0, theta = k + 1 crosses the edge of the law at small b for k > 8.
+    edge = ((k, b, 0, 1, k + 1) for k in range(9, 65) for b in (2, 3, 4, 10))
+    past_bernoulli = 0
+    for k, b, n, fn, fn1 in itertools.chain(_exact_grid(), edge):
+        q = b**fn - 1
+        growth = (b**fn1 - 1) ** fn < b ** (2 * fn) * q**fn1
+        lower_constant = q**fn1 * b ** (3 * fn) >= b ** (fn * fn1)
+        for c, exact in ((2, growth), (3, lower_constant)):
+            settles = _law_settles(b, fn, fn1, c)
+            # (1 - x)^theta >= 1 - theta*x >= b^-c, with x = b^-f_n.
+            bernoulli = fn * b**fn * (b**c - 1) >= fn1 * b**c
+            assert exact or not settles, (k, b, n, c)
+            assert settles or not bernoulli, (k, b, n, c)
+            past_bernoulli += settles and not bernoulli
+    assert past_bernoulli > 0
+
+
+def test_growth_law_decided_by_log_bound_past_the_power_cap():
+    # (1 - 2^-40)^(2^40+1) is near 1/e: Bernoulli's inequality cannot show the
+    # law, the exact powers have ~2^45 bits, and the logarithm bound settles it.
+    assert growth_law_holds(2**40, 2**40, 0)
+
+
 def test_growth_law_past_the_power_cap_raises():
-    # The law holds here ((1 - 2^-40)^(2^40+1) is near 1/e), but Bernoulli's
-    # inequality cannot show it and the exact powers have ~2^45 bits.
+    # The law fails here (q_1 = 2^(2^22+1) - 1 against b^2 * q_0 = 4), no
+    # bound proves it, and the exact comparison is sized f_n*f_{n+1}*bits(b),
+    # past the power cap, so the cell is refused.
     with pytest.raises(CapExceededError):
-        growth_law_holds(2**40, 2**40, 0)
+        growth_law_holds(2**22, 2, 0)
 
 
 def test_bound_constants():

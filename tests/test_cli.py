@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sturmlab import cli
+from sturmlab import cli, transforms
 
 
 def run(capsys, *argv):
@@ -170,6 +170,19 @@ def test_verify_lemma3_cap_precedes_round_trip(monkeypatch, capsys):
     monkeypatch.setattr(cli, "to_digits", digitised)
     code, out, err = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
                          "--imax", "5000001")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_verify_sba_cap_precedes_power_sum(monkeypatch, capsys):
+    """A depth past the cap is refused before any term of the power sum is built."""
+    def summed(*args):
+        raise AssertionError("power sum ran before the cap check")
+
+    monkeypatch.setattr(transforms, "floor_golden", summed)
+    monkeypatch.setattr(transforms, "word_value", summed)
+    code, out, err = run(capsys, "verify", "--lemma", "sba", "--b", "2",
+                         "--depth", "1000001")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "cap" in err
 

@@ -249,3 +249,30 @@ def test_rotation_sum_validates():
         rotation_sum_relation(1, 400)
     with pytest.raises(ValueError):
         rotation_sum_relation(2, 10)
+
+
+def _power_loop_report(b, depth, value_lo, value_hi):
+    """(sum_lo, sum_hi, matching, residual_bound) with one power of b per term."""
+    acc = 0
+    n = 1
+    while (e := floor_golden(n)) <= depth:
+        acc += b ** (depth - e)
+        n += 1
+    sum_lo = Fraction((b - 1) * acc, b**depth)
+    sum_hi = sum_lo + Fraction(1, b**depth)
+    verdicts = {}
+    for name, c1 in (("direct", -(b - 1)), ("index_shifted", Fraction(-(b - 1), b))):
+        lo, hi = c1 * value_hi + 1, c1 * value_lo + 1
+        if lo <= sum_hi and sum_lo <= hi:
+            verdicts[name] = max(abs(sum_hi - lo), abs(hi - sum_lo))
+    assert len(verdicts) == 1
+    ((matching, bound),) = verdicts.items()
+    return sum_lo, sum_hi, matching, bound
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 2**40])
+def test_rotation_sum_matches_power_loop(b):
+    for depth in (50, 51, 120, 400, 1000):
+        rep = rotation_sum_relation(b, depth)
+        got = (rep.sum_lo, rep.sum_hi, rep.matching, rep.residual_bound)
+        assert got == _power_loop_report(b, depth, rep.value_lo, rep.value_hi), depth
