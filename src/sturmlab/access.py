@@ -11,9 +11,10 @@ pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CapExceededError
-from .numeration import _digit_and_low, from_digits, get_basis, to_digits
+from .numeration import _digit_and_low, get_basis, regular_vectors
 
 POSITION_SCAN_CAP = 50_000_000
 
@@ -72,25 +73,26 @@ def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
 def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:
     """Offsets h with a mismatch pair at f_{n+1}-2+h, f_{n+1}-1+h, for h <= cutoff.
 
-    h ranges over sums of regular digit vectors re-weighted to start at basis
-    index n+1, excluding vectors whose bottom digit is k (those indices carry
-    a digit k at position n+1 and the shift leaves their symbols alone).
+    h ranges over the values of regular digit vectors re-weighted to start
+    at basis index n+1, excluding vectors whose bottom digit is k (those
+    indices carry a digit k at position n+1 and the shift leaves their
+    symbols alone).  A vector's value j never exceeds its h, so walking the
+    vectors with j <= cutoff in increasing order reaches every offset.
     """
-    shift = (0,) * (n + 1)
+    basis = get_basis(k)
+    weights = [basis.value(n + 1 + i) for i in range(basis.largest_index_leq(cutoff) + 1)]
     out: list[int] = []
-    j = 0
     prev_h = -1
-    while True:
-        digits = to_digits(k, j)
-        h = from_digits(k, shift + digits)
+    for _j, digits in regular_vectors(k, cutoff + 1):
+        h = sum(map(mul, digits, weights))
         if h < prev_h:
             raise AssertionError("offset enumeration lost monotonicity")
         prev_h = h
         if h > cutoff:
-            return out
+            break
         if digits[:1] != (k,):
             out.append(h)
-        j += 1
+    return out
 
 
 def mismatch_positions(k: int, n: int, limit: int) -> list[int]:

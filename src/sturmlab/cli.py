@@ -20,12 +20,13 @@ from .approximants import check_error_bounds_auto, bound_constants_hold, growth_
 from .errors import CapExceededError, IndecisiveEnclosureError, InsufficientPrecisionError
 from .exponent import closed_form_exponent, empirical_exponent, exponent_sandwich
 from .numeration import (
+    _require_sweep_bound,
     from_digits,
     get_basis,
     is_regular,
     normalize,
+    regular_vectors,
     to_digits,
-    uniqueness_oracle,
 )
 from .transforms import (
     block_determinism,
@@ -140,14 +141,22 @@ def _check_lemma2(k: int, imax: int) -> Row:
 
 def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> Row:
     problems: list[str] = []
-    # The oracle runs first so that its cap on imax stops the sweep before
-    # any round trip is paid for.
-    unique = uniqueness_oracle(k, imax)
-    for n in range(imax):
-        d = to_digits(k, n)
-        if not is_regular(k, d) or from_digits(k, d) != n:
-            problems.append(f"roundtrip@{n}")
+    # The cap on imax stops the sweep before any value is digitised.
+    _require_sweep_bound(imax)
+    # The walk reaches every vector that obeys the digit rule and is worth
+    # less than imax, so uniqueness holds exactly when its values come out
+    # as 0, 1, ..., imax - 1.  Each walked vector is regular and valued by
+    # construction, so the round trip is to_digits reproducing it.
+    walked = 0
+    unique = False
+    for value, digits in regular_vectors(k, imax):
+        if value != walked:
             break
+        if not problems and to_digits(k, value) != digits:
+            problems.append(f"roundtrip@{value}")
+        walked += 1
+    else:
+        unique = walked == imax
     if not unique:
         problems.append("uniqueness")
     rng = random.Random((seed * 1000003) ^ k)

@@ -10,21 +10,21 @@ one that knows the basis table's layout or walks a value's digits.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
 
+UNIQUENESS_CAP = 5_000_000
+
 _basis_cache: dict[int, "Basis"] = {}
-_basis_cache_lock = threading.Lock()
 
 
 class Basis:
     """Lazily extended table of the recurrence values for one k."""
 
-    __slots__ = ("k", "_vals", "_lock")
+    __slots__ = ("k", "_vals")
 
     def __init__(self, k: int):
         if k < 1:
@@ -32,7 +32,6 @@ class Basis:
         self.k = k
         # _vals[j] holds f_{j-2}: indices -2, -1, 0 seed the recurrence.
         self._vals = [1 - k, 1, 1]
-        self._lock = threading.Lock()
 
     def value(self, n: int) -> int:
         """f_n for n >= -2."""
@@ -40,16 +39,8 @@ class Basis:
             raise ValueError("basis index must be >= -2")
         j = n + 2
         vals = self._vals
-        if j >= len(vals):
-            with self._lock:
-                vals = self._vals
-                if j >= len(vals):
-                    grown = list(vals)
-                    k = self.k
-                    while len(grown) <= j:
-                        grown.append(k * grown[-1] + grown[-2])
-                    self._vals = grown
-                    vals = grown
+        while len(vals) <= j:
+            vals.append(self.k * vals[-1] + vals[-2])
         return vals[j]
 
     def largest_index_leq(self, x: int) -> int:
@@ -61,25 +52,16 @@ class Basis:
         return bisect_right(self._vals, x, 2) - 3
 
     def _extend_past(self, x: int) -> None:
-        if self._vals[-1] > x:
-            return
-        with self._lock:
-            grown = list(self._vals)
-            k = self.k
-            while grown[-1] <= x:
-                grown.append(k * grown[-1] + grown[-2])
-            self._vals = grown
+        vals = self._vals
+        while vals[-1] <= x:
+            vals.append(self.k * vals[-1] + vals[-2])
 
 
 def get_basis(k: int) -> Basis:
     """Shared per-k basis table."""
     b = _basis_cache.get(k)
     if b is None:
-        with _basis_cache_lock:
-            b = _basis_cache.get(k)
-            if b is None:
-                b = Basis(k)
-                _basis_cache[k] = b
+        b = _basis_cache[k] = Basis(k)
     return b
 
 
@@ -201,36 +183,68 @@ def normalize(k: int, digits: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def regular_vectors(k: int, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield ``(value, digits)`` for every regular vector of value below ``bound``.
+
+    An iterative depth-first walk over the digit positions that f_0..f_M
+    span, M the largest index with f_M < bound, pruned only by partial value:
+    each step raises the lowest digit that the digit rule and the bound let
+    rise and clears the digits below it.  A digit may rise while it is below
+    k and the digit above it is not k; clearing leaves a zero under every
+    raised digit.  Every vector obeying the rule whose value is below
+    ``bound`` is reached, since its partial values stay below ``bound``.
+    The vectors come out in increasing value; digits are in ``to_digits``
+    format.  Nothing is yielded when ``bound < 1``.
+    """
+    if bound < 1:
+        return
+    basis = get_basis(k)
+    width = basis.largest_index_leq(bound - 1) + 1
+    vals = basis._vals[2 : 2 + width]
+    digits: list[int] = []   # no trailing zeros
+    value = 0
+    while True:
+        yield value, tuple(digits)
+        low = 0   # value of the digits below position i
+        i = 0
+        top = len(digits)
+        while True:
+            if i == width:
+                return
+            f = vals[i]
+            if i < top:
+                d = digits[i]
+                if d < k and (i + 1 == top or digits[i + 1] != k) and value - low + f < bound:
+                    digits[i] = d + 1
+                    break
+                low += d * f
+            elif value - low + f < bound:
+                digits.extend([0] * (i - top) + [1])
+                break
+            i += 1
+        digits[:i] = [0] * i
+        value += f - low
+
+
+def _require_sweep_bound(bound: int) -> None:
+    """Refuse an exhaustive uniqueness sweep outside 1..UNIQUENESS_CAP."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if bound > UNIQUENESS_CAP:
+        raise CapExceededError(f"uniqueness sweep bound is capped at {UNIQUENESS_CAP:_}")
+
+
 def uniqueness_oracle(k: int, bound: int) -> bool:
     """Exhaustively confirm each value below ``bound`` has exactly one regular vector.
 
-    Enumerates every digit vector over positions 0..M (M chosen so that any
-    regular vector of value < bound fits) that obeys the digit rule, tallies
-    values, and checks each value in range is hit exactly once.
+    ``regular_vectors`` reaches every vector that obeys the digit rule and
+    is worth less than ``bound``; uniqueness holds exactly when their values
+    come out as 0, 1, ..., bound - 1.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if bound > 5_000_000:
-        raise CapExceededError("uniqueness sweep bound is capped at 5_000_000")
-    basis = get_basis(k)
-    width = basis.largest_index_leq(bound - 1) + 1
-    vals = [basis.value(i) for i in range(width)]
-    counts = bytearray(bound)
-
-    # Depth-first over positions, most significant first.  Partial values only
-    # grow, so any branch reaching ``bound`` is pruned whole.
-    def walk(pos: int, acc: int, above_is_k: bool) -> None:
-        if pos < 0:
-            if counts[acc] < 2:
-                counts[acc] += 1
-            return
-        f = vals[pos]
-        top = 0 if above_is_k else k
-        for dd in range(top + 1):
-            nacc = acc + dd * f
-            if nacc >= bound:
-                break
-            walk(pos - 1, nacc, dd == k)
-
-    walk(width - 1, 0, False)
-    return all(c == 1 for c in counts)
+    _require_sweep_bound(bound)
+    expected = 0
+    for value, _digits in regular_vectors(k, bound):
+        if value != expected:
+            return False
+        expected += 1
+    return expected == bound

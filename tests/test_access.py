@@ -10,7 +10,8 @@ from sturmlab import (
     symbol_at,
     to_digits,
 )
-from sturmlab.numeration import basis_value
+from sturmlab.access import _mismatch_offsets
+from sturmlab.numeration import basis_value, from_digits
 
 
 def test_symbol_at_known_prefix():
@@ -75,6 +76,37 @@ def test_mismatch_against_symbol_at_large_indices():
                 direct = symbol_at(k, i + fn) - symbol_at(k, i)
                 v = mismatch(k, i, n)
                 assert (v.differs, v.sign) == (direct != 0, direct), (k, n, i)
+
+
+def _offsets_per_index(k, n, cutoff):
+    """Mismatch offsets from one to_digits per index j (the reference for the walk)."""
+    shift = (0,) * (n + 1)
+    out = []
+    j = 0
+    while True:
+        digits = to_digits(k, j)
+        h = from_digits(k, shift + digits)
+        if h > cutoff:
+            return out
+        if digits[:1] != (k,):
+            out.append(h)
+        j += 1
+
+
+def test_mismatch_offsets_match_per_index_digitisation():
+    """Offsets from the in-order walk equal those from digitising each j, for
+    negative cutoffs, cutoffs at and past basis values, and cutoffs far above
+    the uniqueness cap (the scaled route passes cutoffs near f_{n+2} + f_{n+1})."""
+    cases = []
+    for k in (1, 2, 3, 4, 7):
+        for n in range(0, 9):
+            fn1, fn2 = basis_value(k, n + 1), basis_value(k, n + 2)
+            for cutoff in (-5, -1, 0, 1, 2, fn1 - 1, fn1, fn2 + fn1 + 4, 3000):
+                cases.append((k, n, cutoff))
+    cases += [(1, 20, 6_000_000), (2, 12, 10**7), (3, 10, 5_000_001)]
+    cases += [(1, 40, basis_value(1, 42) + basis_value(1, 41) + 4)]
+    for k, n, cutoff in cases:
+        assert _mismatch_offsets(k, n, cutoff) == _offsets_per_index(k, n, cutoff), (k, n, cutoff)
 
 
 def test_mismatch_guard_cases_k1():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sturmlab import cli, transforms
+from sturmlab import cli, numeration, transforms
 
 
 def run(capsys, *argv):
@@ -172,6 +172,81 @@ def test_verify_lemma3_cap_precedes_round_trip(monkeypatch, capsys):
                          "--imax", "5000001")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "cap" in err
+
+
+def _digits_wrong_at(bad):
+    """to_digits, except that it returns the vector of bad + 1 at bad."""
+    real = cli.to_digits
+
+    def digits(k, n):
+        return real(k, n + 1 if n == bad else n)
+
+    return digits
+
+
+def _skipping_walk(k, bound):
+    for value, digits in numeration.regular_vectors(k, bound):
+        if value != 70:
+            yield value, digits
+
+
+def _repeating_walk(k, bound):
+    for value, digits in numeration.regular_vectors(k, bound):
+        yield value, digits
+        if value == 70:
+            yield value, digits
+
+
+def _replacing_walk(k, bound):
+    """Repeats 70 in place of 71, so the count of vectors stays right."""
+    for value, digits in numeration.regular_vectors(k, bound):
+        if value == 70:
+            twice = digits
+        yield (70, twice) if value == 71 else (value, digits)
+
+
+def _stopping_walk(k, bound):
+    for value, digits in numeration.regular_vectors(k, bound):
+        if value == bound - 1:
+            return
+        yield value, digits
+
+
+WALK_FAULTS = pytest.mark.parametrize(
+    "walk", [_skipping_walk, _repeating_walk, _replacing_walk, _stopping_walk],
+    ids=["skip", "repeat", "replace", "stop-early"])
+
+
+def _lemma3_detail(capsys):
+    code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1..2",
+                       "--imax", "200", "--cases", "20")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert code == 1 and [row[4] for row in rows] == ["FAIL", "FAIL"]
+    return {row[5] for row in rows}
+
+
+def test_verify_lemma3_reports_round_trip_fault(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "to_digits", _digits_wrong_at(37))
+    assert _lemma3_detail(capsys) == {
+        "roundtrip<200;uniqueness<200;cases=20;failed=roundtrip@37"
+    }
+
+
+@WALK_FAULTS
+def test_verify_lemma3_reports_walk_fault(walk, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "regular_vectors", walk)
+    assert _lemma3_detail(capsys) == {
+        "roundtrip<200;uniqueness<200;cases=20;failed=uniqueness"
+    }
+
+
+@WALK_FAULTS
+def test_verify_lemma3_decides_uniqueness_after_round_trip_fault(walk, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "to_digits", _digits_wrong_at(37))
+    monkeypatch.setattr(cli, "regular_vectors", walk)
+    assert _lemma3_detail(capsys) == {
+        "roundtrip<200;uniqueness<200;cases=20;failed=roundtrip@37,uniqueness"
+    }
 
 
 def test_verify_sba_cap_precedes_power_sum(monkeypatch, capsys):

@@ -11,7 +11,8 @@ from sturmlab import (
     to_digits,
     uniqueness_oracle,
 )
-from sturmlab.numeration import _digit_and_low
+from sturmlab.errors import CapExceededError
+from sturmlab.numeration import _digit_and_low, regular_vectors
 
 
 def test_basis_seeds_and_recurrence():
@@ -100,6 +101,52 @@ def test_digit_and_low_matches_digits():
                 assert _digit_and_low(k, n, pos) == (digit, from_digits(k, d[:pos])), (k, n, pos)
 
 
+def _recursive_walk(k, bound):
+    """The pruned recursive depth-first walk, most significant digit first,
+    collecting ``(value, digits)`` in visit order (the reference for the walk)."""
+    basis = get_basis(k)
+    width = basis.largest_index_leq(bound - 1) + 1
+    vals = [basis.value(i) for i in range(width)]
+    digits = [0] * width
+    out = []
+
+    def walk(pos, acc, above_is_k):
+        if pos < 0:
+            trimmed = list(digits)
+            while trimmed and trimmed[-1] == 0:
+                trimmed.pop()
+            out.append((acc, tuple(trimmed)))
+            return
+        f = vals[pos]
+        for dd in range((0 if above_is_k else k) + 1):
+            nacc = acc + dd * f
+            if nacc >= bound:
+                break
+            digits[pos] = dd
+            walk(pos - 1, nacc, dd == k)
+        digits[pos] = 0
+
+    walk(width - 1, 0, False)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_regular_vectors_matches_to_digits_and_recursive_walk(k):
+    """The in-order walk yields (n, to_digits(k, n)) for n = 0, 1, ..., bound - 1.
+
+    Bounds sit on and just past basis values f_j (j <= 12, up to 60,000),
+    where the walk gains a position, and at the small edges 1, 2, k+1, k+2.
+    """
+    fs = [basis_value(k, j) for j in range(13)]
+    bounds = {1, 2, k + 1, k + 2, 20000}
+    bounds |= {b for f in fs if f <= 60000 for b in (f, f + 1)}
+    reference = [(n, to_digits(k, n)) for n in range(max(bounds))]
+    for bound in sorted(bounds):
+        walked = list(regular_vectors(k, bound))
+        assert walked == reference[:bound], (k, bound)
+        assert walked == _recursive_walk(k, bound), (k, bound)
+
+
 def test_uniqueness_oracle_small():
     for k in (1, 2, 3, 4):
         assert uniqueness_oracle(k, 500)
@@ -110,6 +157,8 @@ def test_uniqueness_oracle_bound_handling():
     assert uniqueness_oracle(4, 2)
     with pytest.raises(ValueError):
         uniqueness_oracle(1, 0)
+    with pytest.raises(CapExceededError):
+        uniqueness_oracle(1, 5_000_001)
 
 
 def test_from_digits_rejects_negative():
