@@ -25,9 +25,6 @@ def symbol_at(k: int, n: int) -> int:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n <= k:
-        # The fixed point starts 0^k 1.
-        return 1 if n == k else 0
     return 1 if _digit_and_low(k, n, 0)[0] == k else 0
 
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 import warnings
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .access import mismatch, symbol_at
 from .approximants import check_error_bounds_auto, bound_constants_hold, growth_law_holds
@@ -75,16 +76,21 @@ LEMMAS = tuple(LEMMA_TABLE)
 
 TSV_COLUMNS = ("lemma", "k", "b", "n", "status", "detail")
 
+# Grid cells one sweep entry may expand to; a larger grid is refused before
+# any cell is built.
+PLAN_CAP = 1_000_000
+
 Row = dict[str, str]
-Task = tuple[tuple, str, tuple]   # (sort key, lemma, arguments of _check_<lemma>)
+# (sort key, lemma, (k, b, n) with None for a missing axis, arguments of _check_<lemma>)
+Task = tuple[tuple, str, tuple, tuple]
 
 
 class UsageError(ValueError):
     """Bad flag values detected after argparse; mapped to exit code 2."""
 
 
-def parse_range(text: str) -> list[int]:
-    """Accept "A..B" (inclusive), "A,B,C", or a single "A"."""
+def parse_range(text: str) -> Sequence[int]:
+    """Accept "A..B" (inclusive, as a ``range``), "A,B,C", or a single "A"."""
     text = text.strip()
     try:
         if ".." in text:
@@ -92,7 +98,7 @@ def parse_range(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise UsageError(f"empty range {text!r}")
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
         if "," in text:
             return [int(part) for part in text.split(",")]
         return [int(text)]
@@ -108,38 +114,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row(lemma: str, k, b, n, ok: bool, detail: str) -> Row:
+def _row(lemma: str, coords: tuple, ok: bool, detail: str) -> Row:
+    """One table row; ``coords`` holds k, b, n, with None for an axis the lemma lacks."""
+    k, b, n = ("-" if v is None else str(v) for v in coords)
     return {
         "lemma": lemma,
-        "k": "-" if k is None else str(k),
-        "b": "-" if b is None else str(b),
-        "n": "-" if n is None else str(n),
+        "k": k,
+        "b": b,
+        "n": n,
         "status": "PASS" if ok else "FAIL",
         "detail": detail,
     }
 
 
-def _key(lemma: str, k, b, n) -> tuple:
-    return (lemma, k if k is not None else -1, b if b is not None else -1,
-            n if n is not None else -1)
-
-
 # ---------------------------------------------------------------------------
-# Per-lemma check bodies.  Each returns one table row.
+# Per-lemma check bodies.  Each returns (ok, detail) for one grid cell.
 
-def _check_lemma1(k: int, n: int) -> Row:
+def _check_lemma1(k: int, n: int) -> tuple[bool, str]:
     id1, id2 = word_identities(k, n)
     detail = f"concat_swap={id1};expansion={id2}"
-    return _row("lemma1", k, None, n, id1 and id2, detail)
+    return id1 and id2, detail
 
 
-def _check_lemma2(k: int, imax: int) -> Row:
+def _check_lemma2(k: int, imax: int) -> tuple[bool, str]:
     prefix = fixed_point_prefix(k, imax)
     bad = sum(1 for i in range(imax) if symbol_at(k, i) != prefix[i])
-    return _row("lemma2", k, None, None, bad == 0, f"checked={imax};disagreements={bad}")
+    return bad == 0, f"checked={imax};disagreements={bad}"
 
 
-def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> Row:
+def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
     problems: list[str] = []
     # The cap on imax stops the sweep before any value is digitised.
     _require_sweep_bound(imax)
@@ -188,10 +191,10 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> Row:
     detail = f"roundtrip<{imax};uniqueness<{imax};cases={cases}"
     if problems:
         detail += ";failed=" + ",".join(problems)
-    return _row("lemma3", k, None, None, not problems, detail)
+    return not problems, detail
 
 
-def _check_lemma4(k: int, n: int, imax: int) -> Row:
+def _check_lemma4(k: int, n: int, imax: int) -> tuple[bool, str]:
     fn = get_basis(k).value(n)
     fn1 = get_basis(k).value(n + 1)
     sym = fixed_point_prefix(k, imax + fn).symbols
@@ -212,56 +215,56 @@ def _check_lemma4(k: int, n: int, imax: int) -> Row:
     if first_scanned is not None:
         window_ok = window_ok and first_scanned >= min(edge, imax)
     detail = f"scanned={imax};verdict_errors={bad};first_mismatch_at={edge}"
-    return _row("lemma4", k, None, n, bad == 0 and window_ok, detail)
+    return bad == 0 and window_ok, detail
 
 
-def _check_formula3(k: int, b: int, n: int) -> Row:
+def _check_formula3(k: int, b: int, n: int) -> tuple[bool, str]:
     chk = check_error_bounds_auto(k, n, b)
     detail = f"route={chk.route};lower_ok={chk.lower_ok};upper_ok={chk.upper_ok}"
     if chk.lower is not None:
         detail += f";lower={_fmt(chk.lower)};upper={_fmt(chk.upper)}"
     if chk.delta_lo is not None:
         detail += f";delta_lo={_fmt(chk.delta_lo)};delta_hi={_fmt(chk.delta_hi)}"
-    return _row("formula3", k, b, n, chk.holds, detail)
+    return chk.holds, detail
 
 
-def _check_growth(k: int, b: int, n: int) -> Row:
+def _check_growth(k: int, b: int, n: int) -> tuple[bool, str]:
     ok = growth_law_holds(k, b, n)
-    return _row("growth", k, b, n, ok, "next_error*b^2*q_n^theta<1=" + str(ok))
+    return ok, "next_error*b^2*q_n^theta<1=" + str(ok)
 
 
-def _check_constants(k: int, b: int, n: int) -> Row:
+def _check_constants(k: int, b: int, n: int) -> tuple[bool, str]:
     ok = bound_constants_hold(k, b, n)
-    return _row("constants", k, b, n, ok, f"c1=(b-1)/b^2;c2=b^2;holds={ok}")
+    return ok, f"c1=(b-1)/b^2;c2=b^2;holds={ok}"
 
 
-def _check_affine(k: int, b: int, depth: int) -> Row:
+def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
     u = fixed_point_prefix(k, depth + 1)
     rep = value_affine_relation(u, default_pair_coding(), b, depth)
     detail = (
         f"a0={_fmt(rep.a0)};a1={_fmt(rep.a1)};a2={_fmt(rep.a2)}"
         f";gap_bound={_fmt(rep.gap_bound)}"
     )
-    return _row("affine", k, b, None, rep.consistent, detail)
+    return rep.consistent, detail
 
 
-def _check_blocks(k: int, order: int, imax: int) -> Row:
+def _check_blocks(k: int, order: int, imax: int) -> tuple[bool, str]:
     prefix = fixed_point_prefix(k, imax)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         count, _table = block_determinism(prefix, order)
     ok = count == order + 2
-    return _row("blocks", k, None, order, ok, f"blocks={count};expected={order + 2}")
+    return ok, f"blocks={count};expected={order + 2}"
 
 
-def _check_sba(b: int, depth: int) -> Row:
+def _check_sba(b: int, depth: int) -> tuple[bool, str]:
     rep = rotation_sum_relation(b, depth)
     c1, c2 = rep.shifted_pair if rep.matching == "index_shifted" else rep.direct_pair
     detail = (
         f"matching={rep.matching};c1={_fmt(c1)};c2={_fmt(c2)}"
         f";residual<={_fmt(rep.residual_bound)}"
     )
-    return _row("sba", None, b, None, True, detail)
+    return True, detail
 
 
 def _int_field(entry: dict, name: str, default: int) -> int:
@@ -290,11 +293,17 @@ def _plan(entry) -> list[Task]:
     if scalars["imax"] < 1 or scalars["depth"] < 1 or scalars["cases"] < 1:
         raise UsageError("imax, depth, and cases must be >= 1")
     params = tuple(scalars[p] for p in spec.params)
+    axes = [grid[axis] for axis in spec.axes]
+    # len() of a range fails past sys.maxsize, so a range is sized from its ends.
+    cells = math.prod(a.stop - a.start if isinstance(a, range) else len(a) for a in axes)
+    if cells > PLAN_CAP:
+        raise CapExceededError(f"{lemma} grid exceeds the cap of {PLAN_CAP:_} cells")
     tasks: list[Task] = []
-    for cell in itertools.product(*(grid[axis] for axis in spec.axes)):
-        coords = dict(zip(spec.axes, cell))
-        key = _key(lemma, coords.get("k"), coords.get("b"), coords.get("n"))
-        tasks.append((key, lemma, cell + params))
+    for cell in itertools.product(*axes):
+        at = dict(zip(spec.axes, cell))
+        coords = tuple(at.get(axis) for axis in ("k", "b", "n"))
+        key = (lemma, *(-1 if v is None else v for v in coords))
+        tasks.append((key, lemma, coords, cell + params))
     return tasks
 
 
@@ -346,8 +355,11 @@ def cmd_verify(args) -> int:
         entries = [entry]
     tasks = [task for entry in entries for task in _plan(entry)]
     tasks.sort(key=lambda task: task[0])
-    # Looked up per call, so a patched module attribute takes effect.
-    rows = [globals()[f"_check_{lemma}"](*check_args) for _, lemma, check_args in tasks]
+    rows = [
+        # Looked up per call, so a patched module attribute takes effect.
+        _row(lemma, coords, *globals()[f"_check_{lemma}"](*check_args))
+        for _, lemma, coords, check_args in tasks
+    ]
     _emit_table(rows, args.format, sys.stdout)
     return 0 if all(r["status"] == "PASS" for r in rows) else 1
 
@@ -437,11 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Rows carry exact values; arbitrarily long decimal strings are the point.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Rows carry exact values; arbitrarily long decimal strings are the point.
+    # The limit found on entry is restored for whoever runs after this call.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (UsageError, CapExceededError) as exc:
@@ -453,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

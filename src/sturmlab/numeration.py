@@ -3,7 +3,8 @@
 The basis starts f_{-2} = 1 - k, f_{-1} = 1, f_0 = 1, so positions 0, 1, 2, ...
 of a digit vector weight f_0, f_1, f_2, ...  A digit vector is *regular* when
 every digit lies in 0..k and a digit equal to k forces a zero just below it;
-each non-negative integer then has exactly one regular representation.
+each non-negative integer then has exactly one regular representation, so
+``normalize`` regularizes any vector by digitizing its value greedily.
 Digit vectors are plain little-endian tuples of ints; this module is the only
 one that knows the basis table's layout or walks a value's digits.
 """
@@ -138,49 +139,16 @@ def from_digits(k: int, digits: Iterable[int]) -> int:
 def normalize(k: int, digits: Iterable[int]) -> tuple[int, ...]:
     """Regularize a digit vector without changing its value (no trailing zeros).
 
-    Repeatedly clears the highest violation: a digit k at position i0+1 over a
-    non-zero digit at i0.  One unit is borrowed at i0, the alternating run of
-    k's above is zeroed, and a carry lands just past the run; the identity
-    k*f_{i+1} = f_{i+2} - f_i telescoped along the run keeps the value fixed.
-    Digits must already lie in 0..k.
+    Every value has exactly one regular vector, so the regular form of a
+    vector is the greedy digitization of its value.  Digits must already
+    lie in 0..k.
     """
-    d = list(digits)
+    d = tuple(digits)
     if any(x < 0 for x in d):
         raise ValueError("digits must be non-negative")
     if any(x > k for x in d):
         raise ValueError("digits must be <= k; only the adjacency rule is repaired")
-    value_before = from_digits(k, d)
-    d.append(0)  # room for a final carry
-    max_steps = 10 * len(d) * len(d) + 16
-    for _ in range(max_steps):
-        i0 = -1
-        for i in range(len(d) - 2, -1, -1):
-            if d[i + 1] == k and d[i] != 0:
-                i0 = i
-                break
-        if i0 < 0:
-            break
-        j0 = i0 + 1
-        while j0 + 2 < len(d) and d[j0 + 2] == k:
-            j0 += 2
-        d[i0] -= 1
-        for pos in range(i0 + 1, j0 + 1, 2):
-            d[pos] = 0
-        if j0 + 1 == len(d):
-            d.append(0)
-        d[j0 + 1] += 1
-        if d[j0 + 1] > k:
-            raise AssertionError("carry overflowed a digit during normalization")
-    else:
-        raise AssertionError("normalization did not settle within the step cap")
-    while d and d[-1] == 0:
-        d.pop()
-    out = tuple(d)
-    if from_digits(k, out) != value_before:
-        raise AssertionError("normalization changed the represented value")
-    if not is_regular(k, out):
-        raise AssertionError("normalization left an irregular vector")
-    return out
+    return to_digits(k, from_digits(k, d))
 
 
 def regular_vectors(k: int, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,7 +121,7 @@ def test_verify_json_config_sweep(tmp_path, capsys):
 
 def test_verify_fail_row_forces_exit_one(monkeypatch, capsys):
     def broken(k, n):
-        return cli._row("lemma1", k, None, n, False, "forced failure")
+        return False, "forced failure"
 
     monkeypatch.setattr(cli, "_check_lemma1", broken)
     code, out, _ = run(capsys, "verify", "--lemma", "lemma1", "--k", "1",
@@ -155,11 +156,29 @@ def test_verify_json_entry_field_of_wrong_type(config, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("--lemma", "lemma1", "--k", "3", "--n", "14"),
     ("--lemma", "lemma2", "--k", "1", "--imax", "200000000"),
-], ids=["lemma1-length", "lemma2-imax"])
+    ("--lemma", "growth", "--n", "0..1000000000000000000"),
+], ids=["lemma1-length", "lemma2-imax", "grid-cells"])
 def test_verify_cap_exceeded_is_exit_two(argv, capsys):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "cap" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--lemma", "lemma1", "--k", "1", "--n", "2"), 0),
+    (("verify", "--lemma", "lemma1", "--k", "1", "--n", "x"), 2),
+], ids=["exit-0", "exit-2"])
+def test_main_restores_int_str_digit_limit(argv, code, capsys):
+    """``main`` lifts the int/str digit limit only while it runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(capsys, *argv)[0] == code
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_verify_lemma3_cap_precedes_round_trip(monkeypatch, capsys):

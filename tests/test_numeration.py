@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -229,3 +230,46 @@ def test_normalize_rejects_out_of_range():
         normalize(1, [2, 0])
     with pytest.raises(ValueError):
         normalize(2, [0, -1])
+
+
+def _carry_rewriting(k, digits):
+    """The carry-rewriting normalizer (the reference for ``normalize``).
+
+    Repeatedly clears the highest violation: a digit k at position i0+1 over
+    a non-zero digit at i0.  One unit is borrowed at i0, the alternating run
+    of k's above is zeroed, and a carry lands just past the run; the identity
+    k*f_{i+1} = f_{i+2} - f_i telescoped along the run keeps the value fixed.
+    """
+    d = list(digits) + [0]   # room for a final carry
+    for _ in range(10 * len(d) * len(d) + 16):
+        i0 = next((i for i in range(len(d) - 2, -1, -1) if d[i + 1] == k and d[i] != 0), -1)
+        if i0 < 0:
+            break
+        j0 = i0 + 1
+        while j0 + 2 < len(d) and d[j0 + 2] == k:
+            j0 += 2
+        d[i0] -= 1
+        for pos in range(i0 + 1, j0 + 1, 2):
+            d[pos] = 0
+        if j0 + 1 == len(d):
+            d.append(0)
+        d[j0 + 1] += 1
+        assert d[j0 + 1] <= k, "carry overflowed a digit"
+    else:
+        raise AssertionError("carry rewriting did not settle within the step cap")
+    while d and d[-1] == 0:
+        d.pop()
+    return tuple(d)
+
+
+def test_normalize_matches_carry_rewriting():
+    """Every short vector with digits 0..k, then random long ones, k up to 8."""
+    for k, width in ((1, 8), (2, 8), (3, 6), (4, 6)):
+        for length in range(width + 1):
+            for raw in itertools.product(range(k + 1), repeat=length):
+                assert normalize(k, raw) == _carry_rewriting(k, raw), (k, raw)
+    rng = random.Random(1985)
+    for _ in range(10000):
+        k = rng.randint(1, 8)
+        raw = [rng.randint(0, k) for _ in range(rng.randint(0, 40))]
+        assert normalize(k, raw) == _carry_rewriting(k, raw), (k, raw)
