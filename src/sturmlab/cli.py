@@ -76,9 +76,15 @@ LEMMAS = tuple(LEMMA_TABLE)
 
 TSV_COLUMNS = ("lemma", "k", "b", "n", "status", "detail")
 
-# Grid cells one sweep entry may expand to; a larger grid is refused before
-# any cell is built.
+# Grid cells one sweep, all its entries together, may expand to; a larger
+# sweep is refused before any cell is built.
 PLAN_CAP = 1_000_000
+
+# Largest `exponent --n` upper end, in units of k's bit length.  The sandwich
+# builds f_0 .. f_{n_max+1}, of about n*bits(k) bits each, and one exact
+# ratio per index, so its cost is set by n_max * bits(k); k = 1 at the cap
+# takes about 1 s (2 vCPUs, CPython 3.11), the worst case measured.
+SANDWICH_CAP = 10_000
 
 Row = dict[str, str]
 # (sort key, lemma, (k, b, n) with None for a missing axis, arguments of _check_<lemma>)
@@ -137,8 +143,8 @@ def _check_lemma1(k: int, n: int) -> tuple[bool, str]:
 
 
 def _check_lemma2(k: int, imax: int) -> tuple[bool, str]:
-    prefix = fixed_point_prefix(k, imax)
-    bad = sum(1 for i in range(imax) if symbol_at(k, i) != prefix[i])
+    sym = fixed_point_prefix(k, imax).symbols
+    bad = sum(1 for i in range(imax) if symbol_at(k, i) != sym[i])
     return bad == 0, f"checked={imax};disagreements={bad}"
 
 
@@ -275,8 +281,17 @@ def _int_field(entry: dict, name: str, default: int) -> int:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _plan(entry) -> list[Task]:
-    """Expand one sweep definition into one task per grid cell."""
+def _span(values: Sequence[int]) -> int:
+    """Number of values in a ``parse_range`` result, without expanding it.
+
+    ``len()`` of a range fails past ``sys.maxsize``, so a range is sized
+    from its ends.
+    """
+    return values.stop - values.start if isinstance(values, range) else len(values)
+
+
+def _grid(entry) -> tuple[str, list[Sequence[int]], tuple]:
+    """Validate one sweep definition: its lemma, grid axes and check parameters."""
     if not isinstance(entry, dict):
         raise UsageError(f"each sweep definition must be a JSON object, got {entry!r}")
     lemma = entry.get("lemma")
@@ -293,17 +308,27 @@ def _plan(entry) -> list[Task]:
     if scalars["imax"] < 1 or scalars["depth"] < 1 or scalars["cases"] < 1:
         raise UsageError("imax, depth, and cases must be >= 1")
     params = tuple(scalars[p] for p in spec.params)
-    axes = [grid[axis] for axis in spec.axes]
-    # len() of a range fails past sys.maxsize, so a range is sized from its ends.
-    cells = math.prod(a.stop - a.start if isinstance(a, range) else len(a) for a in axes)
+    return lemma, [grid[axis] for axis in spec.axes], params
+
+
+def _plan(entries: list) -> list[Task]:
+    """Expand sweep definitions into one task per grid cell.
+
+    Every entry is validated, and the cells of all of them are summed
+    against ``PLAN_CAP``, before any grid is expanded.
+    """
+    grids = [_grid(entry) for entry in entries]
+    cells = sum(math.prod(map(_span, axes)) for _, axes, _ in grids)
     if cells > PLAN_CAP:
-        raise CapExceededError(f"{lemma} grid exceeds the cap of {PLAN_CAP:_} cells")
+        raise CapExceededError(f"sweep exceeds the cap of {PLAN_CAP:_} grid cells")
     tasks: list[Task] = []
-    for cell in itertools.product(*axes):
-        at = dict(zip(spec.axes, cell))
-        coords = tuple(at.get(axis) for axis in ("k", "b", "n"))
-        key = (lemma, *(-1 if v is None else v for v in coords))
-        tasks.append((key, lemma, coords, cell + params))
+    for lemma, axes, params in grids:
+        names = LEMMA_TABLE[lemma].axes
+        for cell in itertools.product(*axes):
+            at = dict(zip(names, cell))
+            coords = tuple(at.get(axis) for axis in ("k", "b", "n"))
+            key = (lemma, *(-1 if v is None else v for v in coords))
+            tasks.append((key, lemma, coords, cell + params))
     return tasks
 
 
@@ -353,7 +378,7 @@ def cmd_verify(args) -> int:
             if value is not None:
                 entry[field] = value
         entries = [entry]
-    tasks = [task for entry in entries for task in _plan(entry)]
+    tasks = _plan(entries)
     tasks.sort(key=lambda task: task[0])
     rows = [
         # Looked up per call, so a patched module attribute takes effect.
@@ -366,7 +391,11 @@ def cmd_verify(args) -> int:
 
 def cmd_exponent(args) -> int:
     n_values = parse_range(args.n)
-    if len(n_values) < 2:
+    if n_values[-1] * args.k.bit_length() > SANDWICH_CAP:
+        raise CapExceededError(
+            f"--n ends past the cap: n_max * bits(k) is limited to {SANDWICH_CAP:_}"
+        )
+    if _span(n_values) < 2:
         raise UsageError("--n must span at least two indices, e.g. 30..40")
     target = closed_form_exponent(args.k)
     est = exponent_sandwich(args.k, n_values[0], n_values[-1])

@@ -19,13 +19,17 @@ from .errors import CapExceededError
 
 UNIQUENESS_CAP = 5_000_000
 
+# Values below the largest basis value <= this bound are digitised by one
+# table lookup; each Basis builds its table on first use.
+_LOW_TABLE_BOUND = 4096
+
 _basis_cache: dict[int, "Basis"] = {}
 
 
 class Basis:
     """Lazily extended table of the recurrence values for one k."""
 
-    __slots__ = ("k", "_vals")
+    __slots__ = ("k", "_vals", "_low")
 
     def __init__(self, k: int):
         if k < 1:
@@ -33,6 +37,7 @@ class Basis:
         self.k = k
         # _vals[j] holds f_{j-2}: indices -2, -1, 0 seed the recurrence.
         self._vals = [1 - k, 1, 1]
+        self._low: list[tuple[int, ...]] | None = None
 
     def value(self, n: int) -> int:
         """f_n for n >= -2."""
@@ -56,6 +61,24 @@ class Basis:
         vals = self._vals
         while vals[-1] <= x:
             vals.append(self.k * vals[-1] + vals[-2])
+
+    def low_table(self) -> list[tuple[int, ...]]:
+        """``to_digits`` format of every value below f_L, where f_L is the
+        largest basis value <= ``_LOW_TABLE_BOUND``; entry n is n's digits.
+
+        Built once, each entry by the greedy walk itself, so the table is an
+        independent digitisation and not a copy of ``regular_vectors``.
+        """
+        if self._low is None:
+            size = self.value(self.largest_index_leq(_LOW_TABLE_BOUND))
+            table = []
+            for n in range(size):
+                digits, rem = _greedy(self._vals, n, 0)
+                if rem:
+                    raise AssertionError("greedy digitization failed to exhaust the value")
+                table.append(digits)
+            self._low = table
+        return self._low
 
 
 def get_basis(k: int) -> Basis:
@@ -81,29 +104,46 @@ def is_regular(k: int, digits: Sequence[int]) -> bool:
     return True
 
 
-def to_digits(k: int, n: int) -> tuple[int, ...]:
-    """The unique regular digit vector of value ``n`` (greedy, most significant first).
+def _greedy(vals: list[int], n: int, stop: int) -> tuple[tuple[int, ...], int]:
+    """Greedy digits of ``n`` at positions ``stop`` and up, and what they leave.
 
-    Little-endian, with no trailing zeros; ``()`` for 0.
+    Walks from n's top position down to ``stop``, taking the largest multiple
+    of each basis value (``vals`` in the ``Basis._vals`` layout, extended past
+    ``n``).  Returns the digits of positions stop..top, little-endian and
+    empty when n < f_stop, and the remainder, which is below f_stop.
     """
-    if n < 0:
-        raise ValueError("value must be >= 0")
-    if n == 0:
-        return ()
-    basis = get_basis(k)
-    top = basis.largest_index_leq(n)
-    vals = basis._vals
-    out = [0] * (top + 1)
+    # f_0, f_1, ... are table indices 2, 3, ...: top is n's highest position.
+    top = bisect_right(vals, n, 2) - 3
+    out = [0] * (top + 1 - stop)
     rem = n
-    for i in range(top, -1, -1):
+    for i in range(top, stop - 1, -1):
         f = vals[i + 2]
         d = rem // f
         if d:
-            out[i] = d
+            out[i - stop] = d
             rem -= d * f
-    if rem:
-        raise AssertionError("greedy digitization failed to exhaust the value")
-    return tuple(out)
+    return tuple(out), rem
+
+
+def to_digits(k: int, n: int) -> tuple[int, ...]:
+    """The unique regular digit vector of value ``n`` (greedy, most significant first).
+
+    Little-endian, with no trailing zeros; ``()`` for 0.  Positions from the
+    top down to L are walked greedily; the value they leave is below f_L and
+    its digits come from ``Basis.low_table``.
+    """
+    if n < 0:
+        raise ValueError("value must be >= 0")
+    basis = get_basis(k)
+    low = basis.low_table()
+    if n < len(low):
+        return low[n]
+    basis._extend_past(n)
+    # The table's last value, f_L - 1, fills positions 0..L-1.
+    width = len(low[-1])
+    high, rem = _greedy(basis._vals, n, width)
+    digits = low[rem]
+    return digits + (0,) * (width - len(digits)) + high
 
 
 def _digit_and_low(k: int, n: int, pos: int) -> tuple[int, int]:

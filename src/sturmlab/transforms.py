@@ -8,6 +8,8 @@ by exact enclosures.
 
 from __future__ import annotations
 
+import struct
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,6 +249,57 @@ def value_affine_relation(
     )
 
 
+# Positions packed per pass of _lane_pairs; passes read windows that overlap
+# by `order` symbols, so memory stays a few bytes per position of one pass.
+_LANE_CHUNK = 1 << 16
+# memoryview format of a native unsigned word, by its size in bytes.
+_LANE_FORMATS = {struct.calcsize(code): code for code in "BHILQ"}
+
+
+def _lane_pairs(sym: bytes, diff: bytes, order: int) -> set[tuple[bytes, int]]:
+    """The distinct ``(sym[i:i+order+1], diff[i])`` pairs of a binary word.
+
+    Each position i is packed into a lane: bit j is sym[i + j] for
+    j <= order and bit order + 1 is diff[i].  A lane is one word of 1, 2, 4
+    or 8 bytes when that holds its bits, else as many 64-bit words as it
+    needs (lane bits 64w..64w+63 in word w).  Each lane byte is assembled
+    for a whole pass at once from the big-endian integers of its eight
+    shifted columns, whose 0/1 bytes OR without carries, then strided into
+    a buffer read back as native words; the distinct lanes are collected in
+    C and only they are decoded.
+    """
+    nbytes = -(-(order + 2) // 8)
+    size = next((n for n in (1, 2, 4) if n >= nbytes), 8)
+    nwords = -(-nbytes // size)
+    stride = size * nwords
+    little = sys.byteorder == "little"
+    positions = len(diff)
+    lanes: set = set()   # lane ints, or tuples of lane words
+    for start in range(0, positions, _LANE_CHUNK):
+        count = min(_LANE_CHUNK, positions - start)
+        columns = [sym[start + j : start + j + count] for j in range(order + 1)]
+        columns.append(diff[start : start + count])
+        buf = bytearray(count * stride)
+        for b in range(nbytes):
+            lane_byte = 0
+            for t, column in enumerate(columns[8 * b : 8 * b + 8]):
+                lane_byte |= int.from_bytes(column, "big") << t
+            word, at = divmod(b, size)
+            offset = word * size + (at if little else size - 1 - at)
+            buf[offset::stride] = lane_byte.to_bytes(count, "big")
+        words = memoryview(buf).cast(_LANE_FORMATS[size])
+        if nwords == 1:
+            lanes.update(words)
+        else:
+            lanes.update(zip(*(words[w::nwords] for w in range(nwords))))
+    pairs = set()
+    for code in lanes:
+        lane = code if nwords == 1 else sum(w << (64 * i) for i, w in enumerate(code))
+        block = bytes((lane >> j) & 1 for j in range(order + 1))
+        pairs.add((block, lane >> (order + 1)))
+    return pairs
+
+
 def block_determinism(u: GeneralWord, order: int) -> tuple[int, dict[Word, int]]:
     """Map each length-(order+1) block to the difference symbol it forces.
 
@@ -278,9 +331,8 @@ def block_determinism(u: GeneralWord, order: int) -> tuple[int, dict[Word, int]]
         raise RuntimeError(
             "binomial-mask evaluation disagrees with the iterated operator"
         )
-    pairs = set(zip((sym[i : i + width] for i in range(positions)), diff))
     table: dict[Word, int] = {}
-    for block, value in sorted(pairs):
+    for block, value in sorted(_lane_pairs(sym, diff, order)):
         if table.setdefault(Word._wrap(block), value) != value:
             raise RuntimeError("one block produced two different difference values")
     count = len(table)

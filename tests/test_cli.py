@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,35 @@ def test_pinned_cases_cover_every_lemma():
     assert single == set(cli.LEMMAS)
 
 
+def test_verify_json_sweep_is_sized_before_any_entry_expands(tmp_path, capsys):
+    """Every entry is validated and the whole sweep sized before any grid expands."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps([
+        {"lemma": "lemma1", "k": "1..1000", "n": "1..1000"},
+        {"lemma": "nope"},
+    ]))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--json", str(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and "unknown lemma" in err
+    assert peak < 10 * 2**20
+
+
+def test_verify_json_sweep_cap_counts_every_entry(tmp_path, capsys):
+    """Two entries under PLAN_CAP each, over it together, are refused."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps([
+        {"lemma": "lemma1", "k": "1..600", "n": "1..1000"},
+        {"lemma": "growth", "k": "1..2", "b": "2..3", "n": "1..100001"},
+    ]))
+    code, out, err = run(capsys, "verify", "--json", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
 def test_verify_sba_row(capsys):
     code, out, _ = run(capsys, "verify", "--lemma", "sba", "--b", "2",
                        "--depth", "120")
@@ -434,6 +464,26 @@ def test_exponent_tsv_mode(capsys):
 def test_exponent_bad_range(capsys):
     code, _, err = run(capsys, "exponent", "--k", "1", "--n", "30")
     assert code == 2 and "at least two" in err
+
+
+@pytest.mark.parametrize("n_range, k", [
+    ("2..100000000000000000000", 1),
+    ("2..1000000000000000000", 1),
+    ("2,100000000000000000000", 1),
+    (f"2..{cli.SANDWICH_CAP + 1}", 1),
+    ("2..300", 2**40),
+], ids=["range-1e20", "range-1e18", "list-1e20", "cap-plus-one", "k-2^40"])
+def test_exponent_index_cap_is_exit_two(n_range, k, capsys):
+    """The sandwich's top index is sized from the --n ends before any ratio is built."""
+    code, out, err = run(capsys, "exponent", "--k", str(k), "--n", n_range)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_exponent_index_cap_admits_its_edge(capsys):
+    code, out, _ = run(capsys, "exponent", "--k", "1", "--n",
+                       f"{cli.SANDWICH_CAP - 1}..{cli.SANDWICH_CAP}")
+    assert code == 0 and json.loads(out)["agrees"] is True
 
 
 def test_traced_names_exist():

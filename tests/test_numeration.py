@@ -13,6 +13,7 @@ from sturmlab import (
     uniqueness_oracle,
 )
 from sturmlab.errors import CapExceededError
+from sturmlab import numeration
 from sturmlab.numeration import _digit_and_low, regular_vectors
 
 
@@ -89,6 +90,54 @@ def test_to_digits_greedy_is_msf():
                 top = basis.largest_index_leq(n)
                 assert len(d) == top + 1
                 assert d[top] >= 1
+
+
+def _greedy_reference(k, n):
+    """Every position divided from the top down, with no table (the reference)."""
+    vals = []
+    f_prev, f = 1, 1
+    while f <= n:
+        vals.append(f)
+        f_prev, f = f, k * f + f_prev
+    out = []
+    for f in reversed(vals):
+        out.append(n // f)
+        n %= f
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_to_digits_matches_regular_vectors(k):
+    """Every value below 10^5 digitises to the vector the in-order walk reaches."""
+    bound = 10**5
+    walked = list(regular_vectors(k, bound))
+    assert [value for value, _ in walked] == list(range(bound))
+    assert [to_digits(k, n) for n in range(bound)] == [digits for _, digits in walked]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
+def test_to_digits_straddles_low_table(k):
+    """Values on both sides of the table's bound f_L, of f_{L+1}, and 10^30."""
+    basis = get_basis(k)
+    size = len(basis.low_table())
+    top = basis.largest_index_leq(numeration._LOW_TABLE_BOUND)
+    assert size == basis.value(top) <= numeration._LOW_TABLE_BOUND < basis.value(top + 1)
+    edges = {size, basis.value(top + 1), basis.value(top + 2), 2 * size, k * size}
+    values = {v + d for v in edges for d in range(-3, 4) if v + d >= 0} | {10**30, 10**30 - 1}
+    for n in sorted(values):
+        assert to_digits(k, n) == _greedy_reference(k, n), (k, n)
+
+
+def test_low_table_is_built_without_the_walk(monkeypatch):
+    """The table is its own digitisation: it never reads ``regular_vectors``."""
+    def walk_forbidden(k, bound):
+        raise AssertionError("the low table must not come from regular_vectors")
+
+    monkeypatch.setattr(numeration, "regular_vectors", walk_forbidden)
+    monkeypatch.setattr(numeration, "_basis_cache", {})
+    table = numeration.Basis(3).low_table()
+    assert table == [_greedy_reference(3, n) for n in range(len(table))]
+    assert to_digits(3, 10**6) == _greedy_reference(3, 10**6)
 
 
 def test_digit_and_low_matches_digits():

@@ -1,3 +1,4 @@
+import functools
 import random
 import warnings
 from fractions import Fraction
@@ -194,6 +195,66 @@ def test_whole_word_transforms_match_per_position(order):
             count, table = block_determinism(u, order)
         assert count == len(table_here)
         assert {block.symbols: value for block, value in table.items()} == table_here
+
+
+_REAL_CHUNK = transforms._LANE_CHUNK
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_point_symbols(k: int) -> bytes:
+    return fixed_point_prefix(k, 2 * _REAL_CHUNK + 200).symbols
+
+
+def _sliced_block_table(sym: bytes, order: int) -> dict[bytes, int]:
+    """Block -> difference from one slice per position (the reference)."""
+    diff = difference(Word(sym), order).symbols
+    ends = range(order + 1, len(sym) + 1)
+    pairs = set(zip(map(sym.__getitem__, map(slice, range(len(diff)), ends)), diff))
+    table = dict(sorted(pairs))
+    assert len(table) == len(pairs), "a block forces two values"
+    return table
+
+
+# Orders 1..20, and orders whose lanes (order + 2 bits) end on or next to a
+# 1-, 2-, 4- or 8-byte word or a second 64-bit lane word.
+_LANE_EDGE_ORDERS = sorted(
+    {*range(1, 21)} | {bits - 2 + d for bits in (8, 16, 32, 64, 128) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("chunk", [None, 37], ids=["real-chunk", "chunk-37"])
+@pytest.mark.parametrize("order", _LANE_EDGE_ORDERS)
+def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
+    """Lane-packed tables equal per-position slices, on Sturmian and random words.
+
+    Lengths put the last pass just short of, on and just past a chunk edge,
+    with the real chunk size and with a small odd one.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(transforms, "_LANE_CHUNK", chunk)
+    step = transforms._LANE_CHUNK
+    rng = random.Random(7700 + order)
+    short = [order + 1, order + 2, order + 9, 300]
+    if chunk is None:
+        # One word per order at the real size keeps the run short: the edge
+        # side and k turn with the order, and only low orders take a random
+        # word, whose many distinct blocks are each decoded in Python.
+        edge = step + order + order % 3 - 1
+        words = [_fixed_point_symbols(k)[:n] for k in (1, 2, 3) for n in short]
+        words.append(_fixed_point_symbols(order % 3 + 1)[:edge])
+        random_lengths = short + [edge] if order <= 8 else short
+    else:
+        edges = [m * step + order + d for m in (1, 2) for d in (-1, 0, 1)]
+        words = [_fixed_point_symbols(k)[:n] for k in (1, 2, 3) for n in short + edges]
+        random_lengths = short + edges
+    words += [bytes(rng.getrandbits(1) for _ in range(n)) for n in random_lengths]
+    for sym in words:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            count, table = block_determinism(Word(sym), order)
+        expected = _sliced_block_table(sym, order)
+        assert count == len(expected), (order, len(sym))
+        assert [(b.symbols, v) for b, v in table.items()] == list(expected.items())
 
 
 @pytest.mark.parametrize("flip_at", [0, 1, 500, -2, -1])
