@@ -10,8 +10,8 @@ pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import CapExceededError
 from .numeration import _digit_and_low, get_basis, regular_vectors
@@ -28,15 +28,14 @@ def symbol_at(k: int, n: int) -> int:
     return 1 if _digit_and_low(k, n, 0)[0] == k else 0
 
 
-@dataclass(frozen=True)
-class MismatchVerdict:
+class MismatchVerdict(NamedTuple):
     """Whether symbols at i and i + f_n differ, and the sign of (new - old)."""
 
     differs: bool
     sign: int
 
 
-# Verdicts are frozen, so every call shares these three.
+# Verdicts are immutable, so every call shares these three.
 _SAME = MismatchVerdict(False, 0)
 _UP = MismatchVerdict(True, 1)
 _DOWN = MismatchVerdict(True, -1)

@@ -11,9 +11,8 @@ Reduced ``Fraction`` values are built only when something reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .access import _mismatch_offsets
 from .errors import CapExceededError, IndecisiveEnclosureError
@@ -80,8 +79,7 @@ def word_value(w: GeneralWord, b: int) -> int:
     return split(0, len(sym))
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
+class SeriesTruncation(NamedTuple):
     """A truncated digit series sum with a worst-case bound on the cut tail."""
 
     b: int
@@ -123,14 +121,14 @@ def fixed_point_series(k: int, b: int, depth: int) -> SeriesTruncation:
     return series_truncation(fixed_point_prefix(k, depth), b, digit_cap=1)
 
 
-@dataclass(frozen=True)
-class ApproximantRecord:
+class ApproximantRecord(NamedTuple):
     """One certified approximant p/q with an enclosure of |x - p/q|.
 
     ``sign`` is the certified sign of x - p/q; ``delta_lo``/``delta_hi``
     bracket its absolute value, so 0 < delta_lo <= |x - p/q| <= delta_hi.
     They are ``num_lo``/``num_hi`` over the denominator
-    ``(b-1) * b^(depth-1) * q``, reduced on first read.
+    ``(b-1) * b^(depth-1) * q``, reduced by ``deltas()`` each time it is
+    called.
     """
 
     k: int
@@ -143,8 +141,8 @@ class ApproximantRecord:
     sign: int
     depth: int
 
-    @cached_property
-    def _deltas(self) -> tuple[Fraction, Fraction]:
+    def deltas(self) -> tuple[Fraction, Fraction]:
+        """(delta_lo, delta_hi), reduced."""
         # b^(depth-1) is coprime to (b-1)*q, so only the first step of each
         # reduction needs a gcd of full size.
         scale, rest = self.b ** (self.depth - 1), (self.b - 1) * self.q
@@ -152,11 +150,11 @@ class ApproximantRecord:
 
     @property
     def delta_lo(self) -> Fraction:
-        return self._deltas[0]
+        return self.deltas()[0]
 
     @property
     def delta_hi(self) -> Fraction:
-        return self._deltas[1]
+        return self.deltas()[1]
 
 
 def approximant(k: int, n: int, b: int, depth: int | None = None) -> ApproximantRecord:
@@ -223,14 +221,14 @@ def error_bounds(k: int, n: int, b: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class BoundsCheck:
+class BoundsCheck(NamedTuple):
     """Outcome of the two-sided gap-bound check at one (k, n, b).
 
     Truthiness is ``holds``; the side flags say which inequality carried or
-    failed.  The dense route keeps its approximant ``record``, from which the
-    bound values and the certified enclosure of |x - p/q| are built on first
-    read; the scaled route decides by integer sign tests and leaves them None.
+    failed.  The dense route keeps its approximant ``record``, from which
+    ``bounds()`` builds the bound values and the record's ``deltas()`` the
+    certified enclosure of |x - p/q|, each time they are called; the scaled
+    route decides by integer sign tests and leaves them None.
     """
 
     k: int
@@ -245,19 +243,19 @@ class BoundsCheck:
     def __bool__(self) -> bool:
         return self.holds
 
-    @cached_property
-    def _bounds(self) -> tuple[Fraction | None, Fraction | None]:
+    def bounds(self) -> tuple[Fraction | None, Fraction | None]:
+        """(lower, upper) of ``error_bounds``, or (None, None) on the scaled route."""
         if self.record is None:
             return None, None
         return error_bounds(self.k, self.n, self.b)
 
     @property
     def lower(self) -> Fraction | None:
-        return self._bounds[0]
+        return self.bounds()[0]
 
     @property
     def upper(self) -> Fraction | None:
-        return self._bounds[1]
+        return self.bounds()[1]
 
     @property
     def delta_lo(self) -> Fraction | None:

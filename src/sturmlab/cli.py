@@ -7,19 +7,16 @@ input past a resource cap, 3 insufficient precision to decide.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
-import json
 import math
-import random
 import sys
 import warnings
-from fractions import Fraction
+from types import ModuleType
 from typing import NamedTuple, Sequence
 
 from .access import mismatch, symbol_at
-from .approximants import check_error_bounds_auto, bound_constants_hold, growth_law_holds
 from .errors import CapExceededError, IndecisiveEnclosureError, InsufficientPrecisionError
-from .exponent import closed_form_exponent, empirical_exponent, exponent_sandwich
 from .numeration import (
     _require_sweep_bound,
     from_digits,
@@ -29,15 +26,32 @@ from .numeration import (
     regular_vectors,
     to_digits,
 )
-from .transforms import (
-    block_determinism,
-    default_pair_coding,
-    difference,
-    rotation_sum_relation,
-    shift_product,
-    value_affine_relation,
-)
 from .words import fixed_point_prefix, word_identities
+
+
+def _on_first_use(name: str) -> ModuleType:
+    """``sturmlab.<name>``, entered in ``sys.modules`` now and run on first attribute read.
+
+    A request runs one command, and most commands read none of the modules
+    bound this way, so a request compiles and runs only the ones it uses.
+    Each is still in ``sys.modules`` as soon as ``sturmlab.cli`` is
+    imported, where ``perfbench/traced_cli.py`` finds the functions it wraps.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+approximants = _on_first_use("approximants")
+exponent = _on_first_use("exponent")
+transforms = _on_first_use("transforms")
 
 
 class LemmaSpec(NamedTuple):
@@ -115,6 +129,8 @@ def parse_range(text: str) -> Sequence[int]:
 
 
 def _fmt(value) -> str:
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return str(value)
@@ -149,6 +165,8 @@ def _check_lemma2(k: int, imax: int) -> tuple[bool, str]:
 
 
 def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
+    import random
+
     problems: list[str] = []
     # The cap on imax stops the sweep before any value is digitised.
     _require_sweep_bound(imax)
@@ -225,28 +243,29 @@ def _check_lemma4(k: int, n: int, imax: int) -> tuple[bool, str]:
 
 
 def _check_formula3(k: int, b: int, n: int) -> tuple[bool, str]:
-    chk = check_error_bounds_auto(k, n, b)
+    chk = approximants.check_error_bounds_auto(k, n, b)
     detail = f"route={chk.route};lower_ok={chk.lower_ok};upper_ok={chk.upper_ok}"
-    if chk.lower is not None:
-        detail += f";lower={_fmt(chk.lower)};upper={_fmt(chk.upper)}"
-    if chk.delta_lo is not None:
-        detail += f";delta_lo={_fmt(chk.delta_lo)};delta_hi={_fmt(chk.delta_hi)}"
+    if chk.record is not None:
+        lower, upper = chk.bounds()
+        delta_lo, delta_hi = chk.record.deltas()
+        detail += f";lower={_fmt(lower)};upper={_fmt(upper)}"
+        detail += f";delta_lo={_fmt(delta_lo)};delta_hi={_fmt(delta_hi)}"
     return chk.holds, detail
 
 
 def _check_growth(k: int, b: int, n: int) -> tuple[bool, str]:
-    ok = growth_law_holds(k, b, n)
+    ok = approximants.growth_law_holds(k, b, n)
     return ok, "next_error*b^2*q_n^theta<1=" + str(ok)
 
 
 def _check_constants(k: int, b: int, n: int) -> tuple[bool, str]:
-    ok = bound_constants_hold(k, b, n)
+    ok = approximants.bound_constants_hold(k, b, n)
     return ok, f"c1=(b-1)/b^2;c2=b^2;holds={ok}"
 
 
 def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
     u = fixed_point_prefix(k, depth + 1)
-    rep = value_affine_relation(u, default_pair_coding(), b, depth)
+    rep = transforms.value_affine_relation(u, transforms.default_pair_coding(), b, depth)
     detail = (
         f"a0={_fmt(rep.a0)};a1={_fmt(rep.a1)};a2={_fmt(rep.a2)}"
         f";gap_bound={_fmt(rep.gap_bound)}"
@@ -258,13 +277,13 @@ def _check_blocks(k: int, order: int, imax: int) -> tuple[bool, str]:
     prefix = fixed_point_prefix(k, imax)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        count, _table = block_determinism(prefix, order)
+        count, _table = transforms.block_determinism(prefix, order)
     ok = count == order + 2
     return ok, f"blocks={count};expected={order + 2}"
 
 
 def _check_sba(b: int, depth: int) -> tuple[bool, str]:
-    rep = rotation_sum_relation(b, depth)
+    rep = transforms.rotation_sum_relation(b, depth)
     c1, c2 = rep.shifted_pair if rep.matching == "index_shifted" else rep.direct_pair
     detail = (
         f"matching={rep.matching};c1={_fmt(c1)};c2={_fmt(c2)}"
@@ -334,6 +353,8 @@ def _plan(entries: list) -> list[Task]:
 
 def _emit_table(rows: list[Row], fmt: str, out) -> None:
     if fmt == "json":
+        import json
+
         all_pass = all(r["status"] == "PASS" for r in rows)
         doc = {"schema": 1, "command": "verify", "rows": rows, "all_pass": all_pass}
         print(json.dumps(doc, indent=2), file=out)
@@ -348,11 +369,11 @@ def cmd_generate(args) -> int:
     if args.transform:
         spec_text = args.transform
         if spec_text.startswith("diff:"):
-            w = difference(w, int(spec_text.split(":", 1)[1]))
+            w = transforms.difference(w, int(spec_text.split(":", 1)[1]))
         elif spec_text == "diff":
-            w = difference(w, 1)
+            w = transforms.difference(w, 1)
         elif spec_text == "pairs":
-            w = shift_product(w, default_pair_coding())
+            w = transforms.shift_product(w, transforms.default_pair_coding())
         else:
             raise UsageError(
                 f"unknown transform {spec_text!r}; use diff, diff:N, or pairs"
@@ -364,6 +385,8 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     entries: list[dict]
     if args.config:
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, list):
@@ -397,11 +420,11 @@ def cmd_exponent(args) -> int:
         )
     if _span(n_values) < 2:
         raise UsageError("--n must span at least two indices, e.g. 30..40")
-    target = closed_form_exponent(args.k)
-    est = exponent_sandwich(args.k, n_values[0], n_values[-1])
+    target = exponent.closed_form_exponent(args.k)
+    est = exponent.exponent_sandwich(args.k, n_values[0], n_values[-1])
     cf = None
     if args.digits is not None:
-        cf = empirical_exponent(args.k, args.b, args.digits)
+        cf = exponent.empirical_exponent(args.k, args.b, args.digits)
     agrees = est.lower <= target <= est.upper and (
         cf is None or abs(cf - target) <= args.tol
     )
@@ -422,6 +445,8 @@ def cmd_exponent(args) -> int:
         for name, value in doc.items():
             print(f"{name}\t{value}")
     else:
+        import json
+
         print(json.dumps(doc, indent=2))
     return 0 if agrees else 1
 

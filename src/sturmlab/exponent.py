@@ -8,9 +8,9 @@ cross-checked empirically from continued-fraction convergents of truncations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .approximants import fixed_point_series
 from .errors import InsufficientPrecisionError
@@ -57,8 +57,7 @@ def exponent_upper_bound(alpha, beta, gamma):
     return (1 + beta) * gamma / alpha
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(NamedTuple):
     """A bracketing of the exponent from finitely many denominator ratios."""
 
     target: float
@@ -94,8 +93,7 @@ def exponent_sandwich(k: int, n_min: int = 2, n_max: int = 12) -> ExponentEstima
     return ExponentEstimate(target=closed_form_exponent(k), lower=lower, upper=upper)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     """Quotients and convergents of a rational, by the Euclidean algorithm."""
 
     quotients: list[int]

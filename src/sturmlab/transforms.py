@@ -11,17 +11,11 @@ from __future__ import annotations
 import struct
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
-from .approximants import (
-    DEPTH_CAP,
-    SeriesTruncation,
-    fixed_point_series,
-    series_truncation,
-    word_value,
-)
+from .approximants import DEPTH_CAP, SeriesTruncation, series_truncation, word_value
 from .errors import (
     CapExceededError,
     DegenerateSystemError,
@@ -30,7 +24,7 @@ from .errors import (
     NonSturmianError,
     NonSturmianWarning,
 )
-from .words import GeneralWord, Word
+from .words import GeneralWord, Word, fixed_point_prefix
 
 PairCoding = dict[tuple[int, int], int]
 
@@ -103,8 +97,7 @@ def shift_product(u: GeneralWord, coding: PairCoding | None = None) -> GeneralWo
     return GeneralWord._wrap(bytes(out), max(codes.values()) + 1)
 
 
-@dataclass(frozen=True)
-class AffineDecomposition:
+class AffineDecomposition(NamedTuple):
     """Coefficients with code(x, y) = a0*x + a1*y + a2 on the observed blocks."""
 
     a0: Fraction
@@ -194,8 +187,7 @@ def affine_decompose(u: GeneralWord, coding: PairCoding) -> AffineDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class ValueRelationReport:
+class ValueRelationReport(NamedTuple):
     """Certified comparison of the coded product's value against its affine image.
 
     Writes V(w) for the series sum of w's symbols against 1/b^i.  The claim
@@ -352,8 +344,7 @@ def floor_golden(n: int) -> int:
     return (n + isqrt(5 * n * n)) // 2
 
 
-@dataclass(frozen=True)
-class RotationSumReport:
+class RotationSumReport(NamedTuple):
     """Which affine pair ties the golden power sum to the k=1 base-b value.
 
     The sum is (b-1) * sum over n >= 1 of b^(-floor(n*golden)); candidates
@@ -392,34 +383,39 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
         marks[e] = 1
         n += 1
     acc = word_value(Word._wrap(bytes(marks)), b)
-    sum_lo = Fraction((b - 1) * acc, b**depth)
+    # Every bound below is an integer numerator over the common denominator
+    # (b-1) * b^depth; only the report's fields become Fractions.
+    denom = (b - 1) * b**depth
+    sum_lo = (b - 1) ** 2 * acc
     # Cut terms have exponents > depth; they sum below (b-1) * b^-depth / (b-1).
-    sum_hi = sum_lo + Fraction(1, b**depth)
-    xi = fixed_point_series(1, b, depth)
-    value_lo, value_hi = xi.value, xi.value + xi.tail_bound
-    direct = (Fraction(-(b - 1)), Fraction(1))
-    shifted = (Fraction(-(b - 1), b), Fraction(1))
+    sum_hi = sum_lo + (b - 1)
+    # The k=1 value lies in [W / b^(depth-1), that + b / ((b-1) * b^depth)]
+    # for W the value of its depth-prefix, as in fixed_point_series.
+    value_lo = (b - 1) * b * word_value(fixed_point_prefix(1, depth), b)
+    value_hi = value_lo + b
 
-    def match(pair: tuple[Fraction, Fraction]) -> tuple[bool, Fraction]:
-        c1, c2 = pair
-        lo = c1 * value_hi + c2
-        hi = c1 * value_lo + c2
+    def match(c1_den: int) -> tuple[bool, int]:
+        # The pair c1 = -(b-1)/c1_den, c2 = 1; c1_den divides b, which divides
+        # both value numerators, so c1 * value stays on the common denominator.
+        lo = denom - (b - 1) * value_hi // c1_den
+        hi = denom - (b - 1) * value_lo // c1_den
         overlaps = lo <= sum_hi and sum_lo <= hi
         bound = max(abs(sum_hi - lo), abs(hi - sum_lo))
         return overlaps, bound
 
-    direct_ok, direct_bound = match(direct)
-    shifted_ok, shifted_bound = match(shifted)
+    direct_ok, direct_bound = match(1)
+    shifted_ok, shifted_bound = match(b)
     if direct_ok == shifted_ok:
         raise IndecisiveEnclosureError(
             "enclosures do not separate the candidate pairs; increase depth"
         )
     return RotationSumReport(
         b=b, depth=depth,
-        sum_lo=sum_lo, sum_hi=sum_hi,
-        value_lo=value_lo, value_hi=value_hi,
-        direct_pair=direct, shifted_pair=shifted,
+        sum_lo=Fraction(sum_lo, denom), sum_hi=Fraction(sum_hi, denom),
+        value_lo=Fraction(value_lo, denom), value_hi=Fraction(value_hi, denom),
+        direct_pair=(Fraction(-(b - 1)), Fraction(1)),
+        shifted_pair=(Fraction(-(b - 1), b), Fraction(1)),
         direct_matches=direct_ok, shifted_matches=shifted_ok,
         matching="direct" if direct_ok else "index_shifted",
-        residual_bound=direct_bound if direct_ok else shifted_bound,
+        residual_bound=Fraction(direct_bound if direct_ok else shifted_bound, denom),
     )

@@ -497,3 +497,28 @@ def test_traced_names_exist():
             mod = importlib.import_module(f"sturmlab.{module}")
             for name in names:
                 assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_rows_reduce_deltas_and_bounds_at_most_once(monkeypatch, capsys):
+    """A formula3 row reduces its enclosure and bounds once; other rows never."""
+    from sturmlab.approximants import ApproximantRecord, BoundsCheck
+
+    calls = {"deltas": 0, "bounds": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self):
+            calls[name] += 1
+            return method(self)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(ApproximantRecord, "deltas")
+    counted(BoundsCheck, "bounds")
+    for lemma, rows in (("formula3", 4), ("constants", 0), ("growth", 0)):
+        calls.update(deltas=0, bounds=0)
+        code, out, _ = run(capsys, "verify", "--lemma", lemma, "--k", "1..2",
+                           "--b", "2", "--n", "2,3")
+        assert code == 0 and out.count("\tPASS\t") == 4
+        assert calls == {"deltas": rows, "bounds": rows}, lemma

@@ -337,3 +337,13 @@ def test_rotation_sum_matches_power_loop(b):
         rep = rotation_sum_relation(b, depth)
         got = (rep.sum_lo, rep.sum_hi, rep.matching, rep.residual_bound)
         assert got == _power_loop_report(b, depth, rep.value_lo, rep.value_hi), depth
+
+
+@pytest.mark.parametrize("b", [2, 10, 2**40])
+def test_rotation_sum_value_fields_are_the_series_enclosure(b):
+    for depth in (50, 400):
+        rep = rotation_sum_relation(b, depth)
+        xi = fixed_point_series(1, b, depth)
+        assert (rep.value_lo, rep.value_hi) == (xi.value, xi.upper), depth
+        assert rep.direct_pair == (Fraction(-(b - 1)), Fraction(1))
+        assert rep.sum_hi - rep.sum_lo == Fraction(1, b**depth)
