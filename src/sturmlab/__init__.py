@@ -67,10 +67,8 @@ _EXPORTS = {
             "uniqueness_oracle",
         ),
         "transforms": (
-            "AffineDecomposition",
             "RotationSumReport",
             "ValueRelationReport",
-            "affine_decompose",
             "block_determinism",
             "default_pair_coding",
             "difference",
@@ -81,13 +79,12 @@ _EXPORTS = {
             "value_affine_relation",
         ),
         "words": (
-            "GeneralWord",
-            "Word",
             "distinct_factors",
             "fixed_point_prefix",
             "iterate_word",
             "substitute",
             "swap_last_two",
+            "to_string",
             "word_identities",
         ),
     }.items()

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .access import _mismatch_offsets
 from .errors import CapExceededError, IndecisiveEnclosureError
 from .numeration import get_basis
-from .words import _DIGITS, GeneralWord, fixed_point_prefix
+from .words import _DIGITS, fixed_point_prefix
 
 DEPTH_CAP = 1_000_000
 DENSE_AUTO_LIMIT = 300_000  # symbols of the dense route's prefix
@@ -38,7 +38,7 @@ def _require_base(b: int) -> None:
         raise ValueError("base must be >= 2")
 
 
-def word_value(w: GeneralWord, b: int) -> int:
+def word_value(w: bytes, b: int) -> int:
     """Integer value of ``w`` read as base-b digits, most significant first.
 
     Symbols may equal or exceed b; the evaluation is plain polynomial in b.
@@ -46,14 +46,13 @@ def word_value(w: GeneralWord, b: int) -> int:
     ``int(str, b)``; other words fall back to a Horner loop per chunk.
     """
     _require_base(b)
-    sym = w.symbols
-    if not sym:
+    if not w:
         return 0
-    hi = max(sym)
+    hi = max(w)
     digits = hi < 10 and hi < b <= 36
     # int(str, b) is limited to ~4300 digits unless b is a power of two.
     if digits and b & (b - 1) == 0:
-        return int(sym.translate(_DIGITS), b)
+        return int(w.translate(_DIGITS), b)
     leaf = _DIGIT_LEAF if digits else 256
     powers: dict[int, int] = {}
 
@@ -68,15 +67,15 @@ def word_value(w: GeneralWord, b: int) -> int:
         n = hi_ - lo
         if n <= leaf:
             if digits:
-                return int(sym[lo:hi_].translate(_DIGITS), b)
+                return int(w[lo:hi_].translate(_DIGITS), b)
             acc = 0
-            for c in sym[lo:hi_]:
+            for c in w[lo:hi_]:
                 acc = acc * b + c
             return acc
         mid = lo + n // 2
         return split(lo, mid) * power(hi_ - mid) + split(mid, hi_)
 
-    return split(0, len(sym))
+    return split(0, len(w))
 
 
 class SeriesTruncation(NamedTuple):
@@ -92,17 +91,13 @@ class SeriesTruncation(NamedTuple):
         return self.value + self.tail_bound
 
 
-def series_truncation(
-    w: GeneralWord, b: int, digit_cap: int | None = None
-) -> SeriesTruncation:
+def series_truncation(w: bytes, b: int, digit_cap: int) -> SeriesTruncation:
     """Sum symbol_i * b^(-i) over ``w`` plus a tail bound for what was cut.
 
     The true series of any extension of ``w`` by symbols <= digit_cap lies in
     [value, value + tail_bound].
     """
     _require_base(b)
-    if digit_cap is None:
-        digit_cap = w.alphabet_size - 1
     if digit_cap < 0:
         raise ValueError("digit cap must be >= 0")
     depth = len(w)
@@ -124,11 +119,11 @@ def fixed_point_series(k: int, b: int, depth: int) -> SeriesTruncation:
 class ApproximantRecord(NamedTuple):
     """One certified approximant p/q with an enclosure of |x - p/q|.
 
-    ``sign`` is the certified sign of x - p/q; ``delta_lo``/``delta_hi``
-    bracket its absolute value, so 0 < delta_lo <= |x - p/q| <= delta_hi.
-    They are ``num_lo``/``num_hi`` over the denominator
-    ``(b-1) * b^(depth-1) * q``, reduced by ``deltas()`` each time it is
-    called.
+    ``sign`` is the certified sign of x - p/q; ``deltas()`` returns the
+    pair (delta_lo, delta_hi) that brackets its absolute value, so
+    0 < delta_lo <= |x - p/q| <= delta_hi.  They are ``num_lo``/``num_hi``
+    over the denominator ``(b-1) * b^(depth-1) * q``, reduced each time
+    ``deltas()`` is called.
     """
 
     k: int
@@ -147,14 +142,6 @@ class ApproximantRecord(NamedTuple):
         # reduction needs a gcd of full size.
         scale, rest = self.b ** (self.depth - 1), (self.b - 1) * self.q
         return Fraction(self.num_lo, scale) / rest, Fraction(self.num_hi, scale) / rest
-
-    @property
-    def delta_lo(self) -> Fraction:
-        return self.deltas()[0]
-
-    @property
-    def delta_hi(self) -> Fraction:
-        return self.deltas()[1]
 
 
 def approximant(k: int, n: int, b: int, depth: int | None = None) -> ApproximantRecord:
@@ -248,22 +235,6 @@ class BoundsCheck(NamedTuple):
         if self.record is None:
             return None, None
         return error_bounds(self.k, self.n, self.b)
-
-    @property
-    def lower(self) -> Fraction | None:
-        return self.bounds()[0]
-
-    @property
-    def upper(self) -> Fraction | None:
-        return self.bounds()[1]
-
-    @property
-    def delta_lo(self) -> Fraction | None:
-        return None if self.record is None else self.record.delta_lo
-
-    @property
-    def delta_hi(self) -> Fraction | None:
-        return None if self.record is None else self.record.delta_hi
 
 
 def check_error_bounds(record: ApproximantRecord) -> BoundsCheck:

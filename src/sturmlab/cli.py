@@ -26,7 +26,7 @@ from .numeration import (
     regular_vectors,
     to_digits,
 )
-from .words import fixed_point_prefix, word_identities
+from .words import fixed_point_prefix, to_string, word_identities
 
 
 def _on_first_use(name: str) -> ModuleType:
@@ -159,7 +159,7 @@ def _check_lemma1(k: int, n: int) -> tuple[bool, str]:
 
 
 def _check_lemma2(k: int, imax: int) -> tuple[bool, str]:
-    sym = fixed_point_prefix(k, imax).symbols
+    sym = fixed_point_prefix(k, imax)
     bad = sum(1 for i in range(imax) if symbol_at(k, i) != sym[i])
     return bad == 0, f"checked={imax};disagreements={bad}"
 
@@ -221,7 +221,7 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
 def _check_lemma4(k: int, n: int, imax: int) -> tuple[bool, str]:
     fn = get_basis(k).value(n)
     fn1 = get_basis(k).value(n + 1)
-    sym = fixed_point_prefix(k, imax + fn).symbols
+    sym = fixed_point_prefix(k, imax + fn)
     bad = 0
     first_scanned = None
     for i in range(imax):
@@ -378,7 +378,7 @@ def cmd_generate(args) -> int:
             raise UsageError(
                 f"unknown transform {spec_text!r}; use diff, diff:N, or pairs"
             )
-    print(w.to_string())
+    print(to_string(w))
     return 0
 
 

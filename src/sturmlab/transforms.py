@@ -1,9 +1,10 @@
 """Exponent-preserving sequence transforms and their certified value identities.
 
-Covers the mod-2 difference operator, the coded pair-with-shift product, the
-affine form every pair coding takes on a three-block binary word, and the
-golden-rotation power sum whose affine tie to the k=1 value is settled here
-by exact enclosures.
+Words are ``bytes``, one byte per symbol.  Covers the mod-2 difference
+operator, the coded pair-with-shift product, the affine law tying the coded
+product's value to the word's own, the table of difference symbols each block
+forces, and the golden-rotation power sum whose affine tie to the k=1 value
+is settled here by exact enclosures.
 """
 
 from __future__ import annotations
@@ -24,30 +25,29 @@ from .errors import (
     NonSturmianError,
     NonSturmianWarning,
 )
-from .words import GeneralWord, Word, fixed_point_prefix
+from .words import fixed_point_prefix
 
 PairCoding = dict[tuple[int, int], int]
 
 
-def difference(u: GeneralWord, order: int = 1) -> Word:
+def difference(u: bytes, order: int = 1) -> bytes:
     """Iterated adjacent difference mod 2; order 0 returns the word unchanged."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if order >= len(u):
         raise ValueError("order must be smaller than the word length")
-    sym = u.symbols
-    if max(sym, default=0) > 1:
+    if max(u, default=0) > 1:
         raise ValueError("difference is defined on binary words")
     # Symbols are 0/1 bytes, so one XOR of the big-endian integers of the word
     # and its shift takes every adjacent difference at once, with no carries.
     for _ in range(order):
-        sym = (
-            int.from_bytes(sym[:-1], "big") ^ int.from_bytes(sym[1:], "big")
-        ).to_bytes(len(sym) - 1, "big")
-    return Word._wrap(sym)
+        u = (
+            int.from_bytes(u[:-1], "big") ^ int.from_bytes(u[1:], "big")
+        ).to_bytes(len(u) - 1, "big")
+    return u
 
 
-def difference_by_binomial(u: GeneralWord, order: int = 1) -> Word:
+def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     """Same operator evaluated directly: position i sums C(order, j)*u[i+j] mod 2.
 
     The binomial coefficient is odd exactly when j's bits lie inside order's,
@@ -58,17 +58,16 @@ def difference_by_binomial(u: GeneralWord, order: int = 1) -> Word:
         raise ValueError("order must be >= 0")
     if order >= len(u):
         raise ValueError("order must be smaller than the word length")
-    sym = u.symbols
-    if max(sym, default=0) > 1:
+    if max(u, default=0) > 1:
         raise ValueError("difference is defined on binary words")
     mask = [j for j in range(order + 1) if (j & order) == j]
-    out = bytearray(len(sym) - order)
+    out = bytearray(len(u) - order)
     for i in range(len(out)):
         acc = 0
         for j in mask:
-            acc ^= sym[i + j]
+            acc ^= u[i + j]
         out[i] = acc
-    return Word._wrap(bytes(out))
+    return bytes(out)
 
 
 def default_pair_coding() -> PairCoding:
@@ -76,47 +75,27 @@ def default_pair_coding() -> PairCoding:
     return {(x, y): 2 * x + y for x in (0, 1) for y in (0, 1)}
 
 
-def shift_product(u: GeneralWord, coding: PairCoding | None = None) -> GeneralWord:
+def shift_product(u: bytes, coding: PairCoding | None = None) -> bytes:
     """The coded sequence of adjacent pairs: symbol i = coding[(u_i, u_{i+1})]."""
     if len(u) < 2:
         raise ValueError("word must have length >= 2")
     if coding is None:
         coding = default_pair_coding()
-    sym = u.symbols
-    codes: dict[tuple[int, int], int] = {}
-    for block, code in coding.items():
-        if code < 0:
-            raise ValueError("codes must be non-negative integers")
-        codes[block] = code
-    out = bytearray(len(sym) - 1)
+    if any(code < 0 for code in coding.values()):
+        raise ValueError("codes must be non-negative integers")
+    out = bytearray(len(u) - 1)
     try:
         for i in range(len(out)):
-            out[i] = codes[(sym[i], sym[i + 1])]
+            out[i] = coding[(u[i], u[i + 1])]
     except KeyError as exc:
         raise MissingCodingError(f"no code for block {exc.args[0]}") from None
-    return GeneralWord._wrap(bytes(out), max(codes.values()) + 1)
+    return bytes(out)
 
 
-class AffineDecomposition(NamedTuple):
-    """Coefficients with code(x, y) = a0*x + a1*y + a2 on the observed blocks."""
-
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    coding: PairCoding
-    blocks_present: tuple[tuple[int, int], ...]
-
-    @property
-    def eventually_periodic_capable(self) -> bool:
-        """True when the coded product collapses to a constant (a0 = a1 = 0)."""
-        return self.a0 == 0 and self.a1 == 0
-
-
-def _observed_blocks(u: GeneralWord) -> tuple[tuple[int, int], ...]:
-    sym = u.symbols
-    if len(sym) < 2:
+def _observed_blocks(u: bytes) -> tuple[tuple[int, int], ...]:
+    if len(u) < 2:
         raise ValueError("need at least two symbols to observe blocks")
-    return tuple(sorted({(sym[i], sym[i + 1]) for i in range(len(sym) - 1)}))
+    return tuple(sorted({(u[i], u[i + 1]) for i in range(len(u) - 1)}))
 
 
 def _affine_solution(
@@ -137,7 +116,6 @@ def _affine_solution(
     solution = [Fraction(0), Fraction(0), Fraction(0)]
     pivots: list[tuple[int, list[Fraction]]] = []
     reduced = [list(r) for r in rows]
-    col = 0
     for col in range(3):
         pivot_row = None
         for r in reduced:
@@ -168,25 +146,6 @@ def _affine_solution(
     return solution[0], solution[1], solution[2]
 
 
-def affine_decompose(u: GeneralWord, coding: PairCoding) -> AffineDecomposition:
-    """Express the pair coding affinely over the three blocks a Sturmian word has.
-
-    Demands exactly three distinct length-2 blocks in the word;
-    the three equations then pin (a0, a1, a2) uniquely (any three distinct
-    points of the unit square are affinely independent), and the identity
-    holds at every position because it holds per block.
-    """
-    blocks = _observed_blocks(u)
-    if len(blocks) != 3:
-        raise NonSturmianError(
-            f"expected exactly 3 distinct length-2 blocks, found {len(blocks)}"
-        )
-    a0, a1, a2 = _affine_solution(blocks, coding)
-    return AffineDecomposition(
-        a0=a0, a1=a1, a2=a2, coding=dict(coding), blocks_present=blocks
-    )
-
-
 class ValueRelationReport(NamedTuple):
     """Certified comparison of the coded product's value against its affine image.
 
@@ -210,7 +169,7 @@ class ValueRelationReport(NamedTuple):
 
 
 def value_affine_relation(
-    u: GeneralWord, coding: PairCoding, b: int, depth: int
+    u: bytes, coding: PairCoding, b: int, depth: int
 ) -> ValueRelationReport:
     """Check the affine law tying the coded pair sequence's value to u's value."""
     if b < 2:
@@ -292,7 +251,7 @@ def _lane_pairs(sym: bytes, diff: bytes, order: int) -> set[tuple[bytes, int]]:
     return pairs
 
 
-def block_determinism(u: GeneralWord, order: int) -> tuple[int, dict[Word, int]]:
+def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
     """Map each length-(order+1) block to the difference symbol it forces.
 
     The order-th difference at position i depends only on the block
@@ -307,25 +266,24 @@ def block_determinism(u: GeneralWord, order: int) -> tuple[int, dict[Word, int]]
         raise ValueError("order must be >= 1")
     if len(u) <= order:
         raise ValueError("prefix must be longer than the order")
-    sym = u.symbols
-    if max(sym) > 1:
+    if max(u) > 1:
         raise ValueError("block determinism is defined on binary words")
-    diff = difference(u, order).symbols
+    diff = difference(u, order)
     width = order + 1
-    positions = len(sym) - order
+    positions = len(u) - order
     by_mask = 0
     for j in range(width):
         if (j & order) == j:
-            by_mask ^= int.from_bytes(sym[j : j + positions], "big")
+            by_mask ^= int.from_bytes(u[j : j + positions], "big")
     # Bytes of 0/1 XOR without carries: equal integers mean equal symbols
     # at every position.
     if by_mask != int.from_bytes(diff, "big"):
         raise RuntimeError(
             "binomial-mask evaluation disagrees with the iterated operator"
         )
-    table: dict[Word, int] = {}
-    for block, value in sorted(_lane_pairs(sym, diff, order)):
-        if table.setdefault(Word._wrap(block), value) != value:
+    table: dict[bytes, int] = {}
+    for block, value in sorted(_lane_pairs(u, diff, order)):
+        if table.setdefault(block, value) != value:
             raise RuntimeError("one block produced two different difference values")
     count = len(table)
     if count != order + 2:
@@ -382,7 +340,7 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
     while (e := floor_golden(n)) <= depth:
         marks[e] = 1
         n += 1
-    acc = word_value(Word._wrap(bytes(marks)), b)
+    acc = word_value(bytes(marks), b)
     # Every bound below is an integer numerator over the common denominator
     # (b-1) * b^depth; only the report's fields become Fractions.
     denom = (b - 1) * b**depth

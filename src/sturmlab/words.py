@@ -1,13 +1,12 @@
 """Finite words over small integer alphabets, and the substitution 0 -> 0^k 1, 1 -> 0.
 
-Words are immutable, backed by ``bytes`` (one byte per symbol).  The binary
-subclass :class:`Word` is the workhorse; :class:`GeneralWord` admits larger
-alphabets so that coded products of binary words stay first-class values.
+A word is an immutable ``bytes`` with one byte per symbol, so slicing,
+concatenation, comparison and hashing are those of ``bytes``.  Functions
+defined on binary words check their input; :func:`to_string` renders a word
+whose symbols are all decimal digits.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator, Union
 
 from .errors import CapExceededError
 from .numeration import get_basis
@@ -16,155 +15,30 @@ LENGTH_CAP = 100_000_000  # longest word any constructor will build
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # symbol byte -> ASCII digit
 
-WordLike = Union[str, bytes, bytearray, Iterable[int], "GeneralWord"]
+
+def to_string(w: bytes) -> str:
+    """Decimal-digit rendering; only defined for words whose symbols are <= 9."""
+    if max(w, default=0) > 9:
+        raise ValueError("word has symbols above 9; no digit rendering")
+    return w.translate(_DIGITS).decode("ascii")
 
 
-def _coerce_symbols(data: WordLike) -> bytes:
-    if isinstance(data, GeneralWord):
-        return data._sym
-    if isinstance(data, (bytes, bytearray)):
-        return bytes(data)
-    if isinstance(data, str):
-        try:
-            return bytes(int(c) for c in data)
-        except ValueError:
-            raise ValueError(f"word string must be decimal digits, got {data!r}") from None
-    return bytes(data)
-
-
-class GeneralWord:
-    """An immutable word whose symbols are small non-negative integers."""
-
-    __slots__ = ("_sym", "_alpha")
-
-    def __init__(self, data: WordLike = b"", alphabet_size: int | None = None):
-        sym = _coerce_symbols(data)
-        if len(sym) > LENGTH_CAP:
-            raise CapExceededError(
-                f"word of length {len(sym)} exceeds cap {LENGTH_CAP}"
-            )
-        hi = max(sym) if sym else 0
-        if alphabet_size is None:
-            alphabet_size = hi + 1
-        elif hi >= alphabet_size:
-            raise ValueError(
-                f"symbol {hi} out of range for alphabet of size {alphabet_size}"
-            )
-        self._sym = sym
-        self._alpha = alphabet_size
-
-    @classmethod
-    def _wrap(cls, sym: bytes, alphabet_size: int) -> "GeneralWord":
-        # Trusted fast path: callers guarantee symbols < alphabet_size.
-        if len(sym) > LENGTH_CAP:
-            raise CapExceededError(
-                f"word of length {len(sym)} exceeds cap {LENGTH_CAP}"
-            )
-        w = object.__new__(cls)
-        w._sym = sym
-        w._alpha = alphabet_size
-        return w
-
-    @property
-    def symbols(self) -> bytes:
-        return self._sym
-
-    @property
-    def alphabet_size(self) -> int:
-        return self._alpha
-
-    def __len__(self) -> int:
-        return len(self._sym)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._sym)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return type(self)._wrap(self._sym[idx], self._alpha)
-        return self._sym[idx]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GeneralWord):
-            return self._sym == other._sym
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._sym)
-
-    def __add__(self, other: "GeneralWord") -> "GeneralWord":
-        if not isinstance(other, GeneralWord):
-            return NotImplemented
-        return type(self)._wrap(
-            self._sym + other._sym, max(self._alpha, other._alpha)
-        )
-
-    def __mul__(self, times: int) -> "GeneralWord":
-        if not isinstance(times, int):
-            return NotImplemented
-        if times < 0:
-            raise ValueError("repetition count must be non-negative")
-        if len(self._sym) * times > LENGTH_CAP:
-            raise CapExceededError(
-                f"word of length {len(self._sym) * times} exceeds cap {LENGTH_CAP}"
-            )
-        return type(self)._wrap(self._sym * times, self._alpha)
-
-    __rmul__ = __mul__
-
-    def count(self, symbol: int) -> int:
-        """Number of occurrences of ``symbol``."""
-        return self._sym.count(symbol)
-
-    def startswith(self, prefix: "GeneralWord") -> bool:
-        return self._sym.startswith(prefix._sym)
-
-    def to_string(self) -> str:
-        """Decimal-digit rendering; only defined for alphabets of size <= 10."""
-        if self._alpha > 10:
-            raise ValueError("word has symbols above 9; no digit rendering")
-        return self._sym.translate(_DIGITS).decode("ascii")
-
-    def __repr__(self) -> str:
-        head = self if len(self._sym) <= 40 else self[:37]
-        body = head.to_string() if self._alpha <= 10 else repr(head._sym)
-        if head is not self:
-            body += "..."
-        return f"{type(self).__name__}({body}, len={len(self._sym)})"
-
-
-class Word(GeneralWord):
-    """A word over the binary alphabet {0, 1}."""
-
-    __slots__ = ()
-
-    def __init__(self, data: WordLike = b""):
-        super().__init__(data, alphabet_size=2)
-
-    @classmethod
-    def _wrap(cls, sym: bytes, alphabet_size: int = 2) -> "GeneralWord":
-        if alphabet_size > 2:
-            # Mixed-alphabet results outgrow the binary subclass.
-            return GeneralWord._wrap(sym, alphabet_size)
-        return super()._wrap(sym, 2)
-
-
-def substitute(k: int, w: Word) -> Word:
-    """Apply the morphism 0 -> 0^k 1, 1 -> 0 once to ``w``."""
+def substitute(k: int, w: bytes) -> bytes:
+    """Apply the morphism 0 -> 0^k 1, 1 -> 0 once to the binary word ``w``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    sym = w.symbols
-    zeros = sym.count(0)
-    out_len = zeros * (k + 1) + (len(sym) - zeros)
+    if max(w, default=0) > 1:
+        raise ValueError("substitute is defined on binary words")
+    zeros = w.count(0)
+    out_len = zeros * (k + 1) + (len(w) - zeros)
     if out_len > LENGTH_CAP:
         raise CapExceededError(f"image of length {out_len} exceeds cap {LENGTH_CAP}")
     # Route old 1s through a placeholder so the expansion of 0 cannot collide.
-    out = (
-        sym.replace(b"\x01", b"\x02")
+    return (
+        w.replace(b"\x01", b"\x02")
         .replace(b"\x00", b"\x00" * k + b"\x01")
         .replace(b"\x02", b"\x00")
     )
-    return Word._wrap(out)
 
 
 def _next_iterate(cur: bytes, prev: bytes, k: int, limit: int) -> bytes:
@@ -182,7 +56,7 @@ def _next_iterate(cur: bytes, prev: bytes, k: int, limit: int) -> bytes:
     return b"".join(kept)
 
 
-def _chain(k: int, n: int) -> list[Word]:
+def _chain(k: int, n: int) -> list[bytes]:
     """Words U_0 .. U_n where U_0 = 0, U_1 = 0^k 1, U_{m+1} = U_m^k U_{m-1}."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -198,23 +72,22 @@ def _chain(k: int, n: int) -> list[Word]:
     while len(chain) <= n:
         cur, prev = chain[-1], chain[-2]
         chain.append(_next_iterate(cur, prev, k, len(cur) * k + len(prev)))
-    return [Word._wrap(sym) for sym in chain[: n + 1]]
+    return chain[: n + 1]
 
 
-def iterate_word(k: int, n: int) -> Word:
+def iterate_word(k: int, n: int) -> bytes:
     """The n-th iterate of the morphism applied to the single letter 0."""
     return _chain(k, n)[-1]
 
 
-def swap_last_two(w: GeneralWord) -> GeneralWord:
+def swap_last_two(w: bytes) -> bytes:
     """The word with its final two symbols exchanged."""
     if len(w) < 2:
         raise ValueError("word must have length >= 2")
-    sym = w.symbols
-    return type(w)._wrap(sym[:-2] + sym[-1:] + sym[-2:-1], w.alphabet_size)
+    return w[:-2] + w[-1:] + w[-2:-1]
 
 
-def fixed_point_prefix(k: int, length: int) -> Word:
+def fixed_point_prefix(k: int, length: int) -> bytes:
     """The first ``length`` symbols of the infinite fixed point of the morphism."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -222,15 +95,13 @@ def fixed_point_prefix(k: int, length: int) -> Word:
         raise ValueError("length must be >= 0")
     if length > LENGTH_CAP:
         raise CapExceededError(f"prefix of length {length} exceeds cap {LENGTH_CAP}")
-    if length == 0:
-        return Word._wrap(b"")
     prev = b"\x00"
     cur = b"\x00" * k + b"\x01"
     # Truncating an iterate beyond ``length`` is safe: the truncation only
     # ever bites on the final round, after which the loop exits.
     while len(cur) < length:
         prev, cur = cur, _next_iterate(cur, prev, k, length)
-    return Word._wrap(cur[:length])
+    return cur[:length]
 
 
 def word_identities(k: int, n: int) -> tuple[bool, bool]:
@@ -247,25 +118,17 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     un_1, un, un2 = chain[n - 1], chain[n], chain[n + 2]
     id1 = un_1 + un == swap_last_two(un + un_1)
     # Match U_{n+2} piece by piece in place instead of building the right side.
-    pieces = [un.symbols] + ([un.symbols] * k + [swap_last_two(un_1).symbols]) * k
-    big = un2.symbols
+    pieces = [un] + ([un] * k + [swap_last_two(un_1)]) * k
     pos = 0
     for piece in pieces:
-        if not big.startswith(piece, pos):
+        if not un2.startswith(piece, pos):
             return id1, False
         pos += len(piece)
-    return id1, pos == len(big)
+    return id1, pos == len(un2)
 
 
-def distinct_factors(w: GeneralWord, m: int) -> set[GeneralWord]:
+def distinct_factors(w: bytes, m: int) -> set[bytes]:
     """All distinct factors of length ``m`` occurring in ``w``."""
     if m < 0:
         raise ValueError("factor length must be >= 0")
-    if m > len(w):
-        return set()
-    sym = w.symbols
-    cls = type(w)
-    alpha = w.alphabet_size
-    return {
-        cls._wrap(sym[i : i + m], alpha) for i in range(len(sym) - m + 1)
-    }
+    return {w[i : i + m] for i in range(len(w) - m + 1)}

@@ -27,6 +27,7 @@ from sturmlab import (
     rotation_sum_relation,
     symbol_at,
     to_digits,
+    to_string,
     uniqueness_oracle,
     value_affine_relation,
     word_identities,
@@ -93,7 +94,7 @@ def test_criterion_03_random_access():
     t0 = time.perf_counter()
     ok = True
     for k in (1, 2, 3, 4):
-        sym = fixed_point_prefix(k, 100000).symbols
+        sym = fixed_point_prefix(k, 100000)
         if any(symbol_at(k, i) != sym[i] for i in range(100000)):
             ok = False
     _report("criterion 3: random access agrees below 1e5", ok,
@@ -107,7 +108,7 @@ def test_criterion_04_mismatch_law():
         for n in range(0, 13):
             fn = basis_value(k, n)
             edge = basis_value(k, n + 1) - 2
-            sym = fixed_point_prefix(k, 10000 + fn).symbols
+            sym = fixed_point_prefix(k, 10000 + fn)
             first = None
             for i in range(10000):
                 direct = sym[i + fn] - sym[i]
@@ -140,10 +141,12 @@ def test_criterion_05_error_bounds():
                     ok = False
     # Worked instance: k=1, b=2, n=2.
     rec = approximant(1, 2, 2)
-    lo, hi = error_bounds(1, 2, 2)
-    ok = ok and (rec.p, rec.q) == (4, 7)
-    ok = ok and (lo, hi) == (Fraction(1, 112), Fraction(1, 56))
-    ok = ok and lo <= rec.delta_lo <= rec.delta_hi <= hi
+    chk = check_error_bounds_auto(1, 2, 2)
+    lo, hi = chk.bounds()
+    delta_lo, delta_hi = chk.record.deltas()
+    ok = ok and chk.record == rec and (rec.p, rec.q) == (4, 7)
+    ok = ok and (lo, hi) == error_bounds(1, 2, 2) == (Fraction(1, 112), Fraction(1, 56))
+    ok = ok and lo <= delta_lo <= delta_hi <= hi
     _report("criterion 5: two-sided error bounds on the full grid", ok,
             time.perf_counter() - t0, 60.0)
 
@@ -170,7 +173,7 @@ def test_criterion_07_continued_fraction_cross_check():
 
 def test_criterion_08_transform_fidelity():
     t0 = time.perf_counter()
-    ok = difference(fixed_point_prefix(1, 13), 2).to_string() == "01100011011"
+    ok = to_string(difference(fixed_point_prefix(1, 13), 2)) == "01100011011"
     u = fixed_point_prefix(1, 10000)
     for order in range(1, 9):
         if difference(u, order) != difference_by_binomial(u, order):

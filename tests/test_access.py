@@ -21,8 +21,7 @@ def test_symbol_at_known_prefix():
 
 def test_symbol_at_agrees_with_prefix():
     for k in (1, 2, 3, 4):
-        prefix = fixed_point_prefix(k, 30000)
-        sym = prefix.symbols
+        sym = fixed_point_prefix(k, 30000)
         assert all(symbol_at(k, i) == sym[i] for i in range(30000))
 
 

@@ -7,9 +7,7 @@ import pytest
 
 from sturmlab import (
     CapExceededError,
-    GeneralWord,
     IndecisiveEnclosureError,
-    Word,
     approximant,
     bound_constants_hold,
     check_error_bounds,
@@ -20,20 +18,23 @@ from sturmlab import (
     fixed_point_series,
     growth_law_holds,
     scaled_error_bounds_hold,
-    series_truncation,
     word_value,
 )
 from sturmlab.approximants import _law_settles, _power_sum_sign
 from sturmlab.numeration import basis_value
 
 
+def _word(digits: str) -> bytes:
+    return bytes(map(int, digits))
+
+
 def test_word_value_basics():
-    assert word_value(Word("101"), 2) == 5
-    assert word_value(Word("0"), 7) == 0
-    assert word_value(Word(""), 3) == 0
-    assert word_value(GeneralWord("123"), 10) == 123
+    assert word_value(_word("101"), 2) == 5
+    assert word_value(_word("0"), 7) == 0
+    assert word_value(_word(""), 3) == 0
+    assert word_value(_word("123"), 10) == 123
     # Symbols at or above the base are fine: plain polynomial evaluation.
-    assert word_value(GeneralWord([3, 1], alphabet_size=4), 2) == 7
+    assert word_value(bytes([3, 1]), 2) == 7
 
 
 def _horner(sym, b, chunk=1000):
@@ -71,23 +72,23 @@ WORD_VALUE_LENGTHS = (0, 1, 255, 256, 257, 3999, 4000, 4001, 4301, 12001)
 def test_word_value_matches_horner(default_str_digit_limit):
     rng = random.Random(8)
     for n in WORD_VALUE_LENGTHS:
-        words = [
-            Word(bytes(rng.randrange(2) for _ in range(n))),
-            GeneralWord(bytes(rng.randrange(10) for _ in range(n)), alphabet_size=10),
+        words = {
+            2: bytes(rng.randrange(2) for _ in range(n)),
+            10: bytes(rng.randrange(10) for _ in range(n)),
             # Symbols 10..35 are digits of base 36 but not decimal digits.
-            GeneralWord(bytes(rng.randrange(10, 36) for _ in range(n)), alphabet_size=36),
-            GeneralWord(bytes(rng.randrange(256) for _ in range(n)), alphabet_size=256),
-        ]
-        for w in words:
+            36: bytes(rng.randrange(10, 36) for _ in range(n)),
+            256: bytes(rng.randrange(256) for _ in range(n)),
+        }
+        for alphabet, w in words.items():
             for b in WORD_VALUE_BASES:
-                assert word_value(w, b) == _horner(w.symbols, b), (n, b, w.alphabet_size)
+                assert word_value(w, b) == _horner(w, b), (n, b, alphabet)
 
 
 def test_word_value_long_words_both_paths(default_str_digit_limit):
     # One base per route: whole-word conversion, digit chunks, Horner chunks.
     w = fixed_point_prefix(1, 300_000)
     for b in (2, 3, 10, 37):
-        assert word_value(w, b) == _horner(w.symbols, b), b
+        assert word_value(w, b) == _horner(w, b), b
 
 
 def test_series_truncation_brackets_limit():
@@ -97,13 +98,6 @@ def test_series_truncation_brackets_limit():
     assert st.value <= ref <= st.value + st.tail_bound
     assert st.tail_bound == Fraction(2, 2**40)
     assert float(ref) == pytest.approx(0.5803931142774174, abs=1e-15)
-
-
-def test_series_truncation_digit_cap_default():
-    w = GeneralWord([3, 0, 2], alphabet_size=4)
-    st = series_truncation(w, 2)
-    assert st.value == Fraction(3, 1) + Fraction(2, 4)
-    assert st.tail_bound == Fraction(3 * 2, 1) / 2**3
 
 
 def test_default_depth():
@@ -118,7 +112,8 @@ def test_worked_instance():
     assert (rec.p, rec.q) == (4, 7)
     lower, upper = error_bounds(1, 2, 2)
     assert (lower, upper) == (Fraction(1, 112), Fraction(1, 56))
-    assert lower <= rec.delta_lo <= rec.delta_hi <= upper
+    delta_lo, delta_hi = rec.deltas()
+    assert lower <= delta_lo <= delta_hi <= upper
     assert rec.sign == 1
     chk = check_error_bounds(rec)
     assert chk.holds and chk.lower_ok and chk.upper_ok
@@ -142,7 +137,8 @@ def test_enclosure_brackets_true_difference():
                 pq = Fraction(rec.p, rec.q)
                 hi = abs(ref.value - pq) + ref.tail_bound
                 lo = abs(ref.value - pq) - ref.tail_bound
-                assert rec.delta_lo <= hi and lo <= rec.delta_hi
+                delta_lo, delta_hi = rec.deltas()
+                assert delta_lo <= hi and lo <= delta_hi
 
 
 def test_sign_matches_parity():
@@ -181,7 +177,7 @@ def test_dense_route_matches_fraction_arithmetic(k, b):
     for n in range(0, 5):
         fn, fn1 = basis_value(k, n), basis_value(k, n + 1)
         depth = default_depth(k, n)
-        symbols = fixed_point_prefix(k, depth).symbols
+        symbols = fixed_point_prefix(k, depth)
         w = 0
         for c in symbols:
             w = w * b + c
@@ -204,15 +200,15 @@ def test_dense_route_matches_fraction_arithmetic(k, b):
         assert chk.lower_ok == (delta_lo >= lower), (k, b, n)
         assert chk.upper_ok == (delta_hi <= upper), (k, b, n)
         assert chk.holds == (chk.lower_ok and chk.upper_ok)
-        assert (chk.lower, chk.upper) == (lower, upper)
-        assert (chk.delta_lo, chk.delta_hi) == (delta_lo, delta_hi)
-        assert (rec.delta_lo, rec.delta_hi) == (delta_lo, delta_hi)
+        assert chk.bounds() == (lower, upper)
+        assert chk.record == rec
+        assert rec.deltas() == (delta_lo, delta_hi)
 
 
 def test_scaled_route_leaves_values_unset():
     chk = scaled_error_bounds_hold(1, 4, 3)
     assert chk.record is None
-    assert (chk.lower, chk.upper, chk.delta_lo, chk.delta_hi) == (None,) * 4
+    assert chk.bounds() == (None, None)
 
 
 def test_auto_route_switches():

@@ -17,12 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(sturmlab.__file__).resolve().parents[1])
 
 PUBLIC = [
-    "AffineDecomposition", "ApproximantRecord", "Basis", "BoundsCheck",
+    "ApproximantRecord", "Basis", "BoundsCheck",
     "CapExceededError", "ContinuedFraction", "DegenerateSystemError",
-    "ExponentEstimate", "GeneralWord", "IndecisiveEnclosureError",
+    "ExponentEstimate", "IndecisiveEnclosureError",
     "InsufficientPrecisionError", "MismatchVerdict", "MissingCodingError",
     "NonSturmianError", "NonSturmianWarning", "RotationSumReport",
-    "SeriesTruncation", "ValueRelationReport", "Word", "affine_decompose",
+    "SeriesTruncation", "ValueRelationReport",
     "approximant", "basis_ratio", "basis_value", "block_determinism",
     "bound_constants_hold", "check_error_bounds", "check_error_bounds_auto",
     "closed_form_exponent", "continued_fraction", "default_depth",
@@ -34,7 +34,7 @@ PUBLIC = [
     "mismatch_positions", "normalize", "ratio_limit_enclosure",
     "rotation_sum_relation", "scaled_error_bounds_hold", "series_truncation",
     "shift_product", "substitute", "swap_last_two", "symbol_at", "to_digits",
-    "uniqueness_oracle", "value_affine_relation", "word_identities", "word_value",
+    "to_string", "uniqueness_oracle", "value_affine_relation", "word_identities", "word_value",
 ]
 
 
@@ -87,7 +87,6 @@ def _records():
         "BoundsCheck": lambda: sturmlab.check_error_bounds_auto(1, 3, 2),
         "ExponentEstimate": lambda: sturmlab.exponent_sandwich(1, 5, 9),
         "ContinuedFraction": lambda: sturmlab.continued_fraction(Fraction(355, 113)),
-        "AffineDecomposition": lambda: sturmlab.affine_decompose(u, coding),
         "ValueRelationReport": lambda: t.value_affine_relation(u, coding, 3, 40),
         "RotationSumReport": lambda: sturmlab.rotation_sum_relation(2, 60),
     }
@@ -95,7 +94,7 @@ def _records():
 
 
 RECORDS = _records()
-UNHASHABLE = {"ContinuedFraction", "AffineDecomposition"}  # they hold lists or a dict
+UNHASHABLE = {"ContinuedFraction"}  # it holds lists
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -126,11 +125,12 @@ def test_bounds_check_truth_follows_holds():
 def test_reductions_are_methods():
     chk, _ = RECORDS["BoundsCheck"]
     rec = chk.record
-    assert rec.deltas() == (rec.delta_lo, rec.delta_hi) == (chk.delta_lo, chk.delta_hi)
-    assert chk.bounds() == (chk.lower, chk.upper) == sturmlab.error_bounds(1, 3, 2)
+    den = (rec.b - 1) * rec.b ** (rec.depth - 1) * rec.q
+    assert rec.deltas() == (Fraction(rec.num_lo, den), Fraction(rec.num_hi, den))
+    assert chk.bounds() == sturmlab.error_bounds(1, 3, 2)
     scaled = sturmlab.scaled_error_bounds_hold(1, 3, 2)
     assert scaled.bounds() == (None, None)
-    assert (scaled.delta_lo, scaled.delta_hi) == (None, None)
+    assert scaled.record is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,10 @@ from fractions import Fraction
 import pytest
 
 from sturmlab import (
-    GeneralWord,
     IndecisiveEnclosureError,
     MissingCodingError,
     NonSturmianError,
     NonSturmianWarning,
-    Word,
-    affine_decompose,
     block_determinism,
     default_pair_coding,
     difference,
@@ -22,29 +19,34 @@ from sturmlab import (
     floor_golden,
     rotation_sum_relation,
     shift_product,
+    to_string,
     value_affine_relation,
 )
 from sturmlab import transforms
 
 
+def _word(digits: str) -> bytes:
+    return bytes(map(int, digits))
+
+
 def test_difference_basic():
-    assert difference(Word("0110")) == Word("101")
-    assert difference(Word("0110"), 0) == Word("0110")
-    assert difference(Word("01100"), 2) == Word("111")
+    assert difference(_word("0110")) == _word("101")
+    assert difference(_word("0110"), 0) == _word("0110")
+    assert difference(_word("01100"), 2) == _word("111")
 
 
 def test_difference_known_prefix():
     w = fixed_point_prefix(1, 13)
-    assert difference(w, 2).to_string() == "01100011011"
+    assert to_string(difference(w, 2)) == "01100011011"
 
 
 def test_difference_validates():
     with pytest.raises(ValueError):
-        difference(Word("01"), -1)
+        difference(_word("01"), -1)
     with pytest.raises(ValueError):
-        difference(Word("01"), 2)
+        difference(_word("01"), 2)
     with pytest.raises(ValueError):
-        difference(GeneralWord("012"), 1)
+        difference(_word("012"), 1)
 
 
 def test_binomial_oracle_agrees():
@@ -56,51 +58,38 @@ def test_binomial_oracle_agrees():
 def test_shift_product_default_coding():
     # Pairs of 01001 under (x, y) -> 2x + y: 01, 10, 00, 01.
     v = shift_product(fixed_point_prefix(1, 5))
-    assert v.to_string() == "1201"
-    assert v.alphabet_size == 4
+    assert to_string(v) == "1201"
 
 
 def test_shift_product_custom_coding():
     coding = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
-    v = shift_product(Word("0110"), coding)
+    v = shift_product(_word("0110"), coding)
     assert list(v) == [1, 2, 1]
 
 
 def test_shift_product_missing_block():
     with pytest.raises(MissingCodingError):
-        shift_product(Word("0011"), {(0, 0): 0, (0, 1): 1, (1, 0): 2})
-
-
-def test_affine_decompose_default_coding():
-    dec = affine_decompose(fixed_point_prefix(1, 200), default_pair_coding())
-    assert (dec.a0, dec.a1, dec.a2) == (2, 1, 0)
-    assert dec.blocks_present == ((0, 0), (0, 1), (1, 0))
-    assert not dec.eventually_periodic_capable
-
-
-def test_affine_decompose_constant_coding():
-    coding = {(x, y): 5 for x in (0, 1) for y in (0, 1)}
-    dec = affine_decompose(fixed_point_prefix(2, 200), coding)
-    assert (dec.a0, dec.a1, dec.a2) == (0, 0, 5)
-    assert dec.eventually_periodic_capable
-
-
-def test_affine_decompose_needs_three_blocks():
-    with pytest.raises(NonSturmianError):
-        affine_decompose(Word("00000"), default_pair_coding())
-    with pytest.raises(NonSturmianError):
-        # Four distinct blocks cannot occur in these words; force them.
-        affine_decompose(Word("001101"), default_pair_coding())
+        shift_product(_word("0011"), {(0, 0): 0, (0, 1): 1, (1, 0): 2})
 
 
 def test_affine_identity_certified_tight():
+    # The constant coding collapses the product: a0 = a1 = 0.
+    constant = {(x, y): 5 for x in (0, 1) for y in (0, 1)}
+    codings = [(default_pair_coding(), (2, 1, 0)), (constant, (0, 0, 5))]
     for k in (1, 2):
         for b in (2, 3):
             u = fixed_point_prefix(k, 201)
-            rep = value_affine_relation(u, default_pair_coding(), b, 200)
-            assert rep.consistent
-            assert rep.gap_bound < Fraction(1, 2**195)
-            assert (rep.a0, rep.a1, rep.a2) == (2, 1, 0)
+            for coding, coefficients in codings:
+                rep = value_affine_relation(u, coding, b, 200)
+                assert rep.consistent
+                assert rep.gap_bound < Fraction(1, 2**195)
+                assert (rep.a0, rep.a1, rep.a2) == coefficients
+
+
+def test_value_relation_sets_free_coefficients_to_zero():
+    # A periodic word shows two blocks, so the constant a2 is free.
+    rep = value_affine_relation(_word("01" * 51), default_pair_coding(), 2, 100)
+    assert rep.consistent and (rep.a0, rep.a1, rep.a2) == (2, 1, 0)
 
 
 def test_affine_identity_numeric_sanity():
@@ -119,7 +108,7 @@ def test_value_relation_rejects_non_affine_coding():
     sturmian = fixed_point_prefix(1, 101)
     rep = value_affine_relation(sturmian, xor, 2, 100)
     assert rep.consistent and (rep.a0, rep.a1, rep.a2) == (1, 1, 0)
-    four_blocks = Word("0011010" * 20)
+    four_blocks = _word("0011010" * 20)
     with pytest.raises(NonSturmianError):
         value_affine_relation(four_blocks, xor, 2, 100)
 
@@ -147,7 +136,7 @@ def test_block_determinism_counts():
 def test_block_determinism_warns_on_short_prefix():
     # An all-zero word has a single block, far from order + 2.
     with pytest.warns(NonSturmianWarning):
-        count, _ = block_determinism(Word("0" * 50), 2)
+        count, _ = block_determinism(_word("0" * 50), 2)
     assert count == 1
 
 
@@ -156,10 +145,8 @@ def test_block_table_consistent_with_difference():
     order = 3
     _count, table = block_determinism(u, order)
     d = difference(u, order)
-    sym = u.symbols
     for i in range(0, 1500, 7):
-        block = Word(sym[i : i + order + 1])
-        assert table[block] == d[i]
+        assert table[u[i : i + order + 1]] == d[i]
 
 
 def _per_position_difference(sym: bytes, order: int) -> bytes:
@@ -174,7 +161,7 @@ def _differential_words(order: int, rng: random.Random) -> list[bytes]:
         words.append(bytes(length))
         words.append(b"\x01" * length)
         words += [bytes(rng.randint(0, 1) for _ in range(length)) for _ in range(4)]
-    words += [fixed_point_prefix(k, 300).symbols for k in (1, 2, 3)]
+    words += [fixed_point_prefix(k, 300) for k in (1, 2, 3)]
     return words
 
 
@@ -183,18 +170,17 @@ def test_whole_word_transforms_match_per_position(order):
     """Random, constant and Sturmian words: every output against a loop done here."""
     rng = random.Random(9100 + order)
     for sym in _differential_words(order, rng):
-        u = Word(sym)
         expected = _per_position_difference(sym, order)
-        assert difference(u, order).symbols == expected, (order, sym)
-        assert difference_by_binomial(u, order).symbols == expected, (order, sym)
+        assert difference(sym, order) == expected, (order, sym)
+        assert difference_by_binomial(sym, order) == expected, (order, sym)
         table_here: dict[bytes, int] = {}
         for i, value in enumerate(expected):
             assert table_here.setdefault(sym[i : i + order + 1], value) == value
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            count, table = block_determinism(u, order)
+            count, table = block_determinism(sym, order)
         assert count == len(table_here)
-        assert {block.symbols: value for block, value in table.items()} == table_here
+        assert table == table_here
 
 
 _REAL_CHUNK = transforms._LANE_CHUNK
@@ -202,12 +188,12 @@ _REAL_CHUNK = transforms._LANE_CHUNK
 
 @functools.lru_cache(maxsize=None)
 def _fixed_point_symbols(k: int) -> bytes:
-    return fixed_point_prefix(k, 2 * _REAL_CHUNK + 200).symbols
+    return fixed_point_prefix(k, 2 * _REAL_CHUNK + 200)
 
 
 def _sliced_block_table(sym: bytes, order: int) -> dict[bytes, int]:
     """Block -> difference from one slice per position (the reference)."""
-    diff = difference(Word(sym), order).symbols
+    diff = difference(sym, order)
     ends = range(order + 1, len(sym) + 1)
     pairs = set(zip(map(sym.__getitem__, map(slice, range(len(diff)), ends)), diff))
     table = dict(sorted(pairs))
@@ -251,10 +237,10 @@ def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
     for sym in words:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            count, table = block_determinism(Word(sym), order)
+            count, table = block_determinism(sym, order)
         expected = _sliced_block_table(sym, order)
         assert count == len(expected), (order, len(sym))
-        assert [(b.symbols, v) for b, v in table.items()] == list(expected.items())
+        assert list(table.items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("flip_at", [0, 1, 500, -2, -1])
@@ -263,9 +249,9 @@ def test_block_determinism_checks_every_position(monkeypatch, flip_at):
     exact = transforms.difference
 
     def flipped(u, order=1):
-        sym = bytearray(exact(u, order).symbols)
+        sym = bytearray(exact(u, order))
         sym[flip_at] ^= 1
-        return Word(bytes(sym))
+        return bytes(sym)
 
     monkeypatch.setattr(transforms, "difference", flipped)
     with pytest.raises(RuntimeError, match="binomial-mask evaluation disagrees"):

@@ -2,52 +2,72 @@ import pytest
 
 from sturmlab import (
     CapExceededError,
-    GeneralWord,
-    Word,
+    block_determinism,
+    difference,
+    difference_by_binomial,
     distinct_factors,
     fixed_point_prefix,
     iterate_word,
+    shift_product,
     substitute,
     swap_last_two,
+    to_string,
     word_identities,
 )
 from sturmlab import words
 from sturmlab.numeration import basis_value
 
 
-def test_word_construction_and_equality():
-    w = Word("0100101")
-    assert len(w) == 7
-    assert w[0] == 0 and w[1] == 1
-    assert w == Word([0, 1, 0, 0, 1, 0, 1])
-    assert w == Word(b"\x00\x01\x00\x00\x01\x00\x01")
-    assert w[2:5] == Word("001")
-    assert (w + Word("0")).to_string() == "01001010"
-    assert (Word("01") * 3).to_string() == "010101"
+def _word(digits: str) -> bytes:
+    return bytes(map(int, digits))
+
+
+_BYTES_RESULTS = {
+    "fixed_point_prefix": lambda: fixed_point_prefix(2, 50),
+    "iterate_word": lambda: iterate_word(2, 5),
+    "substitute": lambda: substitute(2, _word("0110")),
+    "swap_last_two": lambda: swap_last_two(_word("0110")),
+    "difference": lambda: difference(fixed_point_prefix(1, 50), 3),
+    "difference_order_0": lambda: difference(fixed_point_prefix(1, 50), 0),
+    "difference_by_binomial": lambda: difference_by_binomial(fixed_point_prefix(1, 50), 3),
+    "shift_product": lambda: shift_product(fixed_point_prefix(1, 50)),
+    "distinct_factors": lambda: distinct_factors(fixed_point_prefix(1, 50), 4),
+    "block_determinism": lambda: block_determinism(fixed_point_prefix(1, 50), 3)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BYTES_RESULTS))
+def test_words_are_bytes(name):
+    """Every word a function returns, or keys a result by, is a plain ``bytes``."""
+    result = _BYTES_RESULTS[name]()
+    for w in result if isinstance(result, (set, dict)) else [result]:
+        assert type(w) is bytes, name
+    assert result
 
 
 def test_word_rejects_bad_symbols():
-    with pytest.raises(ValueError):
-        Word("012")
-    with pytest.raises(ValueError):
-        Word([0, 2])
-    with pytest.raises(ValueError):
-        GeneralWord([0, 3], alphabet_size=3)
+    """Functions defined on binary words refuse a symbol above 1."""
+    with pytest.raises(ValueError, match="binary"):
+        substitute(1, bytes([2, 0]))
+    with pytest.raises(ValueError, match="binary"):
+        difference(_word("012"), 1)
+    with pytest.raises(ValueError, match="binary"):
+        block_determinism(_word("0120"), 1)
 
 
-def test_general_word_alphabet():
-    w = GeneralWord([0, 1, 2, 3], alphabet_size=4)
-    assert w.alphabet_size == 4
-    assert w.to_string() == "0123"
-    assert w.count(2) == 1
+def test_to_string_rejects_symbols_above_nine():
+    with pytest.raises(ValueError, match="above 9"):
+        to_string(bytes([10]))
+    with pytest.raises(ValueError, match="above 9"):
+        to_string(shift_product(_word("0110"), {(0, 1): 1, (1, 1): 10, (1, 0): 3}))
 
 
 def test_substitute_base_cases():
     # 0 -> 0^k 1, 1 -> 0
-    assert substitute(1, Word("0")).to_string() == "01"
-    assert substitute(1, Word("1")).to_string() == "0"
-    assert substitute(2, Word("0")).to_string() == "001"
-    assert substitute(3, Word("01")).to_string() == "00010"
+    assert to_string(substitute(1, _word("0"))) == "01"
+    assert to_string(substitute(1, _word("1"))) == "0"
+    assert to_string(substitute(2, _word("0"))) == "001"
+    assert to_string(substitute(3, _word("01"))) == "00010"
 
 
 def test_iterates_start_with_previous():
@@ -68,16 +88,16 @@ def test_iterate_lengths_follow_basis():
 
 def test_iterate_matches_substitution():
     for k in (1, 2, 3):
-        w = Word("0")
+        w = _word("0")
         for n in range(1, 8):
             w = substitute(k, w)
             assert w == iterate_word(k, n)
 
 
 def test_fixed_point_prefix_values():
-    assert fixed_point_prefix(1, 13).to_string() == "0100101001001"
-    assert fixed_point_prefix(2, 7).to_string() == "0010010"
-    assert fixed_point_prefix(1, 0).to_string() == ""
+    assert to_string(fixed_point_prefix(1, 13)) == "0100101001001"
+    assert to_string(fixed_point_prefix(2, 7)) == "0010010"
+    assert to_string(fixed_point_prefix(1, 0)) == ""
 
 
 def test_fixed_point_prefix_is_prefix_closed():
@@ -94,12 +114,12 @@ def test_prefix_is_invariant_under_substitution():
 
 
 def test_swap_last_two():
-    assert swap_last_two(Word("0110")) == Word("0101")
-    assert swap_last_two(Word("01")) == Word("10")
+    assert swap_last_two(_word("0110")) == _word("0101")
+    assert swap_last_two(_word("01")) == _word("10")
     # Equal final symbols: exchange is invisible.
-    assert swap_last_two(Word("0100")) == Word("0100")
+    assert swap_last_two(_word("0100")) == _word("0100")
     with pytest.raises(ValueError):
-        swap_last_two(Word("0"))
+        swap_last_two(_word("0"))
 
 
 def test_word_identities_small_grid():
@@ -115,7 +135,7 @@ def test_word_identities_detects_a_wrong_iterate(monkeypatch, corrupt):
 
     def corrupted(k, n):
         chain = exact(k, n)
-        sym = bytearray(chain[-1].symbols)
+        sym = bytearray(chain[-1])
         if corrupt == "flip_first":
             sym[0] ^= 1
         elif corrupt == "flip_last":
@@ -124,7 +144,7 @@ def test_word_identities_detects_a_wrong_iterate(monkeypatch, corrupt):
             del sym[-1]
         else:
             sym.append(0)
-        return chain[:-1] + [Word(bytes(sym))]
+        return chain[:-1] + [bytes(sym)]
 
     monkeypatch.setattr(words, "_chain", corrupted)
     for k in (1, 3):
@@ -134,11 +154,11 @@ def test_word_identities_detects_a_wrong_iterate(monkeypatch, corrupt):
 def test_fixed_point_prefix_cuts_the_iterate():
     """Lengths at, just past and inside the pieces of the last round."""
     for k in (1, 2, 3, 4):
-        big = iterate_word(k, 9).symbols
+        big = iterate_word(k, 9)
         for n in range(1, 7):
             fn = basis_value(k, n)
             for length in (fn - 1, fn, fn + 1, 2 * fn + 3, k * fn, k * fn + 1):
-                assert fixed_point_prefix(k, length).symbols == big[:length]
+                assert fixed_point_prefix(k, length) == big[:length]
 
 
 def test_word_identities_rejects_small_n():
@@ -170,10 +190,10 @@ def test_length_cap_guard(monkeypatch):
     with pytest.raises(CapExceededError):
         fixed_point_prefix(1, 101)
     with pytest.raises(CapExceededError):
-        Word("01") * 51
+        substitute(1, fixed_point_prefix(1, 100))
     with pytest.raises(CapExceededError):
         word_identities(1, 9)
-    assert fixed_point_prefix(1, 100).to_string().startswith("01001")
+    assert to_string(fixed_point_prefix(1, 100)).startswith("01001")
 
 
 def test_length_cap_checked_before_building(monkeypatch):
@@ -189,5 +209,4 @@ def test_length_cap_checked_before_building(monkeypatch):
 @pytest.mark.parametrize("alphabet", range(2, 11))
 def test_to_string_matches_per_symbol_digits(alphabet):
     sym = bytes(range(alphabet - 1, -1, -1)) * 5 + bytes(range(alphabet)) * 5
-    w = GeneralWord(sym, alphabet_size=alphabet)
-    assert w.to_string() == "".join(str(c) for c in sym)
+    assert to_string(sym) == "".join(str(c) for c in sym)
