@@ -72,18 +72,24 @@ def test_shift_product_missing_block():
         shift_product(_word("0011"), {(0, 0): 0, (0, 1): 1, (1, 0): 2})
 
 
-def test_affine_identity_certified_tight():
+def test_affine_decompose_constant_coding():
     # The constant coding collapses the product: a0 = a1 = 0.
-    constant = {(x, y): 5 for x in (0, 1) for y in (0, 1)}
-    codings = [(default_pair_coding(), (2, 1, 0)), (constant, (0, 0, 5))]
+    coding = {(x, y): 5 for x in (0, 1) for y in (0, 1)}
+    for b in (2, 3):
+        rep = value_affine_relation(fixed_point_prefix(2, 201), coding, b, 200)
+        assert (rep.a0, rep.a1, rep.a2) == (0, 0, 5)
+        assert rep.consistent
+        assert rep.gap_bound < Fraction(1, 2**195)
+
+
+def test_affine_identity_certified_tight():
     for k in (1, 2):
         for b in (2, 3):
             u = fixed_point_prefix(k, 201)
-            for coding, coefficients in codings:
-                rep = value_affine_relation(u, coding, b, 200)
-                assert rep.consistent
-                assert rep.gap_bound < Fraction(1, 2**195)
-                assert (rep.a0, rep.a1, rep.a2) == coefficients
+            rep = value_affine_relation(u, default_pair_coding(), b, 200)
+            assert rep.consistent
+            assert rep.gap_bound < Fraction(1, 2**195)
+            assert (rep.a0, rep.a1, rep.a2) == (2, 1, 0)
 
 
 def test_value_relation_sets_free_coefficients_to_zero():
