@@ -38,12 +38,10 @@ _EXPORTS = {
         ),
         "errors": (
             "CapExceededError",
-            "DegenerateSystemError",
             "IndecisiveEnclosureError",
             "InsufficientPrecisionError",
             "MissingCodingError",
             "NonSturmianError",
-            "NonSturmianWarning",
         ),
         "exponent": (
             "ContinuedFraction",
@@ -58,7 +56,6 @@ _EXPORTS = {
         ),
         "numeration": (
             "Basis",
-            "basis_value",
             "from_digits",
             "get_basis",
             "is_regular",

@@ -11,7 +11,6 @@ import importlib.util
 import itertools
 import math
 import sys
-import warnings
 from types import ModuleType
 from typing import NamedTuple, Sequence
 
@@ -275,9 +274,7 @@ def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
 
 def _check_blocks(k: int, order: int, imax: int) -> tuple[bool, str]:
     prefix = fixed_point_prefix(k, imax)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        count, _table = transforms.block_determinism(prefix, order)
+    count, _table = transforms.block_determinism(prefix, order)
     ok = count == order + 2
     return ok, f"blocks={count};expected={order + 2}"
 
@@ -420,8 +417,8 @@ def cmd_exponent(args) -> int:
         )
     if _span(n_values) < 2:
         raise UsageError("--n must span at least two indices, e.g. 30..40")
-    target = exponent.closed_form_exponent(args.k)
     est = exponent.exponent_sandwich(args.k, n_values[0], n_values[-1])
+    target = est.target
     cf = None
     if args.digits is not None:
         cf = exponent.empirical_exponent(args.k, args.b, args.digits)

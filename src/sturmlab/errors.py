@@ -1,4 +1,4 @@
-"""Typed errors and warnings shared across the toolkit."""
+"""Typed errors shared across the toolkit."""
 
 
 class CapExceededError(RuntimeError):
@@ -13,17 +13,9 @@ class InsufficientPrecisionError(RuntimeError):
     """Too few trustworthy continued-fraction convergents survive the truncation filter."""
 
 
-class DegenerateSystemError(RuntimeError):
-    """The observed blocks yield a singular linear system."""
-
-
 class NonSturmianError(ValueError):
     """The word does not show the factor structure the operation requires."""
 
 
 class MissingCodingError(KeyError):
     """A length-2 block occurs in the word but has no code in the supplied coding."""
-
-
-class NonSturmianWarning(UserWarning):
-    """A block count differs from what a Sturmian input would produce."""

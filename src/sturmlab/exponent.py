@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .approximants import fixed_point_series
+from .approximants import _require_base, fixed_point_series
 from .errors import InsufficientPrecisionError
 from .numeration import get_basis
 
@@ -167,8 +167,7 @@ def empirical_exponent(k: int, b: int, digits: int) -> float:
     stops at the first convergent past that bound.  The earliest convergents
     carry no asymptotic signal and are excluded.
     """
-    if b < 2:
-        raise ValueError("base must be >= 2")
+    _require_base(b)
     if digits < 40:
         raise ValueError("digits must be >= 40")
     x = fixed_point_series(k, b, digits).value

@@ -89,11 +89,6 @@ def get_basis(k: int) -> Basis:
     return b
 
 
-def basis_value(k: int, n: int) -> int:
-    """f_n for the parameter k."""
-    return get_basis(k).value(n)
-
-
 def is_regular(k: int, digits: Sequence[int]) -> bool:
     """True when digits lie in 0..k and a digit k has a 0 below it."""
     below = 0

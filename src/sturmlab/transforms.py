@@ -11,33 +11,40 @@ from __future__ import annotations
 
 import struct
 import sys
-import warnings
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .approximants import DEPTH_CAP, SeriesTruncation, series_truncation, word_value
+from .approximants import (
+    DEPTH_CAP,
+    SeriesTruncation,
+    _require_base,
+    series_truncation,
+    word_value,
+)
 from .errors import (
     CapExceededError,
-    DegenerateSystemError,
     IndecisiveEnclosureError,
     MissingCodingError,
     NonSturmianError,
-    NonSturmianWarning,
 )
-from .words import fixed_point_prefix
+from .words import distinct_factors, fixed_point_prefix
 
 PairCoding = dict[tuple[int, int], int]
 
 
-def difference(u: bytes, order: int = 1) -> bytes:
-    """Iterated adjacent difference mod 2; order 0 returns the word unchanged."""
+def _require_difference_args(u: bytes, order: int) -> None:
     if order < 0:
         raise ValueError("order must be >= 0")
     if order >= len(u):
         raise ValueError("order must be smaller than the word length")
     if max(u, default=0) > 1:
         raise ValueError("difference is defined on binary words")
+
+
+def difference(u: bytes, order: int = 1) -> bytes:
+    """Iterated adjacent difference mod 2; order 0 returns the word unchanged."""
+    _require_difference_args(u, order)
     # Symbols are 0/1 bytes, so one XOR of the big-endian integers of the word
     # and its shift takes every adjacent difference at once, with no carries.
     for _ in range(order):
@@ -54,12 +61,7 @@ def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     so each output symbol is an XOR over that fixed index mask.  Serves as an
     independent oracle for :func:`difference`.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order >= len(u):
-        raise ValueError("order must be smaller than the word length")
-    if max(u, default=0) > 1:
-        raise ValueError("difference is defined on binary words")
+    _require_difference_args(u, order)
     mask = [j for j in range(order + 1) if (j & order) == j]
     out = bytearray(len(u) - order)
     for i in range(len(out)):
@@ -81,8 +83,9 @@ def shift_product(u: bytes, coding: PairCoding | None = None) -> bytes:
         raise ValueError("word must have length >= 2")
     if coding is None:
         coding = default_pair_coding()
-    if any(code < 0 for code in coding.values()):
-        raise ValueError("codes must be non-negative integers")
+    # One byte per symbol: a code must fit in a byte.
+    if not all(isinstance(code, int) and 0 <= code <= 255 for code in coding.values()):
+        raise ValueError("codes must be integers in 0..255")
     out = bytearray(len(u) - 1)
     try:
         for i in range(len(out)):
@@ -92,26 +95,18 @@ def shift_product(u: bytes, coding: PairCoding | None = None) -> bytes:
     return bytes(out)
 
 
-def _observed_blocks(u: bytes) -> tuple[tuple[int, int], ...]:
-    if len(u) < 2:
-        raise ValueError("need at least two symbols to observe blocks")
-    return tuple(sorted({(u[i], u[i + 1]) for i in range(len(u) - 1)}))
-
-
 def _affine_solution(
-    blocks: tuple[tuple[int, int], ...], coding: PairCoding
+    blocks: list[tuple[int, int]], coding: PairCoding
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Solve a0*x + a1*y + a2 = code(x, y) over the given blocks.
+    """Solve a0*x + a1*y + a2 = code(x, y) over the given blocks, all coded.
 
     Underdetermined systems (fewer than three blocks) set the free
     coefficients to zero; four blocks must already be affinely consistent.
     """
-    rows = []
-    for block in blocks:
-        if block not in coding:
-            raise MissingCodingError(f"no code for block {block}")
-        x, y = block
-        rows.append((Fraction(x), Fraction(y), Fraction(1), Fraction(coding[block])))
+    rows = [
+        (Fraction(x), Fraction(y), Fraction(1), Fraction(coding[x, y]))
+        for x, y in blocks
+    ]
     # Gaussian elimination over columns (a0, a1, a2); free columns stay zero.
     solution = [Fraction(0), Fraction(0), Fraction(0)]
     pivots: list[tuple[int, list[Fraction]]] = []
@@ -142,7 +137,7 @@ def _affine_solution(
         solution[col] = acc
     for x, y, _one, code in rows:
         if solution[0] * x + solution[1] * y + solution[2] != code:
-            raise DegenerateSystemError("affine solve failed to reproduce a code")
+            raise AssertionError("affine solve failed to reproduce a code")
     return solution[0], solution[1], solution[2]
 
 
@@ -172,16 +167,15 @@ def value_affine_relation(
     u: bytes, coding: PairCoding, b: int, depth: int
 ) -> ValueRelationReport:
     """Check the affine law tying the coded pair sequence's value to u's value."""
-    if b < 2:
-        raise ValueError("base must be >= 2")
+    _require_base(b)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if len(u) < depth + 1:
         raise ValueError("word must supply depth + 1 symbols")
     head = u[: depth + 1]
-    blocks = _observed_blocks(head)
+    v = shift_product(head, coding)  # refuses any observed block without a code
+    blocks = sorted(tuple(f) for f in distinct_factors(head, 2))
     a0, a1, a2 = _affine_solution(blocks, coding)
-    v = shift_product(head, coding)
     # Truncations: u cut at `depth` symbols, v naturally has `depth` symbols.
     su = series_truncation(head[:depth], b, digit_cap=1)
     sv = series_truncation(v, b, digit_cap=max(coding.values()))
@@ -259,15 +253,11 @@ def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
     mask evaluation, an XOR of shifted copies of the whole word, must equal
     the iterated operator at every position; the table is then rebuilt from
     the distinct (block, difference) pairs, and no block may force two
-    values.  A Sturmian word shows exactly order+2 blocks (warned otherwise,
-    not raised).
+    values.  A Sturmian word shows exactly order+2 blocks; the caller
+    judges the returned count.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if len(u) <= order:
-        raise ValueError("prefix must be longer than the order")
-    if max(u) > 1:
-        raise ValueError("block determinism is defined on binary words")
     diff = difference(u, order)
     width = order + 1
     positions = len(u) - order
@@ -285,14 +275,7 @@ def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
     for block, value in sorted(_lane_pairs(u, diff, order)):
         if table.setdefault(block, value) != value:
             raise RuntimeError("one block produced two different difference values")
-    count = len(table)
-    if count != order + 2:
-        warnings.warn(
-            f"found {count} blocks of length {order + 1}, not {order + 2}",
-            NonSturmianWarning,
-            stacklevel=2,
-        )
-    return count, table
+    return len(table), table
 
 
 def floor_golden(n: int) -> int:
@@ -326,8 +309,7 @@ class RotationSumReport(NamedTuple):
 
 def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
     """Decide which affine pair matches the golden power sum, by enclosures."""
-    if b < 2:
-        raise ValueError("base must be >= 2")
+    _require_base(b)
     if depth < 50:
         raise ValueError("depth must be >= 50")
     if depth > DEPTH_CAP:

@@ -33,7 +33,7 @@ from sturmlab import (
     word_identities,
 )
 from sturmlab.approximants import approximant
-from sturmlab.numeration import basis_value
+from sturmlab.numeration import get_basis
 from sturmlab.transforms import block_determinism
 
 
@@ -106,8 +106,8 @@ def test_criterion_04_mismatch_law():
     ok = True
     for k in (1, 2, 3):
         for n in range(0, 13):
-            fn = basis_value(k, n)
-            edge = basis_value(k, n + 1) - 2
+            fn = get_basis(k).value(n)
+            edge = get_basis(k).value(n + 1) - 2
             sym = fixed_point_prefix(k, 10000 + fn)
             first = None
             for i in range(10000):

@@ -11,7 +11,7 @@ from sturmlab import (
     to_digits,
 )
 from sturmlab.access import _mismatch_offsets
-from sturmlab.numeration import basis_value, from_digits
+from sturmlab.numeration import from_digits, get_basis
 
 
 def test_symbol_at_known_prefix():
@@ -51,7 +51,7 @@ def test_mismatch_against_direct_comparison():
     # a scanned i are shorter than the patterns and are compared zero-padded.
     for k in (1, 2, 3, 4):
         for n in range(0, 13):
-            fn = basis_value(k, n)
+            fn = get_basis(k).value(n)
             prefix = fixed_point_prefix(k, 4000 + fn)
             for i in range(4000):
                 direct = prefix[i + fn] - prefix[i]
@@ -68,7 +68,7 @@ def test_mismatch_against_symbol_at_large_indices():
     for k in (1, 2, 3, 4):
         rng = random.Random(7700 + k)
         for n in range(0, 21):
-            fn = basis_value(k, n)
+            fn = get_basis(k).value(n)
             indices = [rng.randrange(10**12) for _ in range(300)]
             indices += mismatch_positions(k, n, 4000)
             for i in indices:
@@ -99,11 +99,11 @@ def test_mismatch_offsets_match_per_index_digitisation():
     cases = []
     for k in (1, 2, 3, 4, 7):
         for n in range(0, 9):
-            fn1, fn2 = basis_value(k, n + 1), basis_value(k, n + 2)
+            fn1, fn2 = get_basis(k).value(n + 1), get_basis(k).value(n + 2)
             for cutoff in (-5, -1, 0, 1, 2, fn1 - 1, fn1, fn2 + fn1 + 4, 3000):
                 cases.append((k, n, cutoff))
     cases += [(1, 20, 6_000_000), (2, 12, 10**7), (3, 10, 5_000_001)]
-    cases += [(1, 40, basis_value(1, 42) + basis_value(1, 41) + 4)]
+    cases += [(1, 40, get_basis(1).value(42) + get_basis(1).value(41) + 4)]
     for k, n, cutoff in cases:
         assert _mismatch_offsets(k, n, cutoff) == _offsets_per_index(k, n, cutoff), (k, n, cutoff)
 
@@ -112,7 +112,7 @@ def test_mismatch_guard_cases_k1():
     """k=1 shifts by f_0=1 and f_1=2 need the extra digit guard; spot-check them."""
     prefix = fixed_point_prefix(1, 500)
     for n in (0, 1):
-        fn = basis_value(1, n)
+        fn = get_basis(1).value(n)
         for i in range(400):
             direct = prefix[i + fn] - prefix[i]
             v = mismatch(1, i, n)
@@ -123,7 +123,7 @@ def test_first_mismatch_at_window_edge():
     """No mismatch may occur at shifts f_n until position f_{n+1} - 2."""
     for k in (1, 2, 3):
         for n in range(0, 8):
-            edge = basis_value(k, n + 1) - 2
+            edge = get_basis(k).value(n + 1) - 2
             positions = mismatch_positions(k, n, edge + 2)
             assert positions[0] == edge, (k, n, positions[:3])
 
@@ -137,7 +137,7 @@ def test_mismatch_sign_alternates_with_parity():
     """At the first mismatch the sign is +1 for even n, -1 for odd n."""
     for k in (1, 2):
         for n in range(0, 10):
-            edge = basis_value(k, n + 1) - 2
+            edge = get_basis(k).value(n + 1) - 2
             v = mismatch(k, edge, n)
             assert v.differs
             assert v.sign == (1 if n % 2 == 0 else -1)

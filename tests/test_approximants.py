@@ -21,7 +21,7 @@ from sturmlab import (
     word_value,
 )
 from sturmlab.approximants import _law_settles, _power_sum_sign
-from sturmlab.numeration import basis_value
+from sturmlab.numeration import get_basis
 
 
 def _word(digits: str) -> bytes:
@@ -102,8 +102,8 @@ def test_series_truncation_brackets_limit():
 
 def test_default_depth():
     # f_{n+2} + 4 f_n
-    assert default_depth(1, 2) == basis_value(1, 4) + 4 * basis_value(1, 2)
-    assert default_depth(2, 3) == basis_value(2, 5) + 4 * basis_value(2, 3)
+    assert default_depth(1, 2) == get_basis(1).value(4) + 4 * get_basis(1).value(2)
+    assert default_depth(2, 3) == get_basis(2).value(5) + 4 * get_basis(2).value(3)
 
 
 def test_worked_instance():
@@ -125,7 +125,7 @@ def test_numerator_denominator():
     rec = approximant(1, 2, 2)
     assert (rec.p, rec.q) == (4, 7)
     # q = b^{f_n} - 1 always.
-    assert approximant(2, 3, 10).q == 10 ** basis_value(2, 3) - 1
+    assert approximant(2, 3, 10).q == 10 ** get_basis(2).value(3) - 1
 
 
 def test_enclosure_brackets_true_difference():
@@ -175,7 +175,7 @@ def test_scaled_route_agrees_with_dense():
 def test_dense_route_matches_fraction_arithmetic(k, b):
     """Integer decisions and lazily built values equal plain Fraction arithmetic."""
     for n in range(0, 5):
-        fn, fn1 = basis_value(k, n), basis_value(k, n + 1)
+        fn, fn1 = get_basis(k).value(n), get_basis(k).value(n + 1)
         depth = default_depth(k, n)
         symbols = fixed_point_prefix(k, depth)
         w = 0
@@ -287,7 +287,7 @@ def _exact_grid():
     for k in range(1, 9):
         for b in (2, 3, 4, 10, 2**40):
             for n in range(0, 13):
-                fn, fn1 = basis_value(k, n), basis_value(k, n + 1)
+                fn, fn1 = get_basis(k).value(n), get_basis(k).value(n + 1)
                 if fn * fn1 * b.bit_length() <= 2 * 10**6:
                     yield k, b, n, fn, fn1
 

@@ -131,6 +131,19 @@ def test_verify_fail_row_forces_exit_one(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_verify_blocks_fail_rows_exit_one(capsys):
+    # A 12-symbol prefix shows too few blocks at the higher orders.
+    code, out, err = run(capsys, "verify", "--lemma", "blocks", "--k", "1..2",
+                         "--n", "1..8", "--imax", "12")
+    rows = out.splitlines()[1:]
+    assert code == 1 and err == ""
+    assert len(rows) == 16
+    assert sum(row.split("\t")[4] == "FAIL" for row in rows) == 7
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "2b046b24483ea40f11b97b1787c0f2b58303044574441f0f87cfe80806c2c580", 636)
+
+
 @pytest.mark.parametrize("config", [[1], ["lemma1"], [{"lemma": "lemma1"}, None]],
                          ids=["int", "string", "null"])
 def test_verify_json_entry_must_be_object(config, tmp_path, capsys):

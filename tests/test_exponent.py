@@ -15,7 +15,7 @@ from sturmlab import (
     ratio_limit_enclosure,
 )
 from sturmlab.exponent import big_log2
-from sturmlab.numeration import basis_value
+from sturmlab.numeration import get_basis
 
 
 def test_closed_form_values():
@@ -26,7 +26,7 @@ def test_closed_form_values():
 
 def test_basis_ratio():
     assert basis_ratio(1, 5) == Fraction(21, 13)
-    assert basis_ratio(2, 3) == Fraction(basis_value(2, 4), basis_value(2, 3))
+    assert basis_ratio(2, 3) == Fraction(get_basis(2).value(4), get_basis(2).value(3))
 
 
 def test_ratio_limit_enclosure():

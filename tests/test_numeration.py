@@ -4,7 +4,6 @@ import random
 import pytest
 
 from sturmlab import (
-    basis_value,
     from_digits,
     get_basis,
     is_regular,
@@ -19,20 +18,21 @@ from sturmlab.numeration import _digit_and_low, regular_vectors
 
 def test_basis_seeds_and_recurrence():
     # f_{-2} = 1 - k, f_{-1} = 1, f_0 = 1, then f_{n+2} = k f_{n+1} + f_n.
-    assert basis_value(1, -2) == 0
-    assert basis_value(3, -2) == -2
+    assert get_basis(1).value(-2) == 0
+    assert get_basis(3).value(-2) == -2
     for k in (1, 2, 3, 4):
-        assert basis_value(k, -1) == 1
-        assert basis_value(k, 0) == 1
-        assert basis_value(k, 1) == k + 1
+        f = get_basis(k).value
+        assert f(-1) == 1
+        assert f(0) == 1
+        assert f(1) == k + 1
         for n in range(0, 20):
-            assert basis_value(k, n + 2) == k * basis_value(k, n + 1) + basis_value(k, n)
+            assert f(n + 2) == k * f(n + 1) + f(n)
 
 
 def test_basis_known_rows():
-    assert [basis_value(1, n) for n in range(8)] == [1, 2, 3, 5, 8, 13, 21, 34]
-    assert [basis_value(2, n) for n in range(7)] == [1, 3, 7, 17, 41, 99, 239]
-    assert [basis_value(3, n) for n in range(6)] == [1, 4, 13, 43, 142, 469]
+    assert [get_basis(1).value(n) for n in range(8)] == [1, 2, 3, 5, 8, 13, 21, 34]
+    assert [get_basis(2).value(n) for n in range(7)] == [1, 3, 7, 17, 41, 99, 239]
+    assert [get_basis(3).value(n) for n in range(6)] == [1, 4, 13, 43, 142, 469]
 
 
 def test_largest_index_leq():
@@ -187,7 +187,7 @@ def test_regular_vectors_matches_to_digits_and_recursive_walk(k):
     Bounds sit on and just past basis values f_j (j <= 12, up to 60,000),
     where the walk gains a position, and at the small edges 1, 2, k+1, k+2.
     """
-    fs = [basis_value(k, j) for j in range(13)]
+    fs = [get_basis(k).value(j) for j in range(13)]
     bounds = {1, 2, k + 1, k + 2, 20000}
     bounds |= {b for f in fs if f <= 60000 for b in (f, f + 1)}
     reference = [(n, to_digits(k, n)) for n in range(max(bounds))]
@@ -227,13 +227,13 @@ def test_from_digits_matches_weighted_sum(k):
         for _ in range(200)
     ]
     for raw in cases:
-        expected = sum(x * basis_value(k, i) for i, x in enumerate(raw))
+        expected = sum(x * get_basis(k).value(i) for i, x in enumerate(raw))
         assert from_digits(k, raw) == expected, raw
         assert from_digits(k, tuple(raw)) == expected, raw
         assert from_digits(k, iter(raw)) == expected, raw
     for n in (0, 1, k, 10**6, 10**30):
         d = to_digits(k, n)
-        assert from_digits(k, d) == sum(x * basis_value(k, i) for i, x in enumerate(d))
+        assert from_digits(k, d) == sum(x * get_basis(k).value(i) for i, x in enumerate(d))
 
 
 def test_normalize_identity_on_regular():

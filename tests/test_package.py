@@ -18,12 +18,12 @@ SRC = str(Path(sturmlab.__file__).resolve().parents[1])
 
 PUBLIC = [
     "ApproximantRecord", "Basis", "BoundsCheck",
-    "CapExceededError", "ContinuedFraction", "DegenerateSystemError",
+    "CapExceededError", "ContinuedFraction",
     "ExponentEstimate", "IndecisiveEnclosureError",
     "InsufficientPrecisionError", "MismatchVerdict", "MissingCodingError",
-    "NonSturmianError", "NonSturmianWarning", "RotationSumReport",
+    "NonSturmianError", "RotationSumReport",
     "SeriesTruncation", "ValueRelationReport",
-    "approximant", "basis_ratio", "basis_value", "block_determinism",
+    "approximant", "basis_ratio", "block_determinism",
     "bound_constants_hold", "check_error_bounds", "check_error_bounds_auto",
     "closed_form_exponent", "continued_fraction", "default_depth",
     "default_pair_coding", "difference", "difference_by_binomial",

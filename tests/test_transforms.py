@@ -9,7 +9,6 @@ from sturmlab import (
     IndecisiveEnclosureError,
     MissingCodingError,
     NonSturmianError,
-    NonSturmianWarning,
     block_determinism,
     default_pair_coding,
     difference,
@@ -72,6 +71,15 @@ def test_shift_product_missing_block():
         shift_product(_word("0011"), {(0, 0): 0, (0, 1): 1, (1, 0): 2})
 
 
+@pytest.mark.parametrize("code", [-1, 256, 1.5])
+def test_shift_product_refuses_codes_outside_a_byte(code):
+    coding = {**default_pair_coding(), (0, 1): code}
+    with pytest.raises(ValueError, match=r"codes must be integers in 0\.\.255"):
+        shift_product(_word("0110"), coding)
+    with pytest.raises(ValueError, match=r"codes must be integers in 0\.\.255"):
+        value_affine_relation(fixed_point_prefix(1, 50), coding, 2, 10)
+
+
 def test_affine_decompose_constant_coding():
     # The constant coding collapses the product: a0 = a1 = 0.
     coding = {(x, y): 5 for x in (0, 1) for y in (0, 1)}
@@ -127,6 +135,9 @@ def test_value_relation_validates():
         value_affine_relation(u, default_pair_coding(), 2, 0)
     with pytest.raises(ValueError):
         value_affine_relation(u, default_pair_coding(), 2, 50)
+    # The block 10 occurs in u but has no code.
+    with pytest.raises(MissingCodingError):
+        value_affine_relation(u, {(0, 0): 0, (0, 1): 1}, 2, 10)
 
 
 def test_block_determinism_counts():
@@ -140,9 +151,11 @@ def test_block_determinism_counts():
 
 
 def test_block_determinism_warns_on_short_prefix():
-    # An all-zero word has a single block, far from order + 2.
-    with pytest.warns(NonSturmianWarning):
-        count, _ = block_determinism(_word("0" * 50), 2)
+    # An all-zero word has a single block, far from order + 2: the returned
+    # count says so, and nothing is warned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        count, _ = block_determinism(bytes(50), 2)
     assert count == 1
 
 
@@ -182,9 +195,7 @@ def test_whole_word_transforms_match_per_position(order):
         table_here: dict[bytes, int] = {}
         for i, value in enumerate(expected):
             assert table_here.setdefault(sym[i : i + order + 1], value) == value
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            count, table = block_determinism(sym, order)
+        count, table = block_determinism(sym, order)
         assert count == len(table_here)
         assert table == table_here
 
@@ -241,9 +252,7 @@ def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
         random_lengths = short + edges
     words += [bytes(rng.getrandbits(1) for _ in range(n)) for n in random_lengths]
     for sym in words:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            count, table = block_determinism(sym, order)
+        count, table = block_determinism(sym, order)
         expected = _sliced_block_table(sym, order)
         assert count == len(expected), (order, len(sym))
         assert list(table.items()) == list(expected.items())

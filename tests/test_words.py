@@ -15,7 +15,7 @@ from sturmlab import (
     word_identities,
 )
 from sturmlab import words
-from sturmlab.numeration import basis_value
+from sturmlab.numeration import get_basis
 
 
 def _word(digits: str) -> bytes:
@@ -83,7 +83,7 @@ def test_iterates_start_with_previous():
 def test_iterate_lengths_follow_basis():
     for k in (1, 2, 3, 4):
         for n in range(0, 12):
-            assert len(iterate_word(k, n)) == basis_value(k, n)
+            assert len(iterate_word(k, n)) == get_basis(k).value(n)
 
 
 def test_iterate_matches_substitution():
@@ -156,7 +156,7 @@ def test_fixed_point_prefix_cuts_the_iterate():
     for k in (1, 2, 3, 4):
         big = iterate_word(k, 9)
         for n in range(1, 7):
-            fn = basis_value(k, n)
+            fn = get_basis(k).value(n)
             for length in (fn - 1, fn, fn + 1, 2 * fn + 3, k * fn, k * fn + 1):
                 assert fixed_point_prefix(k, length) == big[:length]
 
