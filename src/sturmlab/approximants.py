@@ -79,34 +79,36 @@ def word_value(w: bytes, b: int) -> int:
 
 
 class SeriesTruncation(NamedTuple):
-    """A truncated digit series sum with a worst-case bound on the cut tail."""
+    """Exact enclosure [lo/den, hi/den] of a digit series cut after ``depth`` symbols.
+
+    ``den`` is (b-1) * b^(depth-1), so ``lo`` is (b-1) times the word's value
+    read as base-b digits, and ``hi - lo`` is the digit cap.
+    """
 
     b: int
     depth: int
-    value: Fraction
-    tail_bound: Fraction
-
-    @property
-    def upper(self) -> Fraction:
-        return self.value + self.tail_bound
+    lo: int
+    hi: int
+    den: int
 
 
 def series_truncation(w: bytes, b: int, digit_cap: int) -> SeriesTruncation:
-    """Sum symbol_i * b^(-i) over ``w`` plus a tail bound for what was cut.
+    """Enclose the series sum of symbol_i * b^(-i), i >= 0, over extensions of ``w``.
 
-    The true series of any extension of ``w`` by symbols <= digit_cap lies in
-    [value, value + tail_bound].
+    The series of every extension of the non-empty word ``w`` by symbols
+    <= digit_cap lies in [lo/den, hi/den]: the cut tail sums to at most
+    digit_cap * b^(-depth) * b/(b-1) = digit_cap/den.
     """
     _require_base(b)
     if digit_cap < 0:
         raise ValueError("digit cap must be >= 0")
+    if not w:
+        raise ValueError("word must be non-empty")
     depth = len(w)
-    if depth == 0:
-        value = Fraction(0)
-    else:
-        value = Fraction(word_value(w, b), b ** (depth - 1))
-    tail = Fraction(digit_cap * b, b - 1) / b**depth
-    return SeriesTruncation(b=b, depth=depth, value=value, tail_bound=tail)
+    lo = (b - 1) * word_value(w, b)
+    return SeriesTruncation(
+        b=b, depth=depth, lo=lo, hi=lo + digit_cap, den=(b - 1) * b ** (depth - 1)
+    )
 
 
 def fixed_point_series(k: int, b: int, depth: int) -> SeriesTruncation:
@@ -147,10 +149,9 @@ class ApproximantRecord(NamedTuple):
 def approximant(k: int, n: int, b: int, depth: int | None = None) -> ApproximantRecord:
     """Build the level-n approximant and certify the sign of x - p/q.
 
-    With W the depth-prefix value, x lies in [W / b^(depth-1), that plus
-    1 / ((b-1) * b^(depth-1))], so over the denominator (b-1) * b^(depth-1) * q
-    the enclosure of x - p/q has the integer numerators
-    N_lo = (b-1) * (W*q - p * b^(depth-1)) and N_hi = N_lo + q.
+    The ``series_truncation`` of the depth-prefix encloses x in [lo/den,
+    hi/den], so over the denominator den * q the enclosure of x - p/q has the
+    integer numerators N_lo = lo*q - p*den and N_hi = N_lo + (hi - lo)*q.
     """
     _require_base(b)
     if n < 0:
@@ -167,10 +168,11 @@ def approximant(k: int, n: int, b: int, depth: int | None = None) -> Approximant
     if depth < fn + 1:
         raise ValueError("depth must exceed the prefix length f_n")
     prefix = fixed_point_prefix(k, depth)
+    x = series_truncation(prefix, b, digit_cap=1)
     p = b * word_value(prefix[:fn], b)
     q = b**fn - 1
-    lo = (b - 1) * (word_value(prefix, b) * q - p * b ** (depth - 1))
-    hi = lo + q
+    lo = x.lo * q - p * x.den
+    hi = lo + (x.hi - x.lo) * q
     if lo > 0:
         sign, num_lo, num_hi = 1, lo, hi
     elif hi < 0:

@@ -410,6 +410,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exponent(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     n_values = parse_range(args.n)
     if n_values[-1] * args.k.bit_length() > SANDWICH_CAP:
         raise CapExceededError(

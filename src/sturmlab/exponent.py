@@ -170,12 +170,12 @@ def empirical_exponent(k: int, b: int, digits: int) -> float:
     _require_base(b)
     if digits < 40:
         raise ValueError("digits must be >= 40")
-    x = fixed_point_series(k, b, digits).value
+    x = fixed_point_series(k, b, digits)
     precision = b**digits
     head_floor = b ** max(2, digits // 20)
     ratios: list[float] = []
     prev = last = None
-    for _, p, q in _convergents(x.numerator, x.denominator, 4 * digits):
+    for _, p, q in _convergents(x.lo, x.den, 4 * digits):
         prev, last = last, (p, q)
         if prev is None:
             continue

@@ -19,8 +19,8 @@ from .approximants import (
     DEPTH_CAP,
     SeriesTruncation,
     _require_base,
+    fixed_point_series,
     series_truncation,
-    word_value,
 )
 from .errors import (
     CapExceededError,
@@ -28,7 +28,7 @@ from .errors import (
     MissingCodingError,
     NonSturmianError,
 )
-from .words import distinct_factors, fixed_point_prefix
+from .words import distinct_factors
 
 PairCoding = dict[tuple[int, int], int]
 
@@ -148,7 +148,7 @@ class ValueRelationReport(NamedTuple):
     is V(v) = a0*V(u) + a1*b*(V(u) - u_0) + a2*b/(b-1) for v the coded pair
     sequence of u; with finite truncations both sides become intervals, and
     ``consistent`` says they can still be equal.  ``gap_bound`` bounds the
-    true two-sided difference regardless.
+    true two-sided difference regardless.  ``left`` is v's enclosure.
     """
 
     a0: Fraction
@@ -157,8 +157,6 @@ class ValueRelationReport(NamedTuple):
     b: int
     depth: int
     left: SeriesTruncation
-    residual: Fraction
-    allowance: tuple[Fraction, Fraction]
     gap_bound: Fraction
     consistent: bool
 
@@ -170,27 +168,30 @@ def value_affine_relation(
     _require_base(b)
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if depth > DEPTH_CAP:
+        raise CapExceededError(f"depth {depth} exceeds cap {DEPTH_CAP}")
     if len(u) < depth + 1:
         raise ValueError("word must supply depth + 1 symbols")
     head = u[: depth + 1]
     v = shift_product(head, coding)  # refuses any observed block without a code
     blocks = sorted(tuple(f) for f in distinct_factors(head, 2))
     a0, a1, a2 = _affine_solution(blocks, coding)
-    # Truncations: u cut at `depth` symbols, v naturally has `depth` symbols.
+    # Truncations: u cut at `depth` symbols, v naturally has `depth` symbols,
+    # so both enclosures share one denominator.  Everything below is scaled
+    # by it; only a0..a2 carry (small) denominators.
     su = series_truncation(head[:depth], b, digit_cap=1)
     sv = series_truncation(v, b, digit_cap=max(coding.values()))
-    u0 = head[0]
-    r0 = a0 * su.value + a1 * b * (su.value - u0) + a2 * Fraction(b, b - 1)
+    den = su.den
     c = a0 + a1 * b
-    c_tail = c * su.tail_bound
-    residual = sv.value - r0
-    allow_lo = min(Fraction(0), c_tail) - sv.tail_bound
-    allow_hi = max(Fraction(0), c_tail)
-    gap_bound = abs(residual) + sv.tail_bound + abs(c_tail)
+    # den * (a0*V + a1*b*(V - u_0) + a2*b/(b-1)) at V = su.lo/den.
+    r0 = c * su.lo - a1 * b * head[0] * den + a2 * b**depth
+    c_tail = c * (su.hi - su.lo)
+    v_tail = sv.hi - sv.lo
+    residual = sv.lo - r0
     return ValueRelationReport(
         a0=a0, a1=a1, a2=a2, b=b, depth=depth, left=sv,
-        residual=residual, allowance=(allow_lo, allow_hi),
-        gap_bound=gap_bound, consistent=allow_lo <= residual <= allow_hi,
+        gap_bound=Fraction(abs(residual) + v_tail + abs(c_tail), den),
+        consistent=min(0, c_tail) - v_tail <= residual <= max(0, c_tail),
     )
 
 
@@ -291,14 +292,14 @@ class RotationSumReport(NamedTuple):
     The sum is (b-1) * sum over n >= 1 of b^(-floor(n*golden)); candidates
     express it as c1 * V + c2 with V the k=1 fixed-point value.  Exactly one
     candidate must survive the interval test for the run to be decisive.
+    ``marks`` encloses the series of the 0/1 word marking each exponent,
+    so the sum lies in (b-1) times it; ``value`` encloses V.
     """
 
     b: int
     depth: int
-    sum_lo: Fraction
-    sum_hi: Fraction
-    value_lo: Fraction
-    value_hi: Fraction
+    marks: SeriesTruncation
+    value: SeriesTruncation
     direct_pair: tuple[Fraction, Fraction]
     shifted_pair: tuple[Fraction, Fraction]
     direct_matches: bool
@@ -314,48 +315,40 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
         raise ValueError("depth must be >= 50")
     if depth > DEPTH_CAP:
         raise CapExceededError(f"depth {depth} exceeds cap {DEPTH_CAP}")
-    # Exact truncation of (b-1) * sum b^{-floor(n*golden)} up to exponent `depth`:
-    # the exponents are distinct and >= 1, so sum b^(depth-e) is the value of
-    # the 0/1 word with a 1 at each position e.
+    # The exponents are distinct and >= 1, so sum b^(-e) is the series of the
+    # 0/1 word with a 1 at each position e, cut after position `depth`.
     marks = bytearray(depth + 1)
     n = 1
     while (e := floor_golden(n)) <= depth:
         marks[e] = 1
         n += 1
-    acc = word_value(bytes(marks), b)
-    # Every bound below is an integer numerator over the common denominator
-    # (b-1) * b^depth; only the report's fields become Fractions.
-    denom = (b - 1) * b**depth
-    sum_lo = (b - 1) ** 2 * acc
-    # Cut terms have exponents > depth; they sum below (b-1) * b^-depth / (b-1).
-    sum_hi = sum_lo + (b - 1)
-    # The k=1 value lies in [W / b^(depth-1), that + b / ((b-1) * b^depth)]
-    # for W the value of its depth-prefix, as in fixed_point_series.
-    value_lo = (b - 1) * b * word_value(fixed_point_prefix(1, depth), b)
-    value_hi = value_lo + b
+    marked = series_truncation(bytes(marks), b, digit_cap=1)
+    x = fixed_point_series(1, b, depth)
+    # Over the common denominator marked.den = b * x.den, the sum has the
+    # numerators (b-1) * marked.lo and (b-1) * marked.hi, and V has
+    # b * x.lo and b * x.hi.
+    sum_lo, sum_hi = (b - 1) * marked.lo, (b - 1) * marked.hi
 
-    def match(c1_den: int) -> tuple[bool, int]:
-        # The pair c1 = -(b-1)/c1_den, c2 = 1; c1_den divides b, which divides
-        # both value numerators, so c1 * value stays on the common denominator.
-        lo = denom - (b - 1) * value_hi // c1_den
-        hi = denom - (b - 1) * value_lo // c1_den
+    def match(scale: int) -> tuple[bool, int]:
+        # The pair c1 = -(b-1)*scale/b, c2 = 1, with scale b or 1, so c1 * V
+        # has the numerators -(b-1) * scale * x.hi and -(b-1) * scale * x.lo.
+        lo = marked.den - (b - 1) * scale * x.hi
+        hi = marked.den - (b - 1) * scale * x.lo
         overlaps = lo <= sum_hi and sum_lo <= hi
         bound = max(abs(sum_hi - lo), abs(hi - sum_lo))
         return overlaps, bound
 
-    direct_ok, direct_bound = match(1)
-    shifted_ok, shifted_bound = match(b)
+    direct_ok, direct_bound = match(b)
+    shifted_ok, shifted_bound = match(1)
     if direct_ok == shifted_ok:
         raise IndecisiveEnclosureError(
             "enclosures do not separate the candidate pairs; increase depth"
         )
     return RotationSumReport(
-        b=b, depth=depth,
-        sum_lo=Fraction(sum_lo, denom), sum_hi=Fraction(sum_hi, denom),
-        value_lo=Fraction(value_lo, denom), value_hi=Fraction(value_hi, denom),
+        b=b, depth=depth, marks=marked, value=x,
         direct_pair=(Fraction(-(b - 1)), Fraction(1)),
         shifted_pair=(Fraction(-(b - 1), b), Fraction(1)),
         direct_matches=direct_ok, shifted_matches=shifted_ok,
         matching="direct" if direct_ok else "index_shifted",
-        residual_bound=Fraction(direct_bound if direct_ok else shifted_bound, denom),
+        residual_bound=Fraction(direct_bound if direct_ok else shifted_bound, marked.den),
     )

@@ -18,6 +18,7 @@ from sturmlab import (
     fixed_point_series,
     growth_law_holds,
     scaled_error_bounds_hold,
+    series_truncation,
     word_value,
 )
 from sturmlab.approximants import _law_settles, _power_sum_sign
@@ -94,10 +95,44 @@ def test_word_value_long_words_both_paths(default_str_digit_limit):
 def test_series_truncation_brackets_limit():
     st = fixed_point_series(1, 2, 40)
     # Reference value from a much deeper truncation.
-    ref = fixed_point_series(1, 2, 400).value
-    assert st.value <= ref <= st.value + st.tail_bound
-    assert st.tail_bound == Fraction(2, 2**40)
+    deep = fixed_point_series(1, 2, 400)
+    ref = Fraction(deep.lo, deep.den)
+    assert Fraction(st.lo, st.den) <= ref <= Fraction(st.hi, st.den)
+    assert Fraction(st.hi - st.lo, st.den) == Fraction(2, 2**40)
     assert float(ref) == pytest.approx(0.5803931142774174, abs=1e-15)
+
+
+@pytest.mark.parametrize("digit_cap", [1, 3])
+@pytest.mark.parametrize("b", [2, 3, 10, 2**40])
+def test_series_truncation_encloses_every_extension(b, digit_cap):
+    """Extensions by symbols <= digit_cap land in [lo/den, hi/den]."""
+    w = bytes([digit_cap, 0, 1, digit_cap, 0, 0, 1])
+    st = series_truncation(w, b, digit_cap)
+    assert (st.b, st.depth, st.den) == (b, len(w), (b - 1) * b ** (len(w) - 1))
+
+    def series(word):
+        return sum(Fraction(c, b**i) for i, c in enumerate(word))
+
+    lo, hi = Fraction(st.lo, st.den), Fraction(st.hi, st.den)
+    assert series(w) == lo
+    for m in (1, 5, 40):
+        tails = (bytes(m), bytes([digit_cap]) * m, fixed_point_prefix(1, m))
+        for tail in tails:
+            assert lo <= series(w + tail) <= hi, (m, tail)
+        # The all-cap extension falls short of hi/den by exactly the tail
+        # bound of its own longer truncation.
+        full = series_truncation(w + bytes([digit_cap]) * m, b, digit_cap)
+        assert hi - series(w + bytes([digit_cap]) * m) == Fraction(
+            full.hi - full.lo, full.den)
+
+
+def test_series_truncation_validates():
+    with pytest.raises(ValueError):
+        series_truncation(b"", 2, 1)
+    with pytest.raises(ValueError):
+        series_truncation(b"\x01", 1, 1)
+    with pytest.raises(ValueError):
+        series_truncation(b"\x01", 2, -1)
 
 
 def test_default_depth():
@@ -135,8 +170,9 @@ def test_enclosure_brackets_true_difference():
                 rec = approximant(k, n, b)
                 ref = fixed_point_series(k, b, 600)
                 pq = Fraction(rec.p, rec.q)
-                hi = abs(ref.value - pq) + ref.tail_bound
-                lo = abs(ref.value - pq) - ref.tail_bound
+                tail = Fraction(ref.hi - ref.lo, ref.den)
+                hi = abs(Fraction(ref.lo, ref.den) - pq) + tail
+                lo = abs(Fraction(ref.lo, ref.den) - pq) - tail
                 delta_lo, delta_hi = rec.deltas()
                 assert delta_lo <= hi and lo <= delta_hi
 

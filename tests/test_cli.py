@@ -288,8 +288,21 @@ def test_verify_sba_cap_precedes_power_sum(monkeypatch, capsys):
         raise AssertionError("power sum ran before the cap check")
 
     monkeypatch.setattr(transforms, "floor_golden", summed)
-    monkeypatch.setattr(transforms, "word_value", summed)
+    monkeypatch.setattr(transforms, "series_truncation", summed)
     code, out, err = run(capsys, "verify", "--lemma", "sba", "--b", "2",
+                         "--depth", "1000001")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_verify_affine_cap_precedes_series(monkeypatch, capsys):
+    """A depth past the cap is refused before the word is coded or summed."""
+    def summed(*args):
+        raise AssertionError("series summed before the cap check")
+
+    monkeypatch.setattr(transforms, "shift_product", summed)
+    monkeypatch.setattr(transforms, "series_truncation", summed)
+    code, out, err = run(capsys, "verify", "--lemma", "affine", "--b", "2",
                          "--depth", "1000001")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "cap" in err
@@ -448,10 +461,20 @@ def test_exponent_stdout_pinned(capsys):
 
 
 def test_exponent_tight_tolerance_fails(capsys):
-    code, out, _ = run(capsys, "exponent", "--k", "1", "--b", "2",
-                       "--digits", "600", "--tol", "0.0001")
-    assert code == 1
-    assert json.loads(out)["agrees"] is False
+    for tol in ("0.0001", "0"):  # zero is the tightest tolerance accepted
+        code, out, _ = run(capsys, "exponent", "--k", "1", "--b", "2",
+                           "--digits", "600", "--tol", tol)
+        assert code == 1
+        assert json.loads(out)["agrees"] is False
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-0.001"])
+def test_exponent_bad_tolerance_is_exit_two(tol, capsys):
+    """A tolerance no estimate can be judged against is a usage error."""
+    code, out, err = run(capsys, "exponent", "--k", "1", "--b", "2",
+                         "--digits", "600", f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--tol" in err
 
 
 def test_exponent_insufficient_precision_exit_code(capsys):

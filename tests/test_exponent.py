@@ -112,7 +112,8 @@ def test_empirical_exponent_base_ten():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_empirical_exponent_matches_full_expansion(k, b, digits):
     """Stopping at the trust bound gives the full expansion's estimate."""
-    x = fixed_point_series(k, b, digits).value
+    st = fixed_point_series(k, b, digits)
+    x = Fraction(st.lo, st.den)
     cf = continued_fraction(x, max_terms=4 * digits)
     precision = b**digits
     head_floor = b ** max(2, digits // 20)

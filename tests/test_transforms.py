@@ -110,8 +110,9 @@ def test_affine_identity_numeric_sanity():
     """Evaluate both sides in floating point at moderate depth."""
     u = fixed_point_prefix(1, 61)
     rep = value_affine_relation(u, default_pair_coding(), 2, 60)
-    xu = float(fixed_point_series(1, 2, 60).value)
-    xv = float(rep.left.value)
+    su = fixed_point_series(1, 2, 60)
+    xu = su.lo / su.den
+    xv = rep.left.lo / rep.left.den
     rhs = float(rep.a0) * xu + float(rep.a1) * 2 * (xu - u[0]) + float(rep.a2) * 2
     assert xv == pytest.approx(rhs, abs=1e-14)
 
@@ -294,9 +295,9 @@ def test_rotation_sum_decisive_binary():
     assert rep.shifted_matches and not rep.direct_matches
     assert rep.shifted_pair == (Fraction(-1, 2), Fraction(1))
     assert rep.residual_bound < Fraction(1, 2**390)
-    # S is about 0.70980, the value about 0.58039.
-    assert float(rep.sum_lo) == pytest.approx(0.7098034, abs=1e-6)
-    assert float(rep.value_lo) == pytest.approx(0.5803931, abs=1e-6)
+    # S is about 0.70980, the value about 0.58039; at b = 2, S is the marks series.
+    assert rep.marks.lo / rep.marks.den == pytest.approx(0.7098034, abs=1e-6)
+    assert rep.value.lo / rep.value.den == pytest.approx(0.5803931, abs=1e-6)
 
 
 def test_rotation_sum_decisive_other_bases():
@@ -336,8 +337,12 @@ def _power_loop_report(b, depth, value_lo, value_hi):
 def test_rotation_sum_matches_power_loop(b):
     for depth in (50, 51, 120, 400, 1000):
         rep = rotation_sum_relation(b, depth)
-        got = (rep.sum_lo, rep.sum_hi, rep.matching, rep.residual_bound)
-        assert got == _power_loop_report(b, depth, rep.value_lo, rep.value_hi), depth
+        marks, value = rep.marks, rep.value
+        sum_lo = Fraction((b - 1) * marks.lo, marks.den)
+        sum_hi = Fraction((b - 1) * marks.hi, marks.den)
+        value_lo, value_hi = Fraction(value.lo, value.den), Fraction(value.hi, value.den)
+        got = (sum_lo, sum_hi, rep.matching, rep.residual_bound)
+        assert got == _power_loop_report(b, depth, value_lo, value_hi), depth
 
 
 @pytest.mark.parametrize("b", [2, 10, 2**40])
@@ -345,6 +350,7 @@ def test_rotation_sum_value_fields_are_the_series_enclosure(b):
     for depth in (50, 400):
         rep = rotation_sum_relation(b, depth)
         xi = fixed_point_series(1, b, depth)
-        assert (rep.value_lo, rep.value_hi) == (xi.value, xi.upper), depth
+        assert rep.value == xi, depth
         assert rep.direct_pair == (Fraction(-(b - 1)), Fraction(1))
-        assert rep.sum_hi - rep.sum_lo == Fraction(1, b**depth)
+        sum_width = Fraction((b - 1) * (rep.marks.hi - rep.marks.lo), rep.marks.den)
+        assert sum_width == Fraction(1, b**depth)
