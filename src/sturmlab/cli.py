@@ -412,6 +412,8 @@ def cmd_verify(args) -> int:
 def cmd_exponent(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
+    if args.b < 2:
+        raise UsageError(f"--b must be >= 2, got {args.b}")
     n_values = parse_range(args.n)
     if n_values[-1] * args.k.bit_length() > SANDWICH_CAP:
         raise CapExceededError(

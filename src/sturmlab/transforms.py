@@ -9,8 +9,6 @@ is settled here by exact enclosures.
 
 from __future__ import annotations
 
-import struct
-import sys
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -28,7 +26,7 @@ from .errors import (
     MissingCodingError,
     NonSturmianError,
 )
-from .words import distinct_factors
+from .words import _require_binary, distinct_factors
 
 PairCoding = dict[tuple[int, int], int]
 
@@ -38,8 +36,7 @@ def _require_difference_args(u: bytes, order: int) -> None:
         raise ValueError("order must be >= 0")
     if order >= len(u):
         raise ValueError("order must be smaller than the word length")
-    if max(u, default=0) > 1:
-        raise ValueError("difference is defined on binary words")
+    _require_binary(u, "difference")
 
 
 def difference(u: bytes, order: int = 1) -> bytes:
@@ -58,18 +55,17 @@ def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     """Same operator evaluated directly: position i sums C(order, j)*u[i+j] mod 2.
 
     The binomial coefficient is odd exactly when j's bits lie inside order's,
-    so each output symbol is an XOR over that fixed index mask.  Serves as an
-    independent oracle for :func:`difference`.
+    so each output symbol is an XOR over that fixed index mask, and the whole
+    word is the XOR of the mask's shifted slices, read as big-endian integers
+    of 0/1 bytes.  Serves as an independent oracle for :func:`difference`.
     """
     _require_difference_args(u, order)
-    mask = [j for j in range(order + 1) if (j & order) == j]
-    out = bytearray(len(u) - order)
-    for i in range(len(out)):
-        acc = 0
-        for j in mask:
-            acc ^= u[i + j]
-        out[i] = acc
-    return bytes(out)
+    positions = len(u) - order
+    acc = 0
+    for j in range(order + 1):
+        if (j & order) == j:
+            acc ^= int.from_bytes(u[j : j + positions], "big")
+    return acc.to_bytes(positions, "big")
 
 
 def default_pair_coding() -> PairCoding:
@@ -172,6 +168,8 @@ def value_affine_relation(
         raise CapExceededError(f"depth {depth} exceeds cap {DEPTH_CAP}")
     if len(u) < depth + 1:
         raise ValueError("word must supply depth + 1 symbols")
+    # The enclosure of u's tail assumes digits of at most 1.
+    _require_binary(u, "value_affine_relation")
     head = u[: depth + 1]
     v = shift_product(head, coding)  # refuses any observed block without a code
     blocks = sorted(tuple(f) for f in distinct_factors(head, 2))
@@ -195,87 +193,27 @@ def value_affine_relation(
     )
 
 
-# Positions packed per pass of _lane_pairs; passes read windows that overlap
-# by `order` symbols, so memory stays a few bytes per position of one pass.
-_LANE_CHUNK = 1 << 16
-# memoryview format of a native unsigned word, by its size in bytes.
-_LANE_FORMATS = {struct.calcsize(code): code for code in "BHILQ"}
-
-
-def _lane_pairs(sym: bytes, diff: bytes, order: int) -> set[tuple[bytes, int]]:
-    """The distinct ``(sym[i:i+order+1], diff[i])`` pairs of a binary word.
-
-    Each position i is packed into a lane: bit j is sym[i + j] for
-    j <= order and bit order + 1 is diff[i].  A lane is one word of 1, 2, 4
-    or 8 bytes when that holds its bits, else as many 64-bit words as it
-    needs (lane bits 64w..64w+63 in word w).  Each lane byte is assembled
-    for a whole pass at once from the big-endian integers of its eight
-    shifted columns, whose 0/1 bytes OR without carries, then strided into
-    a buffer read back as native words; the distinct lanes are collected in
-    C and only they are decoded.
-    """
-    nbytes = -(-(order + 2) // 8)
-    size = next((n for n in (1, 2, 4) if n >= nbytes), 8)
-    nwords = -(-nbytes // size)
-    stride = size * nwords
-    little = sys.byteorder == "little"
-    positions = len(diff)
-    lanes: set = set()   # lane ints, or tuples of lane words
-    for start in range(0, positions, _LANE_CHUNK):
-        count = min(_LANE_CHUNK, positions - start)
-        columns = [sym[start + j : start + j + count] for j in range(order + 1)]
-        columns.append(diff[start : start + count])
-        buf = bytearray(count * stride)
-        for b in range(nbytes):
-            lane_byte = 0
-            for t, column in enumerate(columns[8 * b : 8 * b + 8]):
-                lane_byte |= int.from_bytes(column, "big") << t
-            word, at = divmod(b, size)
-            offset = word * size + (at if little else size - 1 - at)
-            buf[offset::stride] = lane_byte.to_bytes(count, "big")
-        words = memoryview(buf).cast(_LANE_FORMATS[size])
-        if nwords == 1:
-            lanes.update(words)
-        else:
-            lanes.update(zip(*(words[w::nwords] for w in range(nwords))))
-    pairs = set()
-    for code in lanes:
-        lane = code if nwords == 1 else sum(w << (64 * i) for i, w in enumerate(code))
-        block = bytes((lane >> j) & 1 for j in range(order + 1))
-        pairs.add((block, lane >> (order + 1)))
-    return pairs
-
-
 def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
     """Map each length-(order+1) block to the difference symbol it forces.
 
     The order-th difference at position i depends only on the block
     u_i..u_{i+order}, through the parity mask of binomial coefficients.  The
-    mask evaluation, an XOR of shifted copies of the whole word, must equal
-    the iterated operator at every position; the table is then rebuilt from
-    the distinct (block, difference) pairs, and no block may force two
-    values.  A Sturmian word shows exactly order+2 blocks; the caller
-    judges the returned count.
+    mask evaluation must equal the iterated operator on the whole word, which
+    proves that dependence at every position; the table then maps each
+    distinct block to the XOR of its mask symbols.  A Sturmian word shows
+    exactly order+2 blocks; the caller judges the returned count.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    diff = difference(u, order)
-    width = order + 1
-    positions = len(u) - order
-    by_mask = 0
-    for j in range(width):
-        if (j & order) == j:
-            by_mask ^= int.from_bytes(u[j : j + positions], "big")
-    # Bytes of 0/1 XOR without carries: equal integers mean equal symbols
-    # at every position.
-    if by_mask != int.from_bytes(diff, "big"):
+    if difference(u, order) != difference_by_binomial(u, order):
         raise RuntimeError(
             "binomial-mask evaluation disagrees with the iterated operator"
         )
-    table: dict[bytes, int] = {}
-    for block, value in sorted(_lane_pairs(u, diff, order)):
-        if table.setdefault(block, value) != value:
-            raise RuntimeError("one block produced two different difference values")
+    mask = [j for j in range(order + 1) if (j & order) == j]
+    table = {
+        block: sum(block[j] for j in mask) & 1
+        for block in sorted(distinct_factors(u, order + 1))
+    }
     return len(table), table
 
 

@@ -2,11 +2,17 @@
 
 A word is an immutable ``bytes`` with one byte per symbol, so slicing,
 concatenation, comparison and hashing are those of ``bytes``.  Functions
-defined on binary words check their input; :func:`to_string` renders a word
-whose symbols are all decimal digits.
+defined on binary words refuse any other symbol through
+:func:`_require_binary`: :func:`substitute` and :func:`distinct_factors`
+here, and ``difference``, ``difference_by_binomial``, ``block_determinism``
+and ``value_affine_relation`` in ``transforms``.  :func:`to_string` renders
+a word whose symbols are all decimal digits.
 """
 
 from __future__ import annotations
+
+import struct
+import sys
 
 from .errors import CapExceededError
 from .numeration import get_basis
@@ -14,6 +20,12 @@ from .numeration import get_basis
 LENGTH_CAP = 100_000_000  # longest word any constructor will build
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # symbol byte -> ASCII digit
+
+
+def _require_binary(w: bytes, what: str) -> None:
+    # Deleting every 0 and 1 byte leaves exactly the bad symbols.
+    if w.translate(None, b"\x00\x01"):
+        raise ValueError(f"{what} is defined on binary words")
 
 
 def to_string(w: bytes) -> str:
@@ -27,8 +39,7 @@ def substitute(k: int, w: bytes) -> bytes:
     """Apply the morphism 0 -> 0^k 1, 1 -> 0 once to the binary word ``w``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if max(w, default=0) > 1:
-        raise ValueError("substitute is defined on binary words")
+    _require_binary(w, "substitute")
     zeros = w.count(0)
     out_len = zeros * (k + 1) + (len(w) - zeros)
     if out_len > LENGTH_CAP:
@@ -127,8 +138,55 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     return id1, pos == len(un2)
 
 
+# Positions packed per pass of distinct_factors; passes read windows that
+# overlap by m - 1 symbols, so memory stays a few bytes per position of one pass.
+_LANE_CHUNK = 1 << 16
+# memoryview format of a native unsigned word, by its size in bytes.
+_LANE_FORMATS = {struct.calcsize(code): code for code in "BHILQ"}
+
+
 def distinct_factors(w: bytes, m: int) -> set[bytes]:
-    """All distinct factors of length ``m`` occurring in ``w``."""
+    """All distinct factors of length ``m`` occurring in the binary word ``w``.
+
+    Each position i is packed into a lane whose bit j is w[i + j].  A lane
+    is one word of 1, 2, 4 or 8 bytes when that holds its m bits, else as
+    many 64-bit words as it needs (lane bits 64v..64v+63 in word v).  Each
+    lane byte is assembled for a whole pass at once from the big-endian
+    integers of its eight shifted columns, whose 0/1 bytes OR without
+    carries, then strided into a buffer read back as native words; the
+    distinct lanes are collected in C and only they are decoded.
+    """
     if m < 0:
         raise ValueError("factor length must be >= 0")
-    return {w[i : i + m] for i in range(len(w) - m + 1)}
+    _require_binary(w, "distinct_factors")
+    positions = len(w) - m + 1
+    if positions <= 0:
+        return set()
+    if m == 0:
+        return {b""}
+    nbytes = -(-m // 8)
+    size = next((n for n in (1, 2, 4) if n >= nbytes), 8)
+    nwords = -(-nbytes // size)
+    stride = size * nwords
+    little = sys.byteorder == "little"
+    lanes: set = set()   # lane ints, or tuples of lane words
+    for start in range(0, positions, _LANE_CHUNK):
+        count = min(_LANE_CHUNK, positions - start)
+        buf = bytearray(count * stride)
+        for b in range(nbytes):
+            lane_byte = 0
+            for t, j in enumerate(range(8 * b, min(8 * b + 8, m))):
+                lane_byte |= int.from_bytes(w[start + j : start + j + count], "big") << t
+            word, at = divmod(b, size)
+            offset = word * size + (at if little else size - 1 - at)
+            buf[offset::stride] = lane_byte.to_bytes(count, "big")
+        words = memoryview(buf).cast(_LANE_FORMATS[size])
+        if nwords == 1:
+            lanes.update(words)
+        else:
+            lanes.update(zip(*(words[v::nwords] for v in range(nwords))))
+    factors = set()
+    for code in lanes:
+        lane = code if nwords == 1 else sum(x << (64 * v) for v, x in enumerate(code))
+        factors.add(bytes((lane >> j) & 1 for j in range(m)))
+    return factors

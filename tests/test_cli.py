@@ -477,6 +477,16 @@ def test_exponent_bad_tolerance_is_exit_two(tol, capsys):
     assert err.startswith("error:") and "--tol" in err
 
 
+@pytest.mark.parametrize("digits", [None, "600"])
+@pytest.mark.parametrize("b", ["1", "0", "-7"])
+def test_exponent_bad_base_is_exit_two(b, digits, capsys):
+    """A base below 2 is refused whether or not --digits asks for a series."""
+    extra = () if digits is None else ("--digits", digits)
+    code, out, err = run(capsys, "exponent", "--k", "1", f"--b={b}", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--b" in err
+
+
 def test_exponent_insufficient_precision_exit_code(capsys):
     code, _, err = run(capsys, "exponent", "--k", "5", "--b", "2",
                        "--digits", "40")

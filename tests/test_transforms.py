@@ -21,7 +21,7 @@ from sturmlab import (
     to_string,
     value_affine_relation,
 )
-from sturmlab import transforms
+from sturmlab import transforms, words
 
 
 def _word(digits: str) -> bytes:
@@ -128,6 +128,25 @@ def test_value_relation_rejects_non_affine_coding():
         value_affine_relation(four_blocks, xor, 2, 100)
 
 
+@pytest.mark.parametrize("b", [2, 3, 10])
+@pytest.mark.parametrize(
+    "u, coding",
+    [
+        (bytes([2, 2, 0] * 40), {(0, 2): 1, (2, 0): 2, (2, 2): 7}),
+        (bytes([2, 0] * 60), {(0, 2): 1, (2, 0): 2}),
+    ],
+    ids=["three-blocks", "two-blocks"],
+)
+def test_value_relation_refuses_non_binary_words(u, coding, b):
+    """The tail enclosure assumes digits 0/1, so a symbol above 1 is refused.
+
+    Both codings are affine on the observed blocks; without the refusal the
+    report reads inconsistent for an identity that holds exactly.
+    """
+    with pytest.raises(ValueError, match="binary"):
+        value_affine_relation(u, coding, b, 100)
+
+
 def test_value_relation_validates():
     u = fixed_point_prefix(1, 50)
     with pytest.raises(ValueError):
@@ -201,7 +220,7 @@ def test_whole_word_transforms_match_per_position(order):
         assert table == table_here
 
 
-_REAL_CHUNK = transforms._LANE_CHUNK
+_REAL_CHUNK = words._LANE_CHUNK
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,10 +238,12 @@ def _sliced_block_table(sym: bytes, order: int) -> dict[bytes, int]:
     return table
 
 
-# Orders 1..20, and orders whose lanes (order + 2 bits) end on or next to a
-# 1-, 2-, 4- or 8-byte word or a second 64-bit lane word.
+# Orders 1..20, and orders whose lanes (the order + 1 bits of a block) end
+# on, one or two bits short of, or one bit past a 1-, 2-, 4- or 8-byte word
+# or a second 64-bit lane word.
 _LANE_EDGE_ORDERS = sorted(
-    {*range(1, 21)} | {bits - 2 + d for bits in (8, 16, 32, 64, 128) for d in (-1, 0, 1)}
+    {*range(1, 21)}
+    | {bits - 1 + d for bits in (8, 16, 32, 64, 128) for d in (-2, -1, 0, 1)}
 )
 
 
@@ -235,8 +256,8 @@ def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
     with the real chunk size and with a small odd one.
     """
     if chunk is not None:
-        monkeypatch.setattr(transforms, "_LANE_CHUNK", chunk)
-    step = transforms._LANE_CHUNK
+        monkeypatch.setattr(words, "_LANE_CHUNK", chunk)
+    step = words._LANE_CHUNK
     rng = random.Random(7700 + order)
     short = [order + 1, order + 2, order + 9, 300]
     if chunk is None:
@@ -244,15 +265,15 @@ def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
         # side and k turn with the order, and only low orders take a random
         # word, whose many distinct blocks are each decoded in Python.
         edge = step + order + order % 3 - 1
-        words = [_fixed_point_symbols(k)[:n] for k in (1, 2, 3) for n in short]
-        words.append(_fixed_point_symbols(order % 3 + 1)[:edge])
+        samples = [_fixed_point_symbols(k)[:n] for k in (1, 2, 3) for n in short]
+        samples.append(_fixed_point_symbols(order % 3 + 1)[:edge])
         random_lengths = short + [edge] if order <= 8 else short
     else:
         edges = [m * step + order + d for m in (1, 2) for d in (-1, 0, 1)]
-        words = [_fixed_point_symbols(k)[:n] for k in (1, 2, 3) for n in short + edges]
+        samples = [_fixed_point_symbols(k)[:n] for k in (1, 2, 3) for n in short + edges]
         random_lengths = short + edges
-    words += [bytes(rng.getrandbits(1) for _ in range(n)) for n in random_lengths]
-    for sym in words:
+    samples += [bytes(rng.getrandbits(1) for _ in range(n)) for n in random_lengths]
+    for sym in samples:
         count, table = block_determinism(sym, order)
         expected = _sliced_block_table(sym, order)
         assert count == len(expected), (order, len(sym))

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from sturmlab import (
     CapExceededError,
     block_determinism,
+    default_pair_coding,
     difference,
     difference_by_binomial,
     distinct_factors,
@@ -12,6 +15,7 @@ from sturmlab import (
     substitute,
     swap_last_two,
     to_string,
+    value_affine_relation,
     word_identities,
 )
 from sturmlab import words
@@ -46,13 +50,26 @@ def test_words_are_bytes(name):
 
 
 def test_word_rejects_bad_symbols():
-    """Functions defined on binary words refuse a symbol above 1."""
-    with pytest.raises(ValueError, match="binary"):
-        substitute(1, bytes([2, 0]))
-    with pytest.raises(ValueError, match="binary"):
-        difference(_word("012"), 1)
-    with pytest.raises(ValueError, match="binary"):
-        block_determinism(_word("0120"), 1)
+    """Functions defined on binary words refuse a symbol above 1, at either end."""
+    checks = {
+        "substitute": lambda w: substitute(1, w),
+        "difference": lambda w: difference(w, 1),
+        "difference_by_binomial": lambda w: difference_by_binomial(w, 3),
+        "block_determinism": lambda w: block_determinism(w, 1),
+        "distinct_factors": lambda w: distinct_factors(w, 2),
+        "value_affine_relation": lambda w: value_affine_relation(
+            w, default_pair_coding(), 2, 10
+        ),
+    }
+    good = fixed_point_prefix(1, 11)
+    for bad in (2, 255):
+        for at in (0, -1):
+            w = bytearray(good)
+            w[at] = bad
+            for name, check in checks.items():
+                with pytest.raises(ValueError, match="binary"):
+                    check(bytes(w))
+                    pytest.fail(f"{name} accepted symbol {bad} at {at}")
 
 
 def test_to_string_rejects_symbols_above_nine():
@@ -183,6 +200,57 @@ def test_factor_counts_are_sturmian():
         w = fixed_point_prefix(k, 5000)
         for m in (1, 2, 3, 5, 8):
             assert len(distinct_factors(w, m)) == m + 1
+
+
+def _sliced_factors(w: bytes, m: int) -> set[bytes]:
+    """Factors from one slice per position (the reference)."""
+    return {w[i : i + m] for i in range(len(w) - m + 1)}
+
+
+# Lengths 0..20, and lengths whose lanes end on, one or two bits short of,
+# or one bit past a 1-, 2-, 4- or 8-byte word or a second 64-bit lane word.
+_FACTOR_LENGTHS = sorted(
+    {*range(21)} | {bits - 1 + d for bits in (8, 16, 32, 64, 128) for d in (-1, 0, 1, 2)}
+)
+
+
+@pytest.mark.parametrize("chunk", [None, 37], ids=["real-chunk", "chunk-37"])
+@pytest.mark.parametrize("m", _FACTOR_LENGTHS)
+def test_distinct_factors_matches_sliced_reference(m, chunk, monkeypatch):
+    """Lane-packed factors equal per-position slices on random, constant and
+    Sturmian words, with the last pass just short of, on and just past a
+    chunk edge, at the real chunk size and at a small odd one."""
+    if chunk is not None:
+        monkeypatch.setattr(words, "_LANE_CHUNK", chunk)
+    step = words._LANE_CHUNK
+    rng = random.Random(5300 + m)
+    # A pass packs the windows starting at len(w) - m + 1 positions.
+    lengths = [max(m - 1, 0), m, m + 1, m + 8, 300]
+    lengths += [step + m - 1 + d for d in (-1, 0, 1)]
+    if chunk is not None:
+        lengths += [2 * step + m - 1 + d for d in (-1, 0, 1)]
+    for n in lengths:
+        # Words at the real chunk size keep the run short: k turns with m,
+        # and only low m take a random word, whose many factors are each
+        # decoded in Python.
+        long = n > 300 and chunk is None
+        ks = [m % 3 + 1] if long else [1, 2, 3]
+        sample = [bytes(n), b"\x01" * n] + [fixed_point_prefix(k, n) for k in ks]
+        if not long or m <= 12:
+            sample.append(bytes(rng.getrandbits(1) for _ in range(n)))
+        for w in sample:
+            assert distinct_factors(w, m) == _sliced_factors(w, m), (m, n)
+
+
+def test_distinct_factors_edge_lengths():
+    w = fixed_point_prefix(2, 40)
+    assert distinct_factors(w, 0) == {b""}
+    assert distinct_factors(b"", 0) == {b""}
+    assert distinct_factors(w, 41) == set()
+    assert distinct_factors(w, 1000) == set()
+    assert distinct_factors(w, 40) == {w}
+    with pytest.raises(ValueError, match="factor length"):
+        distinct_factors(w, -1)
 
 
 def test_length_cap_guard(monkeypatch):
