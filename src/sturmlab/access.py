@@ -14,7 +14,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import CapExceededError
-from .numeration import _digit_and_low, get_basis, regular_vectors
+from .numeration import _reduce, get_basis, regular_vectors
 
 POSITION_SCAN_CAP = 50_000_000
 
@@ -25,7 +25,18 @@ def symbol_at(k: int, n: int) -> int:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("index must be >= 0")
-    return 1 if _digit_and_low(k, n, 0)[0] == k else 0
+    basis = get_basis(k)
+    low = basis.low_table()
+    basis._extend_past(n)
+    if len(low) > k:
+        # The table's size is a basis value f_L >= f_1; what the walk leaves
+        # below it has the same digits 0..L-1 as n, bottom digit included
+        # (and no digits at all when it is 0).
+        rem = _reduce(basis._vals, n, len(low))
+        return 1 if rem and low[rem][0] == k else 0
+    # From k = 4096 up the table holds f_0's entry alone: below f_1 = k + 1
+    # the walk leaves the bottom digit itself.
+    return 1 if _reduce(basis._vals, n, k + 1) == k else 0
 
 
 class MismatchVerdict(NamedTuple):
@@ -55,10 +66,18 @@ def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
         raise ValueError("n must be >= 0")
     if i < 0:
         raise ValueError("index must be >= 0")
-    digit, low = _digit_and_low(k, i, n + 1)
+    basis = get_basis(k)
+    basis._extend_past(i + 2)
+    vals = basis._vals   # vals[j] = f_{j-2}
+    # While i + 2 < f_{n+1}, digits 0..n of i are worth i itself, too little
+    # to match, and f_{n+1} need not be built.  Past this test
+    # vals[-1] > i + 2 >= f_{n+1}, so f_{n+2} is built too.
+    if len(vals) <= n + 3 or i + 2 < vals[n + 3]:
+        return _SAME
+    fn1 = vals[n + 3]
+    digit, low = divmod(_reduce(vals, i, vals[n + 4]), fn1)
     if digit == k:
         return _SAME
-    fn1 = get_basis(k).value(n + 1)
     if low == fn1 - 2:
         return _UP if n % 2 == 0 else _DOWN
     if low == fn1 - 1:

@@ -25,7 +25,7 @@ from .numeration import (
     regular_vectors,
     to_digits,
 )
-from .words import fixed_point_prefix, to_string, word_identities
+from .words import _require_level, fixed_point_prefix, to_string, word_identities
 
 
 def _on_first_use(name: str) -> ModuleType:
@@ -218,6 +218,8 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
 
 
 def _check_lemma4(k: int, n: int, imax: int) -> tuple[bool, str]:
+    # The scan reads a prefix longer than U_n: refuse n before f_n is built.
+    _require_level(k, n)
     fn = get_basis(k).value(n)
     fn1 = get_basis(k).value(n + 1)
     sym = fixed_point_prefix(k, imax + fn)

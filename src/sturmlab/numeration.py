@@ -6,7 +6,8 @@ every digit lies in 0..k and a digit equal to k forces a zero just below it;
 each non-negative integer then has exactly one regular representation, so
 ``normalize`` regularizes any vector by digitizing its value greedily.
 Digit vectors are plain little-endian tuples of ints; this module is the only
-one that knows the basis table's layout or walks a value's digits.
+one that walks a value's digits.  ``access`` reads the basis table itself on
+its per-index paths, through ``_reduce``.
 """
 
 from __future__ import annotations
@@ -102,22 +103,35 @@ def is_regular(k: int, digits: Sequence[int]) -> bool:
 def _greedy(vals: list[int], n: int, stop: int) -> tuple[tuple[int, ...], int]:
     """Greedy digits of ``n`` at positions ``stop`` and up, and what they leave.
 
-    Walks from n's top position down to ``stop``, taking the largest multiple
-    of each basis value (``vals`` in the ``Basis._vals`` layout, extended past
-    ``n``).  Returns the digits of positions stop..top, little-endian and
-    empty when n < f_stop, and the remainder, which is below f_stop.
+    Takes the largest multiple of each basis value (``vals`` in the
+    ``Basis._vals`` layout, extended past ``n``) from n's top position down
+    to ``stop``, one step per nonzero digit as in ``_reduce``.  Returns the
+    digits of positions stop..top, little-endian and empty when n < f_stop,
+    and the remainder, which is below f_stop.
     """
     # f_0, f_1, ... are table indices 2, 3, ...: top is n's highest position.
     top = bisect_right(vals, n, 2) - 3
     out = [0] * (top + 1 - stop)
     rem = n
-    for i in range(top, stop - 1, -1):
-        f = vals[i + 2]
-        d = rem // f
-        if d:
-            out[i - stop] = d
-            rem -= d * f
+    floor = vals[stop + 2]
+    while rem >= floor:
+        j = bisect_right(vals, rem, 2) - 1
+        out[j - 2 - stop], rem = divmod(rem, vals[j])
     return tuple(out), rem
+
+
+def _reduce(vals: list[int], n: int, floor: int) -> int:
+    """Value of the digits of ``n`` below position s, where ``floor`` is f_s.
+
+    The greedy walk's remainder with no digits kept: reducing modulo f_top,
+    ..., f_s in turn leaves it, and ``rem %= f_j`` does nothing while
+    rem < f_j, so each step jumps straight to the largest basis value <= rem
+    and the walk takes one ``%`` per nonzero digit.  ``vals`` is in the
+    ``Basis._vals`` layout, extended past ``n``.
+    """
+    while n >= floor:
+        n %= vals[bisect_right(vals, n, 2) - 1]
+    return n
 
 
 def to_digits(k: int, n: int) -> tuple[int, ...]:
@@ -139,24 +153,6 @@ def to_digits(k: int, n: int) -> tuple[int, ...]:
     high, rem = _greedy(basis._vals, n, width)
     digits = low[rem]
     return digits + (0,) * (width - len(digits)) + high
-
-
-def _digit_and_low(k: int, n: int, pos: int) -> tuple[int, int]:
-    """Digit of ``n`` at position ``pos`` and the value of its digits below ``pos``.
-
-    The greedy walk of ``to_digits`` cut short: reducing modulo f_top, ...,
-    f_{pos+1} leaves the value of digits 0..pos, which splits at f_pos.
-    Returns ``(0, n)`` when n < f_pos.
-    """
-    basis = get_basis(k)
-    top = basis.largest_index_leq(n)
-    if top < pos:
-        return 0, n
-    vals = basis._vals
-    rem = n
-    for j in range(top + 2, pos + 2, -1):
-        rem %= vals[j]
-    return divmod(rem, vals[pos + 2])
 
 
 def from_digits(k: int, digits: Iterable[int]) -> int:

@@ -67,6 +67,20 @@ def _next_iterate(cur: bytes, prev: bytes, k: int, limit: int) -> bytes:
     return b"".join(kept)
 
 
+def _require_level(k: int, n: int) -> None:
+    """Refuse a level n whose word U_n, of length f_n, is longer than LENGTH_CAP.
+
+    Compares n with the last level that fits, so f_n itself is never built:
+    at large n it has tens of thousands of digits, and the table up to it
+    grows with n^2.
+    """
+    top = get_basis(k).largest_index_leq(LENGTH_CAP)
+    if n > top:
+        raise CapExceededError(
+            f"word U_{n} at k = {k} is longer than the cap {LENGTH_CAP}; levels up to {top} fit"
+        )
+
+
 def _chain(k: int, n: int) -> list[bytes]:
     """Words U_0 .. U_n where U_0 = 0, U_1 = 0^k 1, U_{m+1} = U_m^k U_{m-1}."""
     if k < 1:
@@ -74,9 +88,7 @@ def _chain(k: int, n: int) -> list[bytes]:
     if n < 0:
         raise ValueError("n must be >= 0")
     # |U_n| = f_n, and the iterates only grow, so one check covers them all.
-    length = get_basis(k).value(n)
-    if length > LENGTH_CAP:
-        raise CapExceededError(f"word of length {length} exceeds cap {LENGTH_CAP}")
+    _require_level(k, n)
     chain = [b"\x00"]
     if n >= 1:
         chain.append(b"\x00" * k + b"\x01")

@@ -10,6 +10,7 @@ from sturmlab import (
     symbol_at,
     to_digits,
 )
+from sturmlab import numeration, words
 from sturmlab.access import _mismatch_offsets
 from sturmlab.numeration import from_digits, get_basis
 
@@ -141,3 +142,29 @@ def test_mismatch_sign_alternates_with_parity():
             v = mismatch(k, edge, n)
             assert v.differs
             assert v.sign == (1 if n % 2 == 0 else -1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4096])
+def test_symbol_at_reads_neither_prefix_nor_walk(k, monkeypatch):
+    """lemma2 compares two routes: ``symbol_at`` answers with the prefix
+    builder and the in-order walk both unavailable, low table rebuilt."""
+    prefix = fixed_point_prefix(k, 3 * k + 5000)
+    far = [10**12 + 7, 10**30 + 1]
+    expected = [1 if to_digits(k, i)[:1] == (k,) else 0 for i in far]
+
+    def forbidden(*args):
+        raise AssertionError("symbol_at must not read this route")
+
+    monkeypatch.setattr(words, "fixed_point_prefix", forbidden)
+    monkeypatch.setattr(numeration, "regular_vectors", forbidden)
+    monkeypatch.setattr(numeration, "_basis_cache", {})
+    assert bytes(symbol_at(k, i) for i in range(len(prefix))) == prefix
+    assert [symbol_at(k, i) for i in far] == expected
+
+
+def test_mismatch_builds_no_level_far_above_the_index(monkeypatch):
+    """Digits 0..n of i < f_{n+1} - 2 are worth i: no mismatch, and f_{n+1}
+    is not built."""
+    monkeypatch.setattr(numeration, "_basis_cache", {})
+    assert mismatch(1, 10, 20_000) == MismatchVerdict(False, 0)
+    assert len(get_basis(1)._vals) < 20

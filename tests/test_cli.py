@@ -178,6 +178,20 @@ def test_verify_cap_exceeded_is_exit_two(argv, capsys):
     assert err.startswith("error:") and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--lemma", "lemma1", "--k", "1", "--n", "100000"),
+    ("--lemma", "lemma4", "--k", "1", "--n", "100000", "--imax", "10"),
+], ids=["lemma1", "lemma4"])
+def test_verify_level_cap_precedes_basis_growth(argv, monkeypatch, capsys):
+    """A level past the length cap is refused by index, before f_n is built:
+    a short error naming the level, and the basis grows only past the cap."""
+    monkeypatch.setattr(numeration, "_basis_cache", {})
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: word U_") and "cap" in err and len(err.encode()) < 200
+    assert len(numeration.get_basis(1)._vals) < 60
+
+
 @pytest.mark.parametrize("argv, code", [
     (("verify", "--lemma", "lemma1", "--k", "1", "--n", "2"), 0),
     (("verify", "--lemma", "lemma1", "--k", "1", "--n", "x"), 2),

@@ -7,13 +7,15 @@ from sturmlab import (
     from_digits,
     get_basis,
     is_regular,
+    mismatch,
     normalize,
+    symbol_at,
     to_digits,
     uniqueness_oracle,
 )
 from sturmlab.errors import CapExceededError
 from sturmlab import numeration
-from sturmlab.numeration import _digit_and_low, regular_vectors
+from sturmlab.numeration import _reduce, regular_vectors
 
 
 def test_basis_seeds_and_recurrence():
@@ -128,6 +130,46 @@ def test_to_digits_straddles_low_table(k):
         assert to_digits(k, n) == _greedy_reference(k, n), (k, n)
 
 
+def _walk_cases(k):
+    """Values around the low table's size and f_1, f_j - 2 .. f_j + 1 for
+    j <= 60, and random values below 10^12 and 10^30."""
+    f = [1, k + 1]
+    while len(f) <= 60:
+        f.append(k * f[-1] + f[-2])
+    size = len(get_basis(k).low_table())
+    edges = [size, k + 1, *f]
+    values = {v + d for v in edges for d in range(-2, 2) if v + d >= 0}
+    rng = random.Random(8800 + k)
+    values |= {rng.randrange(10**12) for _ in range(40)}
+    values |= {rng.randrange(10**30) for _ in range(40)}
+    return sorted(values | set(range(8)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
+def test_walk_matches_full_chain_reference(k):
+    """``to_digits``, ``symbol_at`` and ``mismatch`` take one step per nonzero
+    digit; they agree with dividing at every position.  From k = 4096 up the
+    low table has one entry and the walk does every step."""
+    f = [1, k + 1]
+    for i in _walk_cases(k):
+        digits = _greedy_reference(k, i)
+        assert to_digits(k, i) == digits, (k, i)
+        assert symbol_at(k, i) == (1 if digits[:1] == (k,) else 0), (k, i)
+        padded = digits + (0, 0)
+        while len(f) < len(padded):
+            f.append(k * f[-1] + f[-2])
+        low = 0   # value of digits 0..n
+        for n in range(len(padded) - 1):
+            low += padded[n] * f[n]
+            sign = 1 if n % 2 == 0 else -1
+            expected = (False, 0)
+            if padded[n + 1] != k and low == f[n + 1] - 2:
+                expected = (True, sign)
+            elif padded[n + 1] != k and low == f[n + 1] - 1:
+                expected = (True, -sign)
+            assert mismatch(k, i, n) == expected, (k, i, n)
+
+
 def test_low_table_is_built_without_the_walk(monkeypatch):
     """The table is its own digitisation: it never reads ``regular_vectors``."""
     def walk_forbidden(k, bound):
@@ -141,14 +183,19 @@ def test_low_table_is_built_without_the_walk(monkeypatch):
 
 
 def test_digit_and_low_matches_digits():
-    """The cut-short greedy walk agrees with slicing the full digit vector."""
+    """The jumped walk stopped at f_{pos+1} leaves digits 0..pos, which split at
+    f_pos into n's digit at pos and the value below it, as slicing the full
+    digit vector does."""
     for k in (1, 2, 3, 4):
+        basis = get_basis(k)
+        f = basis.value
         rng = random.Random(600 + k)
         for n in [*range(5000), *(rng.randrange(10**12) for _ in range(500))]:
             d = to_digits(k, n)
             for pos in range(len(d) + 2):
                 digit = d[pos] if pos < len(d) else 0
-                assert _digit_and_low(k, n, pos) == (digit, from_digits(k, d[:pos])), (k, n, pos)
+                got = divmod(_reduce(basis._vals, n, f(pos + 1)), f(pos))
+                assert got == (digit, from_digits(k, d[:pos])), (k, n, pos)
 
 
 def _recursive_walk(k, bound):

@@ -270,7 +270,7 @@ def test_length_cap_checked_before_building(monkeypatch):
 
     monkeypatch.setattr(words, "_next_iterate", no_build)
     # U_16 at k = 3 has f_16 = 239,244,622 symbols.
-    with pytest.raises(CapExceededError, match="239244622"):
+    with pytest.raises(CapExceededError, match="U_16 at k = 3 .* cap 100000000; levels up to 15 fit"):
         word_identities(3, 14)
 
 
