@@ -345,7 +345,10 @@ def check_error_bounds_auto(k: int, n: int, b: int) -> BoundsCheck:
 
     The dense route reads a prefix of ``default_depth`` symbols as base-b
     digits, so it stays in use only while both that symbol count and its
-    size in bits are small.
+    size in bits are small.  Only ``verify --lemma formula3`` picks its route
+    here, as it prints the dense record's bound and enclosure values;
+    ``bound_constants_hold`` needs only the verdict and always takes the
+    scaled route, which never reads the prefix.
     """
     depth = default_depth(k, n)
     bits = depth * max(b.bit_length() - 1, 1)
@@ -403,10 +406,12 @@ def bound_constants_hold(k: int, b: int, n: int) -> bool:
     The upper constant follows from q < b^{f_n} alone; the lower reduces to
     q^theta >= b^{f_{n+1}-3}, which holds whenever ``_law_settles`` with c = 3 and
     is otherwise decided raised to the f_n-th power.  The middle inequality
-    is the certified two-sided gap bound.
+    is the two-sided gap bound, decided on every cell by the sign tests of
+    ``scaled_error_bounds_hold``: only its verdict is needed, so no dense
+    prefix value is built.
     """
     _require_base(b)
-    if not check_error_bounds_auto(k, n, b).holds:
+    if not scaled_error_bounds_hold(k, n, b).holds:
         return False
     basis = get_basis(k)
     fn, fn1 = basis.value(n), basis.value(n + 1)

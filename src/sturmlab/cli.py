@@ -367,16 +367,19 @@ def cmd_generate(args) -> int:
     w = fixed_point_prefix(args.k, args.length)
     if args.transform:
         spec_text = args.transform
+        unknown = f"unknown transform {spec_text!r}; use diff, diff:N, or pairs"
         if spec_text.startswith("diff:"):
-            w = transforms.difference(w, int(spec_text.split(":", 1)[1]))
+            try:
+                order = int(spec_text.split(":", 1)[1])
+            except ValueError:
+                raise UsageError(unknown) from None
+            w = transforms.difference(w, order)
         elif spec_text == "diff":
             w = transforms.difference(w, 1)
         elif spec_text == "pairs":
             w = transforms.shift_product(w, transforms.default_pair_coding())
         else:
-            raise UsageError(
-                f"unknown transform {spec_text!r}; use diff, diff:N, or pairs"
-            )
+            raise UsageError(unknown)
     print(to_string(w))
     return 0
 

@@ -157,6 +157,13 @@ _LANE_CHUNK = 1 << 16
 _LANE_FORMATS = {struct.calcsize(code): code for code in "BHILQ"}
 
 
+def _lane_byte_offset(b: int, size: int, byteorder: str) -> int:
+    """Offset in a lane of its byte ``b`` (lane bits 8b..8b+7), for a lane
+    stored as consecutive ``size``-byte words of order ``byteorder``."""
+    word, at = divmod(b, size)
+    return word * size + (at if byteorder == "little" else size - 1 - at)
+
+
 def distinct_factors(w: bytes, m: int) -> set[bytes]:
     """All distinct factors of length ``m`` occurring in the binary word ``w``.
 
@@ -180,7 +187,6 @@ def distinct_factors(w: bytes, m: int) -> set[bytes]:
     size = next((n for n in (1, 2, 4) if n >= nbytes), 8)
     nwords = -(-nbytes // size)
     stride = size * nwords
-    little = sys.byteorder == "little"
     lanes: set = set()   # lane ints, or tuples of lane words
     for start in range(0, positions, _LANE_CHUNK):
         count = min(_LANE_CHUNK, positions - start)
@@ -189,8 +195,7 @@ def distinct_factors(w: bytes, m: int) -> set[bytes]:
             lane_byte = 0
             for t, j in enumerate(range(8 * b, min(8 * b + 8, m))):
                 lane_byte |= int.from_bytes(w[start + j : start + j + count], "big") << t
-            word, at = divmod(b, size)
-            offset = word * size + (at if little else size - 1 - at)
+            offset = _lane_byte_offset(b, size, sys.byteorder)
             buf[offset::stride] = lane_byte.to_bytes(count, "big")
         words = memoryview(buf).cast(_LANE_FORMATS[size])
         if nwords == 1:

@@ -37,6 +37,12 @@ def test_generate_bad_transform(capsys):
                        "--transform", "squares")
     assert code == 2
     assert "transform" in err
+    # A diff order that is not an integer is named, not passed to int().
+    for spec in ("diff:abc", "diff:", "diff:1.5"):
+        code, out, err = run(capsys, "generate", "--k", "1", "--len", "5",
+                             "--transform", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown transform {spec!r}; use diff, diff:N, or pairs\n"
 
 
 def test_generate_bad_k(capsys):
@@ -582,3 +588,26 @@ def test_rows_reduce_deltas_and_bounds_at_most_once(monkeypatch, capsys):
                            "--b", "2", "--n", "2,3")
         assert code == 0 and out.count("\tPASS\t") == 4
         assert calls == {"deltas": rows, "bounds": rows}, lemma
+
+
+def test_only_formula3_builds_approximants(monkeypatch, capsys):
+    """constants decides its gap bound by the scaled sign test, so its sweep
+    builds no approximant; formula3 builds one per dense cell."""
+    from sturmlab import approximants
+
+    calls = []
+    approximant = approximants.approximant
+
+    def counted(k, n, b, depth=None):
+        calls.append((k, n, b))
+        return approximant(k, n, b, depth)
+
+    monkeypatch.setattr(approximants, "approximant", counted)
+    code, out, _ = run(capsys, "verify", "--lemma", "constants", "--k", "1..3",
+                       "--b", "2,3,10", "--n", "2..15")
+    assert code == 0 and out.count("\tPASS\t") == 126
+    assert calls == []
+    code, out, _ = run(capsys, "verify", "--lemma", "formula3", "--k", "1..2",
+                       "--b", "2,3", "--n", "2..4")
+    assert code == 0 and out.count("route=dense") == 12
+    assert sorted(calls) == [(k, n, b) for k in (1, 2) for n in (2, 3, 4) for b in (2, 3)]

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -240,6 +241,24 @@ def test_distinct_factors_matches_sliced_reference(m, chunk, monkeypatch):
             sample.append(bytes(rng.getrandbits(1) for _ in range(n)))
         for w in sample:
             assert distinct_factors(w, m) == _sliced_factors(w, m), (m, n)
+
+
+@pytest.mark.parametrize("order", ["<", ">"], ids=["little", "big"])
+@pytest.mark.parametrize("size, code", [(1, "B"), (2, "H"), (4, "I"), (8, "Q")])
+def test_lane_byte_offset_matches_struct_layout(order, size, code):
+    """Each lane byte lands where struct packs it, in either byte order, so
+    a big-endian machine's branch is checked on a little-endian one too."""
+    byteorder = "little" if order == "<" else "big"
+    rng = random.Random(size)
+    for nwords in (1, 2, 3):
+        lane = rng.getrandbits(8 * size * nwords)
+        mask = (1 << (8 * size)) - 1
+        packed = struct.pack(
+            order + code * nwords, *((lane >> (8 * size * v)) & mask for v in range(nwords))
+        )
+        for b in range(size * nwords):
+            offset = words._lane_byte_offset(b, size, byteorder)
+            assert packed[offset] == (lane >> (8 * b)) & 0xFF, (nwords, b)
 
 
 def test_distinct_factors_edge_lengths():
