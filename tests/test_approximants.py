@@ -196,8 +196,9 @@ def test_bounds_grid_dense():
 
 
 def test_scaled_route_agrees_with_dense():
-    """The routes agree on every cell of the benchmark's bounds grid (and at
-    b = 10^30) where ``check_error_bounds_auto`` picks the dense one; there
+    """The routes agree on every cell up to n = 6, the dense one forced even
+    past the bit limit, and deeper on every cell of the benchmark's bounds
+    grid where ``check_error_bounds_auto`` picks the dense route; there
     ``bound_constants_hold`` takes its verdict from the scaled route alone."""
     dense = 0
     for k in (1, 2, 3):
@@ -205,13 +206,17 @@ def test_scaled_route_agrees_with_dense():
             for n in range(0, 16):
                 s = scaled_error_bounds_hold(k, n, b)
                 assert s.holds and s.route == "scaled", (k, b, n)
-                d = check_error_bounds_auto(k, n, b)
-                if d.route == "dense":
+                if n <= 6:
+                    d = check_error_bounds(approximant(k, n, b))
+                    assert d.route == "dense", (k, b, n)
+                else:
+                    d = check_error_bounds_auto(k, n, b)
+                    if d.route != "dense":
+                        continue
                     dense += 1
-                    assert (d.lower_ok, d.upper_ok) == (s.lower_ok, s.upper_ok), (k, b, n)
-    # Every cell up to n = 6 but (3, 10^30, 6), past the bit limit, and
-    # deeper ones at the smaller bases.
-    assert dense == 172
+                assert (d.lower_ok, d.upper_ok) == (s.lower_ok, s.upper_ok), (k, b, n)
+    # Cells past n = 6 that the auto route sends to the dense one.
+    assert dense == 68
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
