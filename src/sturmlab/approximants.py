@@ -12,6 +12,7 @@ Reduced ``Fraction`` values are built only when something reads them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .access import _mismatch_offsets
@@ -118,14 +119,42 @@ def fixed_point_series(k: int, b: int, depth: int) -> SeriesTruncation:
     return series_truncation(fixed_point_prefix(k, depth), b, digit_cap=1)
 
 
+def _reduced(num: int, b: int, scale: int, rest: int) -> Fraction:
+    """``num / (scale * rest)`` in lowest terms, for ``scale`` a power of b
+    and ``rest`` a positive integer coprime to b.
+
+    The common factor is gcd(num, scale) * gcd(num, rest), and neither gcd
+    sees ``num`` at full size.  The b-part is gcd(num mod b^s, b^s) for
+    s = 1, 2, 4, ... until b^s reaches ``scale``: once doubling s leaves it
+    unchanged, every prime of b has its full valuation in it, so b is never
+    factored.
+    """
+    g, bs = 1, b
+    while True:
+        bs = min(bs, scale)
+        h = gcd(num % bs, bs)
+        if h == g or bs == scale:
+            break
+        g, bs = h, bs * bs
+    r = gcd(num % rest, rest)
+    # Fraction(n, d) would run a full-size gcd again, and 3.12 dropped its
+    # _normalize=False; set the slots as 3.12's _from_coprime_ints does.
+    out = object.__new__(Fraction)
+    out._numerator = num // (h * r)
+    out._denominator = scale // h * (rest // r)
+    return out
+
+
 class ApproximantRecord(NamedTuple):
     """One certified approximant p/q with an enclosure of |x - p/q|.
 
     ``sign`` is the certified sign of x - p/q; ``deltas()`` returns the
     pair (delta_lo, delta_hi) that brackets its absolute value, so
     0 < delta_lo <= |x - p/q| <= delta_hi.  They are ``num_lo``/``num_hi``
-    over the denominator ``(b-1) * b^(depth-1) * q``, reduced each time
-    ``deltas()`` is called.
+    over the denominator ``(b-1) * b^(depth-1) * q``.  The record keeps
+    only the integers, and each ``deltas()`` call reduces both values with
+    ``_reduced``: b^(depth-1) is coprime to (b-1) * q, so the common factor
+    with each is found apart, and no gcd sees the full-size numerator.
     """
 
     k: int
@@ -140,10 +169,8 @@ class ApproximantRecord(NamedTuple):
 
     def deltas(self) -> tuple[Fraction, Fraction]:
         """(delta_lo, delta_hi), reduced."""
-        # b^(depth-1) is coprime to (b-1)*q, so only the first step of each
-        # reduction needs a gcd of full size.
-        scale, rest = self.b ** (self.depth - 1), (self.b - 1) * self.q
-        return Fraction(self.num_lo, scale) / rest, Fraction(self.num_hi, scale) / rest
+        b, scale, rest = self.b, self.b ** (self.depth - 1), (self.b - 1) * self.q
+        return _reduced(self.num_lo, b, scale, rest), _reduced(self.num_hi, b, scale, rest)
 
 
 def approximant(k: int, n: int, b: int, depth: int | None = None) -> ApproximantRecord:

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,7 +23,8 @@ from sturmlab import (
     series_truncation,
     word_value,
 )
-from sturmlab.approximants import _law_settles, _power_sum_sign
+from sturmlab import approximants
+from sturmlab.approximants import _law_settles, _power_sum_sign, _reduced
 from sturmlab.numeration import get_basis
 
 
@@ -252,6 +255,77 @@ def test_dense_route_matches_fraction_arithmetic(k, b):
         assert chk.bounds() == (lower, upper)
         assert chk.record == rec
         assert rec.deltas() == (delta_lo, delta_hi)
+
+
+def _same_fraction(got, want):
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want) and got == want
+
+
+_REDUCER_BASES = [2, 3, 6, 7, 10, 12, 2**40, 10**30, 2**61 - 1]
+
+
+@pytest.mark.parametrize("v", [0, 1, 2, 3, 63, 64, 65])
+@pytest.mark.parametrize("b", _REDUCER_BASES, ids=str)
+def test_reduced_matches_fraction(b, v):
+    """num = b^v * unit * c over b^e * (b-1)q, with c sharing a factor with
+    (b-1)q or not and e on both sides of v, so the b-part is capped by b^e
+    whenever v > e."""
+    rng = random.Random(b * 100 + v)
+    q = b**5 - 1
+    rest = (b - 1) * q
+    for e in sorted({0, 1, max(v - 1, 0), v, v + 1, 64, 100}):
+        scale = b**e
+        for c in (1, b - 1, q, rest, b**4 + b**3 + b**2 + b + 1):
+            unit = rng.getrandbits(300) | 1
+            while gcd(unit, b) > 1:
+                unit += 2
+            num = b**v * unit * c
+            _same_fraction(_reduced(num, b, scale, rest), Fraction(num, scale * rest))
+
+
+@pytest.mark.parametrize(
+    "num, b, e",
+    [
+        (2**200 * 3, 6, 50),  # v_2 past the cap, v_3 below it
+        (2**7 * 5**2 * 11, 10, 30),  # unequal valuations at the primes of b
+        (2**20 * 3**90, 12, 40),  # v_3 past the cap, v_2 below it
+        (3**129, 3, 128),  # one past the cap, the doubling reaches b^128
+        (0, 10, 9),  # everything cancels
+        (7, 10, 0),  # scale = 1
+    ],
+)
+def test_reduced_caps_at_scale(num, b, e):
+    rest = (b - 1) * (b**3 - 1)
+    scale = b**e
+    _same_fraction(_reduced(num, b, scale, rest), Fraction(num, scale * rest))
+
+
+def test_deltas_runs_no_full_size_gcd(monkeypatch):
+    """The reduction never hands the full-size numerator or denominator to a
+    gcd: every operand fits in (b-1) * q, the only factor of the denominator
+    that is not a power of b.  Building the reduced values with Fraction
+    arithmetic would fail this."""
+    rec = approximant(3, 8, 10)
+    den = (rec.b - 1) * rec.b ** (rec.depth - 1) * rec.q
+    want = (Fraction(rec.num_lo, den), Fraction(rec.num_hi, den))
+    limit = ((rec.b - 1) * rec.q).bit_length()
+    full = rec.num_lo.bit_length()
+    assert full > 10 * limit
+    bits = []
+
+    def recording_gcd(*args):
+        bits.append(max(a.bit_length() for a in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recording_gcd)
+    monkeypatch.setattr(approximants, "gcd", recording_gcd, raising=False)
+    got = rec.deltas()
+    monkeypatch.undo()
+    assert bits and max(bits) <= limit
+    for g, w in zip(got, want):
+        _same_fraction(g, w)
 
 
 def test_scaled_route_leaves_values_unset():

@@ -394,6 +394,12 @@ PINNED = [
                   "--n", "1..24"),
                  "bcb2cd1610951f9c4e09534f147be2d77920326bb50ec0a03df28baf00d56747", 8468,
                  id="constants-wide"),
+    # Recorded before the enclosure was reduced by its b-part and its (b-1)q
+    # part apart. In each of the 63 cells one printed value cancels a factor
+    # of b and one a factor of (b-1)q.
+    pytest.param(("--lemma", "formula3", "--k", "1..3", "--b", "6,7,12", "--n", "0..6"),
+                 "61c764ea65de937437eb231f9d102352e0ea222f37270382a100a832681286ba", 440080,
+                 id="formula3-mixed"),
 ]
 
 
