@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "access": ("MismatchVerdict", "mismatch", "mismatch_positions", "symbol_at"),
+        "access": ("MismatchVerdict", "mismatch", "symbol_at"),
         "approximants": (
             "ApproximantRecord",
             "BoundsCheck",
@@ -52,7 +52,6 @@ _EXPORTS = {
             "empirical_exponent",
             "exponent_sandwich",
             "exponent_upper_bound",
-            "ratio_limit_enclosure",
         ),
         "numeration": (
             "Basis",

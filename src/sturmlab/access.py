@@ -10,13 +10,9 @@ pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import NamedTuple
 
-from .errors import CapExceededError
 from .numeration import _reduce, get_basis, regular_vectors
-
-POSITION_SCAN_CAP = 50_000_000
 
 
 def symbol_at(k: int, n: int) -> int:
@@ -86,44 +82,13 @@ def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
 
 
 def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:
-    """Offsets h with a mismatch pair at f_{n+1}-2+h, f_{n+1}-1+h, for h <= cutoff.
+    """Offsets h <= cutoff, increasing, with a mismatch pair at f_{n+1}-2+h, f_{n+1}-1+h.
 
-    h ranges over the values of regular digit vectors re-weighted to start
-    at basis index n+1, excluding vectors whose bottom digit is k (those
-    indices carry a digit k at position n+1 and the shift leaves their
-    symbols alone).  A vector's value j never exceeds its h, so walking the
-    vectors with j <= cutoff in increasing order reaches every offset.
+    h ranges over the values of regular digit vectors whose position i
+    weighs f_{n+1+i}, the walk ``regular_vectors`` takes from basis index
+    n+1, excluding vectors whose bottom digit is k (those indices carry a
+    digit k at position n+1 and the shift leaves their symbols alone).  The
+    walk values each vector once and extends the basis only until a value
+    passes cutoff.
     """
-    basis = get_basis(k)
-    weights = [basis.value(n + 1 + i) for i in range(basis.largest_index_leq(cutoff) + 1)]
-    out: list[int] = []
-    prev_h = -1
-    for _j, digits in regular_vectors(k, cutoff + 1):
-        h = sum(map(mul, digits, weights))
-        if h < prev_h:
-            raise AssertionError("offset enumeration lost monotonicity")
-        prev_h = h
-        if h > cutoff:
-            break
-        if digits[:1] != (k,):
-            out.append(h)
-    return out
-
-
-def mismatch_positions(k: int, n: int, limit: int) -> list[int]:
-    """All indices i < limit where the fixed point differs from its f_n-shift.
-
-    Emits the pair f_{n+1}-2+h, f_{n+1}-1+h for each mismatch offset h, so
-    the cost follows the number of mismatches rather than ``limit``.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    if limit > POSITION_SCAN_CAP:
-        raise CapExceededError(f"scan limit {limit} exceeds cap {POSITION_SCAN_CAP}")
-    start = get_basis(k).value(n + 1) - 2
-    out: list[int] = []
-    for h in _mismatch_offsets(k, n, limit - 1 - start):
-        out.extend(i for i in (start + h, start + 1 + h) if i < limit)
-    return out
+    return [h for h, d in regular_vectors(k, cutoff + 1, n + 1) if d[:1] != (k,)]

@@ -173,27 +173,23 @@ class ApproximantRecord(NamedTuple):
         return _reduced(self.num_lo, b, scale, rest), _reduced(self.num_hi, b, scale, rest)
 
 
-def approximant(k: int, n: int, b: int, depth: int | None = None) -> ApproximantRecord:
+def approximant(k: int, n: int, b: int) -> ApproximantRecord:
     """Build the level-n approximant and certify the sign of x - p/q.
 
-    The ``series_truncation`` of the depth-prefix encloses x in [lo/den,
-    hi/den], so over the denominator den * q the enclosure of x - p/q has the
-    integer numerators N_lo = lo*q - p*den and N_hi = N_lo + (hi - lo)*q.
+    The ``series_truncation`` of the ``default_depth`` prefix encloses x in
+    [lo/den, hi/den], so over the denominator den * q the enclosure of x - p/q
+    has the integer numerators N_lo = lo*q - p*den and N_hi = N_lo + (hi - lo)*q.
     """
     _require_base(b)
     if n < 0:
         raise ValueError("n must be >= 0")
-    basis = get_basis(k)
-    fn = basis.value(n)
-    if depth is None:
-        depth = default_depth(k, n)
+    fn = get_basis(k).value(n)
+    depth = default_depth(k, n)
     if depth > DEPTH_CAP:
         raise CapExceededError(
             f"depth {depth} exceeds cap {DEPTH_CAP}; "
             "use the scaled bound checks for indices this deep"
         )
-    if depth < fn + 1:
-        raise ValueError("depth must exceed the prefix length f_n")
     prefix = fixed_point_prefix(k, depth)
     x = series_truncation(prefix, b, digit_cap=1)
     p = b * word_value(prefix[:fn], b)
@@ -206,7 +202,7 @@ def approximant(k: int, n: int, b: int, depth: int | None = None) -> Approximant
         sign, num_lo, num_hi = -1, -hi, -lo
     else:
         raise IndecisiveEnclosureError(
-            f"enclosure of x - p/q straddles zero at depth {depth}; increase depth"
+            f"enclosure of x - p/q straddles zero at depth {depth}"
         )
     return ApproximantRecord(
         k=k, n=n, b=b, p=p, q=q,
@@ -241,10 +237,9 @@ class BoundsCheck(NamedTuple):
     """Outcome of the two-sided gap-bound check at one (k, n, b).
 
     Truthiness is ``holds``; the side flags say which inequality carried or
-    failed.  The dense route keeps its approximant ``record``, from which
-    ``bounds()`` builds the bound values and the record's ``deltas()`` the
-    certified enclosure of |x - p/q|, each time they are called; the scaled
-    route decides by integer sign tests and leaves them None.
+    failed.  The dense route keeps its approximant ``record``, whose
+    ``deltas()`` builds the certified enclosure of |x - p/q|; the scaled
+    route decides by integer sign tests and leaves it None.
     """
 
     k: int
@@ -258,12 +253,6 @@ class BoundsCheck(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.holds
-
-    def bounds(self) -> tuple[Fraction | None, Fraction | None]:
-        """(lower, upper) of ``error_bounds``, or (None, None) on the scaled route."""
-        if self.record is None:
-            return None, None
-        return error_bounds(self.k, self.n, self.b)
 
 
 def check_error_bounds(record: ApproximantRecord) -> BoundsCheck:

@@ -93,11 +93,12 @@ TSV_COLUMNS = ("lemma", "k", "b", "n", "status", "detail")
 # sweep is refused before any cell is built.
 PLAN_CAP = 1_000_000
 
-# Largest `exponent --n` upper end, in units of k's bit length.  The sandwich
-# builds f_0 .. f_{n_max+1}, of about n*bits(k) bits each, and one exact
-# ratio per index, so its cost is set by n_max * bits(k); k = 1 at the cap
-# takes about 1 s (2 vCPUs, CPython 3.11), the worst case measured.
-SANDWICH_CAP = 10_000
+# Largest level n, in units of k's bit length, that `exponent --n` and the
+# formula3, growth and constants cells take.  Each builds the basis to about
+# index n, of about n*bits(k) bits a value, so its cost is set by
+# n * bits(k): the sandwich at the cap takes about 1 s at k = 1, and one of
+# those cells about 0.25 s (2 vCPUs, CPython 3.11).
+LEVEL_CAP = 10_000
 
 Row = dict[str, str]
 # (sort key, lemma, (k, b, n) with None for a missing axis, arguments of _check_<lemma>)
@@ -243,11 +244,20 @@ def _check_lemma4(k: int, n: int, imax: int) -> tuple[bool, str]:
     return bad == 0 and window_ok, detail
 
 
+def _require_level_cap(k: int, n: int) -> None:
+    """Refuse a level past ``LEVEL_CAP`` before any basis value is built."""
+    if n * k.bit_length() > LEVEL_CAP:
+        raise CapExceededError(
+            f"level {n} at k = {k} is past the cap: n * bits(k) is limited to {LEVEL_CAP:_}"
+        )
+
+
 def _check_formula3(k: int, b: int, n: int) -> tuple[bool, str]:
+    _require_level_cap(k, n)
     chk = approximants.check_error_bounds_auto(k, n, b)
     detail = f"route={chk.route};lower_ok={chk.lower_ok};upper_ok={chk.upper_ok}"
     if chk.record is not None:
-        lower, upper = chk.bounds()
+        lower, upper = approximants.error_bounds(k, n, b)
         delta_lo, delta_hi = chk.record.deltas()
         detail += f";lower={_fmt(lower)};upper={_fmt(upper)}"
         detail += f";delta_lo={_fmt(delta_lo)};delta_hi={_fmt(delta_hi)}"
@@ -255,11 +265,13 @@ def _check_formula3(k: int, b: int, n: int) -> tuple[bool, str]:
 
 
 def _check_growth(k: int, b: int, n: int) -> tuple[bool, str]:
+    _require_level_cap(k, n)
     ok = approximants.growth_law_holds(k, b, n)
     return ok, "next_error*b^2*q_n^theta<1=" + str(ok)
 
 
 def _check_constants(k: int, b: int, n: int) -> tuple[bool, str]:
+    _require_level_cap(k, n)
     ok = approximants.bound_constants_hold(k, b, n)
     return ok, f"c1=(b-1)/b^2;c2=b^2;holds={ok}"
 
@@ -283,7 +295,7 @@ def _check_blocks(k: int, order: int, imax: int) -> tuple[bool, str]:
 
 def _check_sba(b: int, depth: int) -> tuple[bool, str]:
     rep = transforms.rotation_sum_relation(b, depth)
-    c1, c2 = rep.shifted_pair if rep.matching == "index_shifted" else rep.direct_pair
+    c1, c2 = rep.pair
     detail = (
         f"matching={rep.matching};c1={_fmt(c1)};c2={_fmt(c2)}"
         f";residual<={_fmt(rep.residual_bound)}"
@@ -420,10 +432,7 @@ def cmd_exponent(args) -> int:
     if args.b < 2:
         raise UsageError(f"--b must be >= 2, got {args.b}")
     n_values = parse_range(args.n)
-    if n_values[-1] * args.k.bit_length() > SANDWICH_CAP:
-        raise CapExceededError(
-            f"--n ends past the cap: n_max * bits(k) is limited to {SANDWICH_CAP:_}"
-        )
+    _require_level_cap(args.k, n_values[-1])
     if _span(n_values) < 2:
         raise UsageError("--n must span at least two indices, e.g. 30..40")
     est = exponent.exponent_sandwich(args.k, n_values[0], n_values[-1])

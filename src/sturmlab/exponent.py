@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from .approximants import _require_base, fixed_point_series
@@ -28,19 +27,6 @@ def basis_ratio(k: int, n: int) -> Fraction:
     """theta_n = f_{n+1} / f_n, exact."""
     basis = get_basis(k)
     return Fraction(basis.value(n + 1), basis.value(n))
-
-
-def ratio_limit_enclosure(k: int, bits: int = 96) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of theta = (k + sqrt(k^2 + 4)) / 2, width 2^-(bits+1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
-    scale = 1 << bits
-    s = isqrt((k * k + 4) * scale * scale)
-    lo = Fraction(k * scale + s, 2 * scale)
-    hi = Fraction(k * scale + s + 1, 2 * scale)
-    return lo, hi
 
 
 def exponent_upper_bound(alpha, beta, gamma):

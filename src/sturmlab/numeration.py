@@ -182,24 +182,29 @@ def normalize(k: int, digits: Iterable[int]) -> tuple[int, ...]:
     return to_digits(k, from_digits(k, d))
 
 
-def regular_vectors(k: int, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(value, digits)`` for every regular vector of value below ``bound``.
+def regular_vectors(
+    k: int, bound: int, start: int = 0
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield ``(value, digits)`` for every regular vector of value below ``bound``,
+    where position i weighs f_{start+i}.
 
-    An iterative depth-first walk over the digit positions that f_0..f_M
-    span, M the largest index with f_M < bound, pruned only by partial value:
-    each step raises the lowest digit that the digit rule and the bound let
-    rise and clears the digits below it.  A digit may rise while it is below
-    k and the digit above it is not k; clearing leaves a zero under every
-    raised digit.  Every vector obeying the rule whose value is below
-    ``bound`` is reached, since its partial values stay below ``bound``.
-    The vectors come out in increasing value; digits are in ``to_digits``
-    format.  Nothing is yielded when ``bound < 1``.
+    An iterative depth-first walk over the digit positions that
+    f_start..f_M span, M the largest index with f_M < bound, pruned only by
+    partial value: each step raises the lowest digit that the digit rule and
+    the bound let rise and clears the digits below it.  A digit may rise
+    while it is below k and the digit above it is not k; clearing leaves a
+    zero under every raised digit.  Every vector obeying the rule whose value
+    is below ``bound`` is reached, since its partial values stay below
+    ``bound``.  The regular vectors below a position are worth less than its
+    weight for every ``start >= 0``, so the vectors come out in increasing
+    value; digits are in ``to_digits`` format.  Nothing is yielded when
+    ``bound < 1``.
     """
     if bound < 1:
         return
     basis = get_basis(k)
-    width = basis.largest_index_leq(bound - 1) + 1
-    vals = basis._vals[2 : 2 + width]
+    width = max(basis.largest_index_leq(bound - 1) + 1 - start, 0)
+    vals = basis._vals[2 + start : 2 + start + width]
     digits: list[int] = []   # no trailing zeros
     value = 0
     while True:

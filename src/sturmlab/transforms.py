@@ -229,19 +229,17 @@ class RotationSumReport(NamedTuple):
 
     The sum is (b-1) * sum over n >= 1 of b^(-floor(n*golden)); candidates
     express it as c1 * V + c2 with V the k=1 fixed-point value.  Exactly one
-    candidate must survive the interval test for the run to be decisive.
-    ``marks`` encloses the series of the 0/1 word marking each exponent,
-    so the sum lies in (b-1) times it; ``value`` encloses V.
+    candidate must survive the interval test for the run to be decisive;
+    ``pair`` is its (c1, c2) and ``matching`` its name.  ``marks`` encloses
+    the series of the 0/1 word marking each exponent, so the sum lies in
+    (b-1) times it; ``value`` encloses V.
     """
 
     b: int
     depth: int
     marks: SeriesTruncation
     value: SeriesTruncation
-    direct_pair: tuple[Fraction, Fraction]
-    shifted_pair: tuple[Fraction, Fraction]
-    direct_matches: bool
-    shifted_matches: bool
+    pair: tuple[Fraction, Fraction]
     matching: str  # "direct" or "index_shifted"
     residual_bound: Fraction
 
@@ -282,11 +280,10 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
         raise IndecisiveEnclosureError(
             "enclosures do not separate the candidate pairs; increase depth"
         )
+    scale, bound = (b, direct_bound) if direct_ok else (1, shifted_bound)
     return RotationSumReport(
         b=b, depth=depth, marks=marked, value=x,
-        direct_pair=(Fraction(-(b - 1)), Fraction(1)),
-        shifted_pair=(Fraction(-(b - 1), b), Fraction(1)),
-        direct_matches=direct_ok, shifted_matches=shifted_ok,
+        pair=(Fraction(-(b - 1) * scale, b), Fraction(1)),
         matching="direct" if direct_ok else "index_shifted",
-        residual_bound=Fraction(direct_bound if direct_ok else shifted_bound, marked.den),
+        residual_bound=Fraction(bound, marked.den),
     )

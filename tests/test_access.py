@@ -6,13 +6,24 @@ from sturmlab import (
     MismatchVerdict,
     fixed_point_prefix,
     mismatch,
-    mismatch_positions,
     symbol_at,
     to_digits,
 )
 from sturmlab import numeration, words
 from sturmlab.access import _mismatch_offsets
 from sturmlab.numeration import from_digits, get_basis
+
+
+def _positions(k, n, limit):
+    """Indices i < limit where the fixed point differs from its f_n-shift:
+    the pair f_{n+1}-2+h, f_{n+1}-1+h for each mismatch offset h."""
+    start = get_basis(k).value(n + 1) - 2
+    return [
+        i
+        for h in _mismatch_offsets(k, n, limit - 1 - start)
+        for i in (start + h, start + 1 + h)
+        if i < limit
+    ]
 
 
 def test_symbol_at_known_prefix():
@@ -59,7 +70,7 @@ def test_mismatch_against_direct_comparison():
                 v = mismatch(k, i, n)
                 assert v.differs == (direct != 0), (k, n, i)
                 assert v.sign == direct, (k, n, i)
-            assert mismatch_positions(k, n, 4000) == [
+            assert _positions(k, n, 4000) == [
                 i for i in range(4000) if prefix[i + fn] != prefix[i]
             ], (k, n)
 
@@ -71,7 +82,7 @@ def test_mismatch_against_symbol_at_large_indices():
         for n in range(0, 21):
             fn = get_basis(k).value(n)
             indices = [rng.randrange(10**12) for _ in range(300)]
-            indices += mismatch_positions(k, n, 4000)
+            indices += _positions(k, n, 4000)
             for i in indices:
                 direct = symbol_at(k, i + fn) - symbol_at(k, i)
                 v = mismatch(k, i, n)
@@ -125,13 +136,15 @@ def test_first_mismatch_at_window_edge():
     for k in (1, 2, 3):
         for n in range(0, 8):
             edge = get_basis(k).value(n + 1) - 2
-            positions = mismatch_positions(k, n, edge + 2)
+            positions = _positions(k, n, edge + 2)
             assert positions[0] == edge, (k, n, positions[:3])
 
 
 def test_mismatch_positions_k1_n2():
-    # Shift by f_2 = 3: first few mismatching indices.
-    assert mismatch_positions(1, 2, 20) == [3, 4, 11, 12, 16, 17]
+    # Shift by f_2 = 3: the pairs start at f_3 - 2 = 3, and below 20 the
+    # offsets up to 16 are 0, 8 and 13.
+    assert _mismatch_offsets(1, 2, 16) == [0, 8, 13]
+    assert _positions(1, 2, 20) == [3, 4, 11, 12, 16, 17]
 
 
 def test_mismatch_sign_alternates_with_parity():

@@ -23,7 +23,7 @@ from sturmlab import (
     series_truncation,
     word_value,
 )
-from sturmlab import approximants
+from sturmlab import approximants, numeration
 from sturmlab.approximants import _law_settles, _power_sum_sign, _reduced
 from sturmlab.numeration import get_basis
 
@@ -186,9 +186,10 @@ def test_sign_matches_parity():
             assert approximant(k, n, 2).sign == (1 if n % 2 == 0 else -1)
 
 
-def test_shallow_depth_is_indecisive():
-    with pytest.raises(IndecisiveEnclosureError):
-        approximant(1, 2, 2, depth=5)
+def test_shallow_depth_is_indecisive(monkeypatch):
+    monkeypatch.setattr(approximants, "default_depth", lambda k, n: 5)
+    with pytest.raises(IndecisiveEnclosureError, match="straddles zero at depth 5"):
+        approximant(1, 2, 2)
 
 
 def test_bounds_grid_dense():
@@ -252,7 +253,7 @@ def test_dense_route_matches_fraction_arithmetic(k, b):
         assert chk.lower_ok == (delta_lo >= lower), (k, b, n)
         assert chk.upper_ok == (delta_hi <= upper), (k, b, n)
         assert chk.holds == (chk.lower_ok and chk.upper_ok)
-        assert chk.bounds() == (lower, upper)
+        assert error_bounds(k, n, b) == (lower, upper)
         assert chk.record == rec
         assert rec.deltas() == (delta_lo, delta_hi)
 
@@ -331,7 +332,6 @@ def test_deltas_runs_no_full_size_gcd(monkeypatch):
 def test_scaled_route_leaves_values_unset():
     chk = scaled_error_bounds_hold(1, 4, 3)
     assert chk.record is None
-    assert chk.bounds() == (None, None)
 
 
 def test_auto_route_switches():
@@ -351,6 +351,15 @@ def test_auto_route_switches():
 def test_bounds_grid_large_n_scaled():
     for (k, b, n) in [(1, 2, 15), (2, 3, 15), (3, 10, 15), (1, 10, 25)]:
         assert check_error_bounds_auto(k, n, b).holds, (k, b, n)
+
+
+def test_scaled_route_builds_the_basis_to_about_level_n(monkeypatch):
+    """The offsets are walked in the basis shifted to f_{n+1}, so the table
+    ends a few indices past n (6,007 entries when they were re-weighted from
+    the standard walk)."""
+    monkeypatch.setattr(numeration, "_basis_cache", {})
+    assert scaled_error_bounds_hold(1, 3000, 2).holds
+    assert len(get_basis(1)._vals) <= 3010
 
 
 @pytest.mark.parametrize("k, n", [(1, 22), (5, 20)])

@@ -198,6 +198,26 @@ def test_verify_level_cap_precedes_basis_growth(argv, monkeypatch, capsys):
     assert len(numeration.get_basis(1)._vals) < 60
 
 
+@pytest.mark.parametrize("lemma", ["formula3", "growth", "constants"])
+@pytest.mark.parametrize("k, n", [(1, 10_001), (2**40, 244), (1, 200_000)])
+def test_verify_level_cap_refuses_before_any_basis_value(lemma, k, n, monkeypatch, capsys):
+    """Past n * bits(k) = LEVEL_CAP a cell is refused in a short line, and no
+    basis is built at all."""
+    monkeypatch.setattr(numeration, "_basis_cache", {})
+    code, out, err = run(capsys, "verify", "--lemma", lemma, "--k", str(k), "--n", str(n))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: level {n} ") and "cap" in err and len(err.encode()) < 200
+    assert numeration._basis_cache == {}
+
+
+@pytest.mark.parametrize("lemma", ["formula3", "growth", "constants"])
+def test_verify_level_cap_admits_its_edge(lemma, capsys):
+    for k in (1, 2**40):
+        n = cli.LEVEL_CAP // k.bit_length()
+        code, out, _ = run(capsys, "verify", "--lemma", lemma, "--k", str(k), "--n", str(n))
+        assert code == 0 and out.count("\tPASS\t") == 1, (k, n)
+
+
 @pytest.mark.parametrize("argv, code", [
     (("verify", "--lemma", "lemma1", "--k", "1", "--n", "2"), 0),
     (("verify", "--lemma", "lemma1", "--k", "1", "--n", "x"), 2),
@@ -542,7 +562,7 @@ def test_exponent_bad_range(capsys):
     ("2..100000000000000000000", 1),
     ("2..1000000000000000000", 1),
     ("2,100000000000000000000", 1),
-    (f"2..{cli.SANDWICH_CAP + 1}", 1),
+    (f"2..{cli.LEVEL_CAP + 1}", 1),
     ("2..300", 2**40),
 ], ids=["range-1e20", "range-1e18", "list-1e20", "cap-plus-one", "k-2^40"])
 def test_exponent_index_cap_is_exit_two(n_range, k, capsys):
@@ -554,7 +574,7 @@ def test_exponent_index_cap_is_exit_two(n_range, k, capsys):
 
 def test_exponent_index_cap_admits_its_edge(capsys):
     code, out, _ = run(capsys, "exponent", "--k", "1", "--n",
-                       f"{cli.SANDWICH_CAP - 1}..{cli.SANDWICH_CAP}")
+                       f"{cli.LEVEL_CAP - 1}..{cli.LEVEL_CAP}")
     assert code == 0 and json.loads(out)["agrees"] is True
 
 
@@ -572,22 +592,24 @@ def test_traced_names_exist():
 
 
 def test_rows_reduce_deltas_and_bounds_at_most_once(monkeypatch, capsys):
-    """A formula3 row reduces its enclosure and bounds once; other rows never."""
-    from sturmlab.approximants import ApproximantRecord, BoundsCheck
+    """A formula3 row reduces its enclosure and builds its bounds once; other
+    rows never."""
+    from sturmlab import approximants
+    from sturmlab.approximants import ApproximantRecord
 
     calls = {"deltas": 0, "bounds": 0}
+    deltas, error_bounds = ApproximantRecord.deltas, approximants.error_bounds
 
-    def counted(cls, name):
-        method = getattr(cls, name)
+    def counted_deltas(self):
+        calls["deltas"] += 1
+        return deltas(self)
 
-        def wrapper(self):
-            calls[name] += 1
-            return method(self)
+    def counted_bounds(k, n, b):
+        calls["bounds"] += 1
+        return error_bounds(k, n, b)
 
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counted(ApproximantRecord, "deltas")
-    counted(BoundsCheck, "bounds")
+    monkeypatch.setattr(ApproximantRecord, "deltas", counted_deltas)
+    monkeypatch.setattr(approximants, "error_bounds", counted_bounds)
     for lemma, rows in (("formula3", 4), ("constants", 0), ("growth", 0)):
         calls.update(deltas=0, bounds=0)
         code, out, _ = run(capsys, "verify", "--lemma", lemma, "--k", "1..2",
@@ -604,9 +626,9 @@ def test_only_formula3_builds_approximants(monkeypatch, capsys):
     calls = []
     approximant = approximants.approximant
 
-    def counted(k, n, b, depth=None):
+    def counted(k, n, b):
         calls.append((k, n, b))
-        return approximant(k, n, b, depth)
+        return approximant(k, n, b)
 
     monkeypatch.setattr(approximants, "approximant", counted)
     code, out, _ = run(capsys, "verify", "--lemma", "constants", "--k", "1..3",

@@ -12,7 +12,6 @@ from sturmlab import (
     exponent_sandwich,
     exponent_upper_bound,
     fixed_point_series,
-    ratio_limit_enclosure,
 )
 from sturmlab.exponent import big_log2
 from sturmlab.numeration import get_basis
@@ -29,17 +28,17 @@ def test_basis_ratio():
     assert basis_ratio(2, 3) == Fraction(get_basis(2).value(4), get_basis(2).value(3))
 
 
-def test_ratio_limit_enclosure():
-    for k in (1, 2, 3, 5):
-        lo, hi = ratio_limit_enclosure(k)
-        target = (k + math.sqrt(k * k + 4)) / 2
-        assert float(lo) <= target <= float(hi)
-        assert hi - lo <= Fraction(2, 2**96)
+def _theta_enclosure(k, bits=96):
+    """Dyadic enclosure of theta = (k + sqrt(k^2 + 4)) / 2, width 2^-(bits+1)."""
+    scale = 1 << bits
+    s = math.isqrt((k * k + 4) * scale * scale)
+    return Fraction(k * scale + s, 2 * scale), Fraction(k * scale + s + 1, 2 * scale)
 
 
 def test_ratios_converge_into_enclosure():
     for k in (1, 2):
-        lo, hi = ratio_limit_enclosure(k)
+        lo, hi = _theta_enclosure(k)
+        assert float(lo) <= (k + math.sqrt(k * k + 4)) / 2 <= float(hi)
         r = basis_ratio(k, 60)
         assert lo - Fraction(1, 10**20) <= r <= hi + Fraction(1, 10**20)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import eq, mul
 
 import pytest
 
@@ -242,6 +243,38 @@ def test_regular_vectors_matches_to_digits_and_recursive_walk(k):
         walked = list(regular_vectors(k, bound))
         assert walked == reference[:bound], (k, bound)
         assert walked == _recursive_walk(k, bound), (k, bound)
+
+
+def _reweighted_walk(k, bound, start):
+    """The standard walk's vectors re-weighted from f_start, up to the first
+    value >= bound: the offsets' former enumeration, the reference for the
+    shifted walk.  A vector's standard value never exceeds its shifted one,
+    so the standard walk reaches every vector worth less than ``bound``."""
+    basis = get_basis(k)
+    weights = [basis.value(start + i) for i in range(basis.largest_index_leq(bound - 1) + 1)]
+    prev = -1
+    for _j, digits in regular_vectors(k, bound):
+        value = sum(map(mul, digits, weights))
+        assert value > prev, "re-weighted values lost monotonicity"
+        prev = value
+        if value >= bound:
+            return
+        yield value, digits
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_shifted_walk_matches_reweighted_standard_walk(k):
+    """``regular_vectors(k, bound, start)`` yields exactly the vectors that
+    the standard walk re-weighted from f_start yields, in the same order,
+    for the offsets' starts n + 1 (n in 0..39) and cutoffs bound - 1 from 0
+    to 10^6.  Both are compared as streams: at k = 1 a walk yields up to
+    618,035 vectors."""
+    for n in range(40):
+        for cutoff in (0, 1, 5, 50, 1000, 10**6):
+            pairs = itertools.zip_longest(
+                regular_vectors(k, cutoff + 1, n + 1), _reweighted_walk(k, cutoff + 1, n + 1)
+            )
+            assert all(itertools.starmap(eq, pairs)), (k, n, cutoff)
 
 
 def test_uniqueness_oracle_small():

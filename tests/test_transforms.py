@@ -313,8 +313,7 @@ def test_floor_golden_large():
 def test_rotation_sum_decisive_binary():
     rep = rotation_sum_relation(2, 400)
     assert rep.matching == "index_shifted"
-    assert rep.shifted_matches and not rep.direct_matches
-    assert rep.shifted_pair == (Fraction(-1, 2), Fraction(1))
+    assert rep.pair == (Fraction(-1, 2), Fraction(1))
     assert rep.residual_bound < Fraction(1, 2**390)
     # S is about 0.70980, the value about 0.58039; at b = 2, S is the marks series.
     assert rep.marks.lo / rep.marks.den == pytest.approx(0.7098034, abs=1e-6)
@@ -325,7 +324,7 @@ def test_rotation_sum_decisive_other_bases():
     for b in (3, 10):
         rep = rotation_sum_relation(b, 120)
         assert rep.matching == "index_shifted"
-        assert rep.shifted_pair == (Fraction(-(b - 1), b), Fraction(1))
+        assert rep.pair == (Fraction(-(b - 1), b), Fraction(1))
 
 
 def test_rotation_sum_validates():
@@ -372,6 +371,6 @@ def test_rotation_sum_value_fields_are_the_series_enclosure(b):
         rep = rotation_sum_relation(b, depth)
         xi = fixed_point_series(1, b, depth)
         assert rep.value == xi, depth
-        assert rep.direct_pair == (Fraction(-(b - 1)), Fraction(1))
+        assert rep.pair == (Fraction(-(b - 1), b), Fraction(1))
         sum_width = Fraction((b - 1) * (rep.marks.hi - rep.marks.lo), rep.marks.den)
         assert sum_width == Fraction(1, b**depth)
