@@ -40,8 +40,6 @@ _EXPORTS = {
             "CapExceededError",
             "IndecisiveEnclosureError",
             "InsufficientPrecisionError",
-            "MissingCodingError",
-            "NonSturmianError",
         ),
         "exponent": (
             "ContinuedFraction",
@@ -66,7 +64,6 @@ _EXPORTS = {
             "RotationSumReport",
             "ValueRelationReport",
             "block_determinism",
-            "default_pair_coding",
             "difference",
             "difference_by_binomial",
             "floor_golden",

@@ -278,7 +278,7 @@ def _check_constants(k: int, b: int, n: int) -> tuple[bool, str]:
 
 def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
     u = fixed_point_prefix(k, depth + 1)
-    rep = transforms.value_affine_relation(u, transforms.default_pair_coding(), b, depth)
+    rep = transforms.value_affine_relation(u, b, depth)
     detail = (
         f"a0={_fmt(rep.a0)};a1={_fmt(rep.a1)};a2={_fmt(rep.a2)}"
         f";gap_bound={_fmt(rep.gap_bound)}"
@@ -300,7 +300,7 @@ def _check_sba(b: int, depth: int) -> tuple[bool, str]:
         f"matching={rep.matching};c1={_fmt(c1)};c2={_fmt(c2)}"
         f";residual<={_fmt(rep.residual_bound)}"
     )
-    return True, detail
+    return rep.matching == "index_shifted", detail
 
 
 def _int_field(entry: dict, name: str, default: int) -> int:
@@ -389,7 +389,7 @@ def cmd_generate(args) -> int:
         elif spec_text == "diff":
             w = transforms.difference(w, 1)
         elif spec_text == "pairs":
-            w = transforms.shift_product(w, transforms.default_pair_coding())
+            w = transforms.shift_product(w)
         else:
             raise UsageError(unknown)
     print(to_string(w))
@@ -432,7 +432,9 @@ def cmd_exponent(args) -> int:
     if args.b < 2:
         raise UsageError(f"--b must be >= 2, got {args.b}")
     n_values = parse_range(args.n)
-    _require_level_cap(args.k, n_values[-1])
+    # Every listed level is checked; a range only by its last, unexpanded.
+    for n in n_values[-1:] if isinstance(n_values, range) else n_values:
+        _require_level_cap(args.k, n)
     if _span(n_values) < 2:
         raise UsageError("--n must span at least two indices, e.g. 30..40")
     est = exponent.exponent_sandwich(args.k, n_values[0], n_values[-1])

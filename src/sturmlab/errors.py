@@ -1,4 +1,9 @@
-"""Typed errors shared across the toolkit."""
+"""Typed errors shared across the toolkit.
+
+Each names a limit of a computation, not bad input: a cap, an enclosure too
+wide to decide, too few trusted convergents.  Bad input values, non-binary
+words among them, raise plain ``ValueError``.
+"""
 
 
 class CapExceededError(RuntimeError):
@@ -12,10 +17,3 @@ class IndecisiveEnclosureError(RuntimeError):
 class InsufficientPrecisionError(RuntimeError):
     """Too few trustworthy continued-fraction convergents survive the truncation filter."""
 
-
-class NonSturmianError(ValueError):
-    """The word does not show the factor structure the operation requires."""
-
-
-class MissingCodingError(KeyError):
-    """A length-2 block occurs in the word but has no code in the supplied coding."""

@@ -1,10 +1,11 @@
 """Exponent-preserving sequence transforms and their certified value identities.
 
 Words are ``bytes``, one byte per symbol.  Covers the mod-2 difference
-operator, the coded pair-with-shift product, the affine law tying the coded
-product's value to the word's own, the table of difference symbols each block
-forces, and the golden-rotation power sum whose affine tie to the k=1 value
-is settled here by exact enclosures.
+operator, the pair-with-shift product coded by the one coding
+(x, y) -> 2x + y, the fixed affine law V(v) = 2*V(u) + b*(V(u) - u_0) tying
+the coded product's value to the word's own, the table of difference
+symbols each block forces, and the golden-rotation power sum whose affine
+tie to the k=1 value is settled here by exact enclosures.
 """
 
 from __future__ import annotations
@@ -20,15 +21,8 @@ from .approximants import (
     fixed_point_series,
     series_truncation,
 )
-from .errors import (
-    CapExceededError,
-    IndecisiveEnclosureError,
-    MissingCodingError,
-    NonSturmianError,
-)
+from .errors import CapExceededError, IndecisiveEnclosureError
 from .words import _require_binary, distinct_factors
-
-PairCoding = dict[tuple[int, int], int]
 
 
 def _require_difference_args(u: bytes, order: int) -> None:
@@ -68,83 +62,28 @@ def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     return acc.to_bytes(positions, "big")
 
 
-def default_pair_coding() -> PairCoding:
-    """The coding (x, y) -> 2x + y, injective on all four binary blocks."""
-    return {(x, y): 2 * x + y for x in (0, 1) for y in (0, 1)}
-
-
-def shift_product(u: bytes, coding: PairCoding | None = None) -> bytes:
-    """The coded sequence of adjacent pairs: symbol i = coding[(u_i, u_{i+1})]."""
+def shift_product(u: bytes) -> bytes:
+    """The coded sequence of adjacent pairs: symbol i = 2*u_i + u_{i+1}."""
     if len(u) < 2:
         raise ValueError("word must have length >= 2")
-    if coding is None:
-        coding = default_pair_coding()
-    # One byte per symbol: a code must fit in a byte.
-    if not all(isinstance(code, int) and 0 <= code <= 255 for code in coding.values()):
-        raise ValueError("codes must be integers in 0..255")
-    out = bytearray(len(u) - 1)
-    try:
-        for i in range(len(out)):
-            out[i] = coding[(u[i], u[i + 1])]
-    except KeyError as exc:
-        raise MissingCodingError(f"no code for block {exc.args[0]}") from None
-    return bytes(out)
-
-
-def _affine_solution(
-    blocks: list[tuple[int, int]], coding: PairCoding
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Solve a0*x + a1*y + a2 = code(x, y) over the given blocks, all coded.
-
-    Underdetermined systems (fewer than three blocks) set the free
-    coefficients to zero; four blocks must already be affinely consistent.
-    """
-    rows = [
-        (Fraction(x), Fraction(y), Fraction(1), Fraction(coding[x, y]))
-        for x, y in blocks
-    ]
-    # Gaussian elimination over columns (a0, a1, a2); free columns stay zero.
-    solution = [Fraction(0), Fraction(0), Fraction(0)]
-    pivots: list[tuple[int, list[Fraction]]] = []
-    reduced = [list(r) for r in rows]
-    for col in range(3):
-        pivot_row = None
-        for r in reduced:
-            if r[col] != 0 and all(r[c] == 0 for c in range(col)):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        reduced.remove(pivot_row)
-        pivot_row = [v / pivot_row[col] for v in pivot_row]
-        pivots.append((col, pivot_row))
-        reduced = [
-            [rv - r[col] * pv for rv, pv in zip(r, pivot_row)] for r in reduced
-        ]
-    for r in reduced:
-        if all(v == 0 for v in r[:3]) and r[3] != 0:
-            raise NonSturmianError(
-                "no affine form reproduces the coding on the observed blocks"
-            )
-    for col, row in reversed(pivots):
-        acc = row[3]
-        for c in range(col + 1, 3):
-            acc -= row[c] * solution[c]
-        solution[col] = acc
-    for x, y, _one, code in rows:
-        if solution[0] * x + solution[1] * y + solution[2] != code:
-            raise AssertionError("affine solve failed to reproduce a code")
-    return solution[0], solution[1], solution[2]
+    _require_binary(u, "shift_product")
+    # Symbols are 0/1 bytes, so twice the big-endian integer of the word plus
+    # that of its shift codes every adjacent pair at once, with no carries.
+    return (
+        (int.from_bytes(u[:-1], "big") << 1) + int.from_bytes(u[1:], "big")
+    ).to_bytes(len(u) - 1, "big")
 
 
 class ValueRelationReport(NamedTuple):
     """Certified comparison of the coded product's value against its affine image.
 
-    Writes V(w) for the series sum of w's symbols against 1/b^i.  The claim
-    is V(v) = a0*V(u) + a1*b*(V(u) - u_0) + a2*b/(b-1) for v the coded pair
-    sequence of u; with finite truncations both sides become intervals, and
-    ``consistent`` says they can still be equal.  ``gap_bound`` bounds the
-    true two-sided difference regardless.  ``left`` is v's enclosure.
+    Writes V(w) for the series sum of w's symbols against 1/b^i.  For v the
+    coded pair sequence of a binary word u, the law is
+    V(v) = a0*V(u) + a1*b*(V(u) - u_0) + a2*b/(b-1) with (a0, a1, a2) =
+    (2, 1, 0), since v_i = 2*u_i + u_{i+1}.  With finite truncations both
+    sides become intervals, and ``consistent`` says they can still be equal.
+    ``gap_bound`` bounds the true two-sided difference regardless.  ``left``
+    is v's enclosure.
     """
 
     a0: Fraction
@@ -157,10 +96,8 @@ class ValueRelationReport(NamedTuple):
     consistent: bool
 
 
-def value_affine_relation(
-    u: bytes, coding: PairCoding, b: int, depth: int
-) -> ValueRelationReport:
-    """Check the affine law tying the coded pair sequence's value to u's value."""
+def value_affine_relation(u: bytes, b: int, depth: int) -> ValueRelationReport:
+    """Check V(v) = 2*V(u) + b*(V(u) - u_0) for v the coded pair sequence of u."""
     _require_base(b)
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -171,25 +108,24 @@ def value_affine_relation(
     # The enclosure of u's tail assumes digits of at most 1.
     _require_binary(u, "value_affine_relation")
     head = u[: depth + 1]
-    v = shift_product(head, coding)  # refuses any observed block without a code
-    blocks = sorted(tuple(f) for f in distinct_factors(head, 2))
-    a0, a1, a2 = _affine_solution(blocks, coding)
-    # Truncations: u cut at `depth` symbols, v naturally has `depth` symbols,
-    # so both enclosures share one denominator.  Everything below is scaled
-    # by it; only a0..a2 carry (small) denominators.
+    v = shift_product(head)
+    # Truncations: u cut at `depth` symbols, v naturally has `depth` symbols
+    # of at most 3, so both enclosures share one denominator and everything
+    # below is an integer scaled by it.
     su = series_truncation(head[:depth], b, digit_cap=1)
-    sv = series_truncation(v, b, digit_cap=max(coding.values()))
+    sv = series_truncation(v, b, digit_cap=3)
     den = su.den
-    c = a0 + a1 * b
-    # den * (a0*V + a1*b*(V - u_0) + a2*b/(b-1)) at V = su.lo/den.
-    r0 = c * su.lo - a1 * b * head[0] * den + a2 * b**depth
+    c = 2 + b
+    # den * (2*V + b*(V - u_0)) at V = su.lo/den; the positive c widens it
+    # upward by c_tail at V = su.hi/den.
+    r0 = c * su.lo - b * head[0] * den
     c_tail = c * (su.hi - su.lo)
     v_tail = sv.hi - sv.lo
     residual = sv.lo - r0
     return ValueRelationReport(
-        a0=a0, a1=a1, a2=a2, b=b, depth=depth, left=sv,
-        gap_bound=Fraction(abs(residual) + v_tail + abs(c_tail), den),
-        consistent=min(0, c_tail) - v_tail <= residual <= max(0, c_tail),
+        a0=Fraction(2), a1=Fraction(1), a2=Fraction(0), b=b, depth=depth, left=sv,
+        gap_bound=Fraction(abs(residual) + v_tail + c_tail, den),
+        consistent=-v_tail <= residual <= c_tail,
     )
 
 

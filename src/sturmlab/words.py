@@ -4,9 +4,9 @@ A word is an immutable ``bytes`` with one byte per symbol, so slicing,
 concatenation, comparison and hashing are those of ``bytes``.  Functions
 defined on binary words refuse any other symbol through
 :func:`_require_binary`: :func:`substitute` and :func:`distinct_factors`
-here, and ``difference``, ``difference_by_binomial``, ``block_determinism``
-and ``value_affine_relation`` in ``transforms``.  :func:`to_string` renders
-a word whose symbols are all decimal digits.
+here, and ``difference``, ``difference_by_binomial``, ``shift_product``,
+``block_determinism`` and ``value_affine_relation`` in ``transforms``.
+:func:`to_string` renders a word whose symbols are all decimal digits.
 """
 
 from __future__ import annotations

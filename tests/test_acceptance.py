@@ -12,7 +12,6 @@ from fractions import Fraction
 from sturmlab import (
     check_error_bounds_auto,
     closed_form_exponent,
-    default_pair_coding,
     difference,
     difference_by_binomial,
     distinct_factors,
@@ -194,7 +193,7 @@ def test_criterion_09_affine_identity():
     for k in (1, 2):
         for b in (2, 3):
             u = fixed_point_prefix(k, 201)
-            rep = value_affine_relation(u, default_pair_coding(), b, 200)
+            rep = value_affine_relation(u, b, 200)
             if not (rep.consistent and rep.gap_bound < Fraction(1, 2**195)):
                 ok = False
     _report("criterion 9: coded-product value identity < 2^-195", ok,

@@ -348,6 +348,18 @@ def test_verify_affine_cap_precedes_series(monkeypatch, capsys):
     assert err.startswith("error:") and "cap" in err
 
 
+@pytest.mark.parametrize("depth", range(1, 6))
+def test_verify_affine_fixed_law_at_shallow_depth(depth, capsys):
+    """At depth <= k the prefix shows fewer than three blocks; the law is still 2, 1, 0."""
+    code, out, _ = run(capsys, "verify", "--lemma", "affine", "--k", "1..4",
+                       "--b", "2,3", "--depth", str(depth))
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 8
+    for row in rows:
+        assert row[4] == "PASS"
+        assert row[5].startswith("a0=2/1;a1=1/1;a2=0/1;gap_bound="), row
+
+
 # A config whose sweeps arrive out of key order and lean on the per-lemma
 # defaults of --n and --depth.
 PINNED_CONFIG = [
@@ -476,6 +488,23 @@ def test_verify_sba_row(capsys):
     assert "matching=index_shifted" in out
 
 
+def test_verify_sba_direct_verdict_is_a_fail_row(monkeypatch, capsys):
+    """Every base matches the index-shifted pair; a direct verdict fails its row."""
+    decide = transforms.rotation_sum_relation
+
+    def direct(b, depth):
+        rep = decide(b, depth)
+        return rep._replace(matching="direct", pair=(rep.pair[0] * b, rep.pair[1]))
+
+    monkeypatch.setattr(transforms, "rotation_sum_relation", direct)
+    code, out, _ = run(capsys, "verify", "--lemma", "sba", "--b", "2,3",
+                       "--depth", "120")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert code == 1
+    assert [(row[2], row[4]) for row in rows] == [("2", "FAIL"), ("3", "FAIL")]
+    assert all("matching=direct;c1=-" in row[5] for row in rows)
+
+
 def test_exponent_json(capsys):
     code, out, _ = run(capsys, "exponent", "--k", "2", "--n", "30..40")
     assert code == 0
@@ -564,12 +593,22 @@ def test_exponent_bad_range(capsys):
     ("2,100000000000000000000", 1),
     (f"2..{cli.LEVEL_CAP + 1}", 1),
     ("2..300", 2**40),
-], ids=["range-1e20", "range-1e18", "list-1e20", "cap-plus-one", "k-2^40"])
-def test_exponent_index_cap_is_exit_two(n_range, k, capsys):
-    """The sandwich's top index is sized from the --n ends before any ratio is built."""
+    ("5,99999999999,7", 1),
+    ("99999999999,5,7", 1),
+], ids=["range-1e20", "range-1e18", "list-1e20", "cap-plus-one", "k-2^40",
+        "list-middle", "list-first"])
+def test_exponent_index_cap_is_exit_two(n_range, k, monkeypatch, capsys):
+    """Every listed index, and a range's last, is checked before any ratio is built."""
+    def built(*args):
+        raise AssertionError("sandwich built before the cap check")
+
+    from sturmlab import exponent
+
+    monkeypatch.setattr(exponent, "exponent_sandwich", built)
     code, out, err = run(capsys, "exponent", "--k", str(k), "--n", n_range)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "cap" in err
+    assert err.startswith("error: level ") and err.count("\n") == 1
+    assert "cap" in err and "Traceback" not in err
 
 
 def test_exponent_index_cap_admits_its_edge(capsys):

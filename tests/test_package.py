@@ -20,13 +20,12 @@ PUBLIC = [
     "ApproximantRecord", "Basis", "BoundsCheck",
     "CapExceededError", "ContinuedFraction",
     "ExponentEstimate", "IndecisiveEnclosureError",
-    "InsufficientPrecisionError", "MismatchVerdict", "MissingCodingError",
-    "NonSturmianError", "RotationSumReport",
+    "InsufficientPrecisionError", "MismatchVerdict", "RotationSumReport",
     "SeriesTruncation", "ValueRelationReport",
     "approximant", "basis_ratio", "block_determinism",
     "bound_constants_hold", "check_error_bounds", "check_error_bounds_auto",
     "closed_form_exponent", "continued_fraction", "default_depth",
-    "default_pair_coding", "difference", "difference_by_binomial",
+    "difference", "difference_by_binomial",
     "distinct_factors", "empirical_exponent", "error_bounds",
     "exponent_sandwich", "exponent_upper_bound", "fixed_point_prefix",
     "fixed_point_series", "floor_golden", "from_digits", "get_basis",
@@ -79,7 +78,6 @@ def _records():
     from sturmlab import transforms as t
 
     u = sturmlab.fixed_point_prefix(1, 60)
-    coding = sturmlab.default_pair_coding()
     makers = {
         "MismatchVerdict": lambda: sturmlab.mismatch(1, 4, 2),
         "SeriesTruncation": lambda: sturmlab.fixed_point_series(1, 2, 40),
@@ -87,7 +85,7 @@ def _records():
         "BoundsCheck": lambda: sturmlab.check_error_bounds_auto(1, 3, 2),
         "ExponentEstimate": lambda: sturmlab.exponent_sandwich(1, 5, 9),
         "ContinuedFraction": lambda: sturmlab.continued_fraction(Fraction(355, 113)),
-        "ValueRelationReport": lambda: t.value_affine_relation(u, coding, 3, 40),
+        "ValueRelationReport": lambda: t.value_affine_relation(u, 3, 40),
         "RotationSumReport": lambda: sturmlab.rotation_sum_relation(2, 60),
     }
     return {name: (make(), make()) for name, make in makers.items()}

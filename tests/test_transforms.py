@@ -7,10 +7,7 @@ import pytest
 
 from sturmlab import (
     IndecisiveEnclosureError,
-    MissingCodingError,
-    NonSturmianError,
     block_determinism,
-    default_pair_coding,
     difference,
     difference_by_binomial,
     fixed_point_prefix,
@@ -60,56 +57,57 @@ def test_shift_product_default_coding():
     assert to_string(v) == "1201"
 
 
-def test_shift_product_custom_coding():
-    coding = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
-    v = shift_product(_word("0110"), coding)
-    assert list(v) == [1, 2, 1]
+def _per_pair_product(u: bytes) -> bytes:
+    """The coded pairs from one dict lookup per position (the reference)."""
+    coding = {(x, y): 2 * x + y for x in (0, 1) for y in (0, 1)}
+    return bytes(coding[u[i], u[i + 1]] for i in range(len(u) - 1))
 
 
-def test_shift_product_missing_block():
-    with pytest.raises(MissingCodingError):
-        shift_product(_word("0011"), {(0, 0): 0, (0, 1): 1, (1, 0): 2})
+def _seeded_binary_words(seed: int) -> list[bytes]:
+    rng = random.Random(seed)
+    lengths = [2, 3, 7, 8, 9, 64, 65, 1000]
+    return [bytes(rng.getrandbits(1) for _ in range(n)) for n in lengths for _ in range(5)]
 
 
-@pytest.mark.parametrize("code", [-1, 256, 1.5])
-def test_shift_product_refuses_codes_outside_a_byte(code):
-    coding = {**default_pair_coding(), (0, 1): code}
-    with pytest.raises(ValueError, match=r"codes must be integers in 0\.\.255"):
-        shift_product(_word("0110"), coding)
-    with pytest.raises(ValueError, match=r"codes must be integers in 0\.\.255"):
-        value_affine_relation(fixed_point_prefix(1, 50), coding, 2, 10)
-
-
-def test_affine_decompose_constant_coding():
-    # The constant coding collapses the product: a0 = a1 = 0.
-    coding = {(x, y): 5 for x in (0, 1) for y in (0, 1)}
-    for b in (2, 3):
-        rep = value_affine_relation(fixed_point_prefix(2, 201), coding, b, 200)
-        assert (rep.a0, rep.a1, rep.a2) == (0, 0, 5)
-        assert rep.consistent
-        assert rep.gap_bound < Fraction(1, 2**195)
+def test_shift_product_matches_per_pair_reference():
+    """Fixed-point prefixes and random words: the whole-word product, pair by pair."""
+    samples = [fixed_point_prefix(k, n) for k in range(1, 6) for n in (2, 3, 50, 3001)]
+    samples += _seeded_binary_words(4200)
+    samples += [bytes(30), b"\x01" * 30]
+    for u in samples:
+        assert shift_product(u) == _per_pair_product(u), u
 
 
 def test_affine_identity_certified_tight():
     for k in (1, 2):
         for b in (2, 3):
             u = fixed_point_prefix(k, 201)
-            rep = value_affine_relation(u, default_pair_coding(), b, 200)
+            rep = value_affine_relation(u, b, 200)
             assert rep.consistent
             assert rep.gap_bound < Fraction(1, 2**195)
             assert (rep.a0, rep.a1, rep.a2) == (2, 1, 0)
 
 
-def test_value_relation_sets_free_coefficients_to_zero():
-    # A periodic word shows two blocks, so the constant a2 is free.
-    rep = value_affine_relation(_word("01" * 51), default_pair_coding(), 2, 100)
-    assert rep.consistent and (rep.a0, rep.a1, rep.a2) == (2, 1, 0)
+@pytest.mark.parametrize("b", [2, 3, 10, 2**40])
+def test_value_relation_holds_on_every_binary_word(b):
+    """The law is one of the coding, so random and periodic words satisfy it too."""
+    cases = [
+        (u, depth)
+        for u in _seeded_binary_words(4300 + b % 97)
+        for depth in sorted({1, len(u) // 2, len(u) - 1})
+    ]
+    # A periodic word shows only two blocks.
+    cases.append((_word("01" * 51), 100))
+    for u, depth in cases:
+        rep = value_affine_relation(u, b, depth)
+        assert rep.consistent, (u, depth)
+        assert (rep.a0, rep.a1, rep.a2) == (2, 1, 0)
 
 
 def test_affine_identity_numeric_sanity():
     """Evaluate both sides in floating point at moderate depth."""
     u = fixed_point_prefix(1, 61)
-    rep = value_affine_relation(u, default_pair_coding(), 2, 60)
+    rep = value_affine_relation(u, 2, 60)
     su = fixed_point_series(1, 2, 60)
     xu = su.lo / su.den
     xv = rep.left.lo / rep.left.den
@@ -117,47 +115,26 @@ def test_affine_identity_numeric_sanity():
     assert xv == pytest.approx(rhs, abs=1e-14)
 
 
-def test_value_relation_rejects_non_affine_coding():
-    # XOR coding is affine on three blocks but not on all four.
-    xor = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-    sturmian = fixed_point_prefix(1, 101)
-    rep = value_affine_relation(sturmian, xor, 2, 100)
-    assert rep.consistent and (rep.a0, rep.a1, rep.a2) == (1, 1, 0)
-    four_blocks = _word("0011010" * 20)
-    with pytest.raises(NonSturmianError):
-        value_affine_relation(four_blocks, xor, 2, 100)
-
-
 @pytest.mark.parametrize("b", [2, 3, 10])
 @pytest.mark.parametrize(
-    "u, coding",
-    [
-        (bytes([2, 2, 0] * 40), {(0, 2): 1, (2, 0): 2, (2, 2): 7}),
-        (bytes([2, 0] * 60), {(0, 2): 1, (2, 0): 2}),
-    ],
+    "u",
+    [bytes([2, 2, 0] * 40), bytes([2, 0] * 60)],
     ids=["three-blocks", "two-blocks"],
 )
-def test_value_relation_refuses_non_binary_words(u, coding, b):
-    """The tail enclosure assumes digits 0/1, so a symbol above 1 is refused.
-
-    Both codings are affine on the observed blocks; without the refusal the
-    report reads inconsistent for an identity that holds exactly.
-    """
+def test_value_relation_refuses_non_binary_words(u, b):
+    """The tail enclosure assumes digits 0/1, so a symbol above 1 is refused."""
     with pytest.raises(ValueError, match="binary"):
-        value_affine_relation(u, coding, b, 100)
+        value_affine_relation(u, b, 100)
 
 
 def test_value_relation_validates():
     u = fixed_point_prefix(1, 50)
     with pytest.raises(ValueError):
-        value_affine_relation(u, default_pair_coding(), 1, 10)
+        value_affine_relation(u, 1, 10)
     with pytest.raises(ValueError):
-        value_affine_relation(u, default_pair_coding(), 2, 0)
+        value_affine_relation(u, 2, 0)
     with pytest.raises(ValueError):
-        value_affine_relation(u, default_pair_coding(), 2, 50)
-    # The block 10 occurs in u but has no code.
-    with pytest.raises(MissingCodingError):
-        value_affine_relation(u, {(0, 0): 0, (0, 1): 1}, 2, 10)
+        value_affine_relation(u, 2, 50)
 
 
 def test_block_determinism_counts():

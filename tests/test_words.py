@@ -6,7 +6,6 @@ import pytest
 from sturmlab import (
     CapExceededError,
     block_determinism,
-    default_pair_coding,
     difference,
     difference_by_binomial,
     distinct_factors,
@@ -57,10 +56,9 @@ def test_word_rejects_bad_symbols():
         "difference": lambda w: difference(w, 1),
         "difference_by_binomial": lambda w: difference_by_binomial(w, 3),
         "block_determinism": lambda w: block_determinism(w, 1),
+        "shift_product": shift_product,
         "distinct_factors": lambda w: distinct_factors(w, 2),
-        "value_affine_relation": lambda w: value_affine_relation(
-            w, default_pair_coding(), 2, 10
-        ),
+        "value_affine_relation": lambda w: value_affine_relation(w, 2, 10),
     }
     good = fixed_point_prefix(1, 11)
     for bad in (2, 255):
@@ -77,7 +75,7 @@ def test_to_string_rejects_symbols_above_nine():
     with pytest.raises(ValueError, match="above 9"):
         to_string(bytes([10]))
     with pytest.raises(ValueError, match="above 9"):
-        to_string(shift_product(_word("0110"), {(0, 1): 1, (1, 1): 10, (1, 0): 3}))
+        to_string(bytes([1, 10, 3]))
 
 
 def test_substitute_base_cases():
