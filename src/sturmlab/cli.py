@@ -94,10 +94,10 @@ TSV_COLUMNS = ("lemma", "k", "b", "n", "status", "detail")
 PLAN_CAP = 1_000_000
 
 # Largest level n, in units of k's bit length, that `exponent --n` and the
-# formula3, growth and constants cells take.  Each builds the basis to about
-# index n, of about n*bits(k) bits a value, so its cost is set by
-# n * bits(k): the sandwich at the cap takes about 1 s at k = 1, and one of
-# those cells about 0.25 s (2 vCPUs, CPython 3.11).
+# formula3, growth and constants cells take.  Each reads a few basis values
+# near index n, of about n*bits(k) bits each, so its cost is set by
+# n * bits(k): at k = 1 and the cap, the sandwich over 2..n takes about
+# 0.02 s, and one of those cells about 0.001 s (2 vCPUs, CPython 3.11).
 LEVEL_CAP = 10_000
 
 Row = dict[str, str]
@@ -437,7 +437,7 @@ def cmd_exponent(args) -> int:
         _require_level_cap(args.k, n)
     if _span(n_values) < 2:
         raise UsageError("--n must span at least two indices, e.g. 30..40")
-    est = exponent.exponent_sandwich(args.k, n_values[0], n_values[-1])
+    est = exponent.exponent_sandwich(args.k, min(n_values), max(n_values))
     target = est.target
     cf = None
     if args.digits is not None:

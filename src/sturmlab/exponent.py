@@ -66,14 +66,26 @@ def exponent_sandwich(k: int, n_min: int = 2, n_max: int = 12) -> ExponentEstima
 
     The ratios alternate around their limit, so 1 + min(theta) is a valid
     lower bracket and the upper comes from the generic rate bound evaluated
-    at the observed extremes; both ends are rounded outward.
+    at the observed extremes; both ends are rounded outward.  The pairs
+    (f_n, f_{n+1}) are stepped from n_min, and only the two extreme ratios
+    are kept, compared by cross-multiplication; as the ratios alternate,
+    those stay at the first two indices and each comparison multiplies
+    f_n by a small value.
     """
     if n_min < 2:
         raise ValueError("n_min must be >= 2")
     if n_max <= n_min:
         raise ValueError("n_max must exceed n_min")
-    thetas = [basis_ratio(k, n) for n in range(n_min, n_max + 1)]
-    m, big = min(thetas), max(thetas)
+    basis = get_basis(k)
+    f, g = basis.value(n_min), basis.value(n_min + 1)
+    lo = hi = (g, f)   # theta as (numerator, denominator)
+    for _ in range(n_max - n_min):
+        f, g = g, k * g + f
+        if g * lo[1] < lo[0] * f:
+            lo = (g, f)
+        elif g * hi[1] > hi[0] * f:
+            hi = (g, f)
+    m, big = Fraction(*lo), Fraction(*hi)
     lower = _float_below(1 + m)
     upper = _float_above(exponent_upper_bound(m, big, big))
     return ExponentEstimate(target=closed_form_exponent(k), lower=lower, upper=upper)

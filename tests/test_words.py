@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -138,33 +139,111 @@ def test_swap_last_two():
         swap_last_two(_word("0"))
 
 
+def _corrupted(w: bytes, corrupt: str) -> bytes:
+    sym = bytearray(w)
+    if corrupt == "flip_first":
+        sym[0] ^= 1
+    elif corrupt == "flip_last":
+        sym[-1] ^= 1
+    elif corrupt == "drop_last":
+        del sym[-1]
+    else:
+        sym.append(0)
+    return bytes(sym)
+
+
+def _literal_identities(k, un_1, un, un1):
+    """Both identities as literal joined statements, U_{n+2} = U_{n+1}^k U_n."""
+    un2 = un1 * k + un
+    return (
+        un_1 + un == swap_last_two(un + un_1),
+        un2 == un + (un * k + swap_last_two(un_1)) * k,
+    )
+
+
 def test_word_identities_small_grid():
+    """The piecewise check equals the literal joined statements, and both hold."""
     for k in (1, 2, 3, 4):
-        for n in range(2, 8):
-            assert word_identities(k, n) == (True, True)
+        for n in range(2, 10):
+            un_1, un, un1 = (iterate_word(k, m) for m in (n - 1, n, n + 1))
+            assert un1 * k + un == iterate_word(k, n + 2)
+            assert word_identities(k, n) == _literal_identities(k, un_1, un, un1) == (True, True)
 
 
 @pytest.mark.parametrize("corrupt", ["flip_first", "flip_last", "drop_last", "append"])
 def test_word_identities_detects_a_wrong_iterate(monkeypatch, corrupt):
-    """The piecewise match of U_{n+2} fails on any symbol or length change."""
+    """The piecewise matches fail on a symbol or length change in any word
+    they read, U_{n-1}, U_n or U_{n+1}: the verdict is the literal joined
+    statements' verdict on the corrupted words, and never (True, True)."""
     exact = words._chain
+    for at in range(3):
+        window = []
 
-    def corrupted(k, n):
-        chain = exact(k, n)
-        sym = bytearray(chain[-1])
-        if corrupt == "flip_first":
-            sym[0] ^= 1
-        elif corrupt == "flip_last":
-            sym[-1] ^= 1
-        elif corrupt == "drop_last":
-            del sym[-1]
-        else:
-            sym.append(0)
-        return chain[:-1] + [bytes(sym)]
+        def corrupted(k, n):
+            window[:] = exact(k, n)
+            window[at] = _corrupted(window[at], corrupt)
+            return list(window)
 
-    monkeypatch.setattr(words, "_chain", corrupted)
-    for k in (1, 3):
-        assert word_identities(k, 5) == (True, False)
+        monkeypatch.setattr(words, "_chain", corrupted)
+        for k in (1, 3):
+            got = word_identities(k, 5)
+            assert got == _literal_identities(k, *window), (at, k)
+            assert got != (True, True), (at, k)
+
+
+def _pieces(w: bytes, rng: random.Random) -> list:
+    """``w`` cut into memoryview pieces of lengths 0..3, a few of them longer."""
+    view = memoryview(w)
+    out, pos = [], 0
+    while pos < len(w) or rng.random() < 0.2:
+        size = rng.choice([0, 1, 2, 3, rng.randrange(len(w) + 1)])
+        out.append(view[pos : pos + size])
+        pos += size
+    return out
+
+
+def test_pieces_equal_matches_joined_comparison():
+    """The piecewise comparison equals comparing the joins, for a difference
+    in the first or last byte of every piece on either side, pieces of
+    length 0..2, and unequal total lengths."""
+    rng = random.Random(2200)
+    for _ in range(300):
+        w = bytes(rng.getrandbits(1) for _ in range(rng.randrange(12)))
+        left = [bytes(p) for p in _pieces(w, rng)]
+        right = _pieces(w, rng)
+        assert words._pieces_equal(left, right)
+        # Each byte that opens or closes a piece of either side, flipped.
+        edges = set()
+        for side in (left, right):
+            pos = 0
+            for piece in side:
+                if len(piece):
+                    edges |= {pos, pos + len(piece) - 1}
+                pos += len(piece)
+        variants = []
+        for at in edges:
+            v = bytearray(w)
+            v[at] ^= 1
+            variants.append(bytes(v))
+        variants += [w[:-1], w + b"\x00", w + b"\x01", b"\x00" + w]
+        for v in variants:
+            assert words._pieces_equal(left, _pieces(v, rng)) == (w == v), (w, v)
+            assert words._pieces_equal([bytes(p) for p in _pieces(v, rng)], right) == (w == v)
+
+
+def test_word_identities_holds_three_words():
+    """Only U_{n-1}, U_n and U_{n+1} are built: U_{n+2} and both right-hand
+    sides stay lists of pieces (the joined check peaked at 4.53 times the
+    three words' length)."""
+    f = get_basis(3).value
+    words._require_level(3, 14)   # the basis table, outside the measurement
+    tracemalloc.start()
+    try:
+        assert word_identities(3, 12) == (True, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (f(11) + f(12) + f(13))
 
 
 def test_fixed_point_prefix_cuts_the_iterate():
