@@ -44,7 +44,6 @@ _EXPORTS = {
         "exponent": (
             "ContinuedFraction",
             "ExponentEstimate",
-            "basis_ratio",
             "closed_form_exponent",
             "continued_fraction",
             "empirical_exponent",
@@ -74,7 +73,6 @@ _EXPORTS = {
         "words": (
             "distinct_factors",
             "fixed_point_prefix",
-            "iterate_word",
             "substitute",
             "swap_last_two",
             "to_string",

@@ -303,12 +303,18 @@ def _check_sba(b: int, depth: int) -> tuple[bool, str]:
     return rep.matching == "index_shifted", detail
 
 
+_SWEEP_KEYS = ("lemma", "k", "b", "n", "imax", "depth", "seed", "cases")
+
+
 def _int_field(entry: dict, name: str, default: int) -> int:
     value = entry.get(name, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    # JSON true and 1.5 would pass int() as 1; an integer is written as one.
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def _span(values: Sequence[int]) -> int:
@@ -324,6 +330,11 @@ def _grid(entry) -> tuple[str, list[Sequence[int]], tuple]:
     """Validate one sweep definition: its lemma, grid axes and check parameters."""
     if not isinstance(entry, dict):
         raise UsageError(f"each sweep definition must be a JSON object, got {entry!r}")
+    unknown = [key for key in entry if key not in _SWEEP_KEYS]
+    if unknown:
+        raise UsageError(
+            f"unknown sweep key {unknown[0]!r}; use {', '.join(_SWEEP_KEYS)}"
+        )
     lemma = entry.get("lemma")
     if lemma not in LEMMAS:
         raise UsageError(f"unknown lemma {lemma!r}; choose from {', '.join(LEMMAS)}")

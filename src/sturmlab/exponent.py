@@ -23,12 +23,6 @@ def closed_form_exponent(k: int) -> float:
     return 1.0 + (k + math.sqrt(k * k + 4)) / 2.0
 
 
-def basis_ratio(k: int, n: int) -> Fraction:
-    """theta_n = f_{n+1} / f_n, exact."""
-    basis = get_basis(k)
-    return Fraction(basis.value(n + 1), basis.value(n))
-
-
 def exponent_upper_bound(alpha, beta, gamma):
     """(1 + beta) * gamma / alpha, for growth rates alpha <= beta and gap rate gamma.
 

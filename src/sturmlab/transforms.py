@@ -36,12 +36,15 @@ def _require_difference_args(u: bytes, order: int) -> None:
 def difference(u: bytes, order: int = 1) -> bytes:
     """Iterated adjacent difference mod 2; order 0 returns the word unchanged."""
     _require_difference_args(u, order)
-    # Symbols are 0/1 bytes, so one XOR of the big-endian integers of the word
-    # and its shift takes every adjacent difference at once, with no carries.
-    for _ in range(order):
-        u = (
-            int.from_bytes(u[:-1], "big") ^ int.from_bytes(u[1:], "big")
-        ).to_bytes(len(u) - 1, "big")
+    # Mod 2, (1 + x)^(2^j) = 1 + x^(2^j): the order is a product of rounds,
+    # one per set bit j, each XORing the word with its 2^j-shift.  Symbols are
+    # 0/1 bytes, so a round is one XOR of big-endian integers, with no carries.
+    for j in range(order.bit_length()):
+        if order >> j & 1:
+            s = 1 << j
+            u = (
+                int.from_bytes(u[:-s], "big") ^ int.from_bytes(u[s:], "big")
+            ).to_bytes(len(u) - s, "big")
     return u
 
 

@@ -12,7 +12,6 @@ here, and ``difference``, ``difference_by_binomial``, ``shift_product``,
 from __future__ import annotations
 
 import struct
-import sys
 
 from .errors import CapExceededError
 from .numeration import get_basis
@@ -81,32 +80,6 @@ def _require_level(k: int, n: int) -> None:
         )
 
 
-def _chain(k: int, n: int) -> list[bytes]:
-    """The last three of U_0 .. U_n (fewer when n < 2), where U_0 = 0,
-    U_1 = 0^k 1 and U_{m+1} = U_m^k U_{m-1}.
-
-    Each step reads only the two words before it, so the oldest is dropped
-    before the next is built and no more than three words are ever held.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    # |U_n| = f_n, and the iterates only grow, so one check covers them all.
-    _require_level(k, n)
-    chain = [b"\x00", b"\x00" * k + b"\x01"][: n + 1]
-    for _ in range(n - 1):
-        del chain[:-2]
-        prev, cur = chain
-        chain.append(_next_iterate(cur, prev, k, len(cur) * k + len(prev)))
-    return chain
-
-
-def iterate_word(k: int, n: int) -> bytes:
-    """The n-th iterate of the morphism applied to the single letter 0."""
-    return _chain(k, n)[-1]
-
-
 def swap_last_two(w: bytes) -> bytes:
     """The word with its final two symbols exchanged."""
     if len(w) < 2:
@@ -161,7 +134,8 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     product length >= 2).  Second: U_{n+2} equals U_n (U_n^k U_{n-1}*)^k where
     * exchanges the last two symbols (needs n >= 2).
 
-    Only U_{n-1}, U_n and U_{n+1} are built.  Both sides of each identity
+    Each U_m is the first f_m symbols of the fixed point, so only U_{n+1}
+    is built and U_n, U_{n-1} are its prefixes.  Both sides of each identity
     are lists of pieces: U_{n+2} is U_{n+1}^k U_n, and U_{n-1}* (|U_{n-1}| >= 2)
     is three ``memoryview`` slices of U_{n-1}.
     """
@@ -169,7 +143,9 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
         raise ValueError("identities are stated for n >= 2")
     # Refuse U_{n+2} by index, though it is never joined.
     _require_level(k, n + 2)
-    un_1, un, un1 = _chain(k, n + 1)
+    f = get_basis(k).value
+    un1 = fixed_point_prefix(k, f(n + 1))
+    un, un_1 = un1[: f(n)], un1[: f(n - 1)]
     view = memoryview(un_1)
     swapped = [view[:-2], view[-1:], view[-2:-1]]
     id1 = _pieces_equal([un_1, un], [un, *swapped])
@@ -182,25 +158,20 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
 _LANE_CHUNK = 1 << 16
 # memoryview format of a native unsigned word, by its size in bytes.
 _LANE_FORMATS = {struct.calcsize(code): code for code in "BHILQ"}
-
-
-def _lane_byte_offset(b: int, size: int, byteorder: str) -> int:
-    """Offset in a lane of its byte ``b`` (lane bits 8b..8b+7), for a lane
-    stored as consecutive ``size``-byte words of order ``byteorder``."""
-    word, at = divmod(b, size)
-    return word * size + (at if byteorder == "little" else size - 1 - at)
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII bit -> symbol byte
 
 
 def distinct_factors(w: bytes, m: int) -> set[bytes]:
     """All distinct factors of length ``m`` occurring in the binary word ``w``.
 
-    Each position i is packed into a lane whose bit j is w[i + j].  A lane
-    is one word of 1, 2, 4 or 8 bytes when that holds its m bits, else as
-    many 64-bit words as it needs (lane bits 64v..64v+63 in word v).  Each
-    lane byte is assembled for a whole pass at once from the big-endian
-    integers of its eight shifted columns, whose 0/1 bytes OR without
-    carries, then strided into a buffer read back as native words; the
-    distinct lanes are collected in C and only they are decoded.
+    Each position i is packed into a lane whose bit j is w[i + j], stored
+    little-endian as one word of 1, 2, 4 or 8 bytes when that holds its m
+    bits, else as many 8-byte words as it needs.  Each lane byte is
+    assembled for a whole pass at once from the big-endian integers of its
+    eight shifted columns, whose 0/1 bytes OR without carries, then strided
+    into a buffer read back as native words; the distinct lanes are
+    collected in C and only they are decoded, from their bytes packed back
+    in native order, so the result does not depend on the byte order.
     """
     if m < 0:
         raise ValueError("factor length must be >= 0")
@@ -214,7 +185,7 @@ def distinct_factors(w: bytes, m: int) -> set[bytes]:
     size = next((n for n in (1, 2, 4) if n >= nbytes), 8)
     nwords = -(-nbytes // size)
     stride = size * nwords
-    lanes: set = set()   # lane ints, or tuples of lane words
+    lanes: set = set()   # native words, or tuples of them
     for start in range(0, positions, _LANE_CHUNK):
         count = min(_LANE_CHUNK, positions - start)
         buf = bytearray(count * stride)
@@ -222,15 +193,15 @@ def distinct_factors(w: bytes, m: int) -> set[bytes]:
             lane_byte = 0
             for t, j in enumerate(range(8 * b, min(8 * b + 8, m))):
                 lane_byte |= int.from_bytes(w[start + j : start + j + count], "big") << t
-            offset = _lane_byte_offset(b, size, sys.byteorder)
-            buf[offset::stride] = lane_byte.to_bytes(count, "big")
+            buf[b::stride] = lane_byte.to_bytes(count, "big")
         words = memoryview(buf).cast(_LANE_FORMATS[size])
         if nwords == 1:
             lanes.update(words)
         else:
             lanes.update(zip(*(words[v::nwords] for v in range(nwords))))
+    pack = struct.Struct("=" + nwords * _LANE_FORMATS[size]).pack
     factors = set()
     for code in lanes:
-        lane = code if nwords == 1 else sum(x << (64 * v) for v, x in enumerate(code))
-        factors.add(bytes((lane >> j) & 1 for j in range(m)))
+        lane = int.from_bytes(pack(code) if nwords == 1 else pack(*code), "little")
+        factors.add(format(lane, f"0{m}b")[::-1].encode().translate(_BITS))
     return factors

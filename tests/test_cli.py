@@ -164,13 +164,36 @@ def test_verify_json_entry_must_be_object(config, tmp_path, capsys):
     [{"lemma": "lemma2", "imax": None}],
     [{"lemma": "affine", "depth": []}],
     [{"lemma": "lemma3", "cases": float("inf")}],
-], ids=["imax-null", "depth-list", "cases-infinity"])
-def test_verify_json_entry_field_of_wrong_type(config, tmp_path, capsys):
+    [{"lemma": "lemma2", "imax": True}],
+    [{"lemma": "affine", "depth": False}],
+    [{"lemma": "lemma3", "seed": 1.5}],
+    [{"lemma": "lemma3", "cases": 1.0}],
+    [{"lemma": "lemma2", "imax": 1e300}],
+], ids=["imax-null", "depth-list", "cases-infinity", "imax-true", "depth-false",
+        "seed-half", "cases-float-one", "imax-1e300"])
+def test_verify_json_entry_field_of_wrong_type(config, tmp_path, capsys, monkeypatch):
+    """A field that is not an integer, a bool or float included, is refused in
+    one short line before any cell of an earlier entry runs."""
+    monkeypatch.setattr(cli, "_check_lemma1", lambda *a: pytest.fail("a cell ran"))
     cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps([{"lemma": "lemma1", "k": "1", "n": "2"}, *config]))
     code, out, err = run(capsys, "verify", "--json", str(cfg))
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "integer" in err
+    assert err.startswith("error:") and "must be an integer, got" in err
+    assert len(err) < 100
+
+
+@pytest.mark.parametrize("key", ["imx", "jobs", "format", "K", ""])
+def test_verify_json_unknown_key_is_refused(key, tmp_path, capsys, monkeypatch):
+    """A key outside the sweep fields is refused, not silently ignored, before
+    any cell of an earlier entry runs."""
+    monkeypatch.setattr(cli, "_check_lemma1", lambda *a: pytest.fail("a cell ran"))
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps([{"lemma": "lemma1", "k": "1", "n": "2"},
+                               {"lemma": "lemma2", key: 5}]))
+    code, out, err = run(capsys, "verify", "--json", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: unknown sweep key {key!r}; use lemma, k, b, n,")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,6 @@ import pytest
 
 from sturmlab import (
     InsufficientPrecisionError,
-    basis_ratio,
     closed_form_exponent,
     continued_fraction,
     empirical_exponent,
@@ -24,11 +23,6 @@ def test_closed_form_values():
     assert closed_form_exponent(3) == pytest.approx(1 + (3 + math.sqrt(13)) / 2, abs=1e-14)
 
 
-def test_basis_ratio():
-    assert basis_ratio(1, 5) == Fraction(21, 13)
-    assert basis_ratio(2, 3) == Fraction(get_basis(2).value(4), get_basis(2).value(3))
-
-
 def _theta_enclosure(k, bits=96):
     """Dyadic enclosure of theta = (k + sqrt(k^2 + 4)) / 2, width 2^-(bits+1)."""
     scale = 1 << bits
@@ -40,7 +34,8 @@ def test_ratios_converge_into_enclosure():
     for k in (1, 2):
         lo, hi = _theta_enclosure(k)
         assert float(lo) <= (k + math.sqrt(k * k + 4)) / 2 <= float(hi)
-        r = basis_ratio(k, 60)
+        basis = get_basis(k)
+        r = Fraction(basis.value(61), basis.value(60))
         assert lo - Fraction(1, 10**20) <= r <= hi + Fraction(1, 10**20)
 
 
@@ -74,7 +69,8 @@ def test_sandwich_matches_extremes_of_every_ratio(k):
     """The streamed extremes give the bracket that min and max over the list
     of every exact ratio give."""
     for n_min, n_max in [(2, 12), (2, 40), (5, 300), (2, 2000)]:
-        thetas = [basis_ratio(k, n) for n in range(n_min, n_max + 1)]
+        basis = get_basis(k)
+        thetas = [Fraction(basis.value(n + 1), basis.value(n)) for n in range(n_min, n_max + 1)]
         m, big = min(thetas), max(thetas)
         expected = ExponentEstimate(
             target=closed_form_exponent(k),

@@ -22,14 +22,14 @@ PUBLIC = [
     "ExponentEstimate", "IndecisiveEnclosureError",
     "InsufficientPrecisionError", "MismatchVerdict", "RotationSumReport",
     "SeriesTruncation", "ValueRelationReport",
-    "approximant", "basis_ratio", "block_determinism",
+    "approximant", "block_determinism",
     "bound_constants_hold", "check_error_bounds", "check_error_bounds_auto",
     "closed_form_exponent", "continued_fraction", "default_depth",
     "difference", "difference_by_binomial",
     "distinct_factors", "empirical_exponent", "error_bounds",
     "exponent_sandwich", "exponent_upper_bound", "fixed_point_prefix",
     "fixed_point_series", "floor_golden", "from_digits", "get_basis",
-    "growth_law_holds", "is_regular", "iterate_word", "mismatch",
+    "growth_law_holds", "is_regular", "mismatch",
     "normalize",
     "rotation_sum_relation", "scaled_error_bounds_hold", "series_truncation",
     "shift_product", "substitute", "swap_last_two", "symbol_at", "to_digits",

@@ -51,6 +51,35 @@ def test_binomial_oracle_agrees():
         assert difference(u, order) == difference_by_binomial(u, order)
 
 
+def _one_step_differences(u: bytes):
+    """Delta^0 u, Delta^1 u, ... by the definition: each step XORs the word
+    with its 1-shift (the reference)."""
+    while u:
+        yield u
+        u = (int.from_bytes(u[:-1], "big") ^ int.from_bytes(u[1:], "big")).to_bytes(
+            len(u) - 1, "big"
+        )
+
+
+_DIFFERENCE_ORDERS = {*range(70), 127, 128, 255, 256, 1000, 2047, 2999}
+
+
+def test_difference_routes_match_the_definition():
+    """One XOR per set bit of the order, the binomial mask and the one-step
+    iteration agree on Sturmian words at orders up to 2999, and on random
+    words at orders below 300."""
+    rng = random.Random(2300)
+    cases = [(fixed_point_prefix(k, 3100), _DIFFERENCE_ORDERS) for k in (1, 2, 3)]
+    for _ in range(40):
+        u = bytes(rng.getrandbits(1) for _ in range(rng.randrange(1, 700)))
+        cases.append((u, {rng.randrange(min(300, len(u))) for _ in range(4)}))
+    for u, orders in cases:
+        for order, expected in enumerate(_one_step_differences(u)):
+            if order in orders:
+                assert difference(u, order) == expected, (len(u), order)
+                assert difference_by_binomial(u, order) == expected, (len(u), order)
+
+
 def test_shift_product_default_coding():
     # Pairs of 01001 under (x, y) -> 2x + y: 01, 10, 00, 01.
     v = shift_product(fixed_point_prefix(1, 5))

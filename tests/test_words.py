@@ -1,5 +1,4 @@
 import random
-import struct
 import tracemalloc
 
 import pytest
@@ -11,7 +10,6 @@ from sturmlab import (
     difference_by_binomial,
     distinct_factors,
     fixed_point_prefix,
-    iterate_word,
     shift_product,
     substitute,
     swap_last_two,
@@ -27,9 +25,16 @@ def _word(digits: str) -> bytes:
     return bytes(map(int, digits))
 
 
+def _substituted(k: int, n: int) -> bytes:
+    """U_n as the substitution applied n times to 0 (the reference)."""
+    w = b"\x00"
+    for _ in range(n):
+        w = substitute(k, w)
+    return w
+
+
 _BYTES_RESULTS = {
     "fixed_point_prefix": lambda: fixed_point_prefix(2, 50),
-    "iterate_word": lambda: iterate_word(2, 5),
     "substitute": lambda: substitute(2, _word("0110")),
     "swap_last_two": lambda: swap_last_two(_word("0110")),
     "difference": lambda: difference(fixed_point_prefix(1, 50), 3),
@@ -88,27 +93,26 @@ def test_substitute_base_cases():
 
 
 def test_iterates_start_with_previous():
-    """Each iterate extends the one before it, so a fixed point exists."""
+    """Each iterate extends the one before it, so a fixed point exists, and
+    the levels follow U_{n+1} = U_n^k U_{n-1}."""
     for k in (1, 2, 3):
-        prev = iterate_word(k, 3)
-        for n in range(4, 9):
-            cur = iterate_word(k, n)
+        for n in range(1, 9):
+            prev, cur, nxt = (_substituted(k, m) for m in (n - 1, n, n + 1))
             assert cur.startswith(prev)
-            prev = cur
+            assert nxt == cur * k + prev
 
 
 def test_iterate_lengths_follow_basis():
     for k in (1, 2, 3, 4):
         for n in range(0, 12):
-            assert len(iterate_word(k, n)) == get_basis(k).value(n)
+            assert len(_substituted(k, n)) == get_basis(k).value(n)
 
 
 def test_iterate_matches_substitution():
-    for k in (1, 2, 3):
-        w = _word("0")
-        for n in range(1, 8):
-            w = substitute(k, w)
-            assert w == iterate_word(k, n)
+    """Every level U_n is the first f_n symbols of the fixed point."""
+    for k in (1, 2, 3, 4):
+        for n in range(0, 12):
+            assert fixed_point_prefix(k, get_basis(k).value(n)) == _substituted(k, n), (k, n)
 
 
 def test_fixed_point_prefix_values():
@@ -139,17 +143,25 @@ def test_swap_last_two():
         swap_last_two(_word("0"))
 
 
-def _corrupted(w: bytes, corrupt: str) -> bytes:
-    sym = bytearray(w)
-    if corrupt == "flip_first":
-        sym[0] ^= 1
-    elif corrupt == "flip_last":
-        sym[-1] ^= 1
-    elif corrupt == "drop_last":
-        del sym[-1]
-    else:
-        sym.append(0)
-    return bytes(sym)
+def _corruptions(w: bytes, corrupt: str, f: list[int]) -> list[bytes]:
+    """``w`` = U_{n+1} changed in one way, for the lengths f = [f_{n-1}, f_n]."""
+    if corrupt == "drop_last":
+        return [w[:-1]]
+    if corrupt == "append":
+        return [w + b"\x00", w + b"\x01"]
+    # The first and last symbol of each region a flip can land in.
+    at = {
+        "flip_first": {0},
+        "flip_in_un": {f[0], f[1] - 1},
+        "flip_in_un1": {f[1], len(w) - 2},
+        "flip_last": {len(w) - 1},
+    }[corrupt]
+    out = []
+    for i in sorted(at):
+        sym = bytearray(w)
+        sym[i] ^= 1
+        out.append(bytes(sym))
+    return out
 
 
 def _literal_identities(k, un_1, un, un1):
@@ -165,30 +177,29 @@ def test_word_identities_small_grid():
     """The piecewise check equals the literal joined statements, and both hold."""
     for k in (1, 2, 3, 4):
         for n in range(2, 10):
-            un_1, un, un1 = (iterate_word(k, m) for m in (n - 1, n, n + 1))
-            assert un1 * k + un == iterate_word(k, n + 2)
+            un_1, un, un1 = (_substituted(k, m) for m in (n - 1, n, n + 1))
+            assert un1 * k + un == _substituted(k, n + 2)
             assert word_identities(k, n) == _literal_identities(k, un_1, un, un1) == (True, True)
 
 
-@pytest.mark.parametrize("corrupt", ["flip_first", "flip_last", "drop_last", "append"])
+@pytest.mark.parametrize(
+    "corrupt", ["flip_first", "flip_in_un", "flip_in_un1", "flip_last", "drop_last", "append"]
+)
 def test_word_identities_detects_a_wrong_iterate(monkeypatch, corrupt):
-    """The piecewise matches fail on a symbol or length change in any word
-    they read, U_{n-1}, U_n or U_{n+1}: the verdict is the literal joined
-    statements' verdict on the corrupted words, and never (True, True)."""
-    exact = words._chain
-    for at in range(3):
-        window = []
-
-        def corrupted(k, n):
-            window[:] = exact(k, n)
-            window[at] = _corrupted(window[at], corrupt)
-            return list(window)
-
-        monkeypatch.setattr(words, "_chain", corrupted)
-        for k in (1, 3):
-            got = word_identities(k, 5)
-            assert got == _literal_identities(k, *window), (at, k)
-            assert got != (True, True), (at, k)
+    """The piecewise matches fail on a symbol change inside U_{n-1}, inside
+    U_n past U_{n-1} or inside U_{n+1} past U_n, and on a length change of
+    the built U_{n+1}: the verdict is the literal joined statements' verdict
+    on the words sliced from the corrupted U_{n+1}, and never (True, True)."""
+    exact = words.fixed_point_prefix
+    for k in (1, 2, 3):
+        f = get_basis(k).value
+        for n in (2, 3, 5):
+            for bad in _corruptions(exact(k, f(n + 1)), corrupt, [f(n - 1), f(n)]):
+                monkeypatch.setattr(words, "fixed_point_prefix", lambda k, length: bad)
+                got = word_identities(k, n)
+                window = (bad[: f(n - 1)], bad[: f(n)], bad)
+                assert got == _literal_identities(k, *window), (k, n)
+                assert got != (True, True), (k, n)
 
 
 def _pieces(w: bytes, rng: random.Random) -> list:
@@ -232,9 +243,9 @@ def test_pieces_equal_matches_joined_comparison():
 
 
 def test_word_identities_holds_three_words():
-    """Only U_{n-1}, U_n and U_{n+1} are built: U_{n+2} and both right-hand
+    """Only U_{n-1}, U_n and U_{n+1} are held: U_{n+2} and both right-hand
     sides stay lists of pieces (the joined check peaked at 4.53 times the
-    three words' length)."""
+    three words' length, and keeping every iterate U_0..U_{n+1} 1.029 times)."""
     f = get_basis(3).value
     words._require_level(3, 14)   # the basis table, outside the measurement
     tracemalloc.start()
@@ -243,13 +254,13 @@ def test_word_identities_holds_three_words():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (f(11) + f(12) + f(13))
+    assert peak < 1.01 * (f(11) + f(12) + f(13))
 
 
 def test_fixed_point_prefix_cuts_the_iterate():
     """Lengths at, just past and inside the pieces of the last round."""
     for k in (1, 2, 3, 4):
-        big = iterate_word(k, 9)
+        big = _substituted(k, 9)
         for n in range(1, 7):
             fn = get_basis(k).value(n)
             for length in (fn - 1, fn, fn + 1, 2 * fn + 3, k * fn, k * fn + 1):
@@ -264,9 +275,9 @@ def test_word_identities_rejects_small_n():
 def test_identity_statements_literally():
     # Spell out both identities once, independent of word_identities.
     k, n = 2, 4
-    un = iterate_word(k, n)
-    un_1 = iterate_word(k, n - 1)
-    un2 = iterate_word(k, n + 2)
+    un = _substituted(k, n)
+    un_1 = _substituted(k, n - 1)
+    un2 = _substituted(k, n + 2)
     assert un_1 + un == swap_last_two(un + un_1)
     assert un2 == un + (un * k + swap_last_two(un_1)) * k
 
@@ -285,10 +296,13 @@ def _sliced_factors(w: bytes, m: int) -> set[bytes]:
     return {w[i : i + m] for i in range(len(w) - m + 1)}
 
 
-# Lengths 0..20, and lengths whose lanes end on, one or two bits short of,
-# or one bit past a 1-, 2-, 4- or 8-byte word or a second 64-bit lane word.
+# Lengths 0..20, lengths whose lanes end on, one or two bits short of, or
+# one bit past a 1-, 2-, 4- or 8-byte word or a second 64-bit lane word, and
+# lanes of 4 to 16 such words.
 _FACTOR_LENGTHS = sorted(
-    {*range(21)} | {bits - 1 + d for bits in (8, 16, 32, 64, 128) for d in (-1, 0, 1, 2)}
+    {*range(21)}
+    | {bits - 1 + d for bits in (8, 16, 32, 64, 128) for d in (-1, 0, 1, 2)}
+    | {255, 256, 257, 1000}
 )
 
 
@@ -318,24 +332,6 @@ def test_distinct_factors_matches_sliced_reference(m, chunk, monkeypatch):
             sample.append(bytes(rng.getrandbits(1) for _ in range(n)))
         for w in sample:
             assert distinct_factors(w, m) == _sliced_factors(w, m), (m, n)
-
-
-@pytest.mark.parametrize("order", ["<", ">"], ids=["little", "big"])
-@pytest.mark.parametrize("size, code", [(1, "B"), (2, "H"), (4, "I"), (8, "Q")])
-def test_lane_byte_offset_matches_struct_layout(order, size, code):
-    """Each lane byte lands where struct packs it, in either byte order, so
-    a big-endian machine's branch is checked on a little-endian one too."""
-    byteorder = "little" if order == "<" else "big"
-    rng = random.Random(size)
-    for nwords in (1, 2, 3):
-        lane = rng.getrandbits(8 * size * nwords)
-        mask = (1 << (8 * size)) - 1
-        packed = struct.pack(
-            order + code * nwords, *((lane >> (8 * size * v)) & mask for v in range(nwords))
-        )
-        for b in range(size * nwords):
-            offset = words._lane_byte_offset(b, size, byteorder)
-            assert packed[offset] == (lane >> (8 * b)) & 0xFF, (nwords, b)
 
 
 def test_distinct_factors_edge_lengths():
