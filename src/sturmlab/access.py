@@ -6,10 +6,16 @@ the symbol only for indices whose digits 0..n are worth f_{n+1} - 2 or
 f_{n+1} - 1, which gives a direct description of where a prefix and its
 shift disagree: per index (``mismatch``) or as the offsets of the mismatch
 pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
+
+``symbol_at`` splits an index below f_{2L} with one bisect of the basis's
+shifted low table (see ``numeration``).  ``mismatch`` keeps its walk down to
+f_{n+2}: splitting first was slower on its calls, and would build the low
+table for calls that need none.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .numeration import _reduce, get_basis, regular_vectors
@@ -23,15 +29,22 @@ def symbol_at(k: int, n: int) -> int:
         raise ValueError("index must be >= 0")
     basis = get_basis(k)
     low = basis.low_table()
-    basis._extend_past(n)
     if len(low) > k:
-        # The table's size is a basis value f_L >= f_1; what the walk leaves
-        # below it has the same digits 0..L-1 as n, bottom digit included
-        # (and no digits at all when it is 0).
-        rem = _reduce(basis._vals, n, len(low))
+        # The table's size is a basis value f_L >= f_1.  Below f_{2L} the
+        # entry of ``_high`` found by one bisect carries n's digits from
+        # position L up (see ``numeration.to_digits``), so subtracting it
+        # leaves the value of digits 0..L-1, bottom digit included (and no
+        # digits at all when it is 0).  Above f_{2L} the walk first leaves
+        # the value of n's digits below 2L.
+        high = basis._high
+        if n >= basis._f2L:
+            basis._extend_past(n)
+            n = _reduce(basis._vals, n, basis._f2L)
+        rem = n - high[bisect_right(high, n) - 1]
         return 1 if rem and low[rem][0] == k else 0
     # From k = 4096 up the table holds f_0's entry alone: below f_1 = k + 1
     # the walk leaves the bottom digit itself.
+    basis._extend_past(n)
     return 1 if _reduce(basis._vals, n, k + 1) == k else 0
 
 

@@ -7,7 +7,14 @@ each non-negative integer then has exactly one regular representation, so
 ``normalize`` regularizes any vector by digitizing its value greedily.
 Digit vectors are plain little-endian tuples of ints; this module is the only
 one that walks a value's digits.  ``access`` reads the basis table itself on
-its per-index paths, through ``_reduce``.
+its per-index paths, through ``_reduce`` and ``Basis.low_table``.
+
+Values below f_{2L}, where f_L is the largest basis value <= 4096, are
+digitised with no walk.  Regular vectors ordered by value are in
+lexicographic order (``regular_vectors`` yields them in that order), so the
+values of the vectors with zeros below position L, one per value m < f_L
+shifted up L positions, increase with m; the greatest one <= n carries n's
+digits from position L up, and one bisect finds it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ class Basis:
     """The recurrence values for one k: a table that the per-index paths
     extend on demand, and any other value by doubling."""
 
-    __slots__ = ("k", "_vals", "_low")
+    __slots__ = ("k", "_vals", "_low", "_padded", "_high", "_f2L")
 
     def __init__(self, k: int):
         if k < 1:
@@ -40,6 +47,11 @@ class Basis:
         # _vals[j] holds f_{j-2}: indices -2, -1, 0 seed the recurrence.
         self._vals = [1 - k, 1, 1]
         self._low: list[tuple[int, ...]] | None = None
+        # Set with _low: its entries padded to L digits, their values moved up
+        # L positions, and f_{2L}.
+        self._padded: list[tuple[int, ...]] = []
+        self._high: list[int] = []
+        self._f2L = 0
 
     def value(self, n: int) -> int:
         """f_n for n >= -2, read from the table when it reaches n.
@@ -83,16 +95,26 @@ class Basis:
         largest basis value <= ``_LOW_TABLE_BOUND``; entry n is n's digits.
 
         Built once, each entry by the greedy walk itself, so the table is an
-        independent digitisation and not a copy of ``regular_vectors``.
+        independent digitisation and not a copy of ``regular_vectors``.  The
+        same call sets ``_padded``, the entries padded with zeros to L
+        digits; ``_high``, whose entry m is the value of m's digits moved up
+        L positions (their weighted sum over f_L..f_{2L-1}); and ``_f2L``.
+        These come from the greedy entries alone, never from the walk.
         """
         if self._low is None:
-            size = self.value(self.largest_index_leq(_LOW_TABLE_BOUND))
+            width = self.largest_index_leq(_LOW_TABLE_BOUND)   # L
+            size = self._vals[width + 2]
             table = []
             for n in range(size):
                 digits, rem = _greedy(self._vals, n, 0)
                 if rem:
                     raise AssertionError("greedy digitization failed to exhaust the value")
                 table.append(digits)
+            self._extend_to(2 * width)
+            weights = self._vals[width + 2 : 2 * width + 2]   # f_L .. f_{2L-1}
+            self._padded = [d + (0,) * (width - len(d)) for d in table]
+            self._high = [sum(map(mul, d, weights)) for d in table]
+            self._f2L = self._vals[2 * width + 2]
             self._low = table
         return self._low
 
@@ -152,9 +174,15 @@ def _reduce(vals: list[int], n: int, floor: int) -> int:
 def to_digits(k: int, n: int) -> tuple[int, ...]:
     """The unique regular digit vector of value ``n`` (greedy, most significant first).
 
-    Little-endian, with no trailing zeros; ``()`` for 0.  Positions from the
-    top down to L are walked greedily; the value they leave is below f_L and
-    its digits come from ``Basis.low_table``.
+    Little-endian, with no trailing zeros; ``()`` for 0.  Below f_L the
+    digits are one entry of ``Basis.low_table``.  Below f_{2L}, let m be
+    the value of n's digits at positions L and up, read unshifted.  The
+    vector of m + 1 moved up L positions, with zeros below, is regular and
+    lexicographically greater than n's, so ``_high[m] <= n < _high[m + 1]``
+    and m is the index of the last entry of ``_high`` that is <= n: n's
+    digits are those of n - ``_high[m]`` padded to L, then m's.  Above f_{2L} the positions
+    from the top down to 2L are walked greedily and the value they leave is
+    split the same way.
     """
     if n < 0:
         raise ValueError("value must be >= 0")
@@ -162,12 +190,15 @@ def to_digits(k: int, n: int) -> tuple[int, ...]:
     low = basis.low_table()
     if n < len(low):
         return low[n]
+    high, padded = basis._high, basis._padded
+    if n < basis._f2L:
+        m = bisect_right(high, n) - 1
+        return padded[n - high[m]] + low[m]
     basis._extend_past(n)
-    # The table's last value, f_L - 1, fills positions 0..L-1.
-    width = len(low[-1])
-    high, rem = _greedy(basis._vals, n, width)
-    digits = low[rem]
-    return digits + (0,) * (width - len(digits)) + high
+    # Entries are padded to L digits: walk down to position 2L.
+    upper, rem = _greedy(basis._vals, n, 2 * len(padded[0]))
+    m = bisect_right(high, rem) - 1
+    return padded[rem - high[m]] + padded[m] + upper
 
 
 def from_digits(k: int, digits: Iterable[int]) -> int:

@@ -12,6 +12,7 @@ here, and ``difference``, ``difference_by_binomial``, ``shift_product``,
 from __future__ import annotations
 
 import struct
+from itertools import chain, repeat
 
 from .errors import CapExceededError
 from .numeration import get_basis
@@ -54,11 +55,12 @@ def substitute(k: int, w: bytes) -> bytes:
 def _next_iterate(cur: bytes, prev: bytes, k: int, limit: int) -> bytes:
     """The first ``limit`` symbols of U_{m+1} = U_m^k U_{m-1}, built by one join.
 
-    Pieces past ``limit`` are never copied, so the result is the only new
-    allocation of its size.
+    Pieces past ``limit`` are never copied, and the k copies of ``cur`` are
+    iterated, not listed, so the result is the only new allocation of its
+    size.
     """
     kept = []
-    for piece in [cur] * k + [prev]:
+    for piece in chain(repeat(cur, k), (prev,)):
         if limit <= 0:
             break
         kept.append(piece[:limit])
@@ -95,6 +97,10 @@ def fixed_point_prefix(k: int, length: int) -> bytes:
         raise ValueError("length must be >= 0")
     if length > LENGTH_CAP:
         raise CapExceededError(f"prefix of length {length} exceeds cap {LENGTH_CAP}")
+    if length <= k:
+        # The fixed point starts with U_1 = 0^k 1; its first k symbols need
+        # no iterate, which at large k would not fit in memory.
+        return bytes(length)
     prev = b"\x00"
     cur = b"\x00" * k + b"\x01"
     # Truncating an iterate beyond ``length`` is safe: the truncation only

@@ -45,6 +45,17 @@ def test_generate_bad_transform(capsys):
         assert err == f"error: unknown transform {spec!r}; use diff, diff:N, or pairs\n"
 
 
+def test_huge_k_prefix_is_answered(capsys):
+    """A prefix no longer than k is all zeros, so generate and lemma2 answer
+    at any k without building U_1 = 0^k 1 (at k = 2^32 that took 4 GB)."""
+    code, out, err = run(capsys, "generate", "--k", "18446744073709551616", "--len", "10")
+    assert (code, out.strip(), err) == (0, "0000000000", "")
+    for k in ("4294967296", "99999999999999999999"):
+        code, out, err = run(capsys, "verify", "--lemma", "lemma2", "--k", k, "--imax", "10")
+        assert (code, err) == (0, ""), err
+        assert out.splitlines()[1].split("\t")[4:] == ["PASS", "checked=10;disagreements=0"]
+
+
 def test_generate_bad_k(capsys):
     code, _, err = run(capsys, "generate", "--k", "0", "--len", "5")
     assert code == 2 and "k must be" in err

@@ -134,12 +134,15 @@ def test_to_digits_matches_regular_vectors(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
 def test_to_digits_straddles_low_table(k):
-    """Values on both sides of the table's bound f_L, of f_{L+1}, and 10^30."""
+    """Values on both sides of the table's bound f_L, of f_{L+1}, of the split
+    bound f_{2L} and f_{2L+1}, and 10^30."""
     basis = get_basis(k)
     size = len(basis.low_table())
     top = basis.largest_index_leq(numeration._LOW_TABLE_BOUND)
     assert size == basis.value(top) <= numeration._LOW_TABLE_BOUND < basis.value(top + 1)
-    edges = {size, basis.value(top + 1), basis.value(top + 2), 2 * size, k * size}
+    assert basis._f2L == basis.value(2 * top)
+    edges = {size, basis.value(top + 1), basis.value(top + 2), 2 * size, k * size,
+             basis.value(2 * top), basis.value(2 * top + 1)}
     values = {v + d for v in edges for d in range(-3, 4) if v + d >= 0} | {10**30, 10**30 - 1}
     for n in sorted(values):
         assert to_digits(k, n) == _greedy_reference(k, n), (k, n)
@@ -147,13 +150,16 @@ def test_to_digits_straddles_low_table(k):
 
 def _walk_cases(k):
     """Values around the low table's size and f_1, f_j - 2 .. f_j + 1 for
-    j <= 60, and random values below 10^12 and 10^30."""
+    j <= 60, f_{2L} - 3 .. f_{2L} + 3 and the same around f_{2L+1} (L the
+    low table's top position), and random values below 10^12 and 10^30."""
     f = [1, k + 1]
     while len(f) <= 60:
         f.append(k * f[-1] + f[-2])
     size = len(get_basis(k).low_table())
+    top = get_basis(k).largest_index_leq(numeration._LOW_TABLE_BOUND)
     edges = [size, k + 1, *f]
     values = {v + d for v in edges for d in range(-2, 2) if v + d >= 0}
+    values |= {v + d for v in f[2 * top : 2 * top + 2] for d in range(-3, 4) if v + d >= 0}
     rng = random.Random(8800 + k)
     values |= {rng.randrange(10**12) for _ in range(40)}
     values |= {rng.randrange(10**30) for _ in range(40)}
@@ -192,9 +198,34 @@ def test_low_table_is_built_without_the_walk(monkeypatch):
 
     monkeypatch.setattr(numeration, "regular_vectors", walk_forbidden)
     monkeypatch.setattr(numeration, "_basis_cache", {})
-    table = numeration.Basis(3).low_table()
+    basis = numeration.Basis(3)
+    table = basis.low_table()
     assert table == [_greedy_reference(3, n) for n in range(len(table))]
     assert to_digits(3, 10**6) == _greedy_reference(3, 10**6)
+    # The shifted table: the reference vectors weighed from f_L up.
+    top = len(table[-1])
+    f = [basis.value(j) for j in range(2 * top + 1)]
+    assert basis._high == [sum(map(mul, _greedy_reference(3, m), f[top:]))
+                           for m in range(len(table))]
+    assert basis._padded == [d + (0,) * (top - len(d)) for d in table]
+    assert basis._f2L == f[2 * top]
+
+
+@pytest.mark.parametrize("k", [5, 8, 64])
+def test_split_matches_regular_vectors_below_f2L(k):
+    """Every value below f_{2L}, where one bisect of the shifted low table
+    splits it, digitises to the vector the in-order walk reaches, and its
+    symbol is 1 exactly when that vector's bottom digit is k."""
+    basis = get_basis(k)
+    basis.low_table()
+    bound = basis._f2L
+    expected = 0
+    for value, digits in regular_vectors(k, bound):
+        assert value == expected
+        assert to_digits(k, value) == digits, (k, value)
+        assert symbol_at(k, value) == (digits[:1] == (k,)), (k, value)
+        expected += 1
+    assert expected == bound
 
 
 def test_digit_and_low_matches_digits():

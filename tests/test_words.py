@@ -267,6 +267,32 @@ def test_fixed_point_prefix_cuts_the_iterate():
                 assert fixed_point_prefix(k, length) == big[:length]
 
 
+def test_fixed_point_prefix_at_huge_k():
+    """The fixed point starts with 0^k 1: a prefix no longer than k is all
+    zeros, however large k is, and is built without U_1."""
+    assert fixed_point_prefix(2**64, 10) == bytes(10)
+    assert fixed_point_prefix(10**20, 0) == b""
+
+
+@pytest.mark.parametrize("k, length, budget", [
+    (10**8, 10, 1 << 20),
+    # U_1 = 0^k 1 is built, then two copies of it and k - 2 symbols of a
+    # third; the k copies of U_1 are never listed.
+    (10**7, 3 * 10**7, 2 * 3 * 10**7),
+])
+def test_fixed_point_prefix_memory_at_large_k(k, length, budget):
+    tracemalloc.start()
+    try:
+        w = fixed_point_prefix(k, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, peak
+    # Below k (k + 1) symbols the fixed point is (0^k 1)(0^k 1)...
+    whole, part = divmod(length, k + 1)
+    assert w == (bytes(k) + b"\x01") * whole + bytes(part)
+
+
 def test_word_identities_rejects_small_n():
     with pytest.raises(ValueError):
         word_identities(1, 1)
