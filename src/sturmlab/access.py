@@ -77,14 +77,14 @@ def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
         raise ValueError("index must be >= 0")
     basis = get_basis(k)
     basis._extend_past(i + 2)
-    vals = basis._vals   # vals[j] = f_{j-2}
+    vals = basis._vals   # vals[n] = f_n
     # While i + 2 < f_{n+1}, digits 0..n of i are worth i itself, too little
     # to match, and f_{n+1} need not be built.  Past this test
     # vals[-1] > i + 2 >= f_{n+1}, so f_{n+2} is built too.
-    if len(vals) <= n + 3 or i + 2 < vals[n + 3]:
+    if len(vals) <= n + 1 or i + 2 < vals[n + 1]:
         return _SAME
-    fn1 = vals[n + 3]
-    digit, low = divmod(_reduce(vals, i, vals[n + 4]), fn1)
+    fn1 = vals[n + 1]
+    digit, low = divmod(_reduce(vals, i, vals[n + 2]), fn1)
     if digit == k:
         return _SAME
     if low == fn1 - 2:

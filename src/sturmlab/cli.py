@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 from .access import mismatch, symbol_at
 from .errors import CapExceededError, IndecisiveEnclosureError, InsufficientPrecisionError
 from .numeration import (
+    UNIQUENESS_CAP,
     _require_sweep_bound,
     from_digits,
     get_basis,
@@ -168,8 +169,10 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
     import random
 
     problems: list[str] = []
-    # The cap on imax stops the sweep before any value is digitised.
+    # The caps on imax and cases stop the check before any value is digitised.
     _require_sweep_bound(imax)
+    if cases > UNIQUENESS_CAP:
+        raise CapExceededError(f"lemma3 cases are capped at {UNIQUENESS_CAP:_}")
     # The walk reaches every vector that obeys the digit rule and is worth
     # less than imax, so uniqueness holds exactly when its values come out
     # as 0, 1, ..., imax - 1.  Each walked vector is regular and valued by

@@ -1,7 +1,7 @@
 """Positional numeration on the recurrence f_{i+2} = k*f_{i+1} + f_i.
 
-The basis starts f_{-2} = 1 - k, f_{-1} = 1, f_0 = 1, so positions 0, 1, 2, ...
-of a digit vector weight f_0, f_1, f_2, ...  A digit vector is *regular* when
+The basis starts f_0 = 1, f_1 = k + 1, and positions 0, 1, 2, ... of a
+digit vector weigh f_0, f_1, f_2, ...  A digit vector is *regular* when
 every digit lies in 0..k and a digit equal to k forces a zero just below it;
 each non-negative integer then has exactly one regular representation, so
 ``normalize`` regularizes any vector by digitizing its value greedily.
@@ -44,8 +44,7 @@ class Basis:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        # _vals[j] holds f_{j-2}: indices -2, -1, 0 seed the recurrence.
-        self._vals = [1 - k, 1, 1]
+        self._vals = [1, k + 1]   # _vals[n] holds f_n
         self._low: list[tuple[int, ...]] | None = None
         # Set with _low: its entries padded to L digits, their values moved up
         # L positions, and f_{2L}.
@@ -54,16 +53,16 @@ class Basis:
         self._f2L = 0
 
     def value(self, n: int) -> int:
-        """f_n for n >= -2, read from the table when it reaches n.
+        """f_n for n >= 0 (f_0 = 1, f_1 = k + 1), read from the table when it reaches n.
 
         Past the table, f_n = G_{n+1} + G_n, where [[k, 1], [1, 0]]^n =
         [[G_{n+1}, G_n], [G_n, G_{n-1}]], by doubling; the table is not
         extended, so a level-n value costs no table of all levels below it.
         """
-        if n < -2:
-            raise ValueError("basis index must be >= -2")
-        if n + 2 < len(self._vals):
-            return self._vals[n + 2]
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if n < len(self._vals):
+            return self._vals[n]
         k = self.k
         g, h = 0, 1   # G_m, G_{m+1}, from m = 0 to m = n bit by bit
         for bit in bin(n)[2:]:
@@ -74,11 +73,8 @@ class Basis:
 
     def largest_index_leq(self, x: int) -> int:
         """Largest n >= 0 with f_n <= x, or -1 when x < 1."""
-        if x < 1:
-            return -1
         self._extend_past(x)
-        # f_0, f_1, f_2, ... (table indices 2, 3, 4, ...) strictly increase.
-        return bisect_right(self._vals, x, 2) - 3
+        return bisect_right(self._vals, x) - 1
 
     def _extend_past(self, x: int) -> None:
         vals = self._vals
@@ -87,7 +83,7 @@ class Basis:
 
     def _extend_to(self, n: int) -> None:
         vals = self._vals
-        while len(vals) <= n + 2:
+        while len(vals) <= n:
             vals.append(self.k * vals[-1] + vals[-2])
 
     def low_table(self) -> list[tuple[int, ...]]:
@@ -103,7 +99,7 @@ class Basis:
         """
         if self._low is None:
             width = self.largest_index_leq(_LOW_TABLE_BOUND)   # L
-            size = self._vals[width + 2]
+            size = self._vals[width]
             table = []
             for n in range(size):
                 digits, rem = _greedy(self._vals, n, 0)
@@ -111,10 +107,10 @@ class Basis:
                     raise AssertionError("greedy digitization failed to exhaust the value")
                 table.append(digits)
             self._extend_to(2 * width)
-            weights = self._vals[width + 2 : 2 * width + 2]   # f_L .. f_{2L-1}
+            weights = self._vals[width : 2 * width]   # f_L .. f_{2L-1}
             self._padded = [d + (0,) * (width - len(d)) for d in table]
             self._high = [sum(map(mul, d, weights)) for d in table]
-            self._f2L = self._vals[2 * width + 2]
+            self._f2L = self._vals[2 * width]
             self._low = table
         return self._low
 
@@ -140,20 +136,19 @@ def is_regular(k: int, digits: Sequence[int]) -> bool:
 def _greedy(vals: list[int], n: int, stop: int) -> tuple[tuple[int, ...], int]:
     """Greedy digits of ``n`` at positions ``stop`` and up, and what they leave.
 
-    Takes the largest multiple of each basis value (``vals`` in the
-    ``Basis._vals`` layout, extended past ``n``) from n's top position down
+    Takes the largest multiple of each basis value (``vals`` is
+    ``Basis._vals``, extended past ``n``) from n's top position down
     to ``stop``, one step per nonzero digit as in ``_reduce``.  Returns the
     digits of positions stop..top, little-endian and empty when n < f_stop,
     and the remainder, which is below f_stop.
     """
-    # f_0, f_1, ... are table indices 2, 3, ...: top is n's highest position.
-    top = bisect_right(vals, n, 2) - 3
+    top = bisect_right(vals, n) - 1   # n's highest position
     out = [0] * (top + 1 - stop)
     rem = n
-    floor = vals[stop + 2]
+    floor = vals[stop]
     while rem >= floor:
-        j = bisect_right(vals, rem, 2) - 1
-        out[j - 2 - stop], rem = divmod(rem, vals[j])
+        j = bisect_right(vals, rem) - 1
+        out[j - stop], rem = divmod(rem, vals[j])
     return tuple(out), rem
 
 
@@ -163,11 +158,11 @@ def _reduce(vals: list[int], n: int, floor: int) -> int:
     The greedy walk's remainder with no digits kept: reducing modulo f_top,
     ..., f_s in turn leaves it, and ``rem %= f_j`` does nothing while
     rem < f_j, so each step jumps straight to the largest basis value <= rem
-    and the walk takes one ``%`` per nonzero digit.  ``vals`` is in the
-    ``Basis._vals`` layout, extended past ``n``.
+    and the walk takes one ``%`` per nonzero digit.  ``vals`` is
+    ``Basis._vals``, extended past ``n``.
     """
     while n >= floor:
-        n %= vals[bisect_right(vals, n, 2) - 1]
+        n %= vals[bisect_right(vals, n) - 1]
     return n
 
 
@@ -210,7 +205,7 @@ def from_digits(k: int, digits: Iterable[int]) -> int:
         return 0
     basis = get_basis(k)
     basis._extend_to(len(seq) - 1)
-    return sum(map(mul, seq, basis._vals[2 : 2 + len(seq)]))
+    return sum(map(mul, seq, basis._vals))
 
 
 def normalize(k: int, digits: Iterable[int]) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ here, and ``difference``, ``difference_by_binomial``, ``shift_product``,
 
 from __future__ import annotations
 
-import struct
+import sys
 from itertools import chain, repeat
 
 from .errors import CapExceededError
@@ -160,24 +160,23 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
 
 
 # Positions packed per pass of distinct_factors; passes read windows that
-# overlap by m - 1 symbols, so memory stays a few bytes per position of one pass.
+# overlap by m - 1 symbols, so memory stays 8 bytes per position of one pass.
 _LANE_CHUNK = 1 << 16
-# memoryview format of a native unsigned word, by its size in bytes.
-_LANE_FORMATS = {struct.calcsize(code): code for code in "BHILQ"}
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII bit -> symbol byte
 
 
 def distinct_factors(w: bytes, m: int) -> set[bytes]:
     """All distinct factors of length ``m`` occurring in the binary word ``w``.
 
-    Each position i is packed into a lane whose bit j is w[i + j], stored
-    little-endian as one word of 1, 2, 4 or 8 bytes when that holds its m
-    bits, else as many 8-byte words as it needs.  Each lane byte is
+    Past m = 64 the factors are the slices ``w[i:i+m]``.  Up to 64, each
+    position i is packed into one native 8-byte lane whose bit j is
+    w[i + j], lane byte b holding bits 8b..8b+7.  Each lane byte is
     assembled for a whole pass at once from the big-endian integers of its
     eight shifted columns, whose 0/1 bytes OR without carries, then strided
     into a buffer read back as native words; the distinct lanes are
-    collected in C and only they are decoded, from their bytes packed back
-    in native order, so the result does not depend on the byte order.
+    collected in C and only they are decoded, from their bytes in native
+    order read little-endian, so the result does not depend on the byte
+    order.
     """
     if m < 0:
         raise ValueError("factor length must be >= 0")
@@ -187,27 +186,20 @@ def distinct_factors(w: bytes, m: int) -> set[bytes]:
         return set()
     if m == 0:
         return {b""}
-    nbytes = -(-m // 8)
-    size = next((n for n in (1, 2, 4) if n >= nbytes), 8)
-    nwords = -(-nbytes // size)
-    stride = size * nwords
-    lanes: set = set()   # native words, or tuples of them
+    if m > 64:
+        return {w[i : i + m] for i in range(positions)}
+    lanes: set[int] = set()
     for start in range(0, positions, _LANE_CHUNK):
         count = min(_LANE_CHUNK, positions - start)
-        buf = bytearray(count * stride)
-        for b in range(nbytes):
+        buf = bytearray(8 * count)
+        for b in range(-(-m // 8)):
             lane_byte = 0
             for t, j in enumerate(range(8 * b, min(8 * b + 8, m))):
                 lane_byte |= int.from_bytes(w[start + j : start + j + count], "big") << t
-            buf[b::stride] = lane_byte.to_bytes(count, "big")
-        words = memoryview(buf).cast(_LANE_FORMATS[size])
-        if nwords == 1:
-            lanes.update(words)
-        else:
-            lanes.update(zip(*(words[v::nwords] for v in range(nwords))))
-    pack = struct.Struct("=" + nwords * _LANE_FORMATS[size]).pack
+            buf[b::8] = lane_byte.to_bytes(count, "big")
+        lanes.update(memoryview(buf).cast("Q"))
     factors = set()
     for code in lanes:
-        lane = int.from_bytes(pack(code) if nwords == 1 else pack(*code), "little")
+        lane = int.from_bytes(code.to_bytes(8, sys.byteorder), "little")
         factors.add(format(lane, f"0{m}b")[::-1].encode().translate(_BITS))
     return factors

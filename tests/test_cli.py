@@ -281,6 +281,39 @@ def test_verify_lemma3_cap_precedes_round_trip(monkeypatch, capsys):
     assert err.startswith("error:") and "cap" in err
 
 
+def test_verify_lemma3_cases_cap_precedes_any_case(monkeypatch, capsys):
+    """--cases past the uniqueness cap is refused in one error line, before
+    the walk or any normalization case runs."""
+    def ran(*args):
+        raise AssertionError("lemma3 ran before the cases cap check")
+
+    monkeypatch.setattr(cli, "regular_vectors", ran)
+    monkeypatch.setattr(cli, "normalize", ran)
+    code, out, err = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
+                         "--imax", "10", "--cases", "100000000")
+    assert code == 2 and out == ""
+    assert err == f"error: lemma3 cases are capped at {cli.UNIQUENESS_CAP:_}\n"
+
+
+def test_verify_lemma3_cases_cap_admits_its_edge(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "UNIQUENESS_CAP", 3)
+    code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
+                       "--imax", "10", "--cases", "3")
+    assert code == 0 and out.endswith("roundtrip<10;uniqueness<10;cases=3\n")
+    assert run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
+               "--imax", "10", "--cases", "4")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lemma", "lemma4", "--k", "1", "--n", "-1", "--imax", "10"),
+    ("--lemma", "formula3", "--n", "-1"),
+    ("--lemma", "formula3", "--n", "-2"),
+], ids=["lemma4-n-1", "formula3-n-1", "formula3-n-2"])
+def test_verify_negative_level_is_refused(argv, capsys):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", "error: n must be >= 0\n")
+
+
 def _digits_wrong_at(bad):
     """to_digits, except that it returns the vector of bad + 1 at bad."""
     real = cli.to_digits

@@ -20,30 +20,32 @@ from sturmlab.numeration import _reduce, regular_vectors
 
 
 def test_basis_seeds_and_recurrence():
-    # f_{-2} = 1 - k, f_{-1} = 1, f_0 = 1, then f_{n+2} = k f_{n+1} + f_n.
-    assert get_basis(1).value(-2) == 0
-    assert get_basis(3).value(-2) == -2
+    # f_0 = 1, f_1 = k + 1, then f_{n+2} = k f_{n+1} + f_n; no index below 0.
     for k in (1, 2, 3, 4):
-        f = get_basis(k).value
-        assert f(-1) == 1
+        basis = numeration.Basis(k)
+        assert basis._vals == [1, k + 1]
+        f = basis.value
         assert f(0) == 1
         assert f(1) == k + 1
         for n in range(0, 20):
             assert f(n + 2) == k * f(n + 1) + f(n)
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+                f(n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 2**40])
 def test_value_by_doubling_matches_recurrence(k):
     """Values past the table come by doubling and leave the table as it was;
-    they match the recurrence stepped from f_{-1} = f_0 = 1."""
+    they match the recurrence stepped from f_0 = 1, f_1 = k + 1."""
     basis = numeration.Basis(k)
     wanted = {*range(301), 1000, 10000}
-    f, g = 1, 1   # f_{n-1}, f_n
+    f, g = 1, k + 1   # f_n, f_{n+1}
     for n in range(max(wanted) + 1):
         if n in wanted:
-            assert basis.value(n) == g, (k, n)
+            assert basis.value(n) == f, (k, n)
         f, g = g, k * g + f
-    assert len(basis._vals) == 3
+    assert basis._vals == [1, k + 1]
 
 
 def test_basis_known_rows():

@@ -1,7 +1,9 @@
 """The package surface, its records, and what a fresh CLI process imports."""
 
+import doctest
 import importlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -68,6 +70,15 @@ def test_star_import_binds_every_export():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         sturmlab.no_such_name
+
+
+def test_readme_quick_tour_runs_as_doctest():
+    """The README's ```python block is a doctest session, and every example passes."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```python\n(.*?)^```", text, re.M | re.S).group(1)
+    tour = doctest.DocTestParser().get_doctest(block, {}, "quick tour", "README.md", 0)
+    result = doctest.DocTestRunner().run(tour)
+    assert result == (0, 10)
 
 
 # ---------------------------------------------------------------------------
