@@ -4,48 +4,74 @@ The n-th symbol is 1 exactly when the bottom digit of the regular
 representation of n equals k.  Shifting an index by a basis value f_n flips
 the symbol only for indices whose digits 0..n are worth f_{n+1} - 2 or
 f_{n+1} - 1, which gives a direct description of where a prefix and its
-shift disagree: per index (``mismatch``) or as the offsets of the mismatch
+shift disagree: per index (``mismatches``) or as the offsets of the mismatch
 pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
 
-``symbol_at`` splits an index below f_{2L} with one bisect of the basis's
-shifted low table (see ``numeration``).  ``mismatch`` keeps its walk down to
-f_{n+2}: splitting first was slower on its calls, and would build the low
-table for calls that need none.
+The range forms ``symbols_at`` and ``mismatches`` are the kernels: each
+checks k (and n) and fetches the basis and its tables once per call, then
+answers each index of an iterable in turn, so a sweep over many indices
+makes one call.  ``symbol_at`` and ``mismatch`` wrap them for one index.
+Medians of ten fresh processes, best of seven runs each (tables built
+first; 2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take
+0.025 s in one ``symbols_at`` call, against 0.045 s as 100,000 ``symbol_at``
+calls before the range form existed; 10,000 indices below 10^4 at each level
+n = 0..9 at k = 2 take 0.046 s in ten ``mismatches`` calls, against 0.059 s
+as scalar calls.  Through its wrapper a scalar call makes and runs one
+generator: ``symbol_at`` costs 0.64 us (0.45 us before) and ``mismatch``
+0.74 us (0.59 us before).
+
+``symbols_at`` splits an index below f_{2L} with one bisect of the basis's
+shifted low table (see ``numeration``).  ``mismatches`` keeps its walk down
+to f_{n+2}: splitting first was slower on its indices, and would build the
+low table for calls that need none.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .numeration import _reduce, get_basis, regular_vectors
 
 
-def symbol_at(k: int, n: int) -> int:
-    """Symbol of the fixed point at index ``n`` (0-based), in O(log n) time."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0:
-        raise ValueError("index must be >= 0")
+def symbols_at(k: int, indices: Iterable[int]) -> Iterator[int]:
+    """Symbol of the fixed point at each index (0-based), in O(log n) time each.
+
+    Yields one symbol per index, in the order given; indices may repeat and
+    need not increase.  k is checked (by ``get_basis``) before any index is read.
+    """
     basis = get_basis(k)
     low = basis.low_table()
     if len(low) > k:
         # The table's size is a basis value f_L >= f_1.  Below f_{2L} the
         # entry of ``_high`` found by one bisect carries n's digits from
-        # position L up (see ``numeration.to_digits``), so subtracting it
+        # position L up (see ``numeration.digit_vectors``), so subtracting it
         # leaves the value of digits 0..L-1, bottom digit included (and no
         # digits at all when it is 0).  Above f_{2L} the walk first leaves
         # the value of n's digits below 2L.
-        high = basis._high
-        if n >= basis._f2L:
+        high, f2L = basis._high, basis._f2L
+        for n in indices:
+            if n < 0:
+                raise ValueError("index must be >= 0")
+            if n >= f2L:
+                basis._extend_past(n)
+                n = _reduce(basis._vals, n, f2L)
+            rem = n - high[bisect_right(high, n) - 1]
+            yield 1 if rem and low[rem][0] == k else 0
+    else:
+        # From k = 4096 up the table holds f_0's entry alone: below f_1 = k + 1
+        # the walk leaves the bottom digit itself.
+        for n in indices:
+            if n < 0:
+                raise ValueError("index must be >= 0")
             basis._extend_past(n)
-            n = _reduce(basis._vals, n, basis._f2L)
-        rem = n - high[bisect_right(high, n) - 1]
-        return 1 if rem and low[rem][0] == k else 0
-    # From k = 4096 up the table holds f_0's entry alone: below f_1 = k + 1
-    # the walk leaves the bottom digit itself.
-    basis._extend_past(n)
-    return 1 if _reduce(basis._vals, n, k + 1) == k else 0
+            yield 1 if _reduce(basis._vals, n, k + 1) == k else 0
+
+
+def symbol_at(k: int, n: int) -> int:
+    """Symbol of the fixed point at index ``n`` (0-based), in O(log n) time."""
+    (symbol,) = symbols_at(k, (n,))
+    return symbol
 
 
 class MismatchVerdict(NamedTuple):
@@ -61,8 +87,8 @@ _UP = MismatchVerdict(True, 1)
 _DOWN = MismatchVerdict(True, -1)
 
 
-def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
-    """Compare the fixed point at i and i + f_n by digits alone.
+def mismatches(k: int, n: int, indices: Iterable[int]) -> Iterator[MismatchVerdict]:
+    """Compare the fixed point at i and i + f_n by digits alone, for each index i.
 
     The symbols differ exactly when digits 0..n of i reproduce those of
     f_{n+1} - 2 or f_{n+1} - 1 while the digit of i at position n + 1 stays
@@ -70,28 +96,37 @@ def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
     Digits 0..n of a regular vector are the regular vector of their value, which
     is below f_{n+1}; as regular vectors are unique, the patterns match exactly
     when that value equals f_{n+1} - 2 or f_{n+1} - 1.
+
+    Yields one verdict per index, in the order given; indices may repeat and
+    need not increase.  n and k are checked before any index is read.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if i < 0:
-        raise ValueError("index must be >= 0")
     basis = get_basis(k)
-    basis._extend_past(i + 2)
     vals = basis._vals   # vals[n] = f_n
-    # While i + 2 < f_{n+1}, digits 0..n of i are worth i itself, too little
-    # to match, and f_{n+1} need not be built.  Past this test
-    # vals[-1] > i + 2 >= f_{n+1}, so f_{n+2} is built too.
-    if len(vals) <= n + 1 or i + 2 < vals[n + 1]:
-        return _SAME
-    fn1 = vals[n + 1]
-    digit, low = divmod(_reduce(vals, i, vals[n + 2]), fn1)
-    if digit == k:
-        return _SAME
-    if low == fn1 - 2:
-        return _UP if n % 2 == 0 else _DOWN
-    if low == fn1 - 1:
-        return _DOWN if n % 2 == 0 else _UP
-    return _SAME
+    for i in indices:
+        if i < 0:
+            raise ValueError("index must be >= 0")
+        if i + 2 >= vals[-1]:
+            basis._extend_past(i + 2)
+        # While i + 2 < f_{n+1}, digits 0..n of i are worth i itself, too
+        # little to match, and f_{n+1} need not be built.  Past this test
+        # vals[-1] > i + 2 >= f_{n+1}, so f_{n+2} is built too.
+        if len(vals) <= n + 1 or i + 2 < vals[n + 1]:
+            yield _SAME
+            continue
+        fn1 = vals[n + 1]
+        digit, low = divmod(_reduce(vals, i, vals[n + 2]), fn1)
+        if digit == k or low < fn1 - 2:
+            yield _SAME
+        else:
+            yield _UP if (low == fn1 - 2) == (n % 2 == 0) else _DOWN
+
+
+def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
+    """Compare the fixed point at i and i + f_n by digits alone (see ``mismatches``)."""
+    (verdict,) = mismatches(k, n, (i,))
+    return verdict
 
 
 def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:

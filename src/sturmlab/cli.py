@@ -11,20 +11,21 @@ import importlib.util
 import itertools
 import math
 import sys
+from operator import ne
 from types import ModuleType
 from typing import NamedTuple, Sequence
 
-from .access import mismatch, symbol_at
+from .access import mismatch, mismatches, symbols_at
 from .errors import CapExceededError, IndecisiveEnclosureError, InsufficientPrecisionError
 from .numeration import (
     UNIQUENESS_CAP,
     _require_sweep_bound,
+    digit_vectors,
     from_digits,
     get_basis,
     is_regular,
     normalize,
     regular_vectors,
-    to_digits,
 )
 from .words import _require_level, fixed_point_prefix, to_string, word_identities
 
@@ -161,7 +162,7 @@ def _check_lemma1(k: int, n: int) -> tuple[bool, str]:
 
 def _check_lemma2(k: int, imax: int) -> tuple[bool, str]:
     sym = fixed_point_prefix(k, imax)
-    bad = sum(1 for i in range(imax) if symbol_at(k, i) != sym[i])
+    bad = sum(map(ne, symbols_at(k, range(imax)), sym))
     return bad == 0, f"checked={imax};disagreements={bad}"
 
 
@@ -176,13 +177,15 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
     # The walk reaches every vector that obeys the digit rule and is worth
     # less than imax, so uniqueness holds exactly when its values come out
     # as 0, 1, ..., imax - 1.  Each walked vector is regular and valued by
-    # construction, so the round trip is to_digits reproducing it.
+    # construction, so the round trip is digit_vectors reproducing it.  Both
+    # streams are read in step, one vector of each at a time.
     walked = 0
     unique = False
-    for value, digits in regular_vectors(k, imax):
+    digitised = digit_vectors(k, itertools.count())
+    for (value, digits), own in zip(regular_vectors(k, imax), digitised):
         if value != walked:
             break
-        if not problems and to_digits(k, value) != digits:
+        if not problems and own != digits:
             problems.append(f"roundtrip@{value}")
         walked += 1
     else:
@@ -229,9 +232,8 @@ def _check_lemma4(k: int, n: int, imax: int) -> tuple[bool, str]:
     sym = fixed_point_prefix(k, imax + fn)
     bad = 0
     first_scanned = None
-    for i in range(imax):
+    for i, verdict in enumerate(mismatches(k, n, range(imax))):
         direct = sym[i + fn] - sym[i]
-        verdict = mismatch(k, i, n)
         if verdict.differs != (direct != 0) or verdict.sign != direct:
             bad += 1
         if direct != 0 and first_scanned is None:

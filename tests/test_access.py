@@ -10,8 +10,8 @@ from sturmlab import (
     to_digits,
 )
 from sturmlab import numeration, words
-from sturmlab.access import _mismatch_offsets
-from sturmlab.numeration import from_digits, get_basis
+from sturmlab.access import _mismatch_offsets, mismatches, symbols_at
+from sturmlab.numeration import digit_vectors, from_digits, get_basis
 
 
 def _positions(k, n, limit):
@@ -181,3 +181,48 @@ def test_mismatch_builds_no_level_far_above_the_index(monkeypatch):
     monkeypatch.setattr(numeration, "_basis_cache", {})
     assert mismatch(1, 10, 20_000) == MismatchVerdict(False, 0)
     assert len(get_basis(1)._vals) < 20
+
+
+# Each range kernel, called at k (and level 3 for mismatches), beside its scalar.
+RANGE_KERNELS = pytest.mark.parametrize("kernel, scalar", [
+    (symbols_at, symbol_at),
+    (lambda k, indices: mismatches(k, 3, indices), lambda k, i: mismatch(k, i, 3)),
+    (digit_vectors, to_digits),
+], ids=["symbols_at", "mismatches", "digit_vectors"])
+
+
+@RANGE_KERNELS
+@pytest.mark.parametrize("k", [1, 4096])
+def test_range_kernel_of_nothing_is_empty(kernel, scalar, k):
+    assert list(kernel(k, [])) == []
+    assert list(kernel(k, iter(()))) == []
+
+
+@RANGE_KERNELS
+@pytest.mark.parametrize("k", [1, 4096])
+def test_range_kernel_refuses_a_negative_index_in_mid_iterable(kernel, scalar, k):
+    """The values before it are answered; the negative one raises the scalar's text."""
+    with pytest.raises(ValueError) as scalar_error:
+        scalar(k, -1)
+    answers = kernel(k, [3, 10**12, -1, 5])
+    assert [next(answers), next(answers)] == [scalar(k, 3), scalar(k, 10**12)]
+    with pytest.raises(ValueError) as range_error:
+        next(answers)
+    assert str(range_error.value) == str(scalar_error.value)
+
+
+def _unread():
+    raise AssertionError("an index was read")
+    yield
+
+
+@RANGE_KERNELS
+@pytest.mark.parametrize("k", [0, -3])
+def test_range_kernel_refuses_k_before_reading_an_index(kernel, scalar, k):
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        list(kernel(k, _unread()))
+
+
+def test_mismatches_refuses_n_before_reading_an_index():
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        list(mismatches(1, -1, _unread()))

@@ -271,10 +271,10 @@ def test_main_restores_int_str_digit_limit(argv, code, capsys):
 
 def test_verify_lemma3_cap_precedes_round_trip(monkeypatch, capsys):
     """The uniqueness cap on --imax refuses the sweep before any value is digitised."""
-    def digitised(k, n):
+    def digitised(k, values):
         raise AssertionError("round trip ran before the cap check")
 
-    monkeypatch.setattr(cli, "to_digits", digitised)
+    monkeypatch.setattr(cli, "digit_vectors", digitised)
     code, out, err = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
                          "--imax", "5000001")
     assert code == 2 and out == ""
@@ -315,11 +315,11 @@ def test_verify_negative_level_is_refused(argv, capsys):
 
 
 def _digits_wrong_at(bad):
-    """to_digits, except that it returns the vector of bad + 1 at bad."""
-    real = cli.to_digits
+    """digit_vectors, except that it yields the vector of bad + 1 at bad."""
+    real = cli.digit_vectors
 
-    def digits(k, n):
-        return real(k, n + 1 if n == bad else n)
+    def digits(k, values):
+        return real(k, (n + 1 if n == bad else n for n in values))
 
     return digits
 
@@ -366,7 +366,7 @@ def _lemma3_detail(capsys):
 
 
 def test_verify_lemma3_reports_round_trip_fault(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "to_digits", _digits_wrong_at(37))
+    monkeypatch.setattr(cli, "digit_vectors", _digits_wrong_at(37))
     assert _lemma3_detail(capsys) == {
         "roundtrip<200;uniqueness<200;cases=20;failed=roundtrip@37"
     }
@@ -382,11 +382,45 @@ def test_verify_lemma3_reports_walk_fault(walk, monkeypatch, capsys):
 
 @WALK_FAULTS
 def test_verify_lemma3_decides_uniqueness_after_round_trip_fault(walk, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "to_digits", _digits_wrong_at(37))
+    monkeypatch.setattr(cli, "digit_vectors", _digits_wrong_at(37))
     monkeypatch.setattr(cli, "regular_vectors", walk)
     assert _lemma3_detail(capsys) == {
         "roundtrip<200;uniqueness<200;cases=20;failed=roundtrip@37,uniqueness"
     }
+
+
+def test_verify_lemma2_reports_one_flipped_symbol(monkeypatch, capsys):
+    """A random-access kernel wrong at one index fails the row with one disagreement."""
+    real = cli.symbols_at
+
+    def flipped_at_37(k, indices):
+        indices = list(indices)
+        for i, symbol in zip(indices, real(k, indices)):
+            yield 1 - symbol if i == 37 else symbol
+
+    monkeypatch.setattr(cli, "symbols_at", flipped_at_37)
+    code, out, _ = run(capsys, "verify", "--lemma", "lemma2", "--k", "1..2", "--imax", "200")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert code == 1
+    assert [row[4:] for row in rows] == [["FAIL", "checked=200;disagreements=1"]] * 2
+
+
+def test_verify_lemma4_reports_one_flipped_verdict(monkeypatch, capsys):
+    """A mismatch kernel wrong at one scanned index fails the row with one verdict error."""
+    real = cli.mismatches
+
+    def flipped_at_37(k, n, indices):
+        indices = list(indices)
+        for i, verdict in zip(indices, real(k, n, indices)):
+            yield verdict._replace(differs=not verdict.differs) if i == 37 else verdict
+
+    monkeypatch.setattr(cli, "mismatches", flipped_at_37)
+    code, out, _ = run(capsys, "verify", "--lemma", "lemma4", "--k", "1..2", "--n", "2",
+                       "--imax", "200")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert code == 1
+    assert [row[4] for row in rows] == ["FAIL", "FAIL"]
+    assert {row[5].split(";")[1] for row in rows} == {"verdict_errors=1"}
 
 
 def test_verify_sba_cap_precedes_power_sum(monkeypatch, capsys):

@@ -14,9 +14,11 @@ from sturmlab import (
     to_digits,
     uniqueness_oracle,
 )
+from sturmlab.access import mismatches, symbols_at
 from sturmlab.errors import CapExceededError
 from sturmlab import numeration
-from sturmlab.numeration import _reduce, regular_vectors
+from sturmlab.numeration import _reduce, digit_vectors, regular_vectors
+from sturmlab.words import fixed_point_prefix
 
 
 def test_basis_seeds_and_recurrence():
@@ -193,6 +195,31 @@ def test_walk_matches_full_chain_reference(k):
             assert mismatch(k, i, n) == expected, (k, i, n)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
+def test_range_kernels_match_references(k):
+    """``digit_vectors``, ``symbols_at`` and ``mismatches`` over one shuffled
+    list with repeats of the walk cases, f_{2L} - 3 .. f_{2L} + 3 among them,
+    agree with the greedy reference and with the prefix and its f_n-shift.
+    Past the prefix's end a symbol is read from the reference's bottom digit."""
+    rng = random.Random(9900 + k)
+    values = _walk_cases(k)
+    values += rng.sample(values, 40)
+    rng.shuffle(values)
+    assert list(digit_vectors(k, values)) == [_greedy_reference(k, i) for i in values]
+    prefix = fixed_point_prefix(k, get_basis(k)._f2L + 64)
+
+    def symbol(i):
+        if i < len(prefix):
+            return prefix[i]
+        return 1 if _greedy_reference(k, i)[:1] == (k,) else 0
+
+    assert list(symbols_at(k, iter(values))) == [symbol(i) for i in values]
+    for n in (0, 1, 2, 5, 12):
+        fn = get_basis(k).value(n)
+        direct = [symbol(i + fn) - symbol(i) for i in values]
+        assert list(mismatches(k, n, iter(values))) == [(d != 0, d) for d in direct], n
+
+
 def test_low_table_is_built_without_the_walk(monkeypatch):
     """The table is its own digitisation: it never reads ``regular_vectors``."""
     def walk_forbidden(k, bound):
@@ -341,6 +368,19 @@ def test_uniqueness_oracle_bound_handling():
 def test_from_digits_rejects_negative():
     with pytest.raises(ValueError):
         from_digits(1, [1, -1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: from_digits(0, ()),
+    lambda: from_digits(-5, []),
+    lambda: from_digits(0, (1,)),
+    lambda: normalize(0, ()),
+    lambda: to_digits(0, 0),
+], ids=["from_digits-0-empty", "from_digits-neg-empty", "from_digits-0", "normalize-0-empty",
+        "to_digits-0"])
+def test_k_below_one_is_refused_with_or_without_digits(call):
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        call()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
