@@ -74,7 +74,6 @@ _EXPORTS = {
             "distinct_factors",
             "fixed_point_prefix",
             "substitute",
-            "swap_last_two",
             "to_string",
             "word_identities",
         ),

@@ -11,7 +11,7 @@ import importlib.util
 import itertools
 import math
 import sys
-from operator import ne
+from operator import eq, ne, sub
 from types import ModuleType
 from typing import NamedTuple, Sequence
 
@@ -177,21 +177,28 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
     # The walk reaches every vector that obeys the digit rule and is worth
     # less than imax, so uniqueness holds exactly when its values come out
     # as 0, 1, ..., imax - 1.  Each walked vector is regular and valued by
-    # construction, so the round trip is digit_vectors reproducing it.  Both
-    # streams are read in step, one vector of each at a time.
-    walked = 0
-    unique = False
-    digitised = digit_vectors(k, itertools.count())
-    for (value, digits), own in zip(regular_vectors(k, imax), digitised):
-        if value != walked:
-            break
-        if not problems and own != digits:
-            problems.append(f"roundtrip@{value}")
-        walked += 1
-    else:
-        unique = walked == imax
-    if not unique:
-        problems.append("uniqueness")
+    # construction, so the round trip is digit_vectors reproducing it.  The
+    # walked pairs and (i, digits of i) for i < imax, each stream ended by
+    # None so that a walk of the wrong length differs too, are compared in
+    # step by map and compress, holding one vector of each.
+    def walked():
+        return itertools.chain(regular_vectors(k, imax), (None,))
+
+    own = itertools.chain(enumerate(digit_vectors(k, range(imax))), (None,))
+    at = next(itertools.compress(itertools.count(), map(ne, walked(), own)), None)
+    if at is not None:
+        # Python only from the first difference: walk again to read it.
+        rest = itertools.islice(walked(), at, None)
+        pair = next(rest)
+        unique = False
+        if at < imax and pair is not None and pair[0] == at:
+            # The value is right and the digits are not: decide uniqueness
+            # on the values of the rest of the walk.
+            problems.append(f"roundtrip@{at}")
+            values = (p if p is None else p[0] for p in rest)
+            unique = all(map(eq, values, itertools.chain(range(at + 1, imax), (None,))))
+        if not unique:
+            problems.append("uniqueness")
     rng = random.Random((seed * 1000003) ^ k)
     for _ in range(cases):
         raw = [rng.randint(0, k) for _ in range(rng.randint(0, 20))]
@@ -230,14 +237,12 @@ def _check_lemma4(k: int, n: int, imax: int) -> tuple[bool, str]:
     fn = get_basis(k).value(n)
     fn1 = get_basis(k).value(n + 1)
     sym = fixed_point_prefix(k, imax + fn)
-    bad = 0
-    first_scanned = None
-    for i, verdict in enumerate(mismatches(k, n, range(imax))):
-        direct = sym[i + fn] - sym[i]
-        if verdict.differs != (direct != 0) or verdict.sign != direct:
-            bad += 1
-        if direct != 0 and first_scanned is None:
-            first_scanned = i
+    # The direct verdict at i is (d != 0, d) with d = sym[i + fn] - sym[i];
+    # a MismatchVerdict is a tuple, so the two streams compare in C.
+    after, before = sym[fn : fn + imax], sym[:imax]
+    direct = map({0: (False, 0), 1: (True, 1), -1: (True, -1)}.__getitem__, map(sub, after, before))
+    bad = sum(map(ne, mismatches(k, n, range(imax)), direct))
+    first_scanned = next(itertools.compress(itertools.count(), map(ne, after, before)), None)
     # Window cleanliness: the first mismatch must sit at f_{n+1}-2, just past
     # the window 0..f_{n+1}-3.  When the window extends beyond the scan, the
     # congruence form guarantees no verdict can fire below f_{n+1}-2.

@@ -18,12 +18,23 @@ values below 10^5 at k = 1 take 0.055 s in one ``digit_vectors`` call,
 against 0.075 s as 100,000 ``to_digits`` calls before the range form
 existed.  Through its wrapper one ``to_digits`` call makes and runs one
 generator and costs 0.96 us (0.75 us before).
+
+``regular_vectors``, the in-order walk, goes by blocks: the regular vectors
+on the low positions, those below the largest basis value <= 4096, are
+walked once, and each vector of the walk over the positions above is
+followed by a prefix of that block, joined in C.  The low table is built by
+a memoised greedy step, never by the walk, so a round trip between the two
+compares independent routes.  Best of seven runs in one process (2 vCPUs,
+CPython 3.11): walking the 400,000 vectors below 10^5 at k = 1..4 takes
+0.062 s, against 0.23-0.29 s one vector at a time, and building the four
+low tables 0.005 s, against 0.017-0.029 s by one greedy walk per entry.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import mul
+from bisect import bisect_left, bisect_right
+from itertools import islice, repeat
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -31,7 +42,8 @@ from .errors import CapExceededError
 UNIQUENESS_CAP = 5_000_000
 
 # Values below the largest basis value <= this bound are digitised by one
-# table lookup; each Basis builds its table on first use.
+# table lookup; each Basis builds its table on first use.  ``regular_vectors``
+# walks the vectors below the same basis value once per call, as its block.
 _LOW_TABLE_BOUND = 4096
 
 _basis_cache: dict[int, "Basis"] = {}
@@ -93,27 +105,33 @@ class Basis:
         """``to_digits`` format of every value below f_L, where f_L is the
         largest basis value <= ``_LOW_TABLE_BOUND``; entry n is n's digits.
 
-        Built once, each entry by the greedy walk itself, so the table is an
-        independent digitisation and not a copy of ``regular_vectors``.  The
-        same call sets ``_padded``, the entries padded with zeros to L
-        digits; ``_high``, whose entry m is the value of m's digits moved up
-        L positions (their weighted sum over f_L..f_{2L-1}); and ``_f2L``.
-        These come from the greedy entries alone, never from the walk.
+        Built once by a memoised greedy step, never from ``regular_vectors``,
+        so the table is an independent digitisation and not a copy of the
+        walk: with f_top the largest basis value <= n, entry n is the top
+        greedy digit of ``divmod(n, f_top)`` placed above the entry of the
+        remainder, which is already in the table.  The same call sets
+        ``_padded``, the entries padded with zeros to L digits; ``_high``,
+        whose entry m is the value of m's digits moved up L positions (their
+        weighted sum over f_L..f_{2L-1}), built by the same step; and
+        ``_f2L``.  From k = 4096 up L = 0 and the table holds f_0's entry alone.
         """
         if self._low is None:
             width = self.largest_index_leq(_LOW_TABLE_BOUND)   # L
-            size = self._vals[width]
-            table = []
-            for n in range(size):
-                digits, rem = _greedy(self._vals, n, 0)
-                if rem:
-                    raise AssertionError("greedy digitization failed to exhaust the value")
-                table.append(digits)
             self._extend_to(2 * width)
-            weights = self._vals[width : 2 * width]   # f_L .. f_{2L-1}
+            vals = self._vals
+            table: list[tuple[int, ...]] = [()]
+            high = [0]
+            top = 0   # n's highest position
+            for n in range(1, vals[width]):
+                if n == vals[top + 1]:
+                    top += 1
+                digit, rem = divmod(n, vals[top])
+                below = table[rem]
+                table.append(below + (0,) * (top - len(below)) + (digit,))
+                high.append(digit * vals[width + top] + high[rem])
             self._padded = [d + (0,) * (width - len(d)) for d in table]
-            self._high = [sum(map(mul, d, weights)) for d in table]
-            self._f2L = self._vals[2 * width]
+            self._high = high
+            self._f2L = vals[2 * width]
             self._low = table
         return self._low
 
@@ -235,33 +253,16 @@ def normalize(k: int, digits: Iterable[int]) -> tuple[int, ...]:
     return to_digits(k, from_digits(k, d))
 
 
-def regular_vectors(
-    k: int, bound: int, start: int = 0
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(value, digits)`` for every regular vector of value below ``bound``,
-    where position i weighs f_{start+i}.
+def _walk(k: int, vals: list[int], bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield ``(value, digits)`` for every regular vector worth less than
+    ``bound`` on the positions that the weights ``vals`` span, in increasing value.
 
-    An iterative depth-first walk over the digit positions that
-    f_start..f_M span, M the largest index with f_M < bound, pruned only by
-    partial value: each step raises the lowest digit that the digit rule and
-    the bound let rise and clears the digits below it.  A digit may rise
-    while it is below k and the digit above it is not k; clearing leaves a
-    zero under every raised digit.  Every vector obeying the rule whose value
-    is below ``bound`` is reached, since its partial values stay below
-    ``bound``.  The regular vectors below a position are worth less than its
-    weight for every ``start >= 0``, so the vectors come out in increasing
-    value; digits are in ``to_digits`` format.  Nothing is yielded when
-    ``bound < 1``.  The weights are stepped from f_start and f_{start+1},
-    so the walk holds only the weights below ``bound``.
+    An iterative depth-first walk pruned only by partial value: each step
+    raises the lowest digit that the digit rule and the bound let rise and
+    clears the digits below it.  A digit may rise while it is below k and
+    the digit above it is not k; clearing leaves a zero under every raised
+    digit.  ``vals`` holds weights f_s, f_{s+1}, ... below ``bound``.
     """
-    if bound < 1:
-        return
-    basis = get_basis(k)
-    vals = []
-    f, g = basis.value(start), basis.value(start + 1)
-    while f < bound:
-        vals.append(f)
-        f, g = g, k * g + f
     width = len(vals)
     digits: list[int] = []   # no trailing zeros
     value = 0
@@ -286,6 +287,66 @@ def regular_vectors(
             i += 1
         digits[:i] = [0] * i
         value += f - low
+
+
+def regular_vectors(
+    k: int, bound: int, start: int = 0
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield ``(value, digits)`` for every regular vector of value below ``bound``,
+    where position i weighs f_{start+i}.
+
+    Every vector obeying the digit rule whose value is below ``bound`` is
+    reached, since the walk is pruned only by partial value and partial
+    values stay below ``bound``.  The regular vectors below a position are
+    worth less than its weight for every ``start >= 0``, so regular vectors
+    in value order are in lexicographic order, most significant digit
+    first, and they come out in increasing value; digits are in
+    ``to_digits`` format.  Nothing is yielded when ``bound < 1``.  The
+    weights are stepped from f_start and f_{start+1}, so the walk holds
+    only the weights below ``bound``.
+
+    The walk is taken in blocks.  Let W be the largest index with
+    f_{start+W} <= ``_LOW_TABLE_BOUND``.  The low block, every regular
+    vector on positions 0..W-1 (those worth less than f_{start+W}), is
+    walked once and kept with its values and its digits padded to W.  The
+    high part, positions W and up, is walked vector by vector; a high
+    vector (H, h) is followed by every low vector l with H + l < ``bound``,
+    a prefix of the block found by one bisect.  The digit rule links only
+    neighbouring positions, so (l, h) is regular exactly when both parts are
+    and, at the junction, a digit k at position W has a zero below it: when
+    h[0] == k the prefix is cut further to the lows below f_{start+W-1}.
+    Taking the high vectors in order and the lows of each in order is
+    lexicographic order, so the values still increase.  When W <= 0 (from
+    k = 4096 up, or when f_start is past ``_LOW_TABLE_BOUND``) there is no
+    block, and when ``bound`` is at most f_{start+W} the block is the whole
+    walk: both run the walk vector by vector, so no block of k + 1 vectors
+    is ever built.
+    """
+    if bound < 1:
+        return
+    basis = get_basis(k)
+    vals = []
+    f, g = basis.value(start), basis.value(start + 1)
+    while f < bound:
+        vals.append(f)
+        f, g = g, k * g + f
+    w = basis.largest_index_leq(_LOW_TABLE_BOUND) - start   # W
+    if not 0 < w < len(vals):
+        yield from _walk(k, vals, bound)
+        return
+    block = list(_walk(k, vals[:w], vals[w]))
+    low_vals = [value for value, _ in block]
+    padded = [digits + (0,) * (w - len(digits)) for _, digits in block]
+    below_k = bisect_left(low_vals, vals[w - 1])   # the lows with a zero at w - 1
+    high = _walk(k, vals[w:], bound)
+    next(high)   # the high vector 0: the block itself, unpadded
+    yield from block
+    for value, digits in high:
+        cut = bisect_left(low_vals, bound - value)
+        if digits[0] == k:
+            cut = min(cut, below_k)
+        yield from zip(map(add, islice(low_vals, cut), repeat(value)),
+                       map(add, islice(padded, cut), repeat(digits)))
 
 
 def _require_sweep_bound(bound: int) -> None:

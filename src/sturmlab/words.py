@@ -82,13 +82,6 @@ def _require_level(k: int, n: int) -> None:
         )
 
 
-def swap_last_two(w: bytes) -> bytes:
-    """The word with its final two symbols exchanged."""
-    if len(w) < 2:
-        raise ValueError("word must have length >= 2")
-    return w[:-2] + w[-1:] + w[-2:-1]
-
-
 def fixed_point_prefix(k: int, length: int) -> bytes:
     """The first ``length`` symbols of the infinite fixed point of the morphism."""
     if k < 1:

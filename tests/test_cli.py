@@ -316,7 +316,7 @@ def test_verify_negative_level_is_refused(argv, capsys):
 
 def _digits_wrong_at(bad):
     """digit_vectors, except that it yields the vector of bad + 1 at bad."""
-    real = cli.digit_vectors
+    real = numeration.digit_vectors
 
     def digits(k, values):
         return real(k, (n + 1 if n == bad else n for n in values))
@@ -324,69 +324,104 @@ def _digits_wrong_at(bad):
     return digits
 
 
-def _skipping_walk(k, bound):
-    for value, digits in numeration.regular_vectors(k, bound):
-        if value != 70:
+# Each fault walk is made for the value it goes wrong at.
+def _skipping_walk(at):
+    def walk(k, bound):
+        for value, digits in numeration.regular_vectors(k, bound):
+            if value != at:
+                yield value, digits
+
+    return walk
+
+
+def _repeating_walk(at):
+    def walk(k, bound):
+        for value, digits in numeration.regular_vectors(k, bound):
+            yield value, digits
+            if value == at:
+                yield value, digits
+
+    return walk
+
+
+def _replacing_walk(at):
+    """Repeats ``at`` in place of at + 1, so the count of vectors stays right."""
+    def walk(k, bound):
+        for value, digits in numeration.regular_vectors(k, bound):
+            if value == at:
+                twice = digits
+            yield (at, twice) if value == at + 1 else (value, digits)
+
+    return walk
+
+
+def _stopping_walk(at):
+    """Drops the last vector, whatever ``at`` is."""
+    def walk(k, bound):
+        for value, digits in numeration.regular_vectors(k, bound):
+            if value == bound - 1:
+                return
             yield value, digits
 
-
-def _repeating_walk(k, bound):
-    for value, digits in numeration.regular_vectors(k, bound):
-        yield value, digits
-        if value == 70:
-            yield value, digits
+    return walk
 
 
-def _replacing_walk(k, bound):
-    """Repeats 70 in place of 71, so the count of vectors stays right."""
-    for value, digits in numeration.regular_vectors(k, bound):
-        if value == 70:
-            twice = digits
-        yield (70, twice) if value == 71 else (value, digits)
+def _overrunning_walk(at):
+    """Goes one vector past the bound, with that vector's right digits."""
+    def walk(k, bound):
+        return numeration.regular_vectors(k, bound + 1)
 
-
-def _stopping_walk(k, bound):
-    for value, digits in numeration.regular_vectors(k, bound):
-        if value == bound - 1:
-            return
-        yield value, digits
+    return walk
 
 
 WALK_FAULTS = pytest.mark.parametrize(
-    "walk", [_skipping_walk, _repeating_walk, _replacing_walk, _stopping_walk],
-    ids=["skip", "repeat", "replace", "stop-early"])
+    "walk", [_skipping_walk, _repeating_walk, _replacing_walk, _stopping_walk, _overrunning_walk],
+    ids=["skip", "repeat", "replace", "stop-early", "overrun"])
+
+# (imax, round-trip fault, walk fault): inside the first block of the walk
+# (2,584 vectors at k = 1, 3,363 at k = 2) and past it.
+FAULT_CELLS = [(200, 37, 70), (6000, 4000, 5000)]
 
 
-def _lemma3_detail(capsys):
-    code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1..2",
-                       "--imax", "200", "--cases", "20")
-    rows = [line.split("\t") for line in out.splitlines()[1:]]
-    assert code == 1 and [row[4] for row in rows] == ["FAIL", "FAIL"]
-    return {row[5] for row in rows}
+def _lemma3_details(monkeypatch, capsys, digits=None, walk=None):
+    """The details of the k = 1..2 rows for each cell of ``FAULT_CELLS``,
+    with ``digit_vectors`` wrong at the round-trip fault (when ``digits``) and
+    the walk made by ``walk`` at the walk fault."""
+    details = []
+    for imax, wrong, at in FAULT_CELLS:
+        if digits:
+            monkeypatch.setattr(cli, "digit_vectors", _digits_wrong_at(wrong))
+        if walk:
+            monkeypatch.setattr(cli, "regular_vectors", walk(at))
+        code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1..2",
+                           "--imax", str(imax), "--cases", "20")
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert code == 1 and [row[4] for row in rows] == ["FAIL", "FAIL"]
+        details.append({row[5] for row in rows})
+    return details
 
 
 def test_verify_lemma3_reports_round_trip_fault(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "digit_vectors", _digits_wrong_at(37))
-    assert _lemma3_detail(capsys) == {
-        "roundtrip<200;uniqueness<200;cases=20;failed=roundtrip@37"
-    }
+    assert _lemma3_details(monkeypatch, capsys, digits=True) == [
+        {f"roundtrip<{imax};uniqueness<{imax};cases=20;failed=roundtrip@{wrong}"}
+        for imax, wrong, _ in FAULT_CELLS
+    ]
 
 
 @WALK_FAULTS
 def test_verify_lemma3_reports_walk_fault(walk, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "regular_vectors", walk)
-    assert _lemma3_detail(capsys) == {
-        "roundtrip<200;uniqueness<200;cases=20;failed=uniqueness"
-    }
+    assert _lemma3_details(monkeypatch, capsys, walk=walk) == [
+        {f"roundtrip<{imax};uniqueness<{imax};cases=20;failed=uniqueness"}
+        for imax, _, _ in FAULT_CELLS
+    ]
 
 
 @WALK_FAULTS
 def test_verify_lemma3_decides_uniqueness_after_round_trip_fault(walk, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "digit_vectors", _digits_wrong_at(37))
-    monkeypatch.setattr(cli, "regular_vectors", walk)
-    assert _lemma3_detail(capsys) == {
-        "roundtrip<200;uniqueness<200;cases=20;failed=roundtrip@37,uniqueness"
-    }
+    assert _lemma3_details(monkeypatch, capsys, digits=True, walk=walk) == [
+        {f"roundtrip<{imax};uniqueness<{imax};cases=20;failed=roundtrip@{wrong},uniqueness"}
+        for imax, wrong, _ in FAULT_CELLS
+    ]
 
 
 def test_verify_lemma2_reports_one_flipped_symbol(monkeypatch, capsys):

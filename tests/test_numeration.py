@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from operator import eq, mul
 
 import pytest
@@ -221,12 +222,19 @@ def test_range_kernels_match_references(k):
 
 
 def test_low_table_is_built_without_the_walk(monkeypatch):
-    """The table is its own digitisation: it never reads ``regular_vectors``."""
-    def walk_forbidden(k, bound):
+    """The table is its own digitisation: it never reads ``regular_vectors``,
+    and every memoised entry is the greedy digitisation of its value."""
+    def walk_forbidden(k, bound, start=0):
         raise AssertionError("the low table must not come from regular_vectors")
 
     monkeypatch.setattr(numeration, "regular_vectors", walk_forbidden)
+    monkeypatch.setattr(numeration, "_walk", walk_forbidden)
     monkeypatch.setattr(numeration, "_basis_cache", {})
+    for k in (*range(1, 9), 64, 4095, 4096):
+        basis = numeration.Basis(k)
+        table = basis.low_table()
+        assert len(table) == basis.value(basis.largest_index_leq(numeration._LOW_TABLE_BOUND))
+        assert table == [numeration._greedy(basis._vals, n, 0)[0] for n in range(len(table))], k
     basis = numeration.Basis(3)
     table = basis.low_table()
     assert table == [_greedy_reference(3, n) for n in range(len(table))]
@@ -302,21 +310,49 @@ def _recursive_walk(k, bound):
     return out
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def _block_edges(k):
+    """Bounds around the walk's block: f_W - 1 .. f_W + 1 and f_{W+1}, with
+    W the largest index with f_W <= the low table's bound, and k*f_W - 1 ..
+    k*f_W + 1 around the first high vector whose bottom digit is k."""
+    basis = get_basis(k)
+    top = basis.largest_index_leq(numeration._LOW_TABLE_BOUND)
+    fw = basis.value(top)
+    return {fw - 1, fw, fw + 1, basis.value(top + 1), k * fw - 1, k * fw, k * fw + 1}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 4095, 4096, 10**6])
 def test_regular_vectors_matches_to_digits_and_recursive_walk(k):
     """The in-order walk yields (n, to_digits(k, n)) for n = 0, 1, ..., bound - 1.
 
     Bounds sit on and just past basis values f_j (j <= 12, up to 60,000),
-    where the walk gains a position, and at the small edges 1, 2, k+1, k+2.
+    where the walk gains a position, at the small edges 1, 2, k+1, k+2, on
+    both sides of the block's top weight f_W and of k*f_W, where a high
+    bottom digit k first cuts the block, all up to 60,001, and at k = 1 also
+    at 3*10^6, where the walk crosses over a thousand blocks; the big walk is
+    compared as a stream.  From k = 4096 up there is no block, and the walk
+    builds none of k + 1 vectors.
     """
     fs = [get_basis(k).value(j) for j in range(13)]
-    bounds = {1, 2, k + 1, k + 2, 20000}
+    bounds = {1, 2, k + 1, k + 2, 20000} | _block_edges(k)
     bounds |= {b for f in fs if f <= 60000 for b in (f, f + 1)}
-    reference = [(n, to_digits(k, n)) for n in range(max(bounds))]
+    bounds = {b for b in bounds if 1 <= b <= 60001}
+    if k == 1:
+        bounds.add(3 * 10**6)   # about 1,160 blocks of 2,584 vectors
     for bound in sorted(bounds):
-        walked = list(regular_vectors(k, bound))
-        assert walked == reference[:bound], (k, bound)
-        assert walked == _recursive_walk(k, bound), (k, bound)
+        pairs = itertools.zip_longest(regular_vectors(k, bound),
+                                      enumerate(digit_vectors(k, range(bound))))
+        assert all(itertools.starmap(eq, pairs)), (k, bound)
+        if bound <= 60001:
+            assert list(regular_vectors(k, bound)) == _recursive_walk(k, bound), (k, bound)
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(regular_vectors(k, 2 * 10**6), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(n, to_digits(k, n)) for n in range(3)]
+    # A block holds at most 4096 vectors; one of k + 1 = 10^6 + 1 would take 100 MB.
+    assert peak < 4 * 10**6, (k, peak)
 
 
 def _reweighted_walk(k, bound, start):
@@ -336,15 +372,21 @@ def _reweighted_walk(k, bound, start):
         yield value, digits
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 4095, 4096, 10**6])
 def test_shifted_walk_matches_reweighted_standard_walk(k):
     """``regular_vectors(k, bound, start)`` yields exactly the vectors that
     the standard walk re-weighted from f_start yields, in the same order,
     for the offsets' starts n + 1 (n in 0..39) and cutoffs bound - 1 from 0
-    to 10^6.  Both are compared as streams: at k = 1 a walk yields up to
-    618,035 vectors."""
+    to 10^6, at the block edges (f_{start+W} is the same f_W for every
+    start), and at 3*10^6 from n = 8 on, where the block is at most 8
+    positions wide and the walk short.  Both are compared as streams: at
+    k = 1 a walk yields up to 618,035 vectors."""
+    edges = sorted(b - 1 for b in _block_edges(k) if 1 <= b <= 3 * 10**6)
     for n in range(40):
-        for cutoff in (0, 1, 5, 50, 1000, 10**6):
+        cutoffs = [0, 1, 5, 50, 1000, 10**6, *edges]
+        if n >= 8:
+            cutoffs.append(3 * 10**6)
+        for cutoff in cutoffs:
             pairs = itertools.zip_longest(
                 regular_vectors(k, cutoff + 1, n + 1), _reweighted_walk(k, cutoff + 1, n + 1)
             )

@@ -34,7 +34,7 @@ PUBLIC = [
     "growth_law_holds", "is_regular", "mismatch",
     "normalize",
     "rotation_sum_relation", "scaled_error_bounds_hold", "series_truncation",
-    "shift_product", "substitute", "swap_last_two", "symbol_at", "to_digits",
+    "shift_product", "substitute", "symbol_at", "to_digits",
     "to_string", "uniqueness_oracle", "value_affine_relation", "word_identities", "word_value",
 ]
 

@@ -12,7 +12,6 @@ from sturmlab import (
     fixed_point_prefix,
     shift_product,
     substitute,
-    swap_last_two,
     to_string,
     value_affine_relation,
     word_identities,
@@ -36,7 +35,6 @@ def _substituted(k: int, n: int) -> bytes:
 _BYTES_RESULTS = {
     "fixed_point_prefix": lambda: fixed_point_prefix(2, 50),
     "substitute": lambda: substitute(2, _word("0110")),
-    "swap_last_two": lambda: swap_last_two(_word("0110")),
     "difference": lambda: difference(fixed_point_prefix(1, 50), 3),
     "difference_order_0": lambda: difference(fixed_point_prefix(1, 50), 0),
     "difference_by_binomial": lambda: difference_by_binomial(fixed_point_prefix(1, 50), 3),
@@ -132,6 +130,14 @@ def test_prefix_is_invariant_under_substitution():
     for k in (1, 2, 4):
         w = fixed_point_prefix(k, 3000)
         assert substitute(k, w).startswith(w)
+
+
+def swap_last_two(w: bytes) -> bytes:
+    """The word with its final two symbols exchanged (the literal U_{n-1}* of
+    ``_literal_identities``)."""
+    if len(w) < 2:
+        raise ValueError("word must have length >= 2")
+    return w[:-2] + w[-1:] + w[-2:-1]
 
 
 def test_swap_last_two():
