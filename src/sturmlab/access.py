@@ -13,17 +13,15 @@ answers each index of an iterable in turn, so a sweep over many indices
 makes one call.  ``symbol_at`` and ``mismatch`` wrap them for one index.
 Medians of ten fresh processes, best of seven runs each (tables built
 first; 2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take
-0.025 s in one ``symbols_at`` call, against 0.045 s as 100,000 ``symbol_at``
-calls before the range form existed; 10,000 indices below 10^4 at each level
-n = 0..9 at k = 2 take 0.046 s in ten ``mismatches`` calls, against 0.059 s
-as scalar calls.  Through its wrapper a scalar call makes and runs one
-generator: ``symbol_at`` costs 0.64 us (0.45 us before) and ``mismatch``
-0.74 us (0.59 us before).
+0.025 s in one ``symbols_at`` call; 10,000 indices below 10^4 at each level
+n = 0..9 at k = 2 take 0.046 s in ten ``mismatches`` calls.  Through its
+wrapper a scalar call makes and runs one generator: ``symbol_at`` costs
+0.64 us and ``mismatch`` 0.74 us.
 
 ``symbols_at`` splits an index below f_{2L} with one bisect of the basis's
-shifted low table (see ``numeration``).  ``mismatches`` keeps its walk down
-to f_{n+2}: splitting first was slower on its indices, and would build the
-low table for calls that need none.
+shifted low table (see ``numeration``), in one loop for every k.
+``mismatches`` keeps its walk down to f_{n+2}: splitting first was slower
+on its indices, and would build the low table for calls that need none.
 """
 
 from __future__ import annotations
@@ -41,31 +39,23 @@ def symbols_at(k: int, indices: Iterable[int]) -> Iterator[int]:
     need not increase.  k is checked (by ``get_basis``) before any index is read.
     """
     basis = get_basis(k)
-    low = basis.low_table()
-    if len(low) > k:
-        # The table's size is a basis value f_L >= f_1.  Below f_{2L} the
-        # entry of ``_high`` found by one bisect carries n's digits from
-        # position L up (see ``numeration.digit_vectors``), so subtracting it
-        # leaves the value of digits 0..L-1, bottom digit included (and no
-        # digits at all when it is 0).  Above f_{2L} the walk first leaves
-        # the value of n's digits below 2L.
-        high, f2L = basis._high, basis._f2L
-        for n in indices:
-            if n < 0:
-                raise ValueError("index must be >= 0")
-            if n >= f2L:
-                basis._extend_past(n)
-                n = _reduce(basis._vals, n, f2L)
-            rem = n - high[bisect_right(high, n) - 1]
-            yield 1 if rem and low[rem][0] == k else 0
-    else:
-        # From k = 4096 up the table holds f_0's entry alone: below f_1 = k + 1
-        # the walk leaves the bottom digit itself.
-        for n in indices:
-            if n < 0:
-                raise ValueError("index must be >= 0")
+    low, _padded, high, f2L = basis.tables()
+    # Below f_{2L} the entry of ``high`` found by one bisect carries n's
+    # digits from position L up (see ``numeration.digit_vectors``), so
+    # subtracting it leaves the value of digits 0..L-1, bottom digit included
+    # (and no digits at all when it is 0).  From the floor up the walk first
+    # leaves the value of n's digits below 2L.  From k = 4096 up L = 0, the
+    # floor is f_1 = k + 1 and the walk leaves a value below f_1, which is
+    # its own bottom digit: ``low`` holds f_0's entry alone.
+    floor, size = max(f2L, k + 1), len(low)
+    for n in indices:
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        if n >= floor:
             basis._extend_past(n)
-            yield 1 if _reduce(basis._vals, n, k + 1) == k else 0
+            n = _reduce(basis._vals, n, floor)
+        rem = n - high[bisect_right(high, n) - 1]
+        yield 1 if rem and (low[rem][0] if rem < size else rem) == k else 0
 
 
 def symbol_at(k: int, n: int) -> int:

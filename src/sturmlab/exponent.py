@@ -60,11 +60,16 @@ def exponent_sandwich(k: int, n_min: int = 2, n_max: int = 12) -> ExponentEstima
 
     The ratios alternate around their limit, so 1 + min(theta) is a valid
     lower bracket and the upper comes from the generic rate bound evaluated
-    at the observed extremes; both ends are rounded outward.  The pairs
-    (f_n, f_{n+1}) are stepped from n_min, and only the two extreme ratios
-    are kept, compared by cross-multiplication; as the ratios alternate,
-    those stay at the first two indices and each comparison multiplies
-    f_n by a small value.
+    at the observed extremes; both ends are rounded outward.  The extremes
+    need no scan.  Cassini's identity holds for this recurrence:
+    f_{n+1}^2 - f_{n+2}*f_n = (-1)^n * k, by induction from
+    f_1^2 - f_2*f_0 = (k+1)^2 - (k^2+k+1) = k, since each step maps
+    f_{n+1}^2 - f_{n+2}*f_n to f_{n+2}^2 - (k*f_{n+2} + f_{n+1})*f_{n+1} =
+    -(f_{n+1}^2 - f_{n+2}*f_n).  So theta_{n+1} - theta_n =
+    (-1)^(n+1) * k / (f_n * f_{n+1}): consecutive ratios step to alternate
+    sides by gaps that shrink, as f_n * f_{n+1} grows, and every ratio from
+    n_min + 2 on lies strictly between theta_{n_min} and theta_{n_min+1},
+    which are the extremes.
     """
     if n_min < 2:
         raise ValueError("n_min must be >= 2")
@@ -72,14 +77,7 @@ def exponent_sandwich(k: int, n_min: int = 2, n_max: int = 12) -> ExponentEstima
         raise ValueError("n_max must exceed n_min")
     basis = get_basis(k)
     f, g = basis.value(n_min), basis.value(n_min + 1)
-    lo = hi = (g, f)   # theta as (numerator, denominator)
-    for _ in range(n_max - n_min):
-        f, g = g, k * g + f
-        if g * lo[1] < lo[0] * f:
-            lo = (g, f)
-        elif g * hi[1] > hi[0] * f:
-            hi = (g, f)
-    m, big = Fraction(*lo), Fraction(*hi)
+    m, big = sorted((Fraction(g, f), Fraction(k * g + f, g)))
     lower = _float_below(1 + m)
     upper = _float_above(exponent_upper_bound(m, big, big))
     return ExponentEstimate(target=closed_form_exponent(k), lower=lower, upper=upper)

@@ -7,17 +7,15 @@ each non-negative integer then has exactly one regular representation, so
 ``normalize`` regularizes any vector by digitizing its value greedily.
 Digit vectors are plain little-endian tuples of ints; this module is the only
 one that walks a value's digits.  ``access`` reads the basis table itself on
-its per-index paths, through ``_reduce`` and ``Basis.low_table``.
+its per-index paths, through ``_reduce`` and ``Basis.tables``.
 
 ``digit_vectors`` is the digitising kernel: it fetches the basis and its
 tables once per call and then digitises each value of an iterable in turn,
 one vector at a time, so a sweep makes one call and holds one vector.
 ``to_digits`` wraps it for one value.  Medians of ten fresh processes, best
 of seven runs each (tables built first; 2 vCPUs, CPython 3.11): the 100,000
-values below 10^5 at k = 1 take 0.055 s in one ``digit_vectors`` call,
-against 0.075 s as 100,000 ``to_digits`` calls before the range form
-existed.  Through its wrapper one ``to_digits`` call makes and runs one
-generator and costs 0.96 us (0.75 us before).
+values below 10^5 at k = 1 take 0.055 s in one ``digit_vectors`` call, and
+one ``to_digits`` call, which makes and runs one generator, 0.96 us.
 
 ``regular_vectors``, the in-order walk, goes by blocks: the regular vectors
 on the low positions, those below the largest basis value <= 4096, are
@@ -26,8 +24,7 @@ followed by a prefix of that block, joined in C.  The low table is built by
 a memoised greedy step, never by the walk, so a round trip between the two
 compares independent routes.  Best of seven runs in one process (2 vCPUs,
 CPython 3.11): walking the 400,000 vectors below 10^5 at k = 1..4 takes
-0.062 s, against 0.23-0.29 s one vector at a time, and building the four
-low tables 0.005 s, against 0.017-0.029 s by one greedy walk per entry.
+0.062 s, and building the four low tables 0.005 s.
 """
 
 from __future__ import annotations
@@ -53,19 +50,14 @@ class Basis:
     """The recurrence values for one k: a table that the per-index paths
     extend on demand, and any other value by doubling."""
 
-    __slots__ = ("k", "_vals", "_low", "_padded", "_high", "_f2L")
+    __slots__ = ("k", "_vals", "_tables")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self._vals = [1, k + 1]   # _vals[n] holds f_n
-        self._low: list[tuple[int, ...]] | None = None
-        # Set with _low: its entries padded to L digits, their values moved up
-        # L positions, and f_{2L}.
-        self._padded: list[tuple[int, ...]] = []
-        self._high: list[int] = []
-        self._f2L = 0
+        self._tables: tuple | None = None
 
     def value(self, n: int) -> int:
         """f_n for n >= 0 (f_0 = 1, f_1 = k + 1), read from the table when it reaches n.
@@ -101,39 +93,38 @@ class Basis:
         while len(vals) <= n:
             vals.append(self.k * vals[-1] + vals[-2])
 
-    def low_table(self) -> list[tuple[int, ...]]:
-        """``to_digits`` format of every value below f_L, where f_L is the
-        largest basis value <= ``_LOW_TABLE_BOUND``; entry n is n's digits.
+    def tables(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int], int]:
+        """``(low, padded, high, f2L)``, built once, where f_L is the largest
+        basis value <= ``_LOW_TABLE_BOUND``.
 
-        Built once by a memoised greedy step, never from ``regular_vectors``,
-        so the table is an independent digitisation and not a copy of the
-        walk: with f_top the largest basis value <= n, entry n is the top
-        greedy digit of ``divmod(n, f_top)`` placed above the entry of the
-        remainder, which is already in the table.  The same call sets
-        ``_padded``, the entries padded with zeros to L digits; ``_high``,
-        whose entry m is the value of m's digits moved up L positions (their
-        weighted sum over f_L..f_{2L-1}), built by the same step; and
-        ``_f2L``.  From k = 4096 up L = 0 and the table holds f_0's entry alone.
+        ``low[n]`` is the ``to_digits`` format of n, for every n < f_L.  It is
+        built by a memoised greedy step, never from ``regular_vectors``, so
+        the table is an independent digitisation and not a copy of the walk:
+        with f_top the largest basis value <= n, entry n is the top greedy
+        digit of ``divmod(n, f_top)`` placed above the entry of the
+        remainder, which is already in the table.  ``padded`` holds the same
+        entries padded with zeros to L digits; ``high[m]`` is the value of
+        m's digits moved up L positions (their weighted sum over
+        f_L..f_{2L-1}), built by the same step; ``f2L`` is f_{2L}.  From
+        k = 4096 up L = 0: ``low`` holds f_0's entry alone and f2L = f_0.
         """
-        if self._low is None:
+        if self._tables is None:
             width = self.largest_index_leq(_LOW_TABLE_BOUND)   # L
             self._extend_to(2 * width)
             vals = self._vals
-            table: list[tuple[int, ...]] = [()]
+            low: list[tuple[int, ...]] = [()]
             high = [0]
             top = 0   # n's highest position
             for n in range(1, vals[width]):
                 if n == vals[top + 1]:
                     top += 1
                 digit, rem = divmod(n, vals[top])
-                below = table[rem]
-                table.append(below + (0,) * (top - len(below)) + (digit,))
+                below = low[rem]
+                low.append(below + (0,) * (top - len(below)) + (digit,))
                 high.append(digit * vals[width + top] + high[rem])
-            self._padded = [d + (0,) * (width - len(d)) for d in table]
-            self._high = high
-            self._f2L = vals[2 * width]
-            self._low = table
-        return self._low
+            padded = [d + (0,) * (width - len(d)) for d in low]
+            self._tables = (low, padded, high, vals[2 * width])
+        return self._tables
 
 
 def get_basis(k: int) -> Basis:
@@ -193,19 +184,18 @@ def digit_vectors(k: int, values: Iterable[int]) -> Iterator[tuple[int, ...]]:
     Little-endian, with no trailing zeros; ``()`` for 0.  Yields one vector
     per value, in the order given; values may repeat and need not increase,
     and k is checked before any value is read.  Below f_L the digits are
-    one entry of ``Basis.low_table``.  Below f_{2L}, let m be the value of
-    n's digits at positions L and up, read unshifted.  The vector of m + 1
-    moved up L positions, with zeros below, is regular and lexicographically
-    greater than n's, so ``_high[m] <= n < _high[m + 1]`` and m is the index
-    of the last entry of ``_high`` that is <= n: n's digits are those of
-    n - ``_high[m]`` padded to L, then m's.  Above f_{2L} the positions from
-    the top down to 2L are walked greedily and the value they leave is split
-    the same way.
+    one entry of ``low`` (see ``Basis.tables``).  Below f_{2L}, let m be the
+    value of n's digits at positions L and up, read unshifted.  The vector
+    of m + 1 moved up L positions, with zeros below, is regular and
+    lexicographically greater than n's, so ``high[m] <= n < high[m + 1]``
+    and m is the index of the last entry of ``high`` that is <= n: n's
+    digits are those of n - ``high[m]`` padded to L, then m's.  Above f_{2L}
+    the positions from the top down to 2L are walked greedily and the value
+    they leave is split the same way.
     """
     basis = get_basis(k)
-    low = basis.low_table()
-    size, f2L = len(low), basis._f2L
-    high, padded = basis._high, basis._padded
+    low, padded, high, f2L = basis.tables()
+    size = len(low)
     for n in values:
         if n < size:
             if n < 0:

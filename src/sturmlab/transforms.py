@@ -132,27 +132,31 @@ def value_affine_relation(u: bytes, b: int, depth: int) -> ValueRelationReport:
     )
 
 
+class _MaskDisagreement(RuntimeError):
+    """The binomial mask and the iterated operator give different words."""
+
+
 def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
     """Map each length-(order+1) block to the difference symbol it forces.
 
     The order-th difference at position i depends only on the block
     u_i..u_{i+order}, through the parity mask of binomial coefficients.  The
     mask evaluation must equal the iterated operator on the whole word, which
-    proves that dependence at every position; the table then maps each
-    distinct block to the XOR of its mask symbols.  A Sturmian word shows
-    exactly order+2 blocks; the caller judges the returned count.
+    proves that dependence at every position; the table then reads each
+    distinct block's symbol from that checked word, at the block's first
+    occurrence.  The whole-word mask evaluation, one slice per mask index,
+    2^popcount(order) of them, is what the check costs beyond the operator.
+    A Sturmian word shows exactly order+2 blocks; the caller judges the
+    returned count.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if difference(u, order) != difference_by_binomial(u, order):
-        raise RuntimeError(
+    d = difference(u, order)
+    if d != difference_by_binomial(u, order):
+        raise _MaskDisagreement(
             "binomial-mask evaluation disagrees with the iterated operator"
         )
-    mask = [j for j in range(order + 1) if (j & order) == j]
-    table = {
-        block: sum(block[j] for j in mask) & 1
-        for block in sorted(distinct_factors(u, order + 1))
-    }
+    table = {block: d[u.find(block)] for block in sorted(distinct_factors(u, order + 1))}
     return len(table), table
 
 

@@ -324,10 +324,14 @@ def _digits_wrong_at(bad):
     return digits
 
 
-# Each fault walk is made for the value it goes wrong at.
+# Each fault walk is made for the value it goes wrong at, from the real walk:
+# a faulted cell patches the walk that the check and the oracle read.
+_real_walk = numeration.regular_vectors
+
+
 def _skipping_walk(at):
     def walk(k, bound):
-        for value, digits in numeration.regular_vectors(k, bound):
+        for value, digits in _real_walk(k, bound):
             if value != at:
                 yield value, digits
 
@@ -336,7 +340,7 @@ def _skipping_walk(at):
 
 def _repeating_walk(at):
     def walk(k, bound):
-        for value, digits in numeration.regular_vectors(k, bound):
+        for value, digits in _real_walk(k, bound):
             yield value, digits
             if value == at:
                 yield value, digits
@@ -347,7 +351,7 @@ def _repeating_walk(at):
 def _replacing_walk(at):
     """Repeats ``at`` in place of at + 1, so the count of vectors stays right."""
     def walk(k, bound):
-        for value, digits in numeration.regular_vectors(k, bound):
+        for value, digits in _real_walk(k, bound):
             if value == at:
                 twice = digits
             yield (at, twice) if value == at + 1 else (value, digits)
@@ -358,7 +362,7 @@ def _replacing_walk(at):
 def _stopping_walk(at):
     """Drops the last vector, whatever ``at`` is."""
     def walk(k, bound):
-        for value, digits in numeration.regular_vectors(k, bound):
+        for value, digits in _real_walk(k, bound):
             if value == bound - 1:
                 return
             yield value, digits
@@ -369,7 +373,7 @@ def _stopping_walk(at):
 def _overrunning_walk(at):
     """Goes one vector past the bound, with that vector's right digits."""
     def walk(k, bound):
-        return numeration.regular_vectors(k, bound + 1)
+        return _real_walk(k, bound + 1)
 
     return walk
 
@@ -393,6 +397,7 @@ def _lemma3_details(monkeypatch, capsys, digits=None, walk=None):
             monkeypatch.setattr(cli, "digit_vectors", _digits_wrong_at(wrong))
         if walk:
             monkeypatch.setattr(cli, "regular_vectors", walk(at))
+            monkeypatch.setattr(numeration, "regular_vectors", walk(at))
         code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1..2",
                            "--imax", str(imax), "--cases", "20")
         rows = [line.split("\t") for line in out.splitlines()[1:]]
@@ -422,6 +427,49 @@ def test_verify_lemma3_decides_uniqueness_after_round_trip_fault(walk, monkeypat
         {f"roundtrip<{imax};uniqueness<{imax};cases=20;failed=roundtrip@{wrong},uniqueness"}
         for imax, wrong, _ in FAULT_CELLS
     ]
+
+
+def _zero_on_top_unless_given_one(k, digits):
+    """Right value and regular, but a second call on its own output differs."""
+    digits = tuple(digits)
+    nd = numeration.normalize(k, digits)
+    return nd if digits[-1:] == (0,) else nd + (0,)
+
+
+def _value_in_bottom_digit_when_irregular(k, digits):
+    """An irregular vector comes back as its value in one digit: the right
+    value, and a bottom digit that is not the input's."""
+    digits = tuple(digits)
+    if numeration.is_regular(k, digits):
+        return numeration.normalize(k, digits)
+    return (numeration.from_digits(k, digits),)
+
+
+# label -> (fake normalize, whether is_regular is faked to pass every vector).
+# A regular vector is unique, so a vector of the right value with other low
+# digits is one that is_regular must be made to accept.
+NORMALIZE_FAULTS = {
+    "normalize-value": (lambda k, digits: numeration.normalize(k, digits) + (1,), False),
+    "normalize-regular": (lambda k, digits: tuple(digits), False),
+    "normalize-idempotent": (_zero_on_top_unless_given_one, False),
+    "normalize-low-index": (_value_in_bottom_digit_when_irregular, True),
+    "normalize-identity": (lambda k, digits: numeration.normalize(k, digits) + (0,), False),
+}
+
+
+@pytest.mark.parametrize("label", NORMALIZE_FAULTS)
+def test_verify_lemma3_reports_normalize_fault(label, monkeypatch, capsys):
+    """Each randomized normalization check fails its row under its own label."""
+    fake, accept_all = NORMALIZE_FAULTS[label]
+    monkeypatch.setattr(cli, "normalize", fake)
+    if accept_all:
+        monkeypatch.setattr(cli, "is_regular", lambda k, digits: True)
+    code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1..2",
+                       "--imax", "200", "--cases", "50")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert code == 1
+    assert [row[4:] for row in rows] == [
+        ["FAIL", f"roundtrip<200;uniqueness<200;cases=50;failed={label}"]] * 2
 
 
 def test_verify_lemma2_reports_one_flipped_symbol(monkeypatch, capsys):
@@ -456,6 +504,24 @@ def test_verify_lemma4_reports_one_flipped_verdict(monkeypatch, capsys):
     assert code == 1
     assert [row[4] for row in rows] == ["FAIL", "FAIL"]
     assert {row[5].split(";")[1] for row in rows} == {"verdict_errors=1"}
+
+
+def test_verify_blocks_reports_route_disagreement(monkeypatch, capsys):
+    """A binomial-mask route wrong at one symbol fails the row, with no traceback."""
+    real = transforms.difference_by_binomial
+
+    def flipped_at_37(u, order=1):
+        word = bytearray(real(u, order))
+        word[37] ^= 1
+        return bytes(word)
+
+    monkeypatch.setattr(transforms, "difference_by_binomial", flipped_at_37)
+    code, out, err = run(capsys, "verify", "--lemma", "blocks", "--k", "1", "--n", "2..3",
+                         "--imax", "100")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert code == 1 and err == ""
+    assert [row[3:] for row in rows] == [
+        [str(n), "FAIL", f"blocks=-;expected={n + 2};failed=mask"] for n in (2, 3)]
 
 
 def test_verify_sba_cap_precedes_power_sum(monkeypatch, capsys):

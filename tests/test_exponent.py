@@ -64,10 +64,21 @@ def test_sandwich_narrows_with_n():
     assert (tight.upper - tight.lower) < (wide.upper - wide.lower)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 2**40])
+def test_cassini_identity(k):
+    """f_{n+1}^2 - f_{n+2}*f_n = (-1)^n * k, exactly, for every n <= 2000:
+    the identity that names the sandwich's extreme ratios."""
+    f = [1, k + 1]
+    while len(f) < 2003:
+        f.append(k * f[-1] + f[-2])
+    for n in range(2001):
+        assert f[n + 1] ** 2 - f[n + 2] * f[n] == (-1) ** n * k, (k, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 2**40])
 def test_sandwich_matches_extremes_of_every_ratio(k):
-    """The streamed extremes give the bracket that min and max over the list
-    of every exact ratio give."""
+    """The two ratios the sandwich reads give the bracket that min and max
+    over the list of every exact ratio give."""
     for n_min, n_max in [(2, 12), (2, 40), (5, 300), (2, 2000)]:
         basis = get_basis(k)
         thetas = [Fraction(basis.value(n + 1), basis.value(n)) for n in range(n_min, n_max + 1)]
@@ -81,8 +92,8 @@ def test_sandwich_matches_extremes_of_every_ratio(k):
 
 
 def test_sandwich_keeps_two_ratios():
-    """Only the pair being stepped and the two extremes are held (28.9 MB
-    when every ratio was kept as a Fraction)."""
+    """Only the two extreme ratios are held, not a Fraction per level
+    (28.9 MB over this range)."""
     tracemalloc.start()
     try:
         exponent_sandwich(1, 2, 10_000)

@@ -142,10 +142,11 @@ def test_to_digits_straddles_low_table(k):
     """Values on both sides of the table's bound f_L, of f_{L+1}, of the split
     bound f_{2L} and f_{2L+1}, and 10^30."""
     basis = get_basis(k)
-    size = len(basis.low_table())
+    low, _padded, _high, f2L = basis.tables()
+    size = len(low)
     top = basis.largest_index_leq(numeration._LOW_TABLE_BOUND)
     assert size == basis.value(top) <= numeration._LOW_TABLE_BOUND < basis.value(top + 1)
-    assert basis._f2L == basis.value(2 * top)
+    assert f2L == basis.value(2 * top)
     edges = {size, basis.value(top + 1), basis.value(top + 2), 2 * size, k * size,
              basis.value(2 * top), basis.value(2 * top + 1)}
     values = {v + d for v in edges for d in range(-3, 4) if v + d >= 0} | {10**30, 10**30 - 1}
@@ -160,7 +161,7 @@ def _walk_cases(k):
     f = [1, k + 1]
     while len(f) <= 60:
         f.append(k * f[-1] + f[-2])
-    size = len(get_basis(k).low_table())
+    size = len(get_basis(k).tables()[0])
     top = get_basis(k).largest_index_leq(numeration._LOW_TABLE_BOUND)
     edges = [size, k + 1, *f]
     values = {v + d for v in edges for d in range(-2, 2) if v + d >= 0}
@@ -207,7 +208,7 @@ def test_range_kernels_match_references(k):
     values += rng.sample(values, 40)
     rng.shuffle(values)
     assert list(digit_vectors(k, values)) == [_greedy_reference(k, i) for i in values]
-    prefix = fixed_point_prefix(k, get_basis(k)._f2L + 64)
+    prefix = fixed_point_prefix(k, get_basis(k).tables()[3] + 64)
 
     def symbol(i):
         if i < len(prefix):
@@ -232,20 +233,20 @@ def test_low_table_is_built_without_the_walk(monkeypatch):
     monkeypatch.setattr(numeration, "_basis_cache", {})
     for k in (*range(1, 9), 64, 4095, 4096):
         basis = numeration.Basis(k)
-        table = basis.low_table()
+        table = basis.tables()[0]
         assert len(table) == basis.value(basis.largest_index_leq(numeration._LOW_TABLE_BOUND))
         assert table == [numeration._greedy(basis._vals, n, 0)[0] for n in range(len(table))], k
     basis = numeration.Basis(3)
-    table = basis.low_table()
+    table, padded, high, f2L = basis.tables()
     assert table == [_greedy_reference(3, n) for n in range(len(table))]
     assert to_digits(3, 10**6) == _greedy_reference(3, 10**6)
     # The shifted table: the reference vectors weighed from f_L up.
     top = len(table[-1])
     f = [basis.value(j) for j in range(2 * top + 1)]
-    assert basis._high == [sum(map(mul, _greedy_reference(3, m), f[top:]))
-                           for m in range(len(table))]
-    assert basis._padded == [d + (0,) * (top - len(d)) for d in table]
-    assert basis._f2L == f[2 * top]
+    assert high == [sum(map(mul, _greedy_reference(3, m), f[top:]))
+                    for m in range(len(table))]
+    assert padded == [d + (0,) * (top - len(d)) for d in table]
+    assert f2L == f[2 * top]
 
 
 @pytest.mark.parametrize("k", [5, 8, 64])
@@ -253,9 +254,7 @@ def test_split_matches_regular_vectors_below_f2L(k):
     """Every value below f_{2L}, where one bisect of the shifted low table
     splits it, digitises to the vector the in-order walk reaches, and its
     symbol is 1 exactly when that vector's bottom digit is k."""
-    basis = get_basis(k)
-    basis.low_table()
-    bound = basis._f2L
+    bound = get_basis(k).tables()[3]
     expected = 0
     for value, digits in regular_vectors(k, bound):
         assert value == expected
