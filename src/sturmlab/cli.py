@@ -108,27 +108,19 @@ Row = dict[str, str]
 Task = tuple[tuple, str, tuple, tuple]
 
 
-class UsageError(ValueError):
-    """Bad flag values detected after argparse; mapped to exit code 2."""
-
-
 def parse_range(text: str) -> Sequence[int]:
     """Accept "A..B" (inclusive, as a ``range``), "A,B,C", or a single "A"."""
     text = text.strip()
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise UsageError(f"empty range {text!r}")
-            return range(lo, hi + 1)
-        if "," in text:
+        if ".." not in text:
             return [int(part) for part in text.split(",")]
-        return [int(text)]
-    except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(f"cannot parse range {text!r}") from None
+        lo_s, hi_s = text.split("..", 1)
+        lo, hi = int(lo_s), int(hi_s)
+    except ValueError:
+        raise ValueError(f"cannot parse range {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _fmt(value) -> str:
@@ -287,11 +279,8 @@ def _check_constants(k: int, b: int, n: int) -> tuple[bool, str]:
 def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
     u = fixed_point_prefix(k, depth + 1)
     rep = transforms.value_affine_relation(u, b, depth)
-    detail = (
-        f"a0={_fmt(rep.a0)};a1={_fmt(rep.a1)};a2={_fmt(rep.a2)}"
-        f";gap_bound={_fmt(rep.gap_bound)}"
-    )
-    return rep.consistent, detail
+    law = ";".join(f"a{i}={a}/1" for i, a in enumerate(transforms._AFFINE_LAW))
+    return rep.consistent, f"{law};gap_bound={_fmt(rep.gap_bound)}"
 
 
 def _check_blocks(k: int, order: int, imax: int) -> tuple[bool, str]:
@@ -324,7 +313,7 @@ def _int_field(entry: dict, name: str, default: int) -> int:
             return int(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise UsageError(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _span(values: Sequence[int]) -> int:
@@ -339,15 +328,15 @@ def _span(values: Sequence[int]) -> int:
 def _grid(entry) -> tuple[str, list[Sequence[int]], tuple]:
     """Validate one sweep definition: its lemma, grid axes and check parameters."""
     if not isinstance(entry, dict):
-        raise UsageError(f"each sweep definition must be a JSON object, got {entry!r}")
+        raise ValueError(f"each sweep definition must be a JSON object, got {entry!r}")
     unknown = [key for key in entry if key not in _SWEEP_KEYS]
     if unknown:
-        raise UsageError(
+        raise ValueError(
             f"unknown sweep key {unknown[0]!r}; use {', '.join(_SWEEP_KEYS)}"
         )
     lemma = entry.get("lemma")
     if lemma not in LEMMAS:
-        raise UsageError(f"unknown lemma {lemma!r}; choose from {', '.join(LEMMAS)}")
+        raise ValueError(f"unknown lemma {lemma!r}; choose from {', '.join(LEMMAS)}")
     spec = LEMMA_TABLE[lemma]
     grid = {
         "k": parse_range(str(entry.get("k", "1"))),
@@ -357,7 +346,7 @@ def _grid(entry) -> tuple[str, list[Sequence[int]], tuple]:
     defaults = {"imax": 10000, "depth": spec.depth, "seed": 0, "cases": 1000}
     scalars = {name: _int_field(entry, name, value) for name, value in defaults.items()}
     if scalars["imax"] < 1 or scalars["depth"] < 1 or scalars["cases"] < 1:
-        raise UsageError("imax, depth, and cases must be >= 1")
+        raise ValueError("imax, depth, and cases must be >= 1")
     params = tuple(scalars[p] for p in spec.params)
     return lemma, [grid[axis] for axis in spec.axes], params
 
@@ -397,22 +386,25 @@ def _emit_table(rows: list[Row], fmt: str, out) -> None:
 
 
 def cmd_generate(args) -> int:
+    # The spec is parsed before the prefix is built, so a bad one is refused
+    # at any --len; a range check that needs the word stays in transforms.
+    spec = args.transform
+    unknown = f"unknown transform {spec!r}; use diff, diff:N, or pairs"
+    order = None  # a difference order; None is no transform, or pairs
+    if spec == "diff":
+        order = 1
+    elif spec and spec != "pairs":
+        if not spec.startswith("diff:"):
+            raise ValueError(unknown)
+        try:
+            order = int(spec[5:])
+        except ValueError:
+            raise ValueError(unknown) from None
     w = fixed_point_prefix(args.k, args.length)
-    if args.transform:
-        spec_text = args.transform
-        unknown = f"unknown transform {spec_text!r}; use diff, diff:N, or pairs"
-        if spec_text.startswith("diff:"):
-            try:
-                order = int(spec_text.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(unknown) from None
-            w = transforms.difference(w, order)
-        elif spec_text == "diff":
-            w = transforms.difference(w, 1)
-        elif spec_text == "pairs":
-            w = transforms.shift_product(w)
-        else:
-            raise UsageError(unknown)
+    if order is not None:
+        w = transforms.difference(w, order)
+    elif spec:
+        w = transforms.shift_product(w)
     print(to_string(w))
     return 0
 
@@ -425,11 +417,11 @@ def cmd_verify(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, list):
-            raise UsageError("--json config must hold a list of sweep objects")
+            raise ValueError("--json config must hold a list of sweep objects")
         entries = loaded
     else:
         if not args.lemma:
-            raise UsageError("either --lemma or --json is required")
+            raise ValueError("either --lemma or --json is required")
         entry = {"lemma": args.lemma}
         for field in ("k", "b", "n", "imax", "depth", "seed", "cases"):
             value = getattr(args, field)
@@ -449,15 +441,15 @@ def cmd_verify(args) -> int:
 
 def cmd_exponent(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     if args.b < 2:
-        raise UsageError(f"--b must be >= 2, got {args.b}")
+        raise ValueError(f"--b must be >= 2, got {args.b}")
     n_values = parse_range(args.n)
     # Every listed level is checked; a range only by its last, unexpanded.
     for n in n_values[-1:] if isinstance(n_values, range) else n_values:
         _require_level_cap(args.k, n)
     if _span(n_values) < 2:
-        raise UsageError("--n must span at least two indices, e.g. 30..40")
+        raise ValueError("--n must span at least two indices, e.g. 30..40")
     est = exponent.exponent_sandwich(args.k, min(n_values), max(n_values))
     target = est.target
     cf = None
@@ -550,15 +542,12 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (UsageError, CapExceededError) as exc:
+    except (CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InsufficientPrecisionError, IndecisiveEnclosureError) as exc:
         print(f"insufficient precision: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -5,7 +5,7 @@ operator, the pair-with-shift product coded by the one coding
 (x, y) -> 2x + y, the fixed affine law V(v) = 2*V(u) + b*(V(u) - u_0) tying
 the coded product's value to the word's own, the table of difference
 symbols each block forces, and the golden-rotation power sum whose affine
-tie to the k=1 value is settled here by exact enclosures.
+tie to the k=1 value is tested here by exact enclosures.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .approximants import (
     fixed_point_series,
     series_truncation,
 )
-from .errors import CapExceededError, IndecisiveEnclosureError
+from .errors import CapExceededError
 from .words import _require_binary, distinct_factors
 
 
@@ -58,10 +58,13 @@ def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     """
     _require_difference_args(u, order)
     positions = len(u) - order
-    acc = 0
-    for j in range(order + 1):
-        if (j & order) == j:
-            acc ^= int.from_bytes(u[j : j + positions], "big")
+    # j = order, (order-1) & order, ... visits each submask once, 2^popcount
+    # of them; XOR commutes, so the order of the slices does not matter.
+    acc = int.from_bytes(u[:positions], "big")
+    j = order
+    while j:
+        acc ^= int.from_bytes(u[j : j + positions], "big")
+        j = (j - 1) & order
     return acc.to_bytes(positions, "big")
 
 
@@ -77,21 +80,22 @@ def shift_product(u: bytes) -> bytes:
     ).to_bytes(len(u) - 1, "big")
 
 
+# The coded-pair law V(v) = a0*V(u) + a1*b*(V(u) - u_0) + a2*b/(b-1), with
+# (a0, a1, a2) = (2, 1, 0) for every binary u, since v_i = 2*u_i + u_{i+1}.
+_AFFINE_LAW = (2, 1, 0)
+
+
 class ValueRelationReport(NamedTuple):
     """Certified comparison of the coded product's value against its affine image.
 
     Writes V(w) for the series sum of w's symbols against 1/b^i.  For v the
-    coded pair sequence of a binary word u, the law is
-    V(v) = a0*V(u) + a1*b*(V(u) - u_0) + a2*b/(b-1) with (a0, a1, a2) =
-    (2, 1, 0), since v_i = 2*u_i + u_{i+1}.  With finite truncations both
-    sides become intervals, and ``consistent`` says they can still be equal.
-    ``gap_bound`` bounds the true two-sided difference regardless.  ``left``
-    is v's enclosure.
+    coded pair sequence of a binary word u, the law is the fixed
+    ``_AFFINE_LAW``, V(v) = 2*V(u) + b*(V(u) - u_0).  With finite truncations
+    both sides become intervals, and ``consistent`` says they can still be
+    equal.  ``gap_bound`` bounds the true two-sided difference regardless.
+    ``left`` is v's enclosure.
     """
 
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
     b: int
     depth: int
     left: SeriesTruncation
@@ -118,15 +122,16 @@ def value_affine_relation(u: bytes, b: int, depth: int) -> ValueRelationReport:
     su = series_truncation(head[:depth], b, digit_cap=1)
     sv = series_truncation(v, b, digit_cap=3)
     den = su.den
-    c = 2 + b
+    a0, a1, _ = _AFFINE_LAW  # a2 = 0: the law has no constant term
+    c = a0 + a1 * b
     # den * (2*V + b*(V - u_0)) at V = su.lo/den; the positive c widens it
     # upward by c_tail at V = su.hi/den.
-    r0 = c * su.lo - b * head[0] * den
+    r0 = c * su.lo - a1 * b * head[0] * den
     c_tail = c * (su.hi - su.lo)
     v_tail = sv.hi - sv.lo
     residual = sv.lo - r0
     return ValueRelationReport(
-        a0=Fraction(2), a1=Fraction(1), a2=Fraction(0), b=b, depth=depth, left=sv,
+        b=b, depth=depth, left=sv,
         gap_bound=Fraction(abs(residual) + v_tail + c_tail, den),
         consistent=-v_tail <= residual <= c_tail,
     )
@@ -168,14 +173,18 @@ def floor_golden(n: int) -> int:
 
 
 class RotationSumReport(NamedTuple):
-    """Which affine pair ties the golden power sum to the k=1 base-b value.
+    """How the golden power sum meets its affine law in the k=1 base-b value.
 
-    The sum is (b-1) * sum over n >= 1 of b^(-floor(n*golden)); candidates
-    express it as c1 * V + c2 with V the k=1 fixed-point value.  Exactly one
-    candidate must survive the interval test for the run to be decisive;
-    ``pair`` is its (c1, c2) and ``matching`` its name.  ``marks`` encloses
-    the series of the 0/1 word marking each exponent, so the sum lies in
-    (b-1) times it; ``value`` encloses V.
+    The sum is (b-1) * sum over n >= 1 of b^(-floor(n*golden)), and the law
+    states it as c1 * V + c2 with V the k=1 fixed-point value and ``pair`` =
+    (c1, c2) = (-(b-1)/b, 1), the index-shifted pair.  ``matching`` is
+    ``"index_shifted"`` when the two enclosures overlap and ``"none"`` when
+    they do not; each encloses its exact side, so a miss is a fault.
+    ``residual_bound`` bounds their distance.  The direct pair (-(b-1), 1)
+    lies (b-1)^2*V/b >= 1/4 away, against widths of at most 2^-50 at
+    depth >= 50, so it is never tested.  ``marks`` encloses the series of
+    the 0/1 word marking each exponent, so the sum lies in (b-1) times it;
+    ``value`` encloses V.
     """
 
     b: int
@@ -183,12 +192,12 @@ class RotationSumReport(NamedTuple):
     marks: SeriesTruncation
     value: SeriesTruncation
     pair: tuple[Fraction, Fraction]
-    matching: str  # "direct" or "index_shifted"
+    matching: str  # "index_shifted" or "none"
     residual_bound: Fraction
 
 
 def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
-    """Decide which affine pair matches the golden power sum, by enclosures."""
+    """Test the golden power sum against its index-shifted affine law, by enclosures."""
     _require_base(b)
     if depth < 50:
         raise ValueError("depth must be >= 50")
@@ -204,29 +213,14 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
     marked = series_truncation(bytes(marks), b, digit_cap=1)
     x = fixed_point_series(1, b, depth)
     # Over the common denominator marked.den = b * x.den, the sum has the
-    # numerators (b-1) * marked.lo and (b-1) * marked.hi, and V has
-    # b * x.lo and b * x.hi.
+    # numerators (b-1) * marked.lo and (b-1) * marked.hi, and the law's image
+    # 1 - (b-1)/b * V has marked.den - (b-1) * x.hi and marked.den - (b-1) * x.lo.
     sum_lo, sum_hi = (b - 1) * marked.lo, (b - 1) * marked.hi
-
-    def match(scale: int) -> tuple[bool, int]:
-        # The pair c1 = -(b-1)*scale/b, c2 = 1, with scale b or 1, so c1 * V
-        # has the numerators -(b-1) * scale * x.hi and -(b-1) * scale * x.lo.
-        lo = marked.den - (b - 1) * scale * x.hi
-        hi = marked.den - (b - 1) * scale * x.lo
-        overlaps = lo <= sum_hi and sum_lo <= hi
-        bound = max(abs(sum_hi - lo), abs(hi - sum_lo))
-        return overlaps, bound
-
-    direct_ok, direct_bound = match(b)
-    shifted_ok, shifted_bound = match(1)
-    if direct_ok == shifted_ok:
-        raise IndecisiveEnclosureError(
-            "enclosures do not separate the candidate pairs; increase depth"
-        )
-    scale, bound = (b, direct_bound) if direct_ok else (1, shifted_bound)
+    lo = marked.den - (b - 1) * x.hi
+    hi = marked.den - (b - 1) * x.lo
     return RotationSumReport(
         b=b, depth=depth, marks=marked, value=x,
-        pair=(Fraction(-(b - 1) * scale, b), Fraction(1)),
-        matching="direct" if direct_ok else "index_shifted",
-        residual_bound=Fraction(bound, marked.den),
+        pair=(Fraction(-(b - 1), b), Fraction(1)),
+        matching="index_shifted" if lo <= sum_hi and sum_lo <= hi else "none",
+        residual_bound=Fraction(max(abs(sum_hi - lo), abs(hi - sum_lo)), marked.den),
     )

@@ -45,6 +45,19 @@ def test_generate_bad_transform(capsys):
         assert err == f"error: unknown transform {spec!r}; use diff, diff:N, or pairs\n"
 
 
+@pytest.mark.parametrize("spec", ["bogus", "diff:abc"])
+def test_generate_refuses_transform_before_prefix(spec, monkeypatch, capsys):
+    """A bad spec is refused before any symbol of the prefix is built."""
+    def built(*args):
+        raise AssertionError("prefix built before the transform was parsed")
+
+    monkeypatch.setattr(cli, "fixed_point_prefix", built)
+    code, out, err = run(capsys, "generate", "--k", "1", "--len", "100000000",
+                         "--transform", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown transform {spec!r}; use diff, diff:N, or pairs\n"
+
+
 def test_huge_k_prefix_is_answered(capsys):
     """A prefix no longer than k is all zeros, so generate and lemma2 answer
     at any k without building U_1 = 0^k 1 (at k = 2^32 that took 4 GB)."""
@@ -705,6 +718,18 @@ def test_verify_sba_direct_verdict_is_a_fail_row(monkeypatch, capsys):
     assert code == 1
     assert [(row[2], row[4]) for row in rows] == [("2", "FAIL"), ("3", "FAIL")]
     assert all("matching=direct;c1=-" in row[5] for row in rows)
+
+
+def test_verify_sba_missed_law_is_a_fail_row(monkeypatch, capsys):
+    """A power sum off by one exponent misses the one law: FAIL rows, exit 1."""
+    exact = transforms.floor_golden
+    monkeypatch.setattr(transforms, "floor_golden", lambda n: exact(n) + (n == 3))
+    code, out, err = run(capsys, "verify", "--lemma", "sba", "--b", "2,3",
+                         "--depth", "120")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert (code, err) == (1, "")
+    assert [(row[2], row[4]) for row in rows] == [("2", "FAIL"), ("3", "FAIL")]
+    assert all(row[5].startswith("matching=none;c1=-") for row in rows)
 
 
 def test_exponent_json(capsys):

@@ -78,11 +78,21 @@ def test_cassini_identity(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 2**40])
 def test_sandwich_matches_extremes_of_every_ratio(k):
     """The two ratios the sandwich reads give the bracket that min and max
-    over the list of every exact ratio give."""
+    over every exact ratio give.  The reference steps f_n by the recurrence
+    and finds both extremes by integer cross-multiplication, so only the two
+    extreme ratios are built as Fractions."""
+    f = [1, k + 1]
+    while len(f) < 2002:
+        f.append(k * f[-1] + f[-2])
     for n_min, n_max in [(2, 12), (2, 40), (5, 300), (2, 2000)]:
-        basis = get_basis(k)
-        thetas = [Fraction(basis.value(n + 1), basis.value(n)) for n in range(n_min, n_max + 1)]
-        m, big = min(thetas), max(thetas)
+        lo = hi = n_min
+        for n in range(n_min + 1, n_max + 1):
+            # f_{n+1}/f_n against the extremes so far; every f is positive.
+            if f[n + 1] * f[lo] < f[lo + 1] * f[n]:
+                lo = n
+            if f[n + 1] * f[hi] > f[hi + 1] * f[n]:
+                hi = n
+        m, big = Fraction(f[lo + 1], f[lo]), Fraction(f[hi + 1], f[hi])
         expected = ExponentEstimate(
             target=closed_form_exponent(k),
             lower=_float_below(1 + m),
