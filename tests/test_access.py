@@ -175,6 +175,39 @@ def test_symbol_at_reads_neither_prefix_nor_walk(k, monkeypatch):
     assert [symbol_at(k, i) for i in far] == expected
 
 
+def _verdict_by_digits(k, n, i):
+    """The mismatch rule read from one ``to_digits`` call: digits 0..n of i
+    worth f_{n+1} - 2 or f_{n+1} - 1, and a digit at n + 1 below k."""
+    digits = to_digits(k, i) + (0,) * (n + 2)
+    fn1 = get_basis(k).value(n + 1)
+    low = from_digits(k, digits[: n + 1])
+    if digits[n + 1] == k or low < fn1 - 2:
+        return (False, 0)
+    sign = 1 if n % 2 == 0 else -1
+    return (True, sign if low == fn1 - 2 else -sign)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096])
+def test_mismatches_windows_match_the_digit_rule(k):
+    """``mismatches`` keeps the window of its last split while the next index
+    shares i's digits from position n + 2 up: f_{n+2} indices when the digit
+    at n + 2 is below k, f_{n+1} when it is k.  At levels 0..6 the first
+    3,000 indices in order, and runs up, down and with repeats across the
+    start, f_{n+1} and f_{n+2} of windows whose digit at n + 2 is 0, k - 1
+    and k, agree with the rule read index by index from its digits."""
+    f = get_basis(k).value
+    for n in range(7):
+        run = set()
+        for d in {0, k - 1, k}:
+            base = f(n + 4) + d * f(n + 2)   # digits 1 at n + 4 and d at n + 2
+            for edge in (0, f(n + 1), f(n + 2)):
+                run.update(range(base + edge - 3, base + edge + 3))
+        run = sorted(run)
+        for indices in (range(3000), run, run[::-1], [i for i in run for _ in range(2)]):
+            expected = [_verdict_by_digits(k, n, i) for i in indices]
+            assert list(mismatches(k, n, indices)) == expected, (k, n)
+
+
 def test_mismatch_builds_no_level_far_above_the_index(monkeypatch):
     """Digits 0..n of i < f_{n+1} - 2 are worth i: no mismatch, and f_{n+1}
     is not built."""

@@ -703,25 +703,10 @@ def test_verify_sba_row(capsys):
     assert "matching=index_shifted" in out
 
 
-def test_verify_sba_direct_verdict_is_a_fail_row(monkeypatch, capsys):
-    """Every base matches the index-shifted pair; a direct verdict fails its row."""
-    decide = transforms.rotation_sum_relation
-
-    def direct(b, depth):
-        rep = decide(b, depth)
-        return rep._replace(matching="direct", pair=(rep.pair[0] * b, rep.pair[1]))
-
-    monkeypatch.setattr(transforms, "rotation_sum_relation", direct)
-    code, out, _ = run(capsys, "verify", "--lemma", "sba", "--b", "2,3",
-                       "--depth", "120")
-    rows = [line.split("\t") for line in out.splitlines()[1:]]
-    assert code == 1
-    assert [(row[2], row[4]) for row in rows] == [("2", "FAIL"), ("3", "FAIL")]
-    assert all("matching=direct;c1=-" in row[5] for row in rows)
-
-
 def test_verify_sba_missed_law_is_a_fail_row(monkeypatch, capsys):
-    """A power sum off by one exponent misses the one law: FAIL rows, exit 1."""
+    """Only the ``index_shifted`` verdict passes a row.  A power sum off by one
+    exponent misses the one law, and ``rotation_sum_relation`` returns its
+    one other verdict, ``none``: FAIL rows, exit 1, nothing on stderr."""
     exact = transforms.floor_golden
     monkeypatch.setattr(transforms, "floor_golden", lambda n: exact(n) + (n == 3))
     code, out, err = run(capsys, "verify", "--lemma", "sba", "--b", "2,3",

@@ -197,17 +197,42 @@ def test_walk_matches_full_chain_reference(k):
             assert mismatch(k, i, n) == expected, (k, i, n)
 
 
+def _kernel_streams(k):
+    """Index streams that the range kernels must answer as if each index
+    were split afresh, by name.
+
+    ``edges`` climbs across every block of the shifted low table: the
+    indices e - 2 .. e + 1 for each entry e of ``high`` past the first and
+    for e = f_{2L}, so a run stays inside a block for two steps and then
+    crosses its end.  ``falling`` takes the same indices from the top down,
+    ``repeated`` every seventh of them three times over, ``past`` a run of
+    3,000 indices from f_{2L} and indices up to 10^30 in increasing order,
+    and ``shuffled`` the walk cases with repeats, in random order.
+    """
+    _low, _padded, high, f2L = get_basis(k).tables()
+    edges = sorted({e + d for e in [*high[1:], f2L] for d in range(-2, 2) if e + d >= 0})
+    rng = random.Random(9900 + k)
+    far = sorted(rng.randrange(10**j) for j in (9, 12, 30) for _ in range(30))
+    shuffled = _walk_cases(k)
+    shuffled += rng.sample(shuffled, 40)
+    rng.shuffle(shuffled)
+    return {
+        "edges": edges,
+        "falling": edges[::-1],
+        "repeated": [v for v in edges[::7] for _ in range(3)],
+        "past": [*range(f2L, f2L + 3000), *far],
+        "shuffled": shuffled,
+    }
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
 def test_range_kernels_match_references(k):
-    """``digit_vectors``, ``symbols_at`` and ``mismatches`` over one shuffled
-    list with repeats of the walk cases, f_{2L} - 3 .. f_{2L} + 3 among them,
-    agree with the greedy reference and with the prefix and its f_n-shift.
+    """``digit_vectors``, ``symbols_at`` and ``mismatches`` over each stream of
+    ``_kernel_streams`` agree with the greedy reference, which divides at
+    every position of every index, and with the prefix and its f_n-shift.
+    The kernels keep the block or window of their last split while the next
+    index shares it, so the streams run up and down across every block end.
     Past the prefix's end a symbol is read from the reference's bottom digit."""
-    rng = random.Random(9900 + k)
-    values = _walk_cases(k)
-    values += rng.sample(values, 40)
-    rng.shuffle(values)
-    assert list(digit_vectors(k, values)) == [_greedy_reference(k, i) for i in values]
     prefix = fixed_point_prefix(k, get_basis(k).tables()[3] + 64)
 
     def symbol(i):
@@ -215,11 +240,13 @@ def test_range_kernels_match_references(k):
             return prefix[i]
         return 1 if _greedy_reference(k, i)[:1] == (k,) else 0
 
-    assert list(symbols_at(k, iter(values))) == [symbol(i) for i in values]
-    for n in (0, 1, 2, 5, 12):
-        fn = get_basis(k).value(n)
-        direct = [symbol(i + fn) - symbol(i) for i in values]
-        assert list(mismatches(k, n, iter(values))) == [(d != 0, d) for d in direct], n
+    for name, values in _kernel_streams(k).items():
+        assert list(digit_vectors(k, values)) == [_greedy_reference(k, i) for i in values], name
+        assert list(symbols_at(k, iter(values))) == [symbol(i) for i in values], name
+        for n in (0, 1, 2, 5, 12):
+            fn = get_basis(k).value(n)
+            direct = [symbol(i + fn) - symbol(i) for i in values]
+            assert list(mismatches(k, n, iter(values))) == [(d != 0, d) for d in direct], (name, n)
 
 
 def test_low_table_is_built_without_the_walk(monkeypatch):
