@@ -8,41 +8,34 @@ shift disagree: per index (``mismatches``) or as the offsets of the mismatch
 pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
 
 The range forms ``symbols_at`` and ``mismatches`` are the kernels: each
-checks k (and n) and fetches the basis and its tables once per call, then
-answers each index of an iterable in turn, so a sweep over many indices
-makes one call.  ``symbol_at`` and ``mismatch`` wrap them for one index.
-Each kernel keeps what the split of its last index found while the next
-index shares it, so a run of consecutive indices pays one split per block
-or window, not one per index.  Medians of ten fresh processes, best of
-seven runs each (tables built first; 2 vCPUs, CPython 3.11): 100,000
-indices below 10^5 at k = 1 take 0.013 s in one ``symbols_at`` call
-(0.034 s splitting every index); 10,000 indices below 10^4 at each level
-n = 0..9 at k = 2 take 0.022 s in ten ``mismatches`` calls (0.060 s).
-Through its wrapper a scalar call makes and runs one generator and does
-one split: over the indices below 10^5, ``symbol_at`` costs 1.1 us a
-call and ``mismatch`` (k = 2, level 5) 1.3 us.
-
-``symbols_at`` splits an index below f_{2L} with one bisect of the basis's
-shifted low table (see ``numeration``), in one loop for every k, and keeps
-the block [high[m], high[m+1]) that the bisect found; the last block ends
-at the floor max(f_{2L}, k + 1), the bound below which every index is
-split.  ``high`` increases, so every index of the block bisects to the
-same m, and its rest is the index minus high[m].  ``mismatches`` walks
-i down to f_{n+3} and splits what is left at f_{n+2} into the digit d at
-position n + 2 and the value r of digits 0..n+1.  Every i' in
-[i - r, i - r + w) has i's digits at positions n + 2 and up, where
-w = f_{n+2} when d < k and w = f_{n+1} when d = k (a digit k forces a 0
-below it): any value below w is a regular vector on positions 0..n+1
-that joins those digits.  Digits 0..n+1 of such an i' are worth
-i' - (i - r), so the kernel keeps the window and answers from it.
+checks k (and n) and fetches the basis once per call, then answers each
+index of an iterable in turn, so a sweep over many indices makes one call.
+``symbol_at`` and ``mismatch`` wrap them for one index.  Each kernel splits
+an index with ``numeration._window``, the values that share its digits at
+positions s and up, and keeps that window while the next index falls
+inside it, so a run of consecutive indices pays one split per window.  In
+the window an index's digits below s are worth its distance from the
+window's base.  ``symbols_at`` keeps windows at s = max(L, 1), where f_L
+is the size of the low table, and reads the bottom digit of that distance
+from one ``low`` entry; from k = 4096 up L = 0, ``low`` holds f_0's entry
+alone, and at s = 1 the distance is below f_1 = k + 1, its own bottom
+digit.  ``mismatches`` keeps windows at s = n + 2, and splits the distance
+at f_{n+1} into the digit at n + 1 and the value of digits 0..n.  Medians
+of ten fresh processes, best of seven runs each (tables built first;
+2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take 0.010 s
+in one ``symbols_at`` call (0.079 s splitting every index); 10,000
+indices below 10^4 at each level n = 0..9 at k = 2 take 0.022 s in ten
+``mismatches`` calls (0.080 s).  Through its wrapper a scalar call makes
+and runs one generator and does one split: over the indices below 10^5,
+``symbol_at`` costs 1.4 us a call and ``mismatch`` (k = 2, level 5)
+1.4 us.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, Iterator, NamedTuple
 
-from .numeration import _reduce, get_basis, regular_vectors
+from .numeration import _window, get_basis, regular_vectors
 
 
 def symbols_at(k: int, indices: Iterable[int]) -> Iterator[int]:
@@ -52,28 +45,18 @@ def symbols_at(k: int, indices: Iterable[int]) -> Iterator[int]:
     need not increase.  k is checked (by ``get_basis``) before any index is read.
     """
     basis = get_basis(k)
-    low, _padded, high, f2L = basis.tables()
-    # Below f_{2L} the entry of ``high`` found by one bisect carries n's
-    # digits from position L up (see ``numeration.digit_vectors``), so
-    # subtracting it leaves the value of digits 0..L-1, bottom digit included
-    # (and no digits at all when it is 0).  From the floor up the walk first
-    # leaves the value of n's digits below 2L.  From k = 4096 up L = 0, the
-    # floor is f_1 = k + 1 and the walk leaves a value below f_1, which is
-    # its own bottom digit: ``low`` holds f_0's entry alone.
-    floor, size = max(f2L, k + 1), len(low)
-    lo = hi = 0   # the block [lo, hi) of the last split: entry high[m] and its end
+    low, padded = basis.tables()
+    size = len(low)   # f_L
+    # The bottom digit of an index's distance from the window's base: one
+    # ``low`` entry, or the distance itself from k = 4096 up (L = 0, s = 1).
+    s = max(len(padded[0]), 1)   # max(L, 1)
+    base = end = 0   # the window [base, end) of the last split
     for n in indices:
-        if not lo <= n < hi:
-            if n >= floor:
-                basis._extend_past(n)
-                n = _reduce(basis._vals, n, floor)
-            elif n < 0:
+        if not base <= n < end:
+            if n < 0:
                 raise ValueError("index must be >= 0")
-            if not lo <= n < hi:
-                m = bisect_right(high, n) - 1
-                lo = high[m]
-                hi = high[m + 1] if m + 1 < size else floor
-        rem = n - lo
+            base, end = _window(basis, n, s)
+        rem = n - base
         yield 1 if rem and (low[rem][0] if rem < size else rem) == k else 0
 
 
@@ -121,19 +104,13 @@ def mismatches(k: int, n: int, indices: Iterable[int]) -> Iterator[MismatchVerdi
             if i + 2 >= vals[-1]:
                 basis._extend_past(i + 2)
             # While i + 2 < f_{n+1}, digits 0..n of i are worth i itself, too
-            # little to match, and f_{n+1} need not be built.  Past this test
-            # vals[-1] > i + 2 >= f_{n+1}, so f_{n+2} is built too, and f_{n+3}
-            # is at most one more value.  The split: the digit at n + 2 and
-            # the value r of digits 0..n+1, which opens the window.
+            # little to match, and f_{n+1} need not be built.  Otherwise the
+            # window at n + 2 holds i's digits 0..n+1 as distances from base.
             if len(vals) <= n + 1 or i + 2 < vals[n + 1]:
                 yield _SAME
                 continue
-            if len(vals) <= n + 3:
-                basis._extend_to(n + 3)
-            fn1, fn2 = vals[n + 1], vals[n + 2]
-            digit, r = divmod(_reduce(vals, i, vals[n + 3]), fn2)
-            base = i - r
-            end = base + (fn1 if digit == k else fn2)
+            base, end = _window(basis, i, n + 2)
+            fn1 = vals[n + 1]
         digit, low = divmod(i - base, fn1)
         if digit == k or low < fn1 - 2:
             yield _SAME

@@ -6,19 +6,27 @@ every digit lies in 0..k and a digit equal to k forces a zero just below it;
 each non-negative integer then has exactly one regular representation, so
 ``normalize`` regularizes any vector by digitizing its value greedily.
 Digit vectors are plain little-endian tuples of ints; this module is the only
-one that walks a value's digits.  ``access`` reads the basis table itself on
-its per-index paths, through ``_reduce`` and ``Basis.tables``.
+one that walks a value's digits or splits a value.  ``_window`` is the one
+split rule: the values that share n's digits at positions s and up are
+exactly [n - r, n - r + w), where r is the value of n's digits below s and
+w is f_s, or f_{s-1} when n's digit at s is k, since a digit k forces a 0
+below it.  The three range kernels, ``digit_vectors`` here and
+``symbols_at`` and ``mismatches`` in ``access``, split an index with it and
+keep the window while the next index falls inside it.
 
 ``digit_vectors`` is the digitising kernel: it fetches the basis and its
 tables once per call and then digitises each value of an iterable in turn,
 one vector at a time, so a sweep makes one call and holds one vector.  It
-keeps the block of the shifted low table that its last split found, so
-consecutive values below f_{2L} pay one bisect per block.  ``to_digits``
-wraps it for one value.  Medians of ten fresh processes, best of seven
-runs each (tables built first; 2 vCPUs, CPython 3.11): the 100,000 values
-below 10^5 at k = 1 take 0.024 s in one ``digit_vectors`` call (0.055 s
-splitting every value), and one ``to_digits`` call, which makes and runs
-one generator, 1.5 us over the same values.
+keeps the window at position L, where f_L is the size of the low table,
+with the digits from L up, so consecutive values pay one split per window,
+below f_{2L} and above it alike.  ``to_digits`` wraps it for one value.
+Medians of ten fresh processes, best of seven runs each (tables built
+first; 2 vCPUs, CPython 3.11): the 100,000 values below 10^5 at k = 1 take
+0.019 s in one ``digit_vectors`` call (0.20 s splitting every value), and
+one ``to_digits`` call, which makes and runs one generator, 2.3 us over
+the same values.  At k = 5 the 392,229 values from f_{2L} = 607,771 to
+10^6 take 0.058 s in one call, and as many values just below f_{2L}
+0.052 s (best of five).
 
 ``regular_vectors``, the in-order walk, goes by blocks: the regular vectors
 on the low positions, those below the largest basis value <= 4096, are
@@ -96,9 +104,9 @@ class Basis:
         while len(vals) <= n:
             vals.append(self.k * vals[-1] + vals[-2])
 
-    def tables(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int], int]:
-        """``(low, padded, high, f2L)``, built once, where f_L is the largest
-        basis value <= ``_LOW_TABLE_BOUND``.
+    def tables(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """``(low, padded)``, built once, where f_L is the largest basis value
+        <= ``_LOW_TABLE_BOUND``.
 
         ``low[n]`` is the ``to_digits`` format of n, for every n < f_L.  It is
         built by a memoised greedy step, never from ``regular_vectors``, so
@@ -106,17 +114,14 @@ class Basis:
         with f_top the largest basis value <= n, entry n is the top greedy
         digit of ``divmod(n, f_top)`` placed above the entry of the
         remainder, which is already in the table.  ``padded`` holds the same
-        entries padded with zeros to L digits; ``high[m]`` is the value of
-        m's digits moved up L positions (their weighted sum over
-        f_L..f_{2L-1}), built by the same step; ``f2L`` is f_{2L}.  From
-        k = 4096 up L = 0: ``low`` holds f_0's entry alone and f2L = f_0.
+        entries padded with zeros to L digits, the rows that sit below
+        digits at positions L and up.  From k = 4096 up L = 0: both hold
+        f_0's entry ``()`` alone.
         """
         if self._tables is None:
             width = self.largest_index_leq(_LOW_TABLE_BOUND)   # L
-            self._extend_to(2 * width)
             vals = self._vals
             low: list[tuple[int, ...]] = [()]
-            high = [0]
             top = 0   # n's highest position
             for n in range(1, vals[width]):
                 if n == vals[top + 1]:
@@ -124,9 +129,8 @@ class Basis:
                 digit, rem = divmod(n, vals[top])
                 below = low[rem]
                 low.append(below + (0,) * (top - len(below)) + (digit,))
-                high.append(digit * vals[width + top] + high[rem])
             padded = [d + (0,) * (width - len(d)) for d in low]
-            self._tables = (low, padded, high, vals[2 * width])
+            self._tables = (low, padded)
         return self._tables
 
 
@@ -181,48 +185,59 @@ def _reduce(vals: list[int], n: int, floor: int) -> int:
     return n
 
 
+def _window(basis: Basis, n: int, s: int) -> tuple[int, int]:
+    """The values that share n's digits at positions s and up, as ``[base, end)``.
+
+    One ``_reduce`` to f_{s+1} leaves the value of n's digits 0..s, and one
+    ``divmod`` by f_s splits it into the digit d at s and the value r of the
+    digits below s (worth less than f_s).  Let base = n - r, the value of
+    n's digits from s up with zeros below, and w = f_{s-1} when d = k and
+    s >= 1, f_s otherwise.  Every x < w has a regular vector on positions
+    0..s-1, and joined below n's digits from s up it keeps the digit rule
+    (a digit k at s finds a 0 at s - 1, as x < f_{s-1}), so by uniqueness
+    it is the vector of base + x.  Conversely a value with those digits
+    from s up is base plus the value of a regular vector on positions
+    0..s-1 that joins them, which is below w.  So the window is exactly
+    [base, base + w), and the value of a member's digits below s is its
+    distance from base.  The basis table is extended past n and to s + 1.
+    """
+    vals = basis._vals
+    if len(vals) <= s + 1:
+        basis._extend_to(s + 1)
+    if n >= vals[-1]:
+        basis._extend_past(n)
+    digit, rem = divmod(_reduce(vals, n, vals[s + 1]), vals[s])
+    base = n - rem
+    return base, base + (vals[s - 1] if digit == basis.k and s else vals[s])
+
+
 def digit_vectors(k: int, values: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """The unique regular digit vector of each value (greedy, most significant first).
 
     Little-endian, with no trailing zeros; ``()`` for 0.  Yields one vector
     per value, in the order given; values may repeat and need not increase,
-    and k is checked before any value is read.  Below f_L the digits are
-    one entry of ``low`` (see ``Basis.tables``).  Below f_{2L}, let m be the
-    value of n's digits at positions L and up, read unshifted.  The vector
-    of m + 1 moved up L positions, with zeros below, is regular and
-    lexicographically greater than n's, so ``high[m] <= n < high[m + 1]``
-    and m is the index of the last entry of ``high`` that is <= n: n's
-    digits are those of n - ``high[m]`` padded to L, then m's.  The block
-    [high[m], high[m + 1]), which ends at f_{2L} for the last m, is kept
-    with m's digits: ``high`` increases, so every later value in it has the
-    same m and is answered without a bisect.  From m >= 1 the block starts
-    at f_L or above, so a value below f_L never reads it.  Above f_{2L} the
-    positions from the top down to 2L are walked greedily and the value
-    they leave is split the same way.
+    and k is checked before any value is read.  Each value falls in the
+    ``_window`` of the values that share its digits at positions L and up,
+    where f_L is the size of ``low`` (see ``Basis.tables``).  Those upper
+    digits are walked greedily once per window and kept with it; the
+    digits below L of a member are those of its distance from the window's
+    base, one row of the tables: its ``low`` entry when there are no upper
+    digits (the window [0, f_L)), its ``padded`` entry below them
+    otherwise.  So a run of consecutive values pays one split per window.
     """
     basis = get_basis(k)
-    low, padded, high, f2L = basis.tables()
-    size = len(low)
-    lo = hi = 0   # the block [lo, hi) of the last split, and its digits from L up
-    tail: tuple[int, ...] = ()
+    low, padded = basis.tables()
+    width = len(padded[0])   # L
+    base = end = 0   # the window [base, end) of the last split
+    rows, upper = low, ()   # its rows below L and its digits from L up
     for n in values:
-        if lo <= n < hi:
-            yield padded[n - lo] + tail
-        elif n < size:
+        if not base <= n < end:
             if n < 0:
                 raise ValueError("value must be >= 0")
-            yield low[n]
-        elif n < f2L:
-            m = bisect_right(high, n) - 1
-            lo, tail = high[m], low[m]
-            hi = high[m + 1] if m + 1 < size else f2L
-            yield padded[n - lo] + tail
-        else:
-            basis._extend_past(n)
-            # Entries are padded to L digits: walk down to position 2L.
-            upper, rem = _greedy(basis._vals, n, 2 * len(padded[0]))
-            m = bisect_right(high, rem) - 1
-            yield padded[rem - high[m]] + padded[m] + upper
+            base, end = _window(basis, n, width)
+            upper = _greedy(basis._vals, n, width)[0]
+            rows = padded if upper else low
+        yield rows[n - base] + upper
 
 
 def to_digits(k: int, n: int) -> tuple[int, ...]:

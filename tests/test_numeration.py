@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -18,7 +19,7 @@ from sturmlab import (
 from sturmlab.access import mismatches, symbols_at
 from sturmlab.errors import CapExceededError
 from sturmlab import numeration
-from sturmlab.numeration import _reduce, digit_vectors, regular_vectors
+from sturmlab.numeration import _window, digit_vectors, regular_vectors
 from sturmlab.words import fixed_point_prefix
 
 
@@ -114,6 +115,12 @@ def test_to_digits_greedy_is_msf():
                 assert d[top] >= 1
 
 
+def _f2L(k):
+    """f_{2L}, where f_L is the size of the low table."""
+    basis = get_basis(k)
+    return basis.value(2 * basis.largest_index_leq(numeration._LOW_TABLE_BOUND))
+
+
 def _greedy_reference(k, n):
     """Every position divided from the top down, with no table (the reference)."""
     vals = []
@@ -139,14 +146,13 @@ def test_to_digits_matches_regular_vectors(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
 def test_to_digits_straddles_low_table(k):
-    """Values on both sides of the table's bound f_L, of f_{L+1}, of the split
-    bound f_{2L} and f_{2L+1}, and 10^30."""
+    """Values on both sides of the table's bound f_L, of f_{L+1}, of f_{2L}
+    and f_{2L+1}, and 10^30."""
     basis = get_basis(k)
-    low, _padded, _high, f2L = basis.tables()
+    low, _padded = basis.tables()
     size = len(low)
     top = basis.largest_index_leq(numeration._LOW_TABLE_BOUND)
     assert size == basis.value(top) <= numeration._LOW_TABLE_BOUND < basis.value(top + 1)
-    assert f2L == basis.value(2 * top)
     edges = {size, basis.value(top + 1), basis.value(top + 2), 2 * size, k * size,
              basis.value(2 * top), basis.value(2 * top + 1)}
     values = {v + d for v in edges for d in range(-3, 4) if v + d >= 0} | {10**30, 10**30 - 1}
@@ -201,16 +207,25 @@ def _kernel_streams(k):
     """Index streams that the range kernels must answer as if each index
     were split afresh, by name.
 
-    ``edges`` climbs across every block of the shifted low table: the
-    indices e - 2 .. e + 1 for each entry e of ``high`` past the first and
-    for e = f_{2L}, so a run stays inside a block for two steps and then
+    ``edges`` climbs across every window at position L below f_{2L}, where
+    f_L is the low table's size: the indices e - 2 .. e + 1 for each base e
+    past 0, the reference digits of each m < f_L moved up L positions, and
+    for e = f_{2L}, so a run stays inside a window for two steps and then
     crosses its end.  ``falling`` takes the same indices from the top down,
     ``repeated`` every seventh of them three times over, ``past`` a run of
     3,000 indices from f_{2L} and indices up to 10^30 in increasing order,
     and ``shuffled`` the walk cases with repeats, in random order.
+    ``above`` is a run of 4 f_L consecutive indices around f_{2L+1} + k f_L,
+    across windows at L whose digit there is k - 1, k and 0.
     """
-    _low, _padded, high, f2L = get_basis(k).tables()
-    edges = sorted({e + d for e in [*high[1:], f2L] for d in range(-2, 2) if e + d >= 0})
+    basis = get_basis(k)
+    size = len(basis.tables()[0])
+    top = basis.largest_index_leq(numeration._LOW_TABLE_BOUND)   # L
+    f = [basis.value(j) for j in range(2 * top + 2)]
+    f2L = f[2 * top]
+    bases = [sum(map(mul, _greedy_reference(k, m), f[top:])) for m in range(1, size)]
+    edges = sorted({e + d for e in [*bases, f2L] for d in range(-2, 2) if e + d >= 0})
+    above = f[2 * top + 1] + k * size
     rng = random.Random(9900 + k)
     far = sorted(rng.randrange(10**j) for j in (9, 12, 30) for _ in range(30))
     shuffled = _walk_cases(k)
@@ -222,6 +237,7 @@ def _kernel_streams(k):
         "repeated": [v for v in edges[::7] for _ in range(3)],
         "past": [*range(f2L, f2L + 3000), *far],
         "shuffled": shuffled,
+        "above": list(range(above - 2 * size, above + 2 * size)),
     }
 
 
@@ -230,10 +246,10 @@ def test_range_kernels_match_references(k):
     """``digit_vectors``, ``symbols_at`` and ``mismatches`` over each stream of
     ``_kernel_streams`` agree with the greedy reference, which divides at
     every position of every index, and with the prefix and its f_n-shift.
-    The kernels keep the block or window of their last split while the next
-    index shares it, so the streams run up and down across every block end.
+    The kernels keep the window of their last split while the next index
+    shares it, so the streams run up and down across every window end.
     Past the prefix's end a symbol is read from the reference's bottom digit."""
-    prefix = fixed_point_prefix(k, get_basis(k).tables()[3] + 64)
+    prefix = fixed_point_prefix(k, _f2L(k) + 64)
 
     def symbol(i):
         if i < len(prefix):
@@ -247,6 +263,21 @@ def test_range_kernels_match_references(k):
             fn = get_basis(k).value(n)
             direct = [symbol(i + fn) - symbol(i) for i in values]
             assert list(mismatches(k, n, iter(values))) == [(d != 0, d) for d in direct], (name, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
+def test_symbols_at_runs_across_a_window_whose_digit_is_k(k):
+    """``symbols_at`` keeps windows at s = max(L, 1).  The window of k f_s
+    has digit k at s and is f_{s-1} wide, not f_s: the run k f_s - 2 ..
+    k f_s + f_s + 2 enters it from the window below and leaves it for the
+    window at f_{s+1}, and agrees with the reference's bottom digits.  From
+    k = 4096 up, where L = 0 and s = 1, the run is k f_1 - 2 .. k f_1 + k + 3,
+    over a million indices at k = 10^6, so it is compared as a stream."""
+    basis = get_basis(k)
+    fs = basis.value(max(basis.largest_index_leq(numeration._LOW_TABLE_BOUND), 1))
+    run = range(k * fs - 2, k * fs + fs + 3)
+    for i, symbol in zip(run, symbols_at(k, run)):
+        assert symbol == (_greedy_reference(k, i)[:1] == (k,)), (k, i)
 
 
 def test_low_table_is_built_without_the_walk(monkeypatch):
@@ -264,24 +295,19 @@ def test_low_table_is_built_without_the_walk(monkeypatch):
         assert len(table) == basis.value(basis.largest_index_leq(numeration._LOW_TABLE_BOUND))
         assert table == [numeration._greedy(basis._vals, n, 0)[0] for n in range(len(table))], k
     basis = numeration.Basis(3)
-    table, padded, high, f2L = basis.tables()
+    table, padded = basis.tables()
     assert table == [_greedy_reference(3, n) for n in range(len(table))]
     assert to_digits(3, 10**6) == _greedy_reference(3, 10**6)
-    # The shifted table: the reference vectors weighed from f_L up.
     top = len(table[-1])
-    f = [basis.value(j) for j in range(2 * top + 1)]
-    assert high == [sum(map(mul, _greedy_reference(3, m), f[top:]))
-                    for m in range(len(table))]
     assert padded == [d + (0,) * (top - len(d)) for d in table]
-    assert f2L == f[2 * top]
 
 
 @pytest.mark.parametrize("k", [5, 8, 64])
 def test_split_matches_regular_vectors_below_f2L(k):
-    """Every value below f_{2L}, where one bisect of the shifted low table
-    splits it, digitises to the vector the in-order walk reaches, and its
-    symbol is 1 exactly when that vector's bottom digit is k."""
-    bound = get_basis(k).tables()[3]
+    """Every value below f_{2L}, the values whose digits from position L up
+    are those of some m < f_L, digitises to the vector the in-order walk
+    reaches, and its symbol is 1 exactly when that vector's bottom digit is k."""
+    bound = _f2L(k)
     expected = 0
     for value, digits in regular_vectors(k, bound):
         assert value == expected
@@ -291,20 +317,27 @@ def test_split_matches_regular_vectors_below_f2L(k):
     assert expected == bound
 
 
-def test_digit_and_low_matches_digits():
-    """The jumped walk stopped at f_{pos+1} leaves digits 0..pos, which split at
-    f_pos into n's digit at pos and the value below it, as slicing the full
-    digit vector does."""
-    for k in (1, 2, 3, 4):
-        basis = get_basis(k)
-        f = basis.value
-        rng = random.Random(600 + k)
-        for n in [*range(5000), *(rng.randrange(10**12) for _ in range(500))]:
-            d = to_digits(k, n)
-            for pos in range(len(d) + 2):
-                digit = d[pos] if pos < len(d) else 0
-                got = divmod(_reduce(basis._vals, n, f(pos + 1)), f(pos))
-                assert got == (digit, from_digits(k, d[:pos])), (k, n, pos)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 4095, 4096])
+def test_window_is_the_values_sharing_the_upper_digits(k):
+    """``_window(basis, n, s)`` is the interval of values whose reference
+    digits at positions s and up are n's: it starts at n minus the value of
+    n's digits below s, is f_{s-1} wide when n's digit at s is k (s >= 1)
+    and f_s wide otherwise, and neither the value below it nor its end
+    shares those digits.  For n below 5,000 and random n below 10^12, at
+    every s from 0 to n's length + 1."""
+    basis = get_basis(k)
+    f = basis.value
+    reference = functools.cache(functools.partial(_greedy_reference, k))
+    rng = random.Random(600 + k)
+    for n in [*range(5000), *(rng.randrange(10**12) for _ in range(500))]:
+        d = reference(n)
+        for s in range(len(d) + 2):
+            base, end = _window(basis, n, s)
+            assert base == n - from_digits(k, d[:s]), (k, n, s)
+            wide = f(s - 1) if s >= 1 and d[s:s + 1] == (k,) else f(s)
+            assert end - base == wide, (k, n, s)
+            assert reference(end)[s:] != d[s:], (k, n, s)
+            assert base == 0 or reference(base - 1)[s:] != d[s:], (k, n, s)
 
 
 def _recursive_walk(k, bound):
