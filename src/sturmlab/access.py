@@ -7,63 +7,80 @@ f_{n+1} - 1, which gives a direct description of where a prefix and its
 shift disagree: per index (``mismatches``) or as the offsets of the mismatch
 pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
 
-The range forms ``symbols_at`` and ``mismatches`` are the kernels: each
-checks k (and n) and fetches the basis once per call, then answers each
-index of an iterable in turn, so a sweep over many indices makes one call.
-``symbol_at`` and ``mismatch`` wrap them for one index.  Each kernel splits
-an index with ``numeration._window``, the values that share its digits at
-positions s and up, and keeps that window while the next index falls
-inside it, so a run of consecutive indices pays one split per window.  In
-the window an index's digits below s are worth its distance from the
-window's base.  ``symbols_at`` keeps windows at s = max(L, 1), where f_L
-is the size of the low table, and reads the bottom digit of that distance
-from one ``low`` entry; from k = 4096 up L = 0, ``low`` holds f_0's entry
-alone, and at s = 1 the distance is below f_1 = k + 1, its own bottom
-digit.  ``mismatches`` keeps windows at s = n + 2, and splits the distance
-at f_{n+1} into the digit at n + 1 and the value of digits 0..n.  Medians
-of ten fresh processes, best of seven runs each (tables built first;
-2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take 0.010 s
-in one ``symbols_at`` call (0.079 s splitting every index); 10,000
-indices below 10^4 at each level n = 0..9 at k = 2 take 0.022 s in ten
-``mismatches`` calls (0.080 s).  Through its wrapper a scalar call makes
-and runs one generator and does one split: over the indices below 10^5,
-``symbol_at`` costs 1.4 us a call and ``mismatch`` (k = 2, level 5)
-1.4 us.
+The range forms ``symbols_at`` and ``mismatches`` are the kernels.  Each
+takes a ``range`` of step 1, checks k (and n) and the start when it is
+called, with the scalar's error text, and splits the range once per
+``numeration._window`` it meets (``numeration._windows``): the values that
+share their digits at positions s and up, where a member's digits below s
+are worth its distance from the window's base.  Each window is answered by
+one slice of a per-k table, and ``itertools.chain.from_iterable`` joins
+the slices, so no Python frame runs per index.
+``symbols_at`` keeps windows at s = max(L, 1), where f_L is the size of the
+low table, and slices ``bottom``, which ``Basis.tables`` builds from the
+low table alone: 1 where a row's bottom digit is k.  From k = 4096 up
+L = 0, and at s = 1 a distance below f_1 = k + 1 is its own bottom digit,
+so a window is a run of 0s and the 1 at distance k.
+``mismatches`` keeps windows at s = max(L, n + 2).  The verdict at i reads
+only i's digits 0..n+1, so it is the verdict at i's distance from the
+base, and a window is a slice of the verdicts V_s at every distance below
+f_s.  For n + 2 <= L it slices the table V_L, built once per (k, n) by
+V_{m+1} = V_m^k V_{m-1} (proof at ``_verdict_table``) and kept with the
+basis; for n + 2 > L, V_{n+2} = (SAME^{f_{n+1}-2} (first, second))^k
+SAME^{f_n} is read as runs, a few per block of f_{n+1} indices.
+``symbol_at`` and ``mismatch`` answer one index with one split and no
+generator.  Neither ``bottom`` nor V_L reads the prefix builder or the
+in-order walk, so ``lemma2`` and ``lemma4`` still compare two routes.
+Medians of ten fresh processes, best of seven runs each (tables built
+first; 2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take
+0.0005 s in one ``symbols_at`` call (0.0093 s when each index resumed a
+generator frame); 10,000 indices below 10^4 at each level n = 0..9 at
+k = 2 take 0.0009 s in ten ``mismatches`` calls (0.016 s).  Building one
+V_L takes 11-59 us at k = 1..3, more than a scalar call, so it is built
+once.  Over the indices below 10^5 a ``symbol_at`` call costs 0.95 us
+(k = 1) and a ``mismatch`` call 0.89 us (k = 2, level 5), against 1.18
+and 1.14 us through a one-index generator.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .numeration import _window, get_basis, regular_vectors
+from .numeration import Basis, _require_range, _window, _windows, get_basis, regular_vectors
 
 
-def symbols_at(k: int, indices: Iterable[int]) -> Iterator[int]:
-    """Symbol of the fixed point at each index (0-based), in O(log n) time each.
-
-    Yields one symbol per index, in the order given; indices may repeat and
-    need not increase.  k is checked (by ``get_basis``) before any index is read.
+def symbols_at(k: int, indices: range) -> Iterator[int]:
+    """Symbol of the fixed point at each index of a range of step 1, in order:
+    a slice of ``bottom`` per window at max(L, 1), or from k = 4096 up
+    (L = 0) a run of 0s and the 1 at distance k (see the module docstring).
     """
     basis = get_basis(k)
-    low, padded = basis.tables()
-    size = len(low)   # f_L
-    # The bottom digit of an index's distance from the window's base: one
-    # ``low`` entry, or the distance itself from k = 4096 up (L = 0, s = 1).
-    s = max(len(padded[0]), 1)   # max(L, 1)
-    base = end = 0   # the window [base, end) of the last split
-    for n in indices:
-        if not base <= n < end:
-            if n < 0:
-                raise ValueError("index must be >= 0")
-            base, end = _window(basis, n, s)
-        rem = n - base
-        yield 1 if rem and (low[rem][0] if rem < size else rem) == k else 0
+    _require_range(indices, "index")
+    _low, padded, bottom = basis.tables()
+    width = len(padded[0])   # L
+    if width:
+        return chain.from_iterable(bottom[lo:hi] for _, lo, hi in _windows(basis, indices, width))
+
+    def runs() -> Iterator[Iterable[int]]:
+        for _, lo, hi in _windows(basis, indices, 1):
+            yield repeat(0, min(hi, k) - lo)
+            if hi > k:
+                yield (1,)
+
+    return chain.from_iterable(runs())
 
 
 def symbol_at(k: int, n: int) -> int:
-    """Symbol of the fixed point at index ``n`` (0-based), in O(log n) time."""
-    (symbol,) = symbols_at(k, (n,))
-    return symbol
+    """Symbol of the fixed point at index ``n`` (0-based), in O(log n) time:
+    the ``bottom`` entry of n's distance from the base of its window at
+    max(L, 1) (see ``symbols_at``)."""
+    basis = get_basis(k)
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    _low, padded, bottom = basis.tables()
+    width = len(padded[0])   # L
+    rem = n - _window(basis, n, max(width, 1))[0]
+    return bottom[rem] if width else int(rem == k)
 
 
 class MismatchVerdict(NamedTuple):
@@ -73,14 +90,43 @@ class MismatchVerdict(NamedTuple):
     sign: int
 
 
-# Verdicts are immutable, so every call shares these three.
+# Verdicts are immutable, so every call and table shares these three.
 _SAME = MismatchVerdict(False, 0)
 _UP = MismatchVerdict(True, 1)
 _DOWN = MismatchVerdict(True, -1)
 
 
-def mismatches(k: int, n: int, indices: Iterable[int]) -> Iterator[MismatchVerdict]:
-    """Compare the fixed point at i and i + f_n by digits alone, for each index i.
+# The verdicts where digits 0..n are worth f_{n+1} - 2 and f_{n+1} - 1, by n % 2.
+_PAIRS = ((_UP, _DOWN), (_DOWN, _UP))
+
+
+def _verdict_table(basis: Basis, n: int) -> list[MismatchVerdict]:
+    """V_L, the verdict at every distance below f_L, for a level n with n + 2 <= L.
+
+    The verdict at i reads only digits 0..n+1 of i.  Below f_{n+1} those
+    are i's own, worth i, so V_{n+1} = SAME^{f_{n+1}-2} (first, second).
+    A value below f_{n+2} is d f_{n+1} + r with d its digit at n + 1: for
+    d < k, r runs over [0, f_{n+1}) with r's verdict; for d = k, every
+    verdict is SAME, so V_{n+2} = V_{n+1}^k SAME^{f_n}.  For m >= n + 2
+    the values below f_{m+1} split by their digit at m, which the verdict
+    does not read: k blocks of f_m, then f_{m-1} values under a digit k,
+    so V_{m+1} = V_m^k V_{m-1}.  Built once per (k, n) from the basis
+    alone and kept with it.
+    """
+    table = basis._verdicts.get(n)
+    if table is None:
+        vals, k = basis._vals, basis.k
+        prev = [_SAME] * (vals[n + 1] - 2) + list(_PAIRS[n % 2])   # V_{n+1}
+        table = prev * k + [_SAME] * vals[n]   # V_{n+2}
+        for m in range(n + 2, len(basis.tables()[1][0])):
+            prev, table = table, table * k + prev   # V_{m+1}
+        basis._verdicts[n] = table
+    return table
+
+
+def mismatches(k: int, n: int, indices: range) -> Iterator[MismatchVerdict]:
+    """Compare the fixed point at i and i + f_n by digits alone, for each index
+    i of a range of step 1, in order.
 
     The symbols differ exactly when digits 0..n of i reproduce those of
     f_{n+1} - 2 or f_{n+1} - 1 while the digit of i at position n + 1 stays
@@ -89,39 +135,71 @@ def mismatches(k: int, n: int, indices: Iterable[int]) -> Iterator[MismatchVerdi
     is below f_{n+1}; as regular vectors are unique, the patterns match exactly
     when that value equals f_{n+1} - 2 or f_{n+1} - 1.
 
-    Yields one verdict per index, in the order given; indices may repeat and
-    need not increase.  n and k are checked before any index is read.
+    n, k and the range's start are checked when the kernel is called.
+    Each window at s = max(L, n + 2) that the range meets is a slice of V_s
+    (see the module docstring and ``_verdict_table``); V_s starts with
+    V_{s-1}, so a window whose digit at s is k, f_{s-1} wide, is one too.
+    A range whose last index i has i + 2 < f_{n+1} is all SAME, a run per
+    window at max(L, 1), and f_{n+1} is not built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     basis = get_basis(k)
+    _require_range(indices, "index")
     vals = basis._vals   # vals[n] = f_n
-    base = end = fn1 = 0   # the window [base, end) of the last split
-    for i in indices:
-        if not base <= i < end:
-            if i < 0:
-                raise ValueError("index must be >= 0")
-            if i + 2 >= vals[-1]:
-                basis._extend_past(i + 2)
-            # While i + 2 < f_{n+1}, digits 0..n of i are worth i itself, too
-            # little to match, and f_{n+1} need not be built.  Otherwise the
-            # window at n + 2 holds i's digits 0..n+1 as distances from base.
-            if len(vals) <= n + 1 or i + 2 < vals[n + 1]:
-                yield _SAME
-                continue
-            base, end = _window(basis, i, n + 2)
-            fn1 = vals[n + 1]
-        digit, low = divmod(i - base, fn1)
-        if digit == k or low < fn1 - 2:
-            yield _SAME
-        else:
-            yield _UP if (low == fn1 - 2) == (n % 2 == 0) else _DOWN
+    last = indices.stop + 1   # the last index plus 2
+    if last >= vals[-1]:
+        basis._extend_past(last)
+    width = len(basis.tables()[1][0])   # L
+    if len(vals) <= n + 1 or last < vals[n + 1]:
+        windows = _windows(basis, indices, max(width, 1))
+        return chain.from_iterable(repeat(_SAME, hi - lo) for _, lo, hi in windows)
+    if n + 2 <= width:
+        table = _verdict_table(basis, n)
+        return chain.from_iterable(table[lo:hi] for _, lo, hi in _windows(basis, indices, width))
+    fn1 = vals[n + 1]
+    pair = _PAIRS[n % 2]
+
+    def runs() -> Iterator[Iterable[MismatchVerdict]]:
+        for _, lo, hi in _windows(basis, indices, n + 2):
+            while lo < hi:
+                digit, r = divmod(lo, fn1)   # lo's digit at n + 1, and digits 0..n
+                if digit == k:
+                    yield repeat(_SAME, hi - lo)
+                    break
+                edge = lo - r + fn1 - 2   # the block's first mismatch
+                end = min(hi, edge + 2)
+                if lo < edge:
+                    yield repeat(_SAME, min(edge, end) - lo)
+                if end > edge:
+                    yield pair[max(lo - edge, 0):end - edge]
+                lo = end
+
+    return chain.from_iterable(runs())
 
 
 def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
-    """Compare the fixed point at i and i + f_n by digits alone (see ``mismatches``)."""
-    (verdict,) = mismatches(k, n, (i,))
-    return verdict
+    """Compare the fixed point at i and i + f_n by digits alone (see ``mismatches``).
+
+    While i + 2 < f_{n+1}, digits 0..n of i are worth i itself, too little
+    to match, and f_{n+1} is not built.  Otherwise i's window at n + 2
+    holds its digits 0..n+1 as its distance from the base, split at f_{n+1}.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    basis = get_basis(k)
+    if i < 0:
+        raise ValueError("index must be >= 0")
+    vals = basis._vals
+    if i + 2 >= vals[-1]:
+        basis._extend_past(i + 2)
+    if len(vals) <= n + 1 or i + 2 < vals[n + 1]:
+        return _SAME
+    fn1 = vals[n + 1]
+    digit, low = divmod(i - _window(basis, i, n + 2)[0], fn1)
+    if digit == k or low < fn1 - 2:
+        return _SAME
+    return _PAIRS[n % 2][low - (fn1 - 2)]
 
 
 def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:

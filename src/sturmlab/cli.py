@@ -191,7 +191,7 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
             problems.append("uniqueness")
     rng = random.Random((seed * 1000003) ^ k)
     for _ in range(cases):
-        raw = [rng.randint(0, k) for _ in range(rng.randint(0, 20))]
+        raw = [rng.randrange(k + 1) for _ in range(rng.randrange(21))]
         nd = normalize(k, raw)
         if from_digits(k, nd) != from_digits(k, raw):
             problems.append("normalize-value")

@@ -11,22 +11,27 @@ split rule: the values that share n's digits at positions s and up are
 exactly [n - r, n - r + w), where r is the value of n's digits below s and
 w is f_s, or f_{s-1} when n's digit at s is k, since a digit k forces a 0
 below it.  The three range kernels, ``digit_vectors`` here and
-``symbols_at`` and ``mismatches`` in ``access``, split an index with it and
-keep the window while the next index falls inside it.
+``symbols_at`` and ``mismatches`` in ``access``, split with it alone.
 
-``digit_vectors`` is the digitising kernel: it fetches the basis and its
-tables once per call and then digitises each value of an iterable in turn,
-one vector at a time, so a sweep makes one call and holds one vector.  It
-keeps the window at position L, where f_L is the size of the low table,
-with the digits from L up, so consecutive values pay one split per window,
-below f_{2L} and above it alike.  ``to_digits`` wraps it for one value.
+The range kernels take a ``range`` of step 1, which is what every sweep
+passes; k, the start (and n) are checked when a kernel is called, with its
+scalar's error text.  ``_windows`` splits the range once per window it
+meets, and a kernel answers each window with one slice of a per-k table,
+joined in C by ``itertools.chain.from_iterable``, so no Python frame runs
+per index.  ``digit_vectors``, the digitising kernel, keeps windows at
+position L, where f_L is the size of the low table, and walks a window's
+digits from L up once: a window is ``low[a:b]`` when it has no upper digits
+and ``map(add, padded[a:b], repeat(upper))`` otherwise, above f_{2L} as
+below it.  The scalar ``to_digits`` needs no window: below f_L it reads
+``low[n]``, and otherwise one ``_greedy`` walk down to L gives the upper
+digits and the remainder whose ``padded`` row goes beneath them.
 Medians of ten fresh processes, best of seven runs each (tables built
 first; 2 vCPUs, CPython 3.11): the 100,000 values below 10^5 at k = 1 take
-0.019 s in one ``digit_vectors`` call (0.20 s splitting every value), and
-one ``to_digits`` call, which makes and runs one generator, 2.3 us over
-the same values.  At k = 5 the 392,229 values from f_{2L} = 607,771 to
-10^6 take 0.058 s in one call, and as many values just below f_{2L}
-0.052 s (best of five).
+0.0096 s in one ``digit_vectors`` call (0.014 s when each value resumed a
+generator frame), and at k = 5 the 392,229 values from f_{2L} = 607,771
+to 10^6 take 0.024 s (0.040 s; best of five).  A ``to_digits`` call costs
+1.35 us over the values below 10^5 at k = 1 (2.1 us through a one-value
+generator and a window).
 
 ``regular_vectors``, the in-order walk, goes by blocks: the regular vectors
 on the low positions, those below the largest basis value <= 4096, are
@@ -41,7 +46,7 @@ CPython 3.11): walking the 400,000 vectors below 10^5 at k = 1..4 takes
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -61,7 +66,7 @@ class Basis:
     """The recurrence values for one k: a table that the per-index paths
     extend on demand, and any other value by doubling."""
 
-    __slots__ = ("k", "_vals", "_tables")
+    __slots__ = ("k", "_vals", "_tables", "_verdicts")
 
     def __init__(self, k: int):
         if k < 1:
@@ -69,6 +74,7 @@ class Basis:
         self.k = k
         self._vals = [1, k + 1]   # _vals[n] holds f_n
         self._tables: tuple | None = None
+        self._verdicts: dict[int, list] = {}   # access's verdict tables, by level
 
     def value(self, n: int) -> int:
         """f_n for n >= 0 (f_0 = 1, f_1 = k + 1), read from the table when it reaches n.
@@ -104,9 +110,9 @@ class Basis:
         while len(vals) <= n:
             vals.append(self.k * vals[-1] + vals[-2])
 
-    def tables(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """``(low, padded)``, built once, where f_L is the largest basis value
-        <= ``_LOW_TABLE_BOUND``.
+    def tables(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], bytes]:
+        """``(low, padded, bottom)``, built once, where f_L is the largest basis
+        value <= ``_LOW_TABLE_BOUND``.
 
         ``low[n]`` is the ``to_digits`` format of n, for every n < f_L.  It is
         built by a memoised greedy step, never from ``regular_vectors``, so
@@ -115,8 +121,10 @@ class Basis:
         digit of ``divmod(n, f_top)`` placed above the entry of the
         remainder, which is already in the table.  ``padded`` holds the same
         entries padded with zeros to L digits, the rows that sit below
-        digits at positions L and up.  From k = 4096 up L = 0: both hold
-        f_0's entry ``()`` alone.
+        digits at positions L and up.  ``bottom[n]`` is 1 where the bottom
+        digit of ``low[n]`` is k and 0 elsewhere, read from ``low`` alone.
+        From k = 4096 up L = 0: ``low`` and ``padded`` hold f_0's entry
+        ``()`` alone and ``bottom`` one zero byte.
         """
         if self._tables is None:
             width = self.largest_index_leq(_LOW_TABLE_BOUND)   # L
@@ -130,7 +138,8 @@ class Basis:
                 below = low[rem]
                 low.append(below + (0,) * (top - len(below)) + (digit,))
             padded = [d + (0,) * (width - len(d)) for d in low]
-            self._tables = (low, padded)
+            bottom = bytes(d[:1] == (self.k,) for d in low)
+            self._tables = (low, padded, bottom)
         return self._tables
 
 
@@ -211,39 +220,74 @@ def _window(basis: Basis, n: int, s: int) -> tuple[int, int]:
     return base, base + (vals[s - 1] if digit == basis.k and s else vals[s])
 
 
-def digit_vectors(k: int, values: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """The unique regular digit vector of each value (greedy, most significant first).
+def _require_range(values: range, what: str) -> None:
+    """Refuse anything but a range of step 1 with a start >= 0; ``what``
+    names a member in the message, as the kernel's scalar does."""
+    if type(values) is not range or values.step != 1:
+        raise TypeError("expected a range of step 1")
+    if values.start < 0:
+        raise ValueError(f"{what} must be >= 0")
 
-    Little-endian, with no trailing zeros; ``()`` for 0.  Yields one vector
-    per value, in the order given; values may repeat and need not increase,
-    and k is checked before any value is read.  Each value falls in the
-    ``_window`` of the values that share its digits at positions L and up,
-    where f_L is the size of ``low`` (see ``Basis.tables``).  Those upper
-    digits are walked greedily once per window and kept with it; the
-    digits below L of a member are those of its distance from the window's
+
+def _windows(basis: Basis, values: range, s: int) -> Iterator[tuple[int, int, int]]:
+    """The ``_window``s at s that a range of step 1 meets, in order, one split each.
+
+    Yields ``(base, lo, hi)`` for each: the range's members in that window
+    are base + lo .. base + hi - 1, so lo and hi are their distances from
+    the base, which is the value of their digits below s.
+    """
+    n, stop = values.start, values.stop
+    while n < stop:
+        base, end = _window(basis, n, s)
+        end = min(end, stop)
+        yield base, n - base, end - base
+        n = end
+
+
+def digit_vectors(k: int, values: range) -> Iterator[tuple[int, ...]]:
+    """The unique regular digit vector of each value of a range of step 1.
+
+    Little-endian, with no trailing zeros; ``()`` for 0; in increasing
+    value.  k and the range's start are checked when the kernel is called.
+    The range is split into the ``_window``s at position L, where f_L is the
+    size of ``low`` (see ``Basis.tables``), one split per window.  The
+    digits of a member from L up are its window's, walked greedily once per
+    window; its digits below L are those of its distance from the window's
     base, one row of the tables: its ``low`` entry when there are no upper
-    digits (the window [0, f_L)), its ``padded`` entry below them
-    otherwise.  So a run of consecutive values pays one split per window.
+    digits (the window [0, f_L)), its ``padded`` entry below them otherwise.
+    So each window is answered by one slice of a table, with the upper
+    digits joined to each row in C.
     """
     basis = get_basis(k)
-    low, padded = basis.tables()
+    _require_range(values, "value")
+    low, padded, _bottom = basis.tables()
     width = len(padded[0])   # L
-    base = end = 0   # the window [base, end) of the last split
-    rows, upper = low, ()   # its rows below L and its digits from L up
-    for n in values:
-        if not base <= n < end:
-            if n < 0:
-                raise ValueError("value must be >= 0")
-            base, end = _window(basis, n, width)
-            upper = _greedy(basis._vals, n, width)[0]
-            rows = padded if upper else low
-        yield rows[n - base] + upper
+
+    def rows() -> Iterator[Iterable[tuple[int, ...]]]:
+        for base, lo, hi in _windows(basis, values, width):
+            upper = _greedy(basis._vals, base, width)[0]
+            yield map(add, padded[lo:hi], repeat(upper)) if upper else low[lo:hi]
+
+    return chain.from_iterable(rows())
 
 
 def to_digits(k: int, n: int) -> tuple[int, ...]:
-    """The unique regular digit vector of value ``n`` (see ``digit_vectors``)."""
-    (digits,) = digit_vectors(k, (n,))
-    return digits
+    """The unique regular digit vector of value ``n`` (see ``digit_vectors``).
+
+    Below f_L the ``low`` entry; otherwise one greedy walk down to L gives
+    the digits from L up and the value of those below, whose ``padded``
+    entry goes beneath them.
+    """
+    basis = get_basis(k)
+    if n < 0:
+        raise ValueError("value must be >= 0")
+    low, padded, _bottom = basis.tables()
+    if n < len(low):
+        return low[n]
+    if n >= basis._vals[-1]:
+        basis._extend_past(n)
+    upper, rem = _greedy(basis._vals, n, len(padded[0]))
+    return padded[rem] + upper
 
 
 def from_digits(k: int, digits: Iterable[int]) -> int:
@@ -264,9 +308,9 @@ def normalize(k: int, digits: Iterable[int]) -> tuple[int, ...]:
     lie in 0..k.
     """
     d = tuple(digits)
-    if any(x < 0 for x in d):
+    if min(d, default=0) < 0:
         raise ValueError("digits must be non-negative")
-    if any(x > k for x in d):
+    if max(d, default=0) > k:
         raise ValueError("digits must be <= k; only the adjacency rule is repaired")
     return to_digits(k, from_digits(k, d))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from sturmlab import (
     symbol_at,
     to_digits,
 )
-from sturmlab import numeration, words
+from sturmlab import access, numeration, words
 from sturmlab.access import _mismatch_offsets, mismatches, symbols_at
 from sturmlab.numeration import digit_vectors, from_digits, get_basis
 
@@ -175,6 +176,24 @@ def test_symbol_at_reads_neither_prefix_nor_walk(k, monkeypatch):
     assert [symbol_at(k, i) for i in far] == expected
 
 
+@pytest.mark.parametrize("k", [1, 3, 4096])
+def test_range_tables_read_neither_prefix_nor_walk(k, monkeypatch):
+    """``bottom`` and V_L are built from the basis alone: with the prefix
+    builder and the in-order walk both unavailable and the tables rebuilt,
+    ``symbols_at`` and ``mismatches`` at table and run levels answer as before."""
+    run = range(10**6, 10**6 + 5000)
+    levels = (0, 1, 5, 20)
+    expected = [list(symbols_at(k, run))] + [list(mismatches(k, n, run)) for n in levels]
+
+    def forbidden(*args):
+        raise AssertionError("the tables must not read this route")
+
+    monkeypatch.setattr(words, "fixed_point_prefix", forbidden)
+    monkeypatch.setattr(numeration, "regular_vectors", forbidden)
+    monkeypatch.setattr(numeration, "_basis_cache", {})
+    assert [list(symbols_at(k, run))] + [list(mismatches(k, n, run)) for n in levels] == expected
+
+
 def _verdict_by_digits(k, n, i):
     """The mismatch rule read from one ``to_digits`` call: digits 0..n of i
     worth f_{n+1} - 2 or f_{n+1} - 1, and a digit at n + 1 below k."""
@@ -187,33 +206,61 @@ def _verdict_by_digits(k, n, i):
     return (True, sign if low == fn1 - 2 else -sign)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
 def test_mismatches_windows_match_the_digit_rule(k):
-    """``mismatches`` keeps the window of its last split while the next index
-    shares i's digits from position n + 2 up: f_{n+2} indices when the digit
-    at n + 2 is below k, f_{n+1} when it is k.  At levels 0..6 the first
-    3,000 indices in order, and runs up, down and with repeats across the
-    start, f_{n+1} and f_{n+2} of windows whose digit at n + 2 is 0, k - 1
-    and k, agree with the rule read index by index from its digits."""
-    f = get_basis(k).value
-    for n in range(7):
-        run = set()
+    """``mismatches`` answers each window at s = max(L, n + 2) that a range
+    meets, f_s indices when the digit at s is below k and f_{s-1} when it
+    is k, from the table V_L (n + 2 <= L) or from runs (n + 2 > L).  At
+    levels 0..6 and at the levels with n + 2 = L and L + 1, the first 3,000
+    indices, 1,000 from 10^12, and runs across the start, f_{n+1}, f_{s-1}
+    and f_s of windows whose digit at s is 0, k - 1 and k agree with the
+    rule read from each index's digits.  The runs' indices, falling and
+    repeated, agree through ``mismatch`` one by one."""
+    basis = get_basis(k)
+    f = basis.value
+    width = len(basis.tables()[1][0])   # L
+    for n in sorted({*range(7), *(m for m in (width - 2, width - 1) if m >= 0)}):
+        s = max(width, n + 2)
+        runs = [range(3000), range(10**12, 10**12 + 1000)]
         for d in {0, k - 1, k}:
-            base = f(n + 4) + d * f(n + 2)   # digits 1 at n + 4 and d at n + 2
-            for edge in (0, f(n + 1), f(n + 2)):
-                run.update(range(base + edge - 3, base + edge + 3))
-        run = sorted(run)
-        for indices in (range(3000), run, run[::-1], [i for i in run for _ in range(2)]):
+            base = f(s + 2) + d * f(s)   # digits 1 at s + 2 and d at s
+            for edge in {0, f(n + 1), f(s - 1), f(s)}:
+                runs.append(range(base + edge - 3, base + edge + 3))
+        for run in runs:
+            expected = [_verdict_by_digits(k, n, i) for i in run]
+            assert list(mismatches(k, n, run)) == expected, (k, n, run)
+        scattered = [i for run in runs[2:] for i in run]
+        for indices in (scattered[::-1], [i for i in scattered for _ in range(2)]):
             expected = [_verdict_by_digits(k, n, i) for i in indices]
-            assert list(mismatches(k, n, indices)) == expected, (k, n)
+            assert [mismatch(k, i, n) for i in indices] == expected, (k, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 63])
+def test_verdict_table_is_the_digit_rule_below_f_L(k):
+    """For every level n with n + 2 <= L, V_L holds the verdict read from
+    the digits of every distance below f_L, and is kept with the basis.
+    L >= 2 up to k = 63, where f_2 = 4,033."""
+    basis = get_basis(k)
+    width = len(basis.tables()[1][0])   # L
+    assert width >= 2
+    for n in range(width - 1):
+        table = access._verdict_table(basis, n)
+        assert len(table) == basis.value(width), (k, n)
+        assert table == [_verdict_by_digits(k, n, i) for i in range(len(table))], (k, n)
+        assert access._verdict_table(basis, n) is table
 
 
 def test_mismatch_builds_no_level_far_above_the_index(monkeypatch):
     """Digits 0..n of i < f_{n+1} - 2 are worth i: no mismatch, and f_{n+1}
-    is not built."""
+    is not built.  A range below it is answered lazily, even one of 10^30
+    indices, too long for ``len``."""
     monkeypatch.setattr(numeration, "_basis_cache", {})
     assert mismatch(1, 10, 20_000) == MismatchVerdict(False, 0)
     assert len(get_basis(1)._vals) < 20
+    assert list(mismatches(1, 20_000, range(5, 15))) == [MismatchVerdict(False, 0)] * 10
+    assert len(get_basis(1)._vals) < 20
+    assert list(itertools.islice(mismatches(1, 200, range(10**30)), 3)) == [(False, 0)] * 3
+    assert len(get_basis(1)._vals) < 160
 
 
 # Each range kernel, called at k (and level 3 for mismatches), beside its scalar.
@@ -227,35 +274,48 @@ RANGE_KERNELS = pytest.mark.parametrize("kernel, scalar", [
 @RANGE_KERNELS
 @pytest.mark.parametrize("k", [1, 4096])
 def test_range_kernel_of_nothing_is_empty(kernel, scalar, k):
-    assert list(kernel(k, [])) == []
-    assert list(kernel(k, iter(()))) == []
+    for empty in (range(0), range(5, 5), range(7, 3), range(10**12, 10**12)):
+        assert list(kernel(k, empty)) == []
 
 
 @RANGE_KERNELS
 @pytest.mark.parametrize("k", [1, 4096])
 def test_range_kernel_refuses_a_negative_index_in_mid_iterable(kernel, scalar, k):
-    """The values before it are answered; the negative one raises the scalar's text."""
+    """A kernel takes a range of step 1 only: an iterable with a negative
+    index mid-stream, or a range of another step, is refused when the
+    kernel is called."""
+    for indices in ([3, 10**12, -1, 5], iter(range(5)), range(0, 10, 2), range(5, 0, -1)):
+        with pytest.raises(TypeError, match="^expected a range of step 1$"):
+            kernel(k, indices)
+
+
+@RANGE_KERNELS
+@pytest.mark.parametrize("k", [1, 4096])
+def test_range_kernel_refuses_a_negative_start_when_called(kernel, scalar, k):
+    """Refused before any index is read, with the scalar's text."""
     with pytest.raises(ValueError) as scalar_error:
         scalar(k, -1)
-    answers = kernel(k, [3, 10**12, -1, 5])
-    assert [next(answers), next(answers)] == [scalar(k, 3), scalar(k, 10**12)]
-    with pytest.raises(ValueError) as range_error:
-        next(answers)
-    assert str(range_error.value) == str(scalar_error.value)
-
-
-def _unread():
-    raise AssertionError("an index was read")
-    yield
+    for indices in (range(-1, 5), range(-3, -1), range(-2, -2)):
+        with pytest.raises(ValueError) as range_error:
+            kernel(k, indices)
+        assert str(range_error.value) == str(scalar_error.value)
 
 
 @RANGE_KERNELS
 @pytest.mark.parametrize("k", [0, -3])
 def test_range_kernel_refuses_k_before_reading_an_index(kernel, scalar, k):
+    """Refused when the kernel is called, with the scalar's text, even for
+    a start that is refused too."""
+    for indices in (range(5), range(-1, 5)):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            kernel(k, indices)
     with pytest.raises(ValueError, match="^k must be >= 1$"):
-        list(kernel(k, _unread()))
+        scalar(k, 5)
 
 
 def test_mismatches_refuses_n_before_reading_an_index():
+    for k, indices in ((1, range(5)), (0, range(5)), (1, range(-1, 5))):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            mismatches(k, -1, indices)
     with pytest.raises(ValueError, match="^n must be >= 0$"):
-        list(mismatches(1, -1, _unread()))
+        mismatch(0, -1, -1)

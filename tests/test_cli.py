@@ -308,6 +308,21 @@ def test_verify_lemma3_cases_cap_precedes_any_case(monkeypatch, capsys):
     assert err == f"error: lemma3 cases are capped at {cli.UNIQUENESS_CAP:_}\n"
 
 
+def test_lemma3_cases_draw_as_randint_did():
+    """``_check_lemma3`` draws its cases with ``randrange(k + 1)`` and
+    ``randrange(21)``, which take the same draws as ``randint(0, k)`` and
+    ``randint(0, 20)``: from the check's generator for one seed and k, the
+    first 50 cases come out the same both ways, so a seed keeps its cases."""
+    import random
+
+    k, seed = 3, 5
+    ranged = random.Random((seed * 1000003) ^ k)
+    inclusive = random.Random((seed * 1000003) ^ k)
+    for _ in range(50):
+        case = [ranged.randrange(k + 1) for _ in range(ranged.randrange(21))]
+        assert case == [inclusive.randint(0, k) for _ in range(inclusive.randint(0, 20))]
+
+
 def test_verify_lemma3_cases_cap_admits_its_edge(monkeypatch, capsys):
     monkeypatch.setattr(cli, "UNIQUENESS_CAP", 3)
     code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
@@ -332,7 +347,8 @@ def _digits_wrong_at(bad):
     real = numeration.digit_vectors
 
     def digits(k, values):
-        return real(k, (n + 1 if n == bad else n for n in values))
+        wrong = numeration.to_digits(k, bad + 1)
+        return (wrong if n == bad else d for n, d in zip(values, real(k, values)))
 
     return digits
 
@@ -490,7 +506,6 @@ def test_verify_lemma2_reports_one_flipped_symbol(monkeypatch, capsys):
     real = cli.symbols_at
 
     def flipped_at_37(k, indices):
-        indices = list(indices)
         for i, symbol in zip(indices, real(k, indices)):
             yield 1 - symbol if i == 37 else symbol
 
@@ -506,7 +521,6 @@ def test_verify_lemma4_reports_one_flipped_verdict(monkeypatch, capsys):
     real = cli.mismatches
 
     def flipped_at_37(k, n, indices):
-        indices = list(indices)
         for i, verdict in zip(indices, real(k, n, indices)):
             yield verdict._replace(differs=not verdict.differs) if i == 37 else verdict
 

@@ -149,7 +149,7 @@ def test_to_digits_straddles_low_table(k):
     """Values on both sides of the table's bound f_L, of f_{L+1}, of f_{2L}
     and f_{2L+1}, and 10^30."""
     basis = get_basis(k)
-    low, _padded = basis.tables()
+    low = basis.tables()[0]
     size = len(low)
     top = basis.largest_index_leq(numeration._LOW_TABLE_BOUND)
     assert size == basis.value(top) <= numeration._LOW_TABLE_BOUND < basis.value(top + 1)
@@ -203,20 +203,32 @@ def test_walk_matches_full_chain_reference(k):
             assert mismatch(k, i, n) == expected, (k, i, n)
 
 
+def _maximal_ranges(values):
+    """Increasing distinct values as the maximal ranges of step 1 they form."""
+    runs = []
+    for v in values:
+        if runs and runs[-1].stop == v:
+            runs[-1] = range(runs[-1].start, v + 1)
+        else:
+            runs.append(range(v, v + 1))
+    return runs
+
+
 def _kernel_streams(k):
-    """Index streams that the range kernels must answer as if each index
-    were split afresh, by name.
+    """Ranges that the range kernels must answer as if each index were
+    split afresh, and index lists for the scalars, each by name.
 
     ``edges`` climbs across every window at position L below f_{2L}, where
     f_L is the low table's size: the indices e - 2 .. e + 1 for each base e
     past 0, the reference digits of each m < f_L moved up L positions, and
-    for e = f_{2L}, so a run stays inside a window for two steps and then
-    crosses its end.  ``falling`` takes the same indices from the top down,
-    ``repeated`` every seventh of them three times over, ``past`` a run of
-    3,000 indices from f_{2L} and indices up to 10^30 in increasing order,
-    and ``shuffled`` the walk cases with repeats, in random order.
-    ``above`` is a run of 4 f_L consecutive indices around f_{2L+1} + k f_L,
-    across windows at L whose digit there is k - 1, k and 0.
+    for e = f_{2L}, split into maximal ranges, so a run stays inside a
+    window for two steps and then crosses its end.  ``past`` is a run of
+    3,000 indices from f_{2L}, and ``above`` a run of 4 f_L consecutive
+    indices around f_{2L+1} + k f_L, across windows at L whose digit there
+    is k - 1, k and 0.  For the scalars, ``falling`` takes the edge indices
+    from the top down, ``repeated`` every seventh of them three times over,
+    ``shuffled`` the walk cases with repeats, in random order, and ``far``
+    random indices up to 10^30 in increasing order.
     """
     basis = get_basis(k)
     size = len(basis.tables()[0])
@@ -231,24 +243,29 @@ def _kernel_streams(k):
     shuffled = _walk_cases(k)
     shuffled += rng.sample(shuffled, 40)
     rng.shuffle(shuffled)
-    return {
-        "edges": edges,
+    runs = {
+        "edges": _maximal_ranges(edges),
+        "past": [range(f2L, f2L + 3000)],
+        "above": [range(above - 2 * size, above + 2 * size)],
+    }
+    scattered = {
         "falling": edges[::-1],
         "repeated": [v for v in edges[::7] for _ in range(3)],
-        "past": [*range(f2L, f2L + 3000), *far],
         "shuffled": shuffled,
-        "above": list(range(above - 2 * size, above + 2 * size)),
+        "far": far,
     }
+    return runs, scattered
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
 def test_range_kernels_match_references(k):
-    """``digit_vectors``, ``symbols_at`` and ``mismatches`` over each stream of
-    ``_kernel_streams`` agree with the greedy reference, which divides at
-    every position of every index, and with the prefix and its f_n-shift.
-    The kernels keep the window of their last split while the next index
-    shares it, so the streams run up and down across every window end.
-    Past the prefix's end a symbol is read from the reference's bottom digit."""
+    """``digit_vectors``, ``symbols_at`` and ``mismatches`` over each range of
+    ``_kernel_streams``, and ``to_digits``, ``symbol_at`` and ``mismatch`` over
+    each of its index lists, agree with the greedy reference, which divides
+    at every position of every index, and with the prefix and its f_n-shift.
+    The kernels answer each window that a range meets at once, so the runs
+    cross every window end; the lists run down and back across them.  Past
+    the prefix's end a symbol is read from the reference's bottom digit."""
     prefix = fixed_point_prefix(k, _f2L(k) + 64)
 
     def symbol(i):
@@ -256,13 +273,22 @@ def test_range_kernels_match_references(k):
             return prefix[i]
         return 1 if _greedy_reference(k, i)[:1] == (k,) else 0
 
-    for name, values in _kernel_streams(k).items():
-        assert list(digit_vectors(k, values)) == [_greedy_reference(k, i) for i in values], name
-        assert list(symbols_at(k, iter(values))) == [symbol(i) for i in values], name
+    def verdicts(n, values):
+        fn = get_basis(k).value(n)
+        return [(d != 0, d) for d in (symbol(i + fn) - symbol(i) for i in values)]
+
+    runs, scattered = _kernel_streams(k)
+    for name, ranges in runs.items():
+        for values in ranges:
+            assert list(digit_vectors(k, values)) == [_greedy_reference(k, i) for i in values], name
+            assert list(symbols_at(k, values)) == [symbol(i) for i in values], name
+            for n in (0, 1, 2, 5, 12):
+                assert list(mismatches(k, n, values)) == verdicts(n, values), (name, n)
+    for name, values in scattered.items():
+        assert [to_digits(k, i) for i in values] == [_greedy_reference(k, i) for i in values], name
+        assert [symbol_at(k, i) for i in values] == [symbol(i) for i in values], name
         for n in (0, 1, 2, 5, 12):
-            fn = get_basis(k).value(n)
-            direct = [symbol(i + fn) - symbol(i) for i in values]
-            assert list(mismatches(k, n, iter(values))) == [(d != 0, d) for d in direct], (name, n)
+            assert [mismatch(k, i, n) for i in values] == verdicts(n, values), (name, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
@@ -295,11 +321,12 @@ def test_low_table_is_built_without_the_walk(monkeypatch):
         assert len(table) == basis.value(basis.largest_index_leq(numeration._LOW_TABLE_BOUND))
         assert table == [numeration._greedy(basis._vals, n, 0)[0] for n in range(len(table))], k
     basis = numeration.Basis(3)
-    table, padded = basis.tables()
+    table, padded, bottom = basis.tables()
     assert table == [_greedy_reference(3, n) for n in range(len(table))]
     assert to_digits(3, 10**6) == _greedy_reference(3, 10**6)
     top = len(table[-1])
     assert padded == [d + (0,) * (top - len(d)) for d in table]
+    assert bottom == bytes(_greedy_reference(3, n)[:1] == (3,) for n in range(len(table)))
 
 
 @pytest.mark.parametrize("k", [5, 8, 64])
