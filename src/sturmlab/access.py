@@ -24,11 +24,12 @@ so a window is a run of 0s and the 1 at distance k.
 only i's digits 0..n+1, so it is the verdict at i's distance from the
 base, and a window is a slice of the verdicts V_s at every distance below
 f_s.  For n + 2 <= L it slices the table V_L, built once per (k, n) by
-V_{m+1} = V_m^k V_{m-1} (proof at ``_verdict_table``) and kept with the
-basis; for n + 2 > L, V_{n+2} = (SAME^{f_{n+1}-2} (first, second))^k
-SAME^{f_n} is read as runs, a few per block of f_{n+1} indices.
-``symbol_at`` and ``mismatch`` answer one index with one split and no
-generator.  Neither ``bottom`` nor V_L reads the prefix builder or the
+V_{m+1} = V_m^k V_{m-1} (proof at ``_verdict_table``) and kept in
+``_verdict_tables``; for n + 2 > L,
+V_{n+2} = (SAME^{f_{n+1}-2} (first, second))^k SAME^{f_n} is read as
+runs, a few per block of f_{n+1} indices.
+``symbol_at`` and ``mismatch`` are the kernels over a one-index range.
+Neither ``bottom`` nor V_L reads the prefix builder or the
 in-order walk, so ``lemma2`` and ``lemma4`` still compare two routes.
 Medians of ten fresh processes, best of seven runs each (tables built
 first; 2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take
@@ -36,9 +37,10 @@ first; 2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take
 generator frame); 10,000 indices below 10^4 at each level n = 0..9 at
 k = 2 take 0.0009 s in ten ``mismatches`` calls (0.016 s).  Building one
 V_L takes 11-59 us at k = 1..3, more than a scalar call, so it is built
-once.  Over the indices below 10^5 a ``symbol_at`` call costs 0.95 us
-(k = 1) and a ``mismatch`` call 0.89 us (k = 2, level 5), against 1.18
-and 1.14 us through a one-index generator.
+once.  Over the indices below 10^5 a ``symbol_at`` call costs 2.6 us
+(k = 1) and a ``mismatch`` call 2.9 us (k = 2, level 5), against 1.3
+and 1.2 us when a kernel took any iterable: a one-index range pays for
+the range check and the kernel's generators.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .numeration import Basis, _require_range, _window, _windows, get_basis, regular_vectors
+from .numeration import Basis, _require_range, _windows, get_basis, regular_vectors
 
 
 def symbols_at(k: int, indices: range) -> Iterator[int]:
@@ -72,15 +74,8 @@ def symbols_at(k: int, indices: range) -> Iterator[int]:
 
 def symbol_at(k: int, n: int) -> int:
     """Symbol of the fixed point at index ``n`` (0-based), in O(log n) time:
-    the ``bottom`` entry of n's distance from the base of its window at
-    max(L, 1) (see ``symbols_at``)."""
-    basis = get_basis(k)
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    _low, padded, bottom = basis.tables()
-    width = len(padded[0])   # L
-    rem = n - _window(basis, n, max(width, 1))[0]
-    return bottom[rem] if width else int(rem == k)
+    ``symbols_at`` over the one index."""
+    return next(symbols_at(k, range(n, n + 1)))
 
 
 class MismatchVerdict(NamedTuple):
@@ -99,6 +94,9 @@ _DOWN = MismatchVerdict(True, -1)
 # The verdicts where digits 0..n are worth f_{n+1} - 2 and f_{n+1} - 1, by n % 2.
 _PAIRS = ((_UP, _DOWN), (_DOWN, _UP))
 
+# V_L by (k, n), built on first use; see ``_verdict_table``.
+_verdict_tables: dict[tuple[int, int], list[MismatchVerdict]] = {}
+
 
 def _verdict_table(basis: Basis, n: int) -> list[MismatchVerdict]:
     """V_L, the verdict at every distance below f_L, for a level n with n + 2 <= L.
@@ -111,16 +109,16 @@ def _verdict_table(basis: Basis, n: int) -> list[MismatchVerdict]:
     the values below f_{m+1} split by their digit at m, which the verdict
     does not read: k blocks of f_m, then f_{m-1} values under a digit k,
     so V_{m+1} = V_m^k V_{m-1}.  Built once per (k, n) from the basis
-    alone and kept with it.
+    alone and kept in ``_verdict_tables``.
     """
-    table = basis._verdicts.get(n)
+    table = _verdict_tables.get((basis.k, n))
     if table is None:
         vals, k = basis._vals, basis.k
         prev = [_SAME] * (vals[n + 1] - 2) + list(_PAIRS[n % 2])   # V_{n+1}
         table = prev * k + [_SAME] * vals[n]   # V_{n+2}
         for m in range(n + 2, len(basis.tables()[1][0])):
             prev, table = table, table * k + prev   # V_{m+1}
-        basis._verdicts[n] = table
+        _verdict_tables[basis.k, n] = table
     return table
 
 
@@ -179,27 +177,9 @@ def mismatches(k: int, n: int, indices: range) -> Iterator[MismatchVerdict]:
 
 
 def mismatch(k: int, i: int, n: int) -> MismatchVerdict:
-    """Compare the fixed point at i and i + f_n by digits alone (see ``mismatches``).
-
-    While i + 2 < f_{n+1}, digits 0..n of i are worth i itself, too little
-    to match, and f_{n+1} is not built.  Otherwise i's window at n + 2
-    holds its digits 0..n+1 as its distance from the base, split at f_{n+1}.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    basis = get_basis(k)
-    if i < 0:
-        raise ValueError("index must be >= 0")
-    vals = basis._vals
-    if i + 2 >= vals[-1]:
-        basis._extend_past(i + 2)
-    if len(vals) <= n + 1 or i + 2 < vals[n + 1]:
-        return _SAME
-    fn1 = vals[n + 1]
-    digit, low = divmod(i - _window(basis, i, n + 2)[0], fn1)
-    if digit == k or low < fn1 - 2:
-        return _SAME
-    return _PAIRS[n % 2][low - (fn1 - 2)]
+    """Compare the fixed point at i and i + f_n by digits alone: ``mismatches``
+    over the one index."""
+    return next(mismatches(k, n, range(i, i + 1)))
 
 
 def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:

@@ -19,19 +19,22 @@ scalar's error text.  ``_windows`` splits the range once per window it
 meets, and a kernel answers each window with one slice of a per-k table,
 joined in C by ``itertools.chain.from_iterable``, so no Python frame runs
 per index.  ``digit_vectors``, the digitising kernel, keeps windows at
-position L, where f_L is the size of the low table, and walks a window's
-digits from L up once: a window is ``low[a:b]`` when it has no upper digits
-and ``map(add, padded[a:b], repeat(upper))`` otherwise, above f_{2L} as
-below it.  The scalar ``to_digits`` needs no window: below f_L it reads
-``low[n]``, and otherwise one ``_greedy`` walk down to L gives the upper
-digits and the remainder whose ``padded`` row goes beneath them.
+position s = max(L, 1), where f_L is the size of the low table, and walks
+a window's digits from s up once: a window is ``low[a:b]`` when it has no
+upper digits and ``map(add, padded[a:b], repeat(upper))`` otherwise,
+above f_{2L} as below it.  From k = 4096 up L = 0, and the rows below
+s = 1 are the one-digit vectors ``zip(range(a, b))``.  The scalar
+``to_digits`` needs no window: below f_L it reads ``low[n]``, and
+otherwise one ``_greedy`` walk down to L gives the upper digits and the
+remainder whose ``padded`` row goes beneath them.
 Medians of ten fresh processes, best of seven runs each (tables built
 first; 2 vCPUs, CPython 3.11): the 100,000 values below 10^5 at k = 1 take
-0.0096 s in one ``digit_vectors`` call (0.014 s when each value resumed a
-generator frame), and at k = 5 the 392,229 values from f_{2L} = 607,771
-to 10^6 take 0.024 s (0.040 s; best of five).  A ``to_digits`` call costs
-1.35 us over the values below 10^5 at k = 1 (2.1 us through a one-value
-generator and a window).
+0.010 s in one ``digit_vectors`` call (0.014 s when each value resumed a
+generator frame); at k = 5 the 392,229 values from f_{2L} = 607,771 to
+10^6 take 0.025 s (0.041 s), and at k = 4096 the values below 10^5
+0.006 s (0.104 s, one split per value; best of five).  A ``to_digits``
+call costs 1.45 us over the values below 10^5 at k = 1 (2.28 us through a
+one-value generator and a window).
 
 ``regular_vectors``, the in-order walk, goes by blocks: the regular vectors
 on the low positions, those below the largest basis value <= 4096, are
@@ -66,7 +69,7 @@ class Basis:
     """The recurrence values for one k: a table that the per-index paths
     extend on demand, and any other value by doubling."""
 
-    __slots__ = ("k", "_vals", "_tables", "_verdicts")
+    __slots__ = ("k", "_vals", "_tables")
 
     def __init__(self, k: int):
         if k < 1:
@@ -74,7 +77,6 @@ class Basis:
         self.k = k
         self._vals = [1, k + 1]   # _vals[n] holds f_n
         self._tables: tuple | None = None
-        self._verdicts: dict[int, list] = {}   # access's verdict tables, by level
 
     def value(self, n: int) -> int:
         """f_n for n >= 0 (f_0 = 1, f_1 = k + 1), read from the table when it reaches n.
@@ -249,24 +251,33 @@ def digit_vectors(k: int, values: range) -> Iterator[tuple[int, ...]]:
 
     Little-endian, with no trailing zeros; ``()`` for 0; in increasing
     value.  k and the range's start are checked when the kernel is called.
-    The range is split into the ``_window``s at position L, where f_L is the
-    size of ``low`` (see ``Basis.tables``), one split per window.  The
-    digits of a member from L up are its window's, walked greedily once per
-    window; its digits below L are those of its distance from the window's
-    base, one row of the tables: its ``low`` entry when there are no upper
-    digits (the window [0, f_L)), its ``padded`` entry below them otherwise.
-    So each window is answered by one slice of a table, with the upper
-    digits joined to each row in C.
+    The range is split into the ``_window``s at position s = max(L, 1),
+    where f_L is the size of ``low`` (see ``Basis.tables``), one split per
+    window.  The digits of a member from s up are its window's, walked
+    greedily once per window; its digits below s are those of its distance
+    from the window's base.  For L >= 1 that is one row of the tables: its
+    ``low`` entry when there are no upper digits (the window [0, f_L)), its
+    ``padded`` entry below them otherwise.  From k = 4096 up (L = 0) a
+    distance x below f_1 = k + 1 is the one digit (x,), or ``()`` for the
+    value 0.  So each window is answered by one slice of a table or one
+    run of a range, with the upper digits joined to each row in C.
     """
     basis = get_basis(k)
     _require_range(values, "value")
     low, padded, _bottom = basis.tables()
     width = len(padded[0])   # L
+    s = max(width, 1)
 
     def rows() -> Iterator[Iterable[tuple[int, ...]]]:
-        for base, lo, hi in _windows(basis, values, width):
-            upper = _greedy(basis._vals, base, width)[0]
-            yield map(add, padded[lo:hi], repeat(upper)) if upper else low[lo:hi]
+        for base, lo, hi in _windows(basis, values, s):
+            upper = _greedy(basis._vals, base, s)[0]
+            if upper:
+                below = padded[lo:hi] if width else zip(range(lo, hi))
+                yield map(add, below, repeat(upper))
+            elif width:
+                yield low[lo:hi]
+            else:   # the window [0, k + 1)
+                yield chain(low[lo:1], zip(range(max(lo, 1), hi)))
 
     return chain.from_iterable(rows())
 

@@ -191,6 +191,7 @@ def test_range_tables_read_neither_prefix_nor_walk(k, monkeypatch):
     monkeypatch.setattr(words, "fixed_point_prefix", forbidden)
     monkeypatch.setattr(numeration, "regular_vectors", forbidden)
     monkeypatch.setattr(numeration, "_basis_cache", {})
+    monkeypatch.setattr(access, "_verdict_tables", {})
     assert [list(symbols_at(k, run))] + [list(mismatches(k, n, run)) for n in levels] == expected
 
 

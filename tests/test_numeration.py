@@ -293,17 +293,22 @@ def test_range_kernels_match_references(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
 def test_symbols_at_runs_across_a_window_whose_digit_is_k(k):
-    """``symbols_at`` keeps windows at s = max(L, 1).  The window of k f_s
-    has digit k at s and is f_{s-1} wide, not f_s: the run k f_s - 2 ..
-    k f_s + f_s + 2 enters it from the window below and leaves it for the
-    window at f_{s+1}, and agrees with the reference's bottom digits.  From
-    k = 4096 up, where L = 0 and s = 1, the run is k f_1 - 2 .. k f_1 + k + 3,
-    over a million indices at k = 10^6, so it is compared as a stream."""
+    """``symbols_at`` and ``digit_vectors`` keep windows at s = max(L, 1).
+    The window of k f_s has digit k at s and is f_{s-1} wide, not f_s: the
+    run k f_s - 2 .. k f_s + f_s + 2 enters it from the window below and
+    leaves it for the window at f_{s+1}, and agrees with the reference's
+    digits and their bottom digit.  From k = 4096 up, where L = 0 and
+    s = 1, the run is k f_1 - 2 .. k f_1 + k + 3, over a million indices at
+    k = 10^6, so it is compared as a stream.  The run 0 .. f_s + 2 (at
+    most 5,000 indices) starts in the window [0, f_s), the one with no
+    digits from s up, and leaves it below k = 4097."""
     basis = get_basis(k)
     fs = basis.value(max(basis.largest_index_leq(numeration._LOW_TABLE_BOUND), 1))
-    run = range(k * fs - 2, k * fs + fs + 3)
-    for i, symbol in zip(run, symbols_at(k, run)):
-        assert symbol == (_greedy_reference(k, i)[:1] == (k,)), (k, i)
+    for run in (range(k * fs - 2, k * fs + fs + 3), range(min(fs + 3, 5000))):
+        for i, symbol, digits in zip(run, symbols_at(k, run), digit_vectors(k, run)):
+            reference = _greedy_reference(k, i)
+            assert digits == reference, (k, i)
+            assert symbol == (reference[:1] == (k,)), (k, i)
 
 
 def test_low_table_is_built_without_the_walk(monkeypatch):
