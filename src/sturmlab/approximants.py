@@ -11,14 +11,16 @@ Reduced ``Fraction`` values are built only when something reads them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .access import _mismatch_offsets
 from .errors import CapExceededError, IndecisiveEnclosureError
 from .numeration import get_basis
 from .words import _DIGITS, fixed_point_prefix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEPTH_CAP = 1_000_000
 DENSE_AUTO_LIMIT = 300_000  # symbols of the dense route's prefix
@@ -129,6 +131,8 @@ def _reduced(num: int, b: int, scale: int, rest: int) -> Fraction:
     unchanged, every prime of b has its full valuation in it, so b is never
     factored.
     """
+    from fractions import Fraction
+
     g, bs = 1, b
     while True:
         bs = min(bs, scale)
@@ -223,6 +227,8 @@ def error_bounds(k: int, n: int, b: int) -> tuple[Fraction, Fraction]:
 
     Returns ((b-1) / (q * b^{f_{n+1}-1}), 1 / (q * b^{f_{n+1}-2})).
     """
+    from fractions import Fraction
+
     _require_base(b)
     basis = get_basis(k)
     fn, fn1 = basis.value(n), basis.value(n + 1)

@@ -11,33 +11,23 @@ import importlib.util
 import itertools
 import math
 import sys
-from operator import ne, sub
+from operator import ne
 from types import ModuleType
 from typing import NamedTuple, Sequence
 
-from .access import mismatch, mismatches, symbols_at
 from .errors import CapExceededError, IndecisiveEnclosureError, InsufficientPrecisionError
-from .numeration import (
-    UNIQUENESS_CAP,
-    _require_sweep_bound,
-    digit_vectors,
-    from_digits,
-    get_basis,
-    is_regular,
-    normalize,
-    regular_vectors,
-    uniqueness_oracle,
-)
-from .words import _require_level, fixed_point_prefix, to_string, word_identities
 
 
 def _on_first_use(name: str) -> ModuleType:
     """``sturmlab.<name>``, entered in ``sys.modules`` now and run on first attribute read.
 
-    A request runs one command, and most commands read none of the modules
-    bound this way, so a request compiles and runs only the ones it uses.
-    Each is still in ``sys.modules`` as soon as ``sturmlab.cli`` is
-    imported, where ``perfbench/traced_cli.py`` finds the functions it wraps.
+    Every library module the commands read is bound this way, and the
+    check bodies read names through it (``numeration.normalize``), so a
+    request compiles and runs only the modules its command reads and what
+    those import: ``generate`` and ``blocks`` run neither ``numeration``
+    nor ``access``, and no ``lemma`` check runs ``approximants``.  Each is
+    still in ``sys.modules`` as soon as ``sturmlab.cli`` is imported, where
+    ``perfbench/traced_cli.py`` finds the functions it wraps.
     """
     full = f"{__package__}.{name}"
     module = sys.modules.get(full)
@@ -51,9 +41,12 @@ def _on_first_use(name: str) -> ModuleType:
     return module
 
 
+access = _on_first_use("access")
 approximants = _on_first_use("approximants")
 exponent = _on_first_use("exponent")
+numeration = _on_first_use("numeration")
 transforms = _on_first_use("transforms")
+words = _on_first_use("words")
 
 
 class LemmaSpec(NamedTuple):
@@ -148,14 +141,17 @@ def _row(lemma: str, coords: tuple, ok: bool, detail: str) -> Row:
 # Per-lemma check bodies.  Each returns (ok, detail) for one grid cell.
 
 def _check_lemma1(k: int, n: int) -> tuple[bool, str]:
-    id1, id2 = word_identities(k, n)
+    id1, id2 = words.word_identities(k, n)
     detail = f"concat_swap={id1};expansion={id2}"
     return id1 and id2, detail
 
 
 def _check_lemma2(k: int, imax: int) -> tuple[bool, str]:
-    sym = fixed_point_prefix(k, imax)
-    bad = sum(map(ne, symbols_at(k, range(imax)), sym))
+    sym = words.fixed_point_prefix(k, imax)
+    # The routes compare as two words in one C equality; disagreements are
+    # counted only when they differ, a missing or extra symbol as one each.
+    got = bytes(access.symbols_at(k, range(imax)))
+    bad = 0 if got == sym else sum(map(ne, got, sym)) + abs(len(got) - len(sym))
     return bad == 0, f"checked={imax};disagreements={bad}"
 
 
@@ -164,9 +160,9 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
 
     problems: list[str] = []
     # The caps on imax and cases stop the check before any value is digitised.
-    _require_sweep_bound(imax)
-    if cases > UNIQUENESS_CAP:
-        raise CapExceededError(f"lemma3 cases are capped at {UNIQUENESS_CAP:_}")
+    numeration._require_sweep_bound(imax)
+    if cases > numeration.UNIQUENESS_CAP:
+        raise CapExceededError(f"lemma3 cases are capped at {numeration.UNIQUENESS_CAP:_}")
     # Each walked vector is regular and valued by construction, so the round
     # trip is digit_vectors reproducing it.  The walked pairs and (i, digits
     # of i) for i < imax, each stream ended by None so that a walk of the
@@ -174,9 +170,9 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
     # holding one vector of each.  The streams agree exactly when both the
     # round trip and uniqueness hold.
     def walked():
-        return itertools.chain(regular_vectors(k, imax), (None,))
+        return itertools.chain(numeration.regular_vectors(k, imax), (None,))
 
-    own = itertools.chain(enumerate(digit_vectors(k, range(imax))), (None,))
+    own = itertools.chain(enumerate(numeration.digit_vectors(k, range(imax))), (None,))
     at = next(itertools.compress(itertools.count(), map(ne, walked(), own)), None)
     if at is not None:
         # Python only from the first difference: walk again to read it.  A
@@ -185,21 +181,21 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
         pair = next(itertools.islice(walked(), at, None))
         if at < imax and pair is not None and pair[0] == at:
             problems.append(f"roundtrip@{at}")
-            if not uniqueness_oracle(k, imax):
+            if not numeration.uniqueness_oracle(k, imax):
                 problems.append("uniqueness")
         else:
             problems.append("uniqueness")
     rng = random.Random((seed * 1000003) ^ k)
     for _ in range(cases):
         raw = [rng.randrange(k + 1) for _ in range(rng.randrange(21))]
-        nd = normalize(k, raw)
-        if from_digits(k, nd) != from_digits(k, raw):
+        nd = numeration.normalize(k, raw)
+        if numeration.from_digits(k, nd) != numeration.from_digits(k, raw):
             problems.append("normalize-value")
             break
-        if not is_regular(k, nd):
+        if not numeration.is_regular(k, nd):
             problems.append("normalize-regular")
             break
-        if normalize(k, nd) != nd:
+        if numeration.normalize(k, nd) != nd:
             problems.append("normalize-idempotent")
             break
         violations = [
@@ -223,21 +219,28 @@ def _check_lemma3(k: int, imax: int, seed: int, cases: int) -> tuple[bool, str]:
 
 def _check_lemma4(k: int, n: int, imax: int) -> tuple[bool, str]:
     # The scan reads a prefix longer than U_n: refuse n before f_n is built.
-    _require_level(k, n)
-    fn = get_basis(k).value(n)
-    fn1 = get_basis(k).value(n + 1)
-    sym = fixed_point_prefix(k, imax + fn)
-    # The direct verdict at i is (d != 0, d) with d = sym[i + fn] - sym[i];
-    # a MismatchVerdict is a tuple, so the two streams compare in C.
+    words._require_level(k, n)
+    basis = numeration.get_basis(k)
+    fn, fn1 = basis.value(n), basis.value(n + 1)
+    sym = words.fixed_point_prefix(k, imax + fn)
+    # The direct verdict at i is read from the code 2*after[i] + before[i],
+    # all codes built by one carry-free sum of big-endian integers, as the
+    # records the kernel yields, so the two lists compare in one C equality,
+    # mostly by identity; disagreements are counted only when they differ.
     after, before = sym[fn : fn + imax], sym[:imax]
-    direct = map({0: (False, 0), 1: (True, 1), -1: (True, -1)}.__getitem__, map(sub, after, before))
-    bad = sum(map(ne, mismatches(k, n, range(imax)), direct))
+    codes = (
+        (int.from_bytes(after, "big") << 1) + int.from_bytes(before, "big")
+    ).to_bytes(imax, "big")
+    by_code = (access._SAME, access._DOWN, access._UP, access._SAME)
+    direct = [by_code[c] for c in codes]
+    got = list(access.mismatches(k, n, range(imax)))
+    bad = 0 if got == direct else sum(map(ne, got, direct)) + abs(len(got) - len(direct))
     first_scanned = next(itertools.compress(itertools.count(), map(ne, after, before)), None)
     # Window cleanliness: the first mismatch must sit at f_{n+1}-2, just past
     # the window 0..f_{n+1}-3.  When the window extends beyond the scan, the
     # congruence form guarantees no verdict can fire below f_{n+1}-2.
     edge = fn1 - 2
-    window_ok = mismatch(k, edge, n).differs
+    window_ok = access.mismatch(k, edge, n).differs
     if first_scanned is not None:
         window_ok = window_ok and first_scanned >= min(edge, imax)
     detail = f"scanned={imax};verdict_errors={bad};first_mismatch_at={edge}"
@@ -277,14 +280,14 @@ def _check_constants(k: int, b: int, n: int) -> tuple[bool, str]:
 
 
 def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
-    u = fixed_point_prefix(k, depth + 1)
+    u = words.fixed_point_prefix(k, depth + 1)
     rep = transforms.value_affine_relation(u, b, depth)
     law = ";".join(f"a{i}={a}/1" for i, a in enumerate(transforms._AFFINE_LAW))
     return rep.consistent, f"{law};gap_bound={_fmt(rep.gap_bound)}"
 
 
 def _check_blocks(k: int, order: int, imax: int) -> tuple[bool, str]:
-    prefix = fixed_point_prefix(k, imax)
+    prefix = words.fixed_point_prefix(k, imax)
     try:
         count, _table = transforms.block_determinism(prefix, order)
     except transforms._MaskDisagreement:
@@ -400,12 +403,12 @@ def cmd_generate(args) -> int:
             order = int(spec[5:])
         except ValueError:
             raise ValueError(unknown) from None
-    w = fixed_point_prefix(args.k, args.length)
+    w = words.fixed_point_prefix(args.k, args.length)
     if order is not None:
         w = transforms.difference(w, order)
     elif spec:
         w = transforms.shift_product(w)
-    print(to_string(w))
+    print(words.to_string(w))
     return 0
 
 

@@ -10,19 +10,16 @@ tie to the k=1 value is tested here by exact enclosures.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .approximants import (
-    DEPTH_CAP,
-    SeriesTruncation,
-    _require_base,
-    fixed_point_series,
-    series_truncation,
-)
 from .errors import CapExceededError
-from .words import _require_binary, distinct_factors
+from .words import _first_positions, _require_binary
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .approximants import SeriesTruncation
 
 
 def _require_difference_args(u: bytes, order: int) -> None:
@@ -105,6 +102,10 @@ class ValueRelationReport(NamedTuple):
 
 def value_affine_relation(u: bytes, b: int, depth: int) -> ValueRelationReport:
     """Check V(v) = 2*V(u) + b*(V(u) - u_0) for v the coded pair sequence of u."""
+    from fractions import Fraction
+
+    from .approximants import DEPTH_CAP, _require_base, series_truncation
+
     _require_base(b)
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -149,10 +150,11 @@ def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
     mask evaluation must equal the iterated operator on the whole word, which
     proves that dependence at every position; the table then reads each
     distinct block's symbol from that checked word, at the block's first
-    occurrence.  The whole-word mask evaluation, one slice per mask index,
-    2^popcount(order) of them, is what the check costs beyond the operator.
-    A Sturmian word shows exactly order+2 blocks; the caller judges the
-    returned count.
+    occurrence, which the pass that finds the blocks hands over with them
+    (``words._first_positions``), so no block is searched for.  The
+    whole-word mask evaluation, one slice per mask index, 2^popcount(order)
+    of them, is what the check costs beyond the operator.  A Sturmian word
+    shows exactly order+2 blocks; the caller judges the returned count.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -161,7 +163,8 @@ def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
         raise _MaskDisagreement(
             "binomial-mask evaluation disagrees with the iterated operator"
         )
-    table = {block: d[u.find(block)] for block in sorted(distinct_factors(u, order + 1))}
+    first = _first_positions(u, order + 1)
+    table = {block: d[first[block]] for block in sorted(first)}
     return len(table), table
 
 
@@ -198,6 +201,10 @@ class RotationSumReport(NamedTuple):
 
 def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
     """Test the golden power sum against its index-shifted affine law, by enclosures."""
+    from fractions import Fraction
+
+    from .approximants import DEPTH_CAP, _require_base, fixed_point_series, series_truncation
+
     _require_base(b)
     if depth < 50:
         raise ValueError("depth must be >= 50")

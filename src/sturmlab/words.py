@@ -15,7 +15,6 @@ import sys
 from itertools import chain, repeat
 
 from .errors import CapExceededError
-from .numeration import get_basis
 
 LENGTH_CAP = 100_000_000  # longest word any constructor will build
 
@@ -75,6 +74,8 @@ def _require_level(k: int, n: int) -> None:
     at large n it has tens of thousands of digits, and the table up to it
     grows with n^2.
     """
+    from .numeration import get_basis
+
     top = get_basis(k).largest_index_leq(LENGTH_CAP)
     if n > top:
         raise CapExceededError(
@@ -140,6 +141,8 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     """
     if n < 2:
         raise ValueError("identities are stated for n >= 2")
+    from .numeration import get_basis
+
     # Refuse U_{n+2} by index, though it is never joined.
     _require_level(k, n + 2)
     f = get_basis(k).value
@@ -152,47 +155,105 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     return id1, id2
 
 
-# Positions packed per pass of distinct_factors; passes read windows that
-# overlap by m - 1 symbols, so memory stays 8 bytes per position of one pass.
+# Positions packed per pass of the lanes; passes read windows that overlap
+# by width - 1 symbols, so memory stays 8 bytes per position of one pass.
 _LANE_CHUNK = 1 << 16
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII bit -> symbol byte
+
+# The last word packed, its lane width, and each distinct lane of that width
+# mapped to its first position.
+_kept_lanes: tuple[bytes, int, dict[int, int]] = (b"", 0, {})
+
+
+def _lanes(w: bytes, width: int) -> tuple[int, dict[int, int]]:
+    """The lanes of a width of at least ``width``: (that width, first position of each).
+
+    A lane is one native 8-byte word whose bit j is w[i + j] for j below
+    the width, lane byte b holding bits 8b..8b+7.  Each lane byte is
+    assembled for a whole pass at once from the big-endian integers of its
+    eight shifted columns, whose 0/1 bytes OR without carries, then strided
+    into a buffer read back as native words.  The distinct lanes of the
+    last word packed are kept, keyed by its bytes, since every sweep cell
+    builds its own prefix, and are answered again for any width up to
+    theirs.  ``w`` must be binary ``bytes``.
+    """
+    global _kept_lanes
+    kept, kept_width, first = _kept_lanes
+    if width <= kept_width and w == kept:
+        return kept_width, first
+    first: dict[int, int] = {}
+    positions = len(w) - width + 1
+    for start in range(0, max(positions, 0), _LANE_CHUNK):
+        count = min(_LANE_CHUNK, positions - start)
+        buf = bytearray(8 * count)
+        for b in range(width // 8):
+            lane_byte = 0
+            for t in range(8):
+                j = start + 8 * b + t
+                lane_byte |= int.from_bytes(w[j : j + count], "big") << t
+            buf[b::8] = lane_byte.to_bytes(count, "big")
+        lanes = memoryview(buf).cast("Q")
+        fresh = set(lanes).difference(first)
+        # Positions of the lanes this pass adds, from ever longer heads of
+        # the pass read backwards, so that the first occurrence is kept: a
+        # Sturmian word shows all its short factors near its start.
+        head = 256
+        while fresh:
+            head = min(head, count)
+            seen = dict(zip(reversed(lanes[:head]), reversed(range(start, start + head))))
+            if seen.keys() >= fresh:
+                first.update({lane: seen[lane] for lane in fresh})
+                break
+            head *= 4
+    _kept_lanes = (w, width, first)
+    return width, first
+
+
+def _first_positions(w: bytes, m: int) -> dict[bytes, int]:
+    """Each distinct factor of length ``m`` of the binary word ``w``, mapped to
+    the position of its first occurrence.
+
+    Past m = 64 the factors are the slices ``w[i:i+m]``, read from the last
+    position down so that the first occurrence is the one kept.  Up to 64
+    the factors at positions 0..len(w) - W are the kept or packed lanes of
+    width W = 8*ceil(m/8) or wider, each masked to its low m bits; only the
+    distinct masked lanes are decoded, from their bytes in native order read
+    little-endian, so the result does not depend on the byte order.  The
+    last W - m positions, which no lane of width W starts, are slices.
+    """
+    if m < 0:
+        raise ValueError("factor length must be >= 0")
+    _require_binary(w, "distinct_factors")
+    w = bytes(w)  # the same object for bytes; a bytearray's slices are not keys
+    positions = len(w) - m + 1
+    if positions <= 0:
+        return {}
+    if m == 0:
+        return {b"": 0}
+    if m > 64:
+        return {w[i : i + m]: i for i in reversed(range(positions))}
+    width, lanes = _lanes(w, -(-m // 8) * 8)
+    mask = (1 << m) - 1
+    masked: dict[int, int] = {}
+    for code, i in lanes.items():
+        lane = int.from_bytes(code.to_bytes(8, sys.byteorder), "little") & mask
+        if masked.get(lane, positions) > i:
+            masked[lane] = i
+    first = {
+        format(lane, f"0{m}b")[::-1].encode().translate(_BITS): i for lane, i in masked.items()
+    }
+    for i in range(max(len(w) - width + 1, 0), positions):
+        first.setdefault(w[i : i + m], i)
+    return first
 
 
 def distinct_factors(w: bytes, m: int) -> set[bytes]:
     """All distinct factors of length ``m`` occurring in the binary word ``w``.
 
-    Past m = 64 the factors are the slices ``w[i:i+m]``.  Up to 64, each
-    position i is packed into one native 8-byte lane whose bit j is
-    w[i + j], lane byte b holding bits 8b..8b+7.  Each lane byte is
-    assembled for a whole pass at once from the big-endian integers of its
-    eight shifted columns, whose 0/1 bytes OR without carries, then strided
-    into a buffer read back as native words; the distinct lanes are
-    collected in C and only they are decoded, from their bytes in native
-    order read little-endian, so the result does not depend on the byte
-    order.
+    They are the keys of :func:`_first_positions`: up to m = 64 one pass
+    packs each position into a lane of width 8*ceil(m/8) bits, and the
+    lanes of the last word packed are kept, so the orders of one word that
+    share a lane width (``verify --lemma blocks --n 1..8`` packs at widths 8
+    and 16) pack it once.  Past 64 the factors are slices.
     """
-    if m < 0:
-        raise ValueError("factor length must be >= 0")
-    _require_binary(w, "distinct_factors")
-    positions = len(w) - m + 1
-    if positions <= 0:
-        return set()
-    if m == 0:
-        return {b""}
-    if m > 64:
-        return {w[i : i + m] for i in range(positions)}
-    lanes: set[int] = set()
-    for start in range(0, positions, _LANE_CHUNK):
-        count = min(_LANE_CHUNK, positions - start)
-        buf = bytearray(8 * count)
-        for b in range(-(-m // 8)):
-            lane_byte = 0
-            for t, j in enumerate(range(8 * b, min(8 * b + 8, m))):
-                lane_byte |= int.from_bytes(w[start + j : start + j + count], "big") << t
-            buf[b::8] = lane_byte.to_bytes(count, "big")
-        lanes.update(memoryview(buf).cast("Q"))
-    factors = set()
-    for code in lanes:
-        lane = int.from_bytes(code.to_bytes(8, sys.byteorder), "little")
-        factors.add(format(lane, f"0{m}b")[::-1].encode().translate(_BITS))
-    return factors
+    return set(_first_positions(w, m))

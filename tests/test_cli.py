@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sturmlab import cli, numeration, transforms
+from sturmlab import access, approximants, cli, numeration, transforms, words
 
 
 def run(capsys, *argv):
@@ -51,7 +51,7 @@ def test_generate_refuses_transform_before_prefix(spec, monkeypatch, capsys):
     def built(*args):
         raise AssertionError("prefix built before the transform was parsed")
 
-    monkeypatch.setattr(cli, "fixed_point_prefix", built)
+    monkeypatch.setattr(words, "fixed_point_prefix", built)
     code, out, err = run(capsys, "generate", "--k", "1", "--len", "100000000",
                          "--transform", spec)
     assert (code, out) == (2, "")
@@ -287,7 +287,7 @@ def test_verify_lemma3_cap_precedes_round_trip(monkeypatch, capsys):
     def digitised(k, values):
         raise AssertionError("round trip ran before the cap check")
 
-    monkeypatch.setattr(cli, "digit_vectors", digitised)
+    monkeypatch.setattr(numeration, "digit_vectors", digitised)
     code, out, err = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
                          "--imax", "5000001")
     assert code == 2 and out == ""
@@ -300,12 +300,12 @@ def test_verify_lemma3_cases_cap_precedes_any_case(monkeypatch, capsys):
     def ran(*args):
         raise AssertionError("lemma3 ran before the cases cap check")
 
-    monkeypatch.setattr(cli, "regular_vectors", ran)
-    monkeypatch.setattr(cli, "normalize", ran)
+    monkeypatch.setattr(numeration, "regular_vectors", ran)
+    monkeypatch.setattr(numeration, "normalize", ran)
     code, out, err = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
                          "--imax", "10", "--cases", "100000000")
     assert code == 2 and out == ""
-    assert err == f"error: lemma3 cases are capped at {cli.UNIQUENESS_CAP:_}\n"
+    assert err == f"error: lemma3 cases are capped at {numeration.UNIQUENESS_CAP:_}\n"
 
 
 def test_lemma3_cases_draw_as_randint_did():
@@ -324,12 +324,13 @@ def test_lemma3_cases_draw_as_randint_did():
 
 
 def test_verify_lemma3_cases_cap_admits_its_edge(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "UNIQUENESS_CAP", 3)
+    # The cap bounds --imax too, so the sweep runs at the cap.
+    monkeypatch.setattr(numeration, "UNIQUENESS_CAP", 10)
     code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
-                       "--imax", "10", "--cases", "3")
-    assert code == 0 and out.endswith("roundtrip<10;uniqueness<10;cases=3\n")
+                       "--imax", "10", "--cases", "10")
+    assert code == 0 and out.endswith("roundtrip<10;uniqueness<10;cases=10\n")
     assert run(capsys, "verify", "--lemma", "lemma3", "--k", "1",
-               "--imax", "10", "--cases", "4")[0] == 2
+               "--imax", "10", "--cases", "11")[0] == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,7 +345,7 @@ def test_verify_negative_level_is_refused(argv, capsys):
 
 def _digits_wrong_at(bad):
     """digit_vectors, except that it yields the vector of bad + 1 at bad."""
-    real = numeration.digit_vectors
+    real = _real_digit_vectors
 
     def digits(k, values):
         wrong = numeration.to_digits(k, bad + 1)
@@ -356,6 +357,9 @@ def _digits_wrong_at(bad):
 # Each fault walk is made for the value it goes wrong at, from the real walk:
 # a faulted cell patches the walk that the check and the oracle read.
 _real_walk = numeration.regular_vectors
+_real_digit_vectors = numeration.digit_vectors
+_real_normalize = numeration.normalize
+_real_is_regular = numeration.is_regular
 
 
 def _skipping_walk(at):
@@ -423,9 +427,8 @@ def _lemma3_details(monkeypatch, capsys, digits=None, walk=None):
     details = []
     for imax, wrong, at in FAULT_CELLS:
         if digits:
-            monkeypatch.setattr(cli, "digit_vectors", _digits_wrong_at(wrong))
+            monkeypatch.setattr(numeration, "digit_vectors", _digits_wrong_at(wrong))
         if walk:
-            monkeypatch.setattr(cli, "regular_vectors", walk(at))
             monkeypatch.setattr(numeration, "regular_vectors", walk(at))
         code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1..2",
                            "--imax", str(imax), "--cases", "20")
@@ -461,7 +464,7 @@ def test_verify_lemma3_decides_uniqueness_after_round_trip_fault(walk, monkeypat
 def _zero_on_top_unless_given_one(k, digits):
     """Right value and regular, but a second call on its own output differs."""
     digits = tuple(digits)
-    nd = numeration.normalize(k, digits)
+    nd = _real_normalize(k, digits)
     return nd if digits[-1:] == (0,) else nd + (0,)
 
 
@@ -469,8 +472,8 @@ def _value_in_bottom_digit_when_irregular(k, digits):
     """An irregular vector comes back as its value in one digit: the right
     value, and a bottom digit that is not the input's."""
     digits = tuple(digits)
-    if numeration.is_regular(k, digits):
-        return numeration.normalize(k, digits)
+    if _real_is_regular(k, digits):
+        return _real_normalize(k, digits)
     return (numeration.from_digits(k, digits),)
 
 
@@ -478,11 +481,11 @@ def _value_in_bottom_digit_when_irregular(k, digits):
 # A regular vector is unique, so a vector of the right value with other low
 # digits is one that is_regular must be made to accept.
 NORMALIZE_FAULTS = {
-    "normalize-value": (lambda k, digits: numeration.normalize(k, digits) + (1,), False),
+    "normalize-value": (lambda k, digits: _real_normalize(k, digits) + (1,), False),
     "normalize-regular": (lambda k, digits: tuple(digits), False),
     "normalize-idempotent": (_zero_on_top_unless_given_one, False),
     "normalize-low-index": (_value_in_bottom_digit_when_irregular, True),
-    "normalize-identity": (lambda k, digits: numeration.normalize(k, digits) + (0,), False),
+    "normalize-identity": (lambda k, digits: _real_normalize(k, digits) + (0,), False),
 }
 
 
@@ -490,9 +493,9 @@ NORMALIZE_FAULTS = {
 def test_verify_lemma3_reports_normalize_fault(label, monkeypatch, capsys):
     """Each randomized normalization check fails its row under its own label."""
     fake, accept_all = NORMALIZE_FAULTS[label]
-    monkeypatch.setattr(cli, "normalize", fake)
+    monkeypatch.setattr(numeration, "normalize", fake)
     if accept_all:
-        monkeypatch.setattr(cli, "is_regular", lambda k, digits: True)
+        monkeypatch.setattr(numeration, "is_regular", lambda k, digits: True)
     code, out, _ = run(capsys, "verify", "--lemma", "lemma3", "--k", "1..2",
                        "--imax", "200", "--cases", "50")
     rows = [line.split("\t") for line in out.splitlines()[1:]]
@@ -503,13 +506,13 @@ def test_verify_lemma3_reports_normalize_fault(label, monkeypatch, capsys):
 
 def test_verify_lemma2_reports_one_flipped_symbol(monkeypatch, capsys):
     """A random-access kernel wrong at one index fails the row with one disagreement."""
-    real = cli.symbols_at
+    real = access.symbols_at
 
     def flipped_at_37(k, indices):
         for i, symbol in zip(indices, real(k, indices)):
             yield 1 - symbol if i == 37 else symbol
 
-    monkeypatch.setattr(cli, "symbols_at", flipped_at_37)
+    monkeypatch.setattr(access, "symbols_at", flipped_at_37)
     code, out, _ = run(capsys, "verify", "--lemma", "lemma2", "--k", "1..2", "--imax", "200")
     rows = [line.split("\t") for line in out.splitlines()[1:]]
     assert code == 1
@@ -518,13 +521,13 @@ def test_verify_lemma2_reports_one_flipped_symbol(monkeypatch, capsys):
 
 def test_verify_lemma4_reports_one_flipped_verdict(monkeypatch, capsys):
     """A mismatch kernel wrong at one scanned index fails the row with one verdict error."""
-    real = cli.mismatches
+    real = access.mismatches
 
     def flipped_at_37(k, n, indices):
         for i, verdict in zip(indices, real(k, n, indices)):
             yield verdict._replace(differs=not verdict.differs) if i == 37 else verdict
 
-    monkeypatch.setattr(cli, "mismatches", flipped_at_37)
+    monkeypatch.setattr(access, "mismatches", flipped_at_37)
     code, out, _ = run(capsys, "verify", "--lemma", "lemma4", "--k", "1..2", "--n", "2",
                        "--imax", "200")
     rows = [line.split("\t") for line in out.splitlines()[1:]]
@@ -557,7 +560,7 @@ def test_verify_sba_cap_precedes_power_sum(monkeypatch, capsys):
         raise AssertionError("power sum ran before the cap check")
 
     monkeypatch.setattr(transforms, "floor_golden", summed)
-    monkeypatch.setattr(transforms, "series_truncation", summed)
+    monkeypatch.setattr(approximants, "series_truncation", summed)
     code, out, err = run(capsys, "verify", "--lemma", "sba", "--b", "2",
                          "--depth", "1000001")
     assert code == 2 and out == ""
@@ -570,7 +573,7 @@ def test_verify_affine_cap_precedes_series(monkeypatch, capsys):
         raise AssertionError("series summed before the cap check")
 
     monkeypatch.setattr(transforms, "shift_product", summed)
-    monkeypatch.setattr(transforms, "series_truncation", summed)
+    monkeypatch.setattr(approximants, "series_truncation", summed)
     code, out, err = run(capsys, "verify", "--lemma", "affine", "--b", "2",
                          "--depth", "1000001")
     assert code == 2 and out == ""

@@ -143,21 +143,26 @@ def test_reductions_are_methods():
 # Start-up: a fresh process imports only what its command runs.
 
 DEFERRED = {  # module -> a function its body defines
+    "sturmlab.access": "symbol_at",
     "sturmlab.approximants": "approximant",
     "sturmlab.exponent": "exponent_sandwich",
+    "sturmlab.numeration": "get_basis",
     "sturmlab.transforms": "rotation_sum_relation",
+    "sturmlab.words": "fixed_point_prefix",
 }
+
+# A module entered for first use keeps an empty namespace, read here without
+# an attribute lookup on it, until something reads from it.
+RAN = f"""
+def ran():
+    return sorted(m for m, name in {DEFERRED!r}.items() if m in sys.modules
+                  and name in object.__getattribute__(sys.modules[m], "__dict__"))
+"""
 
 STARTUP_PROBE = f"""
 import sys
 import sturmlab.cli
-
-def ran():
-    # A module entered for first use keeps an empty namespace, read here
-    # without an attribute lookup on it, until something reads from it.
-    return sorted(m for m, name in {DEFERRED!r}.items() if m in sys.modules
-                  and name in object.__getattribute__(sys.modules[m], "__dict__"))
-
+{RAN}
 print(sorted(m for m in ("dataclasses", "fractions", "json") if m in sys.modules))
 print(ran())
 import sturmlab.transforms
@@ -172,9 +177,43 @@ def test_cli_import_runs_no_lemma_module():
     assert done.stdout.splitlines() == [
         "[]",
         "[]",
-        # transforms reads from approximants as it runs.
-        "['sturmlab.approximants', 'sturmlab.transforms'] True",
+        # transforms reads from words as it runs, and from approximants
+        # only in its two value checks.
+        "['sturmlab.transforms', 'sturmlab.words'] True",
     ]
+
+
+REQUEST_PROBE = f"""
+import contextlib, io, sys
+import sturmlab.cli
+{RAN}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sturmlab.cli.main(sys.argv[1:])
+print(code, *ran(), *(m for m in ("fractions", "decimal") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (("generate", "--k", "2", "--len", "500"), ["sturmlab.words"]),
+    (("generate", "--k", "1", "--len", "500", "--transform", "diff:3"),
+     ["sturmlab.transforms", "sturmlab.words"]),
+    (("verify", "--lemma", "blocks", "--k", "1..2", "--n", "1..9", "--imax", "2000"),
+     ["sturmlab.transforms", "sturmlab.words"]),
+    (("verify", "--lemma", "lemma1", "--k", "1..2", "--n", "2..6"),
+     ["sturmlab.numeration", "sturmlab.words"]),
+    (("verify", "--lemma", "lemma3", "--k", "1..2", "--imax", "300", "--cases", "20"),
+     ["sturmlab.numeration"]),
+    (("verify", "--lemma", "lemma4", "--k", "1", "--n", "0..4", "--imax", "300"),
+     ["sturmlab.access", "sturmlab.numeration", "sturmlab.words"]),
+], ids=["generate", "generate-diff", "blocks", "lemma1", "lemma3", "lemma4"])
+def test_fresh_request_runs_only_the_modules_its_command_reads(argv, ran):
+    """A request executes the library modules its command reads and what
+    they import, no other: ``generate`` and ``blocks`` run neither
+    ``numeration`` nor ``access``, and no command here runs ``approximants``
+    or imports ``fractions``."""
+    done = python("-c", REQUEST_PROBE, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", *ran]
 
 
 @pytest.mark.parametrize("argv", [

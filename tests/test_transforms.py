@@ -265,6 +265,8 @@ def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
     """
     if chunk is not None:
         monkeypatch.setattr(words, "_LANE_CHUNK", chunk)
+        # Pack every word at this chunk size, none kept from an earlier call.
+        monkeypatch.setattr(words, "_kept_lanes", (b"", 0, {}))
     step = words._LANE_CHUNK
     rng = random.Random(7700 + order)
     short = [order + 1, order + 2, order + 9, 300]

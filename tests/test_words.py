@@ -328,6 +328,11 @@ def _sliced_factors(w: bytes, m: int) -> set[bytes]:
     return {w[i : i + m] for i in range(len(w) - m + 1)}
 
 
+def _sliced_first_positions(w: bytes, m: int) -> dict[bytes, int]:
+    """Each factor's first position, from one slice per position read backwards."""
+    return {w[i : i + m]: i for i in reversed(range(len(w) - m + 1))}
+
+
 # Lengths 0..20, lengths whose lanes end on, one or two bits short of, or
 # one bit past a 1-, 2-, 4- or 8-byte word or a second 64-bit lane word, and
 # lanes of 4 to 16 such words.
@@ -346,6 +351,8 @@ def test_distinct_factors_matches_sliced_reference(m, chunk, monkeypatch):
     chunk edge, at the real chunk size and at a small odd one."""
     if chunk is not None:
         monkeypatch.setattr(words, "_LANE_CHUNK", chunk)
+        # Pack every word at this chunk size, none kept from an earlier call.
+        monkeypatch.setattr(words, "_kept_lanes", (b"", 0, {}))
     step = words._LANE_CHUNK
     rng = random.Random(5300 + m)
     # A pass packs the windows starting at len(w) - m + 1 positions.
@@ -364,6 +371,54 @@ def test_distinct_factors_matches_sliced_reference(m, chunk, monkeypatch):
             sample.append(bytes(rng.getrandbits(1) for _ in range(n)))
         for w in sample:
             assert distinct_factors(w, m) == _sliced_factors(w, m), (m, n)
+
+
+# Orders on each side of the lane widths 8, 16 and 64, and past 64.
+_MEMO_ORDERS = [1, 2, 7, 8, 9, 15, 16, 17, 33, 56, 57, 63, 64, 65]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_kept_lanes_answer_every_order_of_one_word(order):
+    """The lanes kept from a wider pass, masked, give the factors of each
+    shorter length and their first positions, whatever order the lengths
+    come in."""
+    lengths = {
+        "ascending": _MEMO_ORDERS,
+        "descending": _MEMO_ORDERS[::-1],
+        "interleaved": [9, 2, 64, 8, 17, 1, 57, 16, 65, 7, 33, 15, 63, 56],
+    }[order]
+    rng = random.Random(4100)
+    for w in (fixed_point_prefix(2, 3000), bytes(rng.getrandbits(1) for _ in range(700))):
+        for m in lengths:
+            # A fresh copy each call, as each sweep cell builds its own prefix.
+            assert distinct_factors(bytes(bytearray(w)), m) == _sliced_factors(w, m), (order, m)
+            first = words._first_positions(bytes(bytearray(w)), m)
+            assert first == _sliced_first_positions(w, m), (order, m)
+
+
+def test_kept_lanes_are_keyed_by_the_whole_word():
+    """Two words of one length, asked for alternately, each get their own
+    factors; an equal word built apart is answered from the kept lanes."""
+    rng = random.Random(4200)
+    pair = [fixed_point_prefix(1, 2000), fixed_point_prefix(2, 2000)]
+    pair.append(bytes(rng.getrandbits(1) for _ in range(2000)))
+    for m in (9, 3, 16, 1, 64, 8, 12, 40):
+        for w in pair:
+            assert distinct_factors(w, m) == _sliced_factors(w, m), m
+    kept = words._kept_lanes
+    assert distinct_factors(bytes(bytearray(pair[-1])), 5) == _sliced_factors(pair[-1], 5)
+    assert words._kept_lanes is kept
+
+
+def test_distinct_factors_of_a_bytearray_changed_in_place():
+    """A bytearray is not hashable, and the same object can hold another word
+    on the next call."""
+    w = bytearray(fixed_point_prefix(1, 500))
+    for m in (12, 5, 12):
+        assert distinct_factors(w, m) == _sliced_factors(bytes(w), m), m
+        w[250:260] = b"\x01" * 10
+        assert distinct_factors(w, m) == _sliced_factors(bytes(w), m), m
+        w[:] = fixed_point_prefix(1, 500)
 
 
 def test_distinct_factors_edge_lengths():
