@@ -139,10 +139,10 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     are lists of pieces: U_{n+2} is U_{n+1}^k U_n, and U_{n-1}* (|U_{n-1}| >= 2)
     is three ``memoryview`` slices of U_{n-1}.
     """
-    if n < 2:
-        raise ValueError("identities are stated for n >= 2")
     from .numeration import get_basis
 
+    if n < 2:
+        raise ValueError("identities are stated for n >= 2")
     # Refuse U_{n+2} by index, though it is never joined.
     _require_level(k, n + 2)
     f = get_basis(k).value
@@ -178,9 +178,9 @@ def _lanes(w: bytes, width: int) -> tuple[int, dict[int, int]]:
     theirs.  ``w`` must be binary ``bytes``.
     """
     global _kept_lanes
-    kept, kept_width, first = _kept_lanes
+    kept, kept_width, kept_first = _kept_lanes
     if width <= kept_width and w == kept:
-        return kept_width, first
+        return kept_width, kept_first
     first: dict[int, int] = {}
     positions = len(w) - width + 1
     for start in range(0, max(positions, 0), _LANE_CHUNK):
@@ -196,7 +196,8 @@ def _lanes(w: bytes, width: int) -> tuple[int, dict[int, int]]:
         fresh = set(lanes).difference(first)
         # Positions of the lanes this pass adds, from ever longer heads of
         # the pass read backwards, so that the first occurrence is kept: a
-        # Sturmian word shows all its short factors near its start.
+        # Sturmian word shows all its short factors near its start, and any
+        # other word costs at most about 4/3 of one dict over the pass.
         head = 256
         while fresh:
             head = min(head, count)
@@ -234,7 +235,7 @@ def _first_positions(w: bytes, m: int) -> dict[bytes, int]:
         return {w[i : i + m]: i for i in reversed(range(positions))}
     width, lanes = _lanes(w, -(-m // 8) * 8)
     mask = (1 << m) - 1
-    masked: dict[int, int] = {}
+    masked: dict[int, int] = {}  # each masked lane at the least position of the lanes under it
     for code, i in lanes.items():
         lane = int.from_bytes(code.to_bytes(8, sys.byteorder), "little") & mask
         if masked.get(lane, positions) > i:
@@ -252,8 +253,8 @@ def distinct_factors(w: bytes, m: int) -> set[bytes]:
 
     They are the keys of :func:`_first_positions`: up to m = 64 one pass
     packs each position into a lane of width 8*ceil(m/8) bits, and the
-    lanes of the last word packed are kept, so the orders of one word that
-    share a lane width (``verify --lemma blocks --n 1..8`` packs at widths 8
-    and 16) pack it once.  Past 64 the factors are slices.
+    lanes of the last word packed are kept, so a shorter m on an equal word
+    reuses them (``verify --lemma blocks --n 1..8`` packs each word at
+    widths 8 and 16 only).  Past 64 the factors are slices.
     """
     return set(_first_positions(w, m))

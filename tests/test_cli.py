@@ -878,7 +878,6 @@ def test_traced_names_exist():
 def test_rows_reduce_deltas_and_bounds_at_most_once(monkeypatch, capsys):
     """A formula3 row reduces its enclosure and builds its bounds once; other
     rows never."""
-    from sturmlab import approximants
     from sturmlab.approximants import ApproximantRecord
 
     calls = {"deltas": 0, "bounds": 0}
@@ -905,8 +904,6 @@ def test_rows_reduce_deltas_and_bounds_at_most_once(monkeypatch, capsys):
 def test_only_formula3_builds_approximants(monkeypatch, capsys):
     """constants decides its gap bound by the scaled sign test, so its sweep
     builds no approximant; formula3 builds one per dense cell."""
-    from sturmlab import approximants
-
     calls = []
     approximant = approximants.approximant
 
