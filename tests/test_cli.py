@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import sys
 import tracemalloc
@@ -534,6 +535,29 @@ def test_verify_lemma4_reports_one_flipped_verdict(monkeypatch, capsys):
     assert code == 1
     assert [row[4] for row in rows] == ["FAIL", "FAIL"]
     assert {row[5].split(";")[1] for row in rows} == {"verdict_errors=1"}
+
+
+@pytest.mark.parametrize("lemma, kernel, field", [
+    ("lemma2", "symbols_at", "disagreements=1"),
+    ("lemma4", "mismatches", "verdict_errors=1"),
+])
+def test_verify_counts_a_kernel_answer_cut_short(lemma, kernel, field, monkeypatch, capsys):
+    """A range kernel that stops one index early fails the row with one
+    disagreement, though every answer it gave is right."""
+    real = getattr(access, kernel)
+
+    def short(*args):
+        # Only the scan from index 0; lemma4's one-index window check stays whole.
+        indices = args[-1]
+        return itertools.islice(real(*args), len(indices) - (indices.start == 0))
+
+    monkeypatch.setattr(access, kernel, short)
+    code, out, _ = run(capsys, "verify", "--lemma", lemma, "--k", "1..2", "--n", "2",
+                       "--imax", "200")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert code == 1
+    assert [row[4] for row in rows] == ["FAIL", "FAIL"]
+    assert all(field in row[5].split(";") for row in rows)
 
 
 def test_verify_blocks_reports_route_disagreement(monkeypatch, capsys):
