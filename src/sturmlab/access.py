@@ -20,14 +20,16 @@ low table, and slices ``bottom``, which ``Basis.tables`` builds from the
 low table alone: 1 where a row's bottom digit is k.  From k = 4096 up
 L = 0, and at s = 1 a distance below f_1 = k + 1 is its own bottom digit,
 so a window is a run of 0s and the 1 at distance k.
-``mismatches`` keeps windows at s = max(L, n + 2).  The verdict at i reads
-only i's digits 0..n+1, so it is the verdict at i's distance from the
-base, and a window is a slice of the verdicts V_s at every distance below
-f_s.  For n + 2 <= L it slices the table V_L, built once per (k, n) by
-V_{m+1} = V_m^k V_{m-1} (proof at ``_verdict_table``) and kept in
-``_verdict_tables``; for n + 2 > L,
-V_{n+2} = (SAME^{f_{n+1}-2} (first, second))^k SAME^{f_n} is read as
-runs, a few per block of f_{n+1} indices.
+``mismatches`` reads only i's digits 0..n+1 for the verdict at i.  For
+n + 2 <= L it keeps windows at s = L, where the verdict is the one at i's
+distance from the base, and slices V_L, the verdicts at every distance
+below f_L, built once per (k, n) by V_{m+1} = V_m^k V_{m-1} (proof at
+``_verdict_table``) and kept in ``_verdict_tables``.  For n + 2 > L it
+keeps windows at s = n + 1, whose distances are the values of digits 0..n,
+and reads each as two runs of V_{n+1} = SAME^{f_{n+1}-2} (first, second):
+SAME up to f_{n+1} - 2, then a slice of the pair.  A window whose digit
+at n + 1 is k is all SAME and f_n wide, and f_n <= f_{n+1} - 2 (it fails
+only at k = 1 with n <= 1, where L = 16), so it is such a slice too.
 ``symbol_at`` and ``mismatch`` are the kernels over a one-index range.
 Neither ``bottom`` nor V_L reads the prefix builder or the
 in-order walk, so ``lemma2`` and ``lemma4`` still compare two routes.
@@ -35,12 +37,12 @@ Medians of ten fresh processes, best of seven runs each (tables built
 first; 2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take
 0.0005 s in one ``symbols_at`` call (0.0093 s when each index resumed a
 generator frame); 10,000 indices below 10^4 at each level n = 0..9 at
-k = 2 take 0.0009 s in ten ``mismatches`` calls (0.016 s).  Building one
+k = 2 take 0.0010 s in ten ``mismatches`` calls (0.016 s).  Building one
 V_L takes 11-59 us at k = 1..3, more than a scalar call, so it is built
-once.  Over the indices below 10^5 a ``symbol_at`` call costs 2.6 us
-(k = 1) and a ``mismatch`` call 2.9 us (k = 2, level 5), against 1.3
+once.  Over the indices below 10^5 a ``symbol_at`` call costs 3.3 us
+(k = 1) and a ``mismatch`` call 3.8 us (k = 2, level 5), against 1.3
 and 1.2 us when a kernel took any iterable: a one-index range pays for
-the range check and the kernel's generators.
+the range check, the kernel's generators and the window's upper digits.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ def symbols_at(k: int, indices: range) -> Iterator[int]:
     _low, padded, bottom = basis.tables()
     width = len(padded[0])   # L
     if width:
-        return chain.from_iterable(bottom[lo:hi] for _, lo, hi in _windows(basis, indices, width))
+        return chain.from_iterable(bottom[lo:hi] for lo, hi, _ in _windows(basis, indices, width))
 
     def runs() -> Iterator[Iterable[int]]:
-        for _, lo, hi in _windows(basis, indices, 1):
+        for lo, hi, _ in _windows(basis, indices, 1):
             yield repeat(0, min(hi, k) - lo)
             if hi > k:
                 yield (1,)
@@ -113,9 +115,9 @@ def _verdict_table(basis: Basis, n: int) -> list[MismatchVerdict]:
     """
     table = _verdict_tables.get((basis.k, n))
     if table is None:
-        vals, k = basis._vals, basis.k
-        prev = [_SAME] * (vals[n + 1] - 2) + list(_PAIRS[n % 2])   # V_{n+1}
-        table = prev * k + [_SAME] * vals[n]   # V_{n+2}
+        k = basis.k
+        prev = [_SAME] * (basis.value(n + 1) - 2) + list(_PAIRS[n % 2])   # V_{n+1}
+        table = prev * k + [_SAME] * basis.value(n)   # V_{n+2}
         for m in range(n + 2, len(basis.tables()[1][0])):
             prev, table = table, table * k + prev   # V_{m+1}
         _verdict_tables[basis.k, n] = table
@@ -134,44 +136,34 @@ def mismatches(k: int, n: int, indices: range) -> Iterator[MismatchVerdict]:
     when that value equals f_{n+1} - 2 or f_{n+1} - 1.
 
     n, k and the range's start are checked when the kernel is called.
-    Each window at s = max(L, n + 2) that the range meets is a slice of V_s
-    (see the module docstring and ``_verdict_table``); V_s starts with
-    V_{s-1}, so a window whose digit at s is k, f_{s-1} wide, is one too.
-    A range whose last index i has i + 2 < f_{n+1} is all SAME, a run per
-    window at max(L, 1), and f_{n+1} is not built.
+    For n + 2 <= L each window at s = L that the range meets is a slice of
+    V_L (see ``_verdict_table``); V_L starts with V_{L-1}, so a window
+    whose digit at L is k, f_{L-1} wide, is one too.  For n + 2 > L each
+    window at s = n + 1 is a run of SAME below f_{n+1} - 2 and a slice of
+    the pair at f_{n+1} - 2 and f_{n+1} - 1, and a window whose digit at
+    n + 1 is k lies below f_{n+1} - 2 (see the module docstring).  A range
+    whose last index i has i + 2 < f_{n+1} is all SAME, a run per window
+    at max(L, 1), and f_{n+1} is not built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     basis = get_basis(k)
     _require_range(indices, "index")
-    vals = basis._vals   # vals[n] = f_n
-    last = indices.stop + 1   # the last index plus 2
-    if last >= vals[-1]:
-        basis._extend_past(last)
     width = len(basis.tables()[1][0])   # L
-    if len(vals) <= n + 1 or last < vals[n + 1]:
+    if basis.largest_index_leq(indices.stop + 1) <= n:   # the last index plus 2 < f_{n+1}
         windows = _windows(basis, indices, max(width, 1))
-        return chain.from_iterable(repeat(_SAME, hi - lo) for _, lo, hi in windows)
+        return chain.from_iterable(repeat(_SAME, hi - lo) for lo, hi, _ in windows)
     if n + 2 <= width:
         table = _verdict_table(basis, n)
-        return chain.from_iterable(table[lo:hi] for _, lo, hi in _windows(basis, indices, width))
-    fn1 = vals[n + 1]
+        return chain.from_iterable(table[lo:hi] for lo, hi, _ in _windows(basis, indices, width))
+    edge = basis.value(n + 1) - 2   # the first mismatch of V_{n+1}
     pair = _PAIRS[n % 2]
 
     def runs() -> Iterator[Iterable[MismatchVerdict]]:
-        for _, lo, hi in _windows(basis, indices, n + 2):
-            while lo < hi:
-                digit, r = divmod(lo, fn1)   # lo's digit at n + 1, and digits 0..n
-                if digit == k:
-                    yield repeat(_SAME, hi - lo)
-                    break
-                edge = lo - r + fn1 - 2   # the block's first mismatch
-                end = min(hi, edge + 2)
-                if lo < edge:
-                    yield repeat(_SAME, min(edge, end) - lo)
-                if end > edge:
-                    yield pair[max(lo - edge, 0):end - edge]
-                lo = end
+        for lo, hi, _ in _windows(basis, indices, n + 1):
+            yield repeat(_SAME, min(hi, edge) - lo)
+            if hi > edge:
+                yield pair[max(lo - edge, 0):hi - edge]
 
     return chain.from_iterable(runs())
 

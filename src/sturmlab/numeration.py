@@ -6,12 +6,14 @@ every digit lies in 0..k and a digit equal to k forces a zero just below it;
 each non-negative integer then has exactly one regular representation, so
 ``normalize`` regularizes any vector by digitizing its value greedily.
 Digit vectors are plain little-endian tuples of ints; this module is the only
-one that walks a value's digits or splits a value.  ``_window`` is the one
-split rule: the values that share n's digits at positions s and up are
-exactly [n - r, n - r + w), where r is the value of n's digits below s and
-w is f_s, or f_{s-1} when n's digit at s is k, since a digit k forces a 0
-below it.  The three range kernels, ``digit_vectors`` here and
-``symbols_at`` and ``mismatches`` in ``access``, split with it alone.
+one that walks a value's digits or splits a value, and ``_greedy`` is its
+one walk.  ``_window`` is the one split rule: the values that share n's
+digits at positions s and up are exactly [n - r, n - r + w), where r is
+the value of n's digits below s and w is f_s, or f_{s-1} when n's digit at
+s is k, since a digit k forces a 0 below it.  One ``_greedy`` walk down to
+s gives r and n's digits from s up, and ``_window`` hands both on.  The
+three range kernels, ``digit_vectors`` here and ``symbols_at`` and
+``mismatches`` in ``access``, split with it alone.
 
 The range kernels take a ``range`` of step 1, which is what every sweep
 passes; k, the start (and n) are checked when a kernel is called, with its
@@ -19,11 +21,12 @@ scalar's error text.  ``_windows`` splits the range once per window it
 meets, and a kernel answers each window with one slice of a per-k table,
 joined in C by ``itertools.chain.from_iterable``, so no Python frame runs
 per index.  ``digit_vectors``, the digitising kernel, keeps windows at
-position s = max(L, 1), where f_L is the size of the low table, and walks
-a window's digits from s up once: a window is ``low[a:b]`` when it has no
-upper digits and ``map(add, padded[a:b], repeat(upper))`` otherwise,
-above f_{2L} as below it.  From k = 4096 up L = 0, and the rows below
-s = 1 are the one-digit vectors ``zip(range(a, b))``.  The scalar
+position s = max(L, 1), where f_L is the size of the low table, and reads
+a window's digits from s up from the window's own walk: a window is
+``low[a:b]`` when it has no upper digits and
+``map(add, padded[a:b], repeat(upper))`` otherwise, above f_{2L} as below
+it.  From k = 4096 up L = 0, and the rows below s = 1 are the one-digit
+vectors ``zip(range(a, b))``.  The scalar
 ``to_digits`` needs no window: below f_L it reads ``low[n]``, and
 otherwise one ``_greedy`` walk down to L gives the upper digits and the
 remainder whose ``padded`` row goes beneath them.
@@ -167,10 +170,13 @@ def _greedy(vals: list[int], n: int, stop: int) -> tuple[tuple[int, ...], int]:
     """Greedy digits of ``n`` at positions ``stop`` and up, and what they leave.
 
     Takes the largest multiple of each basis value (``vals`` is
-    ``Basis._vals``, extended past ``n``) from n's top position down
-    to ``stop``, one step per nonzero digit as in ``_reduce``.  Returns the
+    ``Basis._vals``, extended past ``n`` and to ``stop``) from n's top
+    position down to ``stop``.  A digit is 0 wherever the remainder is below
+    the basis value, so each step bisects for the largest basis value <= the
+    remainder and jumps there: one ``divmod`` per nonzero digit.  Returns the
     digits of positions stop..top, little-endian and empty when n < f_stop,
-    and the remainder, which is below f_stop.
+    and the remainder, which is below f_stop.  ``to_digits`` and ``_window``
+    split a value with it, and nothing else does.
     """
     top = bisect_right(vals, n) - 1   # n's highest position
     out = [0] * (top + 1 - stop)
@@ -182,44 +188,31 @@ def _greedy(vals: list[int], n: int, stop: int) -> tuple[tuple[int, ...], int]:
     return tuple(out), rem
 
 
-def _reduce(vals: list[int], n: int, floor: int) -> int:
-    """Value of the digits of ``n`` below position s, where ``floor`` is f_s.
+def _window(basis: Basis, n: int, s: int) -> tuple[int, int, tuple[int, ...]]:
+    """The values that share n's digits at positions s and up, as ``(base, end,
+    upper)``: the interval ``[base, end)`` and those digits.
 
-    The greedy walk's remainder with no digits kept: reducing modulo f_top,
-    ..., f_s in turn leaves it, and ``rem %= f_j`` does nothing while
-    rem < f_j, so each step jumps straight to the largest basis value <= rem
-    and the walk takes one ``%`` per nonzero digit.  ``vals`` is
-    ``Basis._vals``, extended past ``n``.
-    """
-    while n >= floor:
-        n %= vals[bisect_right(vals, n) - 1]
-    return n
-
-
-def _window(basis: Basis, n: int, s: int) -> tuple[int, int]:
-    """The values that share n's digits at positions s and up, as ``[base, end)``.
-
-    One ``_reduce`` to f_{s+1} leaves the value of n's digits 0..s, and one
-    ``divmod`` by f_s splits it into the digit d at s and the value r of the
-    digits below s (worth less than f_s).  Let base = n - r, the value of
-    n's digits from s up with zeros below, and w = f_{s-1} when d = k and
-    s >= 1, f_s otherwise.  Every x < w has a regular vector on positions
-    0..s-1, and joined below n's digits from s up it keeps the digit rule
-    (a digit k at s finds a 0 at s - 1, as x < f_{s-1}), so by uniqueness
-    it is the vector of base + x.  Conversely a value with those digits
-    from s up is base plus the value of a regular vector on positions
-    0..s-1 that joins them, which is below w.  So the window is exactly
-    [base, base + w), and the value of a member's digits below s is its
-    distance from base.  The basis table is extended past n and to s + 1.
+    One ``_greedy`` walk down to s gives ``upper``, n's digits from s up
+    (empty when n < f_s), and the value r of n's digits below s (worth less
+    than f_s).  Let base = n - r, the value of n's digits from s up with
+    zeros below, and w = f_{s-1} when n's digit at s is k and s >= 1, f_s
+    otherwise.  Every x < w has a regular vector on positions 0..s-1, and
+    joined below n's digits from s up it keeps the digit rule (a digit k at
+    s finds a 0 at s - 1, as x < f_{s-1}), so by uniqueness it is the
+    vector of base + x.  Conversely a value with those digits from s up is
+    base plus the value of a regular vector on positions 0..s-1 that joins
+    them, which is below w.  So the window is exactly [base, base + w), and
+    the value of a member's digits below s is its distance from base.  The
+    basis table is extended past n and to s.
     """
     vals = basis._vals
-    if len(vals) <= s + 1:
-        basis._extend_to(s + 1)
+    if len(vals) <= s:
+        basis._extend_to(s)
     if n >= vals[-1]:
         basis._extend_past(n)
-    digit, rem = divmod(_reduce(vals, n, vals[s + 1]), vals[s])
+    upper, rem = _greedy(vals, n, s)
     base = n - rem
-    return base, base + (vals[s - 1] if digit == basis.k and s else vals[s])
+    return base, base + (vals[s - 1] if upper[:1] == (basis.k,) and s else vals[s]), upper
 
 
 def _require_range(values: range, what: str) -> None:
@@ -231,18 +224,19 @@ def _require_range(values: range, what: str) -> None:
         raise ValueError(f"{what} must be >= 0")
 
 
-def _windows(basis: Basis, values: range, s: int) -> Iterator[tuple[int, int, int]]:
+def _windows(basis: Basis, values: range, s: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The ``_window``s at s that a range of step 1 meets, in order, one split each.
 
-    Yields ``(base, lo, hi)`` for each: the range's members in that window
+    Yields ``(lo, hi, upper)`` for each: the range's members in that window
     are base + lo .. base + hi - 1, so lo and hi are their distances from
-    the base, which is the value of their digits below s.
+    the window's base, which is the value of their digits below s, and
+    ``upper`` is their digits from s up.
     """
     n, stop = values.start, values.stop
     while n < stop:
-        base, end = _window(basis, n, s)
+        base, end, upper = _window(basis, n, s)
         end = min(end, stop)
-        yield base, n - base, end - base
+        yield n - base, end - base, upper
         n = end
 
 
@@ -253,14 +247,15 @@ def digit_vectors(k: int, values: range) -> Iterator[tuple[int, ...]]:
     value.  k and the range's start are checked when the kernel is called.
     The range is split into the ``_window``s at position s = max(L, 1),
     where f_L is the size of ``low`` (see ``Basis.tables``), one split per
-    window.  The digits of a member from s up are its window's, walked
-    greedily once per window; its digits below s are those of its distance
-    from the window's base.  For L >= 1 that is one row of the tables: its
-    ``low`` entry when there are no upper digits (the window [0, f_L)), its
-    ``padded`` entry below them otherwise.  From k = 4096 up (L = 0) a
-    distance x below f_1 = k + 1 is the one digit (x,), or ``()`` for the
-    value 0.  So each window is answered by one slice of a table or one
-    run of a range, with the upper digits joined to each row in C.
+    window.  The digits of a member from s up are its window's, which
+    ``_windows`` hands on from the window's one greedy walk; its digits
+    below s are those of its distance from the window's base.  For L >= 1
+    that is one row of the tables: its ``low`` entry when there are no upper
+    digits (the window [0, f_L)), its ``padded`` entry below them otherwise.
+    From k = 4096 up (L = 0) a distance x below f_1 = k + 1 is the one
+    digit (x,), or ``()`` for the value 0.  So each window is answered by
+    one slice of a table or one run of a range, with the upper digits
+    joined to each row in C.
     """
     basis = get_basis(k)
     _require_range(values, "value")
@@ -269,8 +264,7 @@ def digit_vectors(k: int, values: range) -> Iterator[tuple[int, ...]]:
     s = max(width, 1)
 
     def rows() -> Iterator[Iterable[tuple[int, ...]]]:
-        for base, lo, hi in _windows(basis, values, s):
-            upper = _greedy(basis._vals, base, s)[0]
+        for lo, hi, upper in _windows(basis, values, s):
             if upper:
                 below = padded[lo:hi] if width else zip(range(lo, hi))
                 yield map(add, below, repeat(upper))

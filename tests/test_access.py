@@ -209,31 +209,49 @@ def _verdict_by_digits(k, n, i):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 4095, 4096, 10**6])
 def test_mismatches_windows_match_the_digit_rule(k):
-    """``mismatches`` answers each window at s = max(L, n + 2) that a range
-    meets, f_s indices when the digit at s is below k and f_{s-1} when it
-    is k, from the table V_L (n + 2 <= L) or from runs (n + 2 > L).  At
-    levels 0..6 and at the levels with n + 2 = L and L + 1, the first 3,000
-    indices, 1,000 from 10^12, and runs across the start, f_{n+1}, f_{s-1}
-    and f_s of windows whose digit at s is 0, k - 1 and k agree with the
-    rule read from each index's digits.  The runs' indices, falling and
-    repeated, agree through ``mismatch`` one by one."""
+    """``mismatches`` answers each window that a range meets: at s = L from
+    the table V_L (n + 2 <= L), at s = n + 1 as two runs of V_{n+1}
+    (n + 2 > L).  A window is f_s indices when the digit at s is below k
+    and f_{s-1} when it is k.  At levels 0..6 and at the levels with
+    n + 2 = L and L + 1, the first 3,000 indices, 1,000 from 10^12, a run
+    that ends at the first mismatch, and runs across the start, f_n,
+    f_{n+1} - 2, f_{n+1} - 1, f_{n+1}, f_{s-1} and f_s of windows whose
+    digit at s is 0, k - 1 and k agree with the rule read from each
+    index's digits.  The runs' indices, falling and repeated, agree
+    through ``mismatch`` one by one."""
     basis = get_basis(k)
     f = basis.value
     width = len(basis.tables()[1][0])   # L
     for n in sorted({*range(7), *(m for m in (width - 2, width - 1) if m >= 0)}):
-        s = max(width, n + 2)
-        runs = [range(3000), range(10**12, 10**12 + 1000)]
+        s = max(width, n + 1)
+        runs = [range(3000), range(10**12, 10**12 + 1000), range(max(f(n + 1) - 6, 0), f(n + 1) - 1)]
         for d in {0, k - 1, k}:
             base = f(s + 2) + d * f(s)   # digits 1 at s + 2 and d at s
-            for edge in {0, f(n + 1), f(s - 1), f(s)}:
+            for edge in {0, f(n), f(n + 1) - 2, f(n + 1) - 1, f(n + 1), f(s - 1), f(s)}:
                 runs.append(range(base + edge - 3, base + edge + 3))
         for run in runs:
             expected = [_verdict_by_digits(k, n, i) for i in run]
             assert list(mismatches(k, n, run)) == expected, (k, n, run)
-        scattered = [i for run in runs[2:] for i in run]
+        scattered = [i for run in runs[3:] for i in run]
         for indices in (scattered[::-1], [i for i in scattered for _ in range(2)]):
             expected = [_verdict_by_digits(k, n, i) for i in indices]
             assert [mismatch(k, i, n) for i in indices] == expected, (k, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 4095, 4096, 10**6])
+def test_a_window_whose_digit_is_k_ends_before_the_first_mismatch(k):
+    """Above the table (n + 2 > L) ``mismatches`` reads V_{n+1} in every
+    window at n + 1, with no branch on the digit there: a window whose digit
+    at n + 1 is k is f_n wide, so it must end before the first mismatch of
+    V_{n+1}, that is f_n <= f_{n+1} - 2.  It fails only at k = 1 for
+    n <= 1, where L = 16 and the table answers."""
+    basis = get_basis(k)
+    f = basis.value
+    width = len(basis.tables()[1][0])   # L
+    for n in range(max(width - 1, 0), 201):
+        assert f(n) <= f(n + 1) - 2, (k, n)
+    assert get_basis(1).value(2) - 2 < get_basis(1).value(1)
+    assert len(get_basis(1).tables()[1][0]) == 16
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 63])

@@ -162,6 +162,25 @@ def test_verify_fail_row_forces_exit_one(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_verify_cap_after_a_fail_row_is_exit_two(monkeypatch, tmp_path, capsys):
+    """Rows print only after the last cell, so a capped cell later in sorted
+    order ends a sweep whose earlier cell failed: exit 2, no row printed."""
+    ran = []
+
+    def broken(k, imax):
+        ran.append(k)
+        return False, "forced failure"
+
+    monkeypatch.setattr(cli, "_check_lemma2", broken)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps([{"lemma": "lemma4", "k": "1", "n": "0..60", "imax": 10},
+                               {"lemma": "lemma2", "k": "1", "imax": 10}]))
+    code, out, err = run(capsys, "verify", "--json", str(cfg))
+    assert ran == [1]
+    assert code == 2 and out == ""
+    assert err.startswith("error: word U_") and err.count("\n") == 1
+
+
 def test_verify_blocks_fail_rows_exit_one(capsys):
     # A 12-symbol prefix shows too few blocks at the higher orders.
     code, out, err = run(capsys, "verify", "--lemma", "blocks", "--k", "1..2",

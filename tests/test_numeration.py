@@ -352,10 +352,11 @@ def test_split_matches_regular_vectors_below_f2L(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 4095, 4096])
 def test_window_is_the_values_sharing_the_upper_digits(k):
     """``_window(basis, n, s)`` is the interval of values whose reference
-    digits at positions s and up are n's: it starts at n minus the value of
-    n's digits below s, is f_{s-1} wide when n's digit at s is k (s >= 1)
-    and f_s wide otherwise, and neither the value below it nor its end
-    shares those digits.  For n below 5,000 and random n below 10^12, at
+    digits at positions s and up are n's, with those digits: it starts at n
+    minus the value of n's digits below s, is f_{s-1} wide when n's digit
+    at s is k (s >= 1) and f_s wide otherwise, neither the value below it
+    nor its end shares those digits, and the digits it returns are the
+    reference's from s up.  For n below 5,000 and random n below 10^12, at
     every s from 0 to n's length + 1."""
     basis = get_basis(k)
     f = basis.value
@@ -364,7 +365,8 @@ def test_window_is_the_values_sharing_the_upper_digits(k):
     for n in [*range(5000), *(rng.randrange(10**12) for _ in range(500))]:
         d = reference(n)
         for s in range(len(d) + 2):
-            base, end = _window(basis, n, s)
+            base, end, upper = _window(basis, n, s)
+            assert upper == d[s:], (k, n, s)
             assert base == n - from_digits(k, d[:s]), (k, n, s)
             wide = f(s - 1) if s >= 1 and d[s:s + 1] == (k,) else f(s)
             assert end - base == wide, (k, n, s)
