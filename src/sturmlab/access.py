@@ -35,14 +35,12 @@ Neither ``bottom`` nor V_L reads the prefix builder or the
 in-order walk, so ``lemma2`` and ``lemma4`` still compare two routes.
 Medians of ten fresh processes, best of seven runs each (tables built
 first; 2 vCPUs, CPython 3.11): 100,000 indices below 10^5 at k = 1 take
-0.0005 s in one ``symbols_at`` call (0.0093 s when each index resumed a
-generator frame); 10,000 indices below 10^4 at each level n = 0..9 at
-k = 2 take 0.0010 s in ten ``mismatches`` calls (0.016 s).  Building one
-V_L takes 11-59 us at k = 1..3, more than a scalar call, so it is built
-once.  Over the indices below 10^5 a ``symbol_at`` call costs 3.3 us
-(k = 1) and a ``mismatch`` call 3.8 us (k = 2, level 5), against 1.3
-and 1.2 us when a kernel took any iterable: a one-index range pays for
-the range check, the kernel's generators and the window's upper digits.
+0.0005 s in one ``symbols_at`` call; 10,000 indices below 10^4 at each
+level n = 0..9 at k = 2 take 0.0010 s in ten ``mismatches`` calls.
+Building one V_L takes 11-59 us at k = 1..3, more than a scalar call, so
+it is built once.  Over the indices below 10^5 a ``symbol_at`` call costs
+3.2 us (k = 1) and a ``mismatch`` call 3.6 us (k = 2, level 5): a
+one-index range pays for the range check and the kernel's generators.
 """
 
 from __future__ import annotations

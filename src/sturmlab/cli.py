@@ -426,7 +426,7 @@ def cmd_verify(args) -> int:
         if not args.lemma:
             raise ValueError("either --lemma or --json is required")
         entry = {"lemma": args.lemma}
-        for field in ("k", "b", "n", "imax", "depth", "seed", "cases"):
+        for field in _SWEEP_KEYS[1:]:
             value = getattr(args, field)
             if value is not None:
                 entry[field] = value

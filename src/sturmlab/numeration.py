@@ -6,14 +6,14 @@ every digit lies in 0..k and a digit equal to k forces a zero just below it;
 each non-negative integer then has exactly one regular representation, so
 ``normalize`` regularizes any vector by digitizing its value greedily.
 Digit vectors are plain little-endian tuples of ints; this module is the only
-one that walks a value's digits or splits a value, and ``_greedy`` is its
-one walk.  ``_window`` is the one split rule: the values that share n's
-digits at positions s and up are exactly [n - r, n - r + w), where r is
-the value of n's digits below s and w is f_s, or f_{s-1} when n's digit at
-s is k, since a digit k forces a 0 below it.  One ``_greedy`` walk down to
-s gives r and n's digits from s up, and ``_window`` hands both on.  The
-three range kernels, ``digit_vectors`` here and ``symbols_at`` and
-``mismatches`` in ``access``, split with it alone.
+one that walks a value's digits, and ``_window`` is its one walk and its
+one split rule: the values that share n's digits at positions s and up are
+exactly [n - r, n - r + w), where r is the value of n's digits below s and
+w is f_s, or f_{s-1} when n's digit at s is k, since a digit k forces a 0
+below it.  One greedy walk from n's top position down to s gives r and n's
+digits from s up, and ``_window`` hands both on.  The three range kernels,
+``digit_vectors`` here and ``symbols_at`` and ``mismatches`` in
+``access``, and the scalar ``to_digits`` digitise with it alone.
 
 The range kernels take a ``range`` of step 1, which is what every sweep
 passes; k, the start (and n) are checked when a kernel is called, with its
@@ -21,23 +21,20 @@ scalar's error text.  ``_windows`` splits the range once per window it
 meets, and a kernel answers each window with one slice of a per-k table,
 joined in C by ``itertools.chain.from_iterable``, so no Python frame runs
 per index.  ``digit_vectors``, the digitising kernel, keeps windows at
-position s = max(L, 1), where f_L is the size of the low table, and reads
-a window's digits from s up from the window's own walk: a window is
-``low[a:b]`` when it has no upper digits and
-``map(add, padded[a:b], repeat(upper))`` otherwise, above f_{2L} as below
-it.  From k = 4096 up L = 0, and the rows below s = 1 are the one-digit
-vectors ``zip(range(a, b))``.  The scalar
-``to_digits`` needs no window: below f_L it reads ``low[n]``, and
-otherwise one ``_greedy`` walk down to L gives the upper digits and the
-remainder whose ``padded`` row goes beneath them.
+position s = max(L, 1), where f_L is the size of the low table: a window
+is ``low[a:b]`` when it has no upper digits and
+``map(add, padded[a:b], repeat(upper))`` otherwise.  From k = 4096 up
+L = 0, and the rows below s = 1 are the one-digit vectors
+``zip(range(a, b))``.  ``to_digits`` reads ``low[n]`` below f_L and
+otherwise takes the same rule for one value: ``padded[n - base] + upper``
+from n's window at L.
 Medians of ten fresh processes, best of seven runs each (tables built
 first; 2 vCPUs, CPython 3.11): the 100,000 values below 10^5 at k = 1 take
-0.010 s in one ``digit_vectors`` call (0.014 s when each value resumed a
-generator frame); at k = 5 the 392,229 values from f_{2L} = 607,771 to
-10^6 take 0.025 s (0.041 s), and at k = 4096 the values below 10^5
-0.006 s (0.104 s, one split per value; best of five).  A ``to_digits``
-call costs 1.45 us over the values below 10^5 at k = 1 (2.28 us through a
-one-value generator and a window).
+0.010 s in one ``digit_vectors`` call; at k = 5 the 392,229 values from
+f_{2L} = 607,771 to 10^6 take 0.025 s, and at k = 4096 the values below
+10^5 0.006 s.  A ``to_digits`` call costs 1.44 us over the values below
+10^5 at k = 1, against 3.8 us through a one-value ``digit_vectors``
+call, so the scalar reads its window and not the kernel.
 
 ``regular_vectors``, the in-order walk, goes by blocks: the regular vectors
 on the low positions, those below the largest basis value <= 4096, are
@@ -101,14 +98,12 @@ class Basis:
         return g + h
 
     def largest_index_leq(self, x: int) -> int:
-        """Largest n >= 0 with f_n <= x, or -1 when x < 1."""
-        self._extend_past(x)
-        return bisect_right(self._vals, x) - 1
-
-    def _extend_past(self, x: int) -> None:
+        """Largest n >= 0 with f_n <= x, or -1 when x < 1; the table is
+        extended past x first, the only extension by value."""
         vals = self._vals
         while vals[-1] <= x:
             vals.append(self.k * vals[-1] + vals[-2])
+        return bisect_right(vals, x) - 1
 
     def _extend_to(self, n: int) -> None:
         vals = self._vals
@@ -166,33 +161,15 @@ def is_regular(k: int, digits: Sequence[int]) -> bool:
     return True
 
 
-def _greedy(vals: list[int], n: int, stop: int) -> tuple[tuple[int, ...], int]:
-    """Greedy digits of ``n`` at positions ``stop`` and up, and what they leave.
-
-    Takes the largest multiple of each basis value (``vals`` is
-    ``Basis._vals``, extended past ``n`` and to ``stop``) from n's top
-    position down to ``stop``.  A digit is 0 wherever the remainder is below
-    the basis value, so each step bisects for the largest basis value <= the
-    remainder and jumps there: one ``divmod`` per nonzero digit.  Returns the
-    digits of positions stop..top, little-endian and empty when n < f_stop,
-    and the remainder, which is below f_stop.  ``to_digits`` and ``_window``
-    split a value with it, and nothing else does.
-    """
-    top = bisect_right(vals, n) - 1   # n's highest position
-    out = [0] * (top + 1 - stop)
-    rem = n
-    floor = vals[stop]
-    while rem >= floor:
-        j = bisect_right(vals, rem) - 1
-        out[j - stop], rem = divmod(rem, vals[j])
-    return tuple(out), rem
-
-
 def _window(basis: Basis, n: int, s: int) -> tuple[int, int, tuple[int, ...]]:
     """The values that share n's digits at positions s and up, as ``(base, end,
     upper)``: the interval ``[base, end)`` and those digits.
 
-    One ``_greedy`` walk down to s gives ``upper``, n's digits from s up
+    The one greedy walk: the basis table is extended past n, and from n's
+    top position down to s each step bisects the table for the largest
+    basis value f_j <= the remainder and takes ``divmod`` by it, so there
+    is one step per nonzero digit (a digit is 0 wherever the remainder is
+    below the basis value).  It gives ``upper``, n's digits from s up
     (empty when n < f_s), and the value r of n's digits below s (worth less
     than f_s).  Let base = n - r, the value of n's digits from s up with
     zeros below, and w = f_{s-1} when n's digit at s is k and s >= 1, f_s
@@ -202,15 +179,23 @@ def _window(basis: Basis, n: int, s: int) -> tuple[int, int, tuple[int, ...]]:
     vector of base + x.  Conversely a value with those digits from s up is
     base plus the value of a regular vector on positions 0..s-1 that joins
     them, which is below w.  So the window is exactly [base, base + w), and
-    the value of a member's digits below s is its distance from base.  The
-    basis table is extended past n and to s.
+    the value of a member's digits below s is its distance from base.
+
+    f_s must already be in the table (s < ``len(basis._vals)``); the walk
+    does not extend it to s.  Every caller meets that: the table starts at
+    f_1, and ``tables()``, which every caller builds first, extends it past
+    f_L, so it holds f_s for every s <= max(L, 1); ``mismatches`` takes
+    windows at s = n + 1 only after ``largest_index_leq(stop + 1) > n``,
+    which extends it past f_{n+1}.
     """
     vals = basis._vals
-    if len(vals) <= s:
-        basis._extend_to(s)
-    if n >= vals[-1]:
-        basis._extend_past(n)
-    upper, rem = _greedy(vals, n, s)
+    digits = [0] * (basis.largest_index_leq(n) + 1 - s)   # positions s..top
+    rem = n
+    floor = vals[s]
+    while rem >= floor:
+        j = bisect_right(vals, rem) - 1
+        digits[j - s], rem = divmod(rem, vals[j])
+    upper = tuple(digits)
     base = n - rem
     return base, base + (vals[s - 1] if upper[:1] == (basis.k,) and s else vals[s]), upper
 
@@ -248,14 +233,13 @@ def digit_vectors(k: int, values: range) -> Iterator[tuple[int, ...]]:
     The range is split into the ``_window``s at position s = max(L, 1),
     where f_L is the size of ``low`` (see ``Basis.tables``), one split per
     window.  The digits of a member from s up are its window's, which
-    ``_windows`` hands on from the window's one greedy walk; its digits
-    below s are those of its distance from the window's base.  For L >= 1
-    that is one row of the tables: its ``low`` entry when there are no upper
-    digits (the window [0, f_L)), its ``padded`` entry below them otherwise.
-    From k = 4096 up (L = 0) a distance x below f_1 = k + 1 is the one
-    digit (x,), or ``()`` for the value 0.  So each window is answered by
-    one slice of a table or one run of a range, with the upper digits
-    joined to each row in C.
+    ``_windows`` hands on; its digits below s are those of its distance
+    from the window's base.  For L >= 1 that is one row of the tables: its
+    ``low`` entry when there are no upper digits (the window [0, f_L)), its
+    ``padded`` entry below them otherwise.  From k = 4096 up (L = 0) a
+    distance x below f_1 = k + 1 is the one digit (x,), or ``()`` for the
+    value 0.  So each window is answered by one slice of a table or one run
+    of a range, with the upper digits joined to each row in C.
     """
     basis = get_basis(k)
     _require_range(values, "value")
@@ -279,9 +263,10 @@ def digit_vectors(k: int, values: range) -> Iterator[tuple[int, ...]]:
 def to_digits(k: int, n: int) -> tuple[int, ...]:
     """The unique regular digit vector of value ``n`` (see ``digit_vectors``).
 
-    Below f_L the ``low`` entry; otherwise one greedy walk down to L gives
-    the digits from L up and the value of those below, whose ``padded``
-    entry goes beneath them.
+    Below f_L the ``low`` entry; otherwise ``digit_vectors``' rule for one
+    value: n's ``_window`` at L gives the digits from L up, and the
+    ``padded`` entry of n's distance from the window's base goes beneath
+    them.
     """
     basis = get_basis(k)
     if n < 0:
@@ -289,10 +274,8 @@ def to_digits(k: int, n: int) -> tuple[int, ...]:
     low, padded, _bottom = basis.tables()
     if n < len(low):
         return low[n]
-    if n >= basis._vals[-1]:
-        basis._extend_past(n)
-    upper, rem = _greedy(basis._vals, n, len(padded[0]))
-    return padded[rem] + upper
+    base, _end, upper = _window(basis, n, len(padded[0]))
+    return padded[n - base] + upper
 
 
 def from_digits(k: int, digits: Iterable[int]) -> int:

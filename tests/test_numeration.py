@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import tracemalloc
+from collections.abc import Iterator
 from operator import eq, mul
 
 import pytest
@@ -324,7 +325,7 @@ def test_low_table_is_built_without_the_walk(monkeypatch):
         basis = numeration.Basis(k)
         table = basis.tables()[0]
         assert len(table) == basis.value(basis.largest_index_leq(numeration._LOW_TABLE_BOUND))
-        assert table == [numeration._greedy(basis._vals, n, 0)[0] for n in range(len(table))], k
+        assert table == [numeration._window(basis, n, 0)[2] for n in range(len(table))], k
     basis = numeration.Basis(3)
     table, padded, bottom = basis.tables()
     assert table == [_greedy_reference(3, n) for n in range(len(table))]
@@ -357,13 +358,15 @@ def test_window_is_the_values_sharing_the_upper_digits(k):
     at s is k (s >= 1) and f_s wide otherwise, neither the value below it
     nor its end shares those digits, and the digits it returns are the
     reference's from s up.  For n below 5,000 and random n below 10^12, at
-    every s from 0 to n's length + 1."""
+    every s from 0 to n's length + 1, with the table first extended past
+    f_s, which ``_window`` requires of its callers."""
     basis = get_basis(k)
     f = basis.value
     reference = functools.cache(functools.partial(_greedy_reference, k))
     rng = random.Random(600 + k)
     for n in [*range(5000), *(rng.randrange(10**12) for _ in range(500))]:
         d = reference(n)
+        basis.largest_index_leq(f(len(d) + 1))
         for s in range(len(d) + 2):
             base, end, upper = _window(basis, n, s)
             assert upper == d[s:], (k, n, s)
@@ -372,6 +375,67 @@ def test_window_is_the_values_sharing_the_upper_digits(k):
             assert end - base == wide, (k, n, s)
             assert reference(end)[s:] != d[s:], (k, n, s)
             assert base == 0 or reference(base - 1)[s:] != d[s:], (k, n, s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 4095, 4096, 2**64])
+def test_window_callers_keep_f_s_in_the_table(k, monkeypatch):
+    """``_window(basis, n, s)`` does not extend the table to s: f_s must be
+    in it already.  Every call that ``digit_vectors``, ``symbols_at``,
+    ``symbol_at``, ``to_digits``, ``mismatches`` and ``mismatch`` make finds
+    it there on entry.  Each kernel call starts from a fresh basis, so no
+    earlier call's table hides a short one.  The ranges cross f_L, f_{2L}
+    and, for ``mismatches``, f_{n+1} - 2 at levels on each of its paths:
+    all SAME (the last index plus 2 below f_{n+1}), the V_L table
+    (n + 2 <= L, for L >= 2) and windows at n + 1."""
+    window = numeration._window
+    entries = []   # s at each call
+
+    def checked(basis, n, s):
+        assert s < len(basis._vals), (basis.k, n, s)
+        entries.append(s)
+        return window(basis, n, s)
+
+    monkeypatch.setattr(numeration, "_window", checked)
+    callers = set()
+
+    def fresh(call, *args):
+        monkeypatch.setattr(numeration, "_basis_cache", {})
+        before = len(entries)
+        out = call(k, *args)
+        if isinstance(out, Iterator):
+            list(out)
+        if len(entries) > before:
+            callers.add(call.__name__)
+
+    probe = numeration.Basis(k)
+    L = probe.largest_index_leq(numeration._LOW_TABLE_BOUND)
+    f = probe.value
+
+    def around(x):
+        return range(max(x - 3, 0), x + 3)
+
+    ranges = [around(f(L)), around(f(2 * L)), around(f(L + 1))]
+    for values in ranges:
+        fresh(digit_vectors, values)
+        fresh(symbols_at, values)
+        for i in values:
+            fresh(to_digits, i)
+            fresh(symbol_at, i)
+    paths = set()
+    for n in sorted({0, 1, max(L - 2, 0), max(L - 1, 0), L, L + 1, L + 3}):
+        edge = f(n + 1) - 2
+        for values in (*ranges, range(max(edge - 3, 0), edge), range(max(edge - 3, 0), edge + 1),
+                       around(edge)):
+            if values.stop + 1 < f(n + 1):
+                paths.add("all SAME")
+            else:
+                paths.add("V_L" if n + 2 <= L else "windows at n + 1")
+            fresh(mismatches, n, values)
+            for i in values:
+                fresh(mismatch, i, n)
+    assert paths == {"all SAME", "windows at n + 1"} | ({"V_L"} if L >= 2 else set()), k
+    assert callers == {"digit_vectors", "symbols_at", "to_digits", "symbol_at",
+                       "mismatches", "mismatch"}, callers
 
 
 def _recursive_walk(k, bound):
