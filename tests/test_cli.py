@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import golden_cli
 from sturmlab import access, approximants, cli, numeration, transforms, words
 
 
@@ -635,96 +636,34 @@ def test_verify_affine_fixed_law_at_shallow_depth(depth, capsys):
         assert row[5].startswith("a0=2/1;a1=1/1;a2=0/1;gap_bound="), row
 
 
-# A config whose sweeps arrive out of key order and lean on the per-lemma
-# defaults of --n and --depth.
-PINNED_CONFIG = [
-    {"lemma": "sba", "b": "2"},
-    {"lemma": "lemma4", "k": "2", "imax": 100},
-    {"lemma": "blocks", "k": "1", "imax": 300},
-    {"lemma": "affine", "k": "1", "b": "3"},
-    {"lemma": "lemma1", "k": "2"},
-    {"lemma": "growth", "k": "1"},
-    {"lemma": "constants", "k": "1", "b": "3"},
-    {"lemma": "formula3"},
-    {"lemma": "lemma2", "k": "3"},
-    {"lemma": "lemma3", "k": "1", "imax": 100, "cases": 20},
-]
-
-# verify stdout as (sha256, bytes), recorded before the lemma table replaced
-# the per-lemma planning code and the thread pool.
-PINNED = [
-    pytest.param(("--lemma", "lemma1", "--k", "1..2", "--n", "2..5"),
-                 "5a57f5fc5c2c368ca5f0103163fac51f014b12fe0d6f586ca5e00452ac32384c", 426,
-                 id="lemma1"),
-    pytest.param(("--lemma", "lemma2", "--k", "1..2", "--imax", "500"),
-                 "5ab6ddda0d4027559616ed99143d799d8b2afaa0aa1aaa899010778d6ed0336f", 118,
-                 id="lemma2"),
-    pytest.param(("--lemma", "lemma3", "--k", "1..2", "--imax", "200", "--seed", "3",
-                  "--cases", "50"),
-                 "ebe39567a9d675ffb61272ea4664ee2fd044f1c04c29544d49a6c917482a5c86", 138,
-                 id="lemma3"),
-    pytest.param(("--lemma", "lemma4", "--k", "1..2", "--n", "0..4", "--imax", "200"),
-                 "090f387547a2841678288e2be982ac50ca0f38f9c6730f25f3f7d47b14706cf7", 700,
-                 id="lemma4"),
-    pytest.param(("--lemma", "formula3", "--k", "1", "--b", "2,3", "--n", "2..6"),
-                 "0556e1e9ec0ff0356d91c51d0ef2e2279d107ce0239efa8f094f1ef9ae1e674c", 2213,
-                 id="formula3"),
-    pytest.param(("--lemma", "growth", "--k", "1..2", "--b", "2", "--n", "2..5"),
-                 "82236e65d09b3b3f656ca234e8b9225b87f5665344493623a26b117ed8335720", 426,
-                 id="growth"),
-    pytest.param(("--lemma", "constants", "--k", "1", "--b", "2,10", "--n", "2..5"),
-                 "90d67eb9017800aad0e109f043bc6f89244cc373ce08c1a351044c637f155f3c", 446,
-                 id="constants"),
-    pytest.param(("--lemma", "affine", "--k", "1..2", "--b", "2", "--depth", "60"),
-                 "7d270076e37109d496591409d8299e79a119bc92d0bb7ac4a02d457a52720eb5", 165,
-                 id="affine"),
-    pytest.param(("--lemma", "blocks", "--k", "1..2", "--n", "1..3", "--imax", "300"),
-                 "15bfd9b2a2940898ca177c5af3f733213387859664922e3247a2aa68ff062d3c", 254,
-                 id="blocks"),
-    pytest.param(("--lemma", "sba", "--b", "2,3", "--depth", "80"),
-                 "c63064941eb64bd601fdaa0dd646b569221cd3eede1004378bd4f0e251649d65", 222,
-                 id="sba"),
-    pytest.param(("--lemma", "formula3", "--k", "2", "--b", "3", "--n", "2..4",
-                  "--format", "json"),
-                 "9b00305a2ec7520e67d6e52f331e81aeee1e4466dc63bc85c0b9594aa7e6242e", 2049,
-                 id="formula3-json"),
-    pytest.param(("--json", PINNED_CONFIG),
-                 "80ad56c95181eeb0ecce2a740d6053a24095b92ea15801d52f65c148a058a80e", 13163,
-                 id="config"),
-    # Recorded before the growth and constant laws were decided by Bernoulli's
-    # inequality with an exact fallback.
-    pytest.param(("--lemma", "growth", "--k", "1..4", "--b", "2,3,10,1099511627776",
-                  "--n", "1..40"),
-                 "56c64c0862fb63dcf4dfe7328093ea0b2df4b760fc9bb1f82c2cd072396b5989", 34602,
-                 id="growth-wide"),
-    pytest.param(("--lemma", "constants", "--k", "1..3", "--b", "2,1099511627776",
-                  "--n", "1..24"),
-                 "bcb2cd1610951f9c4e09534f147be2d77920326bb50ec0a03df28baf00d56747", 8468,
-                 id="constants-wide"),
-    # Recorded before the enclosure was reduced by its b-part and its (b-1)q
-    # part apart. In each of the 63 cells one printed value cancels a factor
-    # of b and one a factor of (b-1)q.
-    pytest.param(("--lemma", "formula3", "--k", "1..3", "--b", "6,7,12", "--n", "0..6"),
-                 "61c764ea65de937437eb231f9d102352e0ea222f37270382a100a832681286ba", 440080,
-                 id="formula3-mixed"),
-]
+GOLDEN = golden_cli.load()
 
 
-@pytest.mark.parametrize("argv, sha256, size", PINNED)
-def test_verify_stdout_pinned(argv, sha256, size, tmp_path, capsys):
-    if argv[0] == "--json":
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(argv[1]))
-        argv = ("--json", str(cfg))
-    code, out, _ = run(capsys, "verify", *argv)
-    assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
+@pytest.mark.parametrize("entry", [e for e in GOLDEN if not e.get("heavy")],
+                         ids=lambda entry: entry["id"])
+def test_cli_golden(entry):
+    """A fresh ``python -m sturmlab`` call exits and prints as its entry of
+    golden_cli.json pins; tests/golden_cli.py checks the heavy entries."""
+    expected = {key: entry[key] for key in golden_cli.OUTCOME}
+    assert golden_cli.observed(entry) == expected
 
 
 def test_pinned_cases_cover_every_lemma():
-    single = {p.values[0][1] for p in PINNED if p.values[0][0] == "--lemma"}
-    assert single == set(cli.LEMMAS)
+    """Every lemma has a light one-lemma sweep in the golden table, and so
+    does every generate transform and every exponent format.  No two
+    entries share an id, or an argv with its config."""
+    light = [e["argv"] for e in GOLDEN if not e.get("heavy")]
+    assert {a[2] for a in light if a[:2] == ["verify", "--lemma"]} == set(cli.LEMMAS)
+    specs = {a[a.index("--transform") + 1] if "--transform" in a else None
+             for a in light if a[0] == "generate"}
+    assert {None, "diff", "pairs"} <= specs
+    assert any(spec and spec.startswith("diff:") and spec[5:].isdigit() for spec in specs)
+    formats = {a[a.index("--format") + 1] for a in light
+               if a[0] == "exponent" and "--format" in a}
+    assert formats == {"json", "tsv"}
+    assert len({e["id"] for e in GOLDEN}) == len(GOLDEN)
+    calls = {json.dumps([e["argv"], e.get("config")]) for e in GOLDEN}
+    assert len(calls) == len(GOLDEN)
 
 
 def test_verify_json_sweep_is_sized_before_any_entry_expands(tmp_path, capsys):
@@ -795,16 +734,6 @@ def test_exponent_with_empirical(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["cf_empirical"] - 2.61803) < 0.05
-
-
-def test_exponent_stdout_pinned(capsys):
-    # sha256 and byte count recorded before the expansion stopped at the
-    # trust bound.
-    code, out, _ = run(capsys, "exponent", "--k", "2", "--b", "2", "--digits", "2000")
-    assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
-        "54b7f44edf421032483fdb9e2fe695b9afb1a862b010e7cc435a4d1cfbeb16ad", 247)
 
 
 def test_exponent_tight_tolerance_fails(capsys):
