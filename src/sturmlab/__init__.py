@@ -9,13 +9,17 @@ all with exact integer/rational arithmetic, never floating point, except in
 clearly-labeled estimate outputs.
 """
 
-import importlib
+import importlib.util
+import sys
+import types
+from _thread import RLock
 
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it.  A submodule is imported the
-# first time one of its names is read from the package, so importing
-# ``sturmlab`` (and each CLI request) compiles and runs only what it uses.
+# Public name -> the submodule that defines it.  Importing ``sturmlab`` binds
+# each submodule here unexecuted (``_Unrun``), and every module reads its
+# siblings through these bindings at call time (``numeration.get_basis(k)``),
+# so a process, and each CLI request, compiles and runs only what it reads.
 _EXPORTS = {
     name: module
     for module, names in {
@@ -84,12 +88,42 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
+class _Unrun(types.ModuleType):
+    """A bound submodule that its first attribute read runs, under one lock, so
+    a read from another thread waits until it has run (``LazyLoader`` takes no
+    lock in CPython 3.10, 3.11 and 3.12.1, and such a read fails there)."""
+
+    lock = RLock()
+    started: set[str] = set()   # a module's reads of itself while it runs pass
+
+    def __getattribute__(self, attr: str):
+        with _Unrun.lock:
+            spec = types.ModuleType.__getattribute__(self, "__spec__")
+            if type(self) is _Unrun and spec.name not in _Unrun.started:
+                _Unrun.started.add(spec.name)
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+def _enter(name: str) -> types.ModuleType:
+    """``sturmlab.<name>``, entered in ``sys.modules`` now and run on first attribute read."""
+    full = f"{__name__}.{name}"
+    if full not in sys.modules:
+        sys.modules[full] = importlib.util.module_from_spec(importlib.util.find_spec(full))
+        sys.modules[full].__class__ = _Unrun
+    return sys.modules[full]
+
+
+globals().update({module: _enter(module) for module in sorted(set(_EXPORTS.values()))})
+
+
 def __getattr__(name: str):
-    """Resolve a public name from its submodule on first read (PEP 562)."""
+    """Resolve a public name through its submodule's binding on first read (PEP 562)."""
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    value = getattr(globals()[module], name)
     globals()[name] = value  # later reads skip this hook
     return value
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .numeration import Basis, _require_range, _windows, get_basis, regular_vectors
+from . import numeration
 
 
 def symbols_at(k: int, indices: range) -> Iterator[int]:
@@ -56,15 +56,16 @@ def symbols_at(k: int, indices: range) -> Iterator[int]:
     a slice of ``bottom`` per window at max(L, 1), or from k = 4096 up
     (L = 0) a run of 0s and the 1 at distance k (see the module docstring).
     """
-    basis = get_basis(k)
-    _require_range(indices, "index")
+    basis = numeration.get_basis(k)
+    numeration._require_range(indices, "index")
     _low, padded, bottom = basis.tables()
     width = len(padded[0])   # L
+    windows = numeration._windows(basis, indices, max(width, 1))
     if width:
-        return chain.from_iterable(bottom[lo:hi] for lo, hi, _ in _windows(basis, indices, width))
+        return chain.from_iterable(bottom[lo:hi] for lo, hi, _ in windows)
 
     def runs() -> Iterator[Iterable[int]]:
-        for lo, hi, _ in _windows(basis, indices, 1):
+        for lo, hi, _ in windows:
             yield repeat(0, min(hi, k) - lo)
             if hi > k:
                 yield (1,)
@@ -98,7 +99,7 @@ _PAIRS = ((_UP, _DOWN), (_DOWN, _UP))
 _verdict_tables: dict[tuple[int, int], list[MismatchVerdict]] = {}
 
 
-def _verdict_table(basis: Basis, n: int) -> list[MismatchVerdict]:
+def _verdict_table(basis: numeration.Basis, n: int) -> list[MismatchVerdict]:
     """V_L, the verdict at every distance below f_L, for a level n with n + 2 <= L.
 
     The verdict at i reads only digits 0..n+1 of i.  Below f_{n+1} those
@@ -145,20 +146,21 @@ def mismatches(k: int, n: int, indices: range) -> Iterator[MismatchVerdict]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    basis = get_basis(k)
-    _require_range(indices, "index")
+    basis = numeration.get_basis(k)
+    numeration._require_range(indices, "index")
     width = len(basis.tables()[1][0])   # L
     if basis.largest_index_leq(indices.stop + 1) <= n:   # the last index plus 2 < f_{n+1}
-        windows = _windows(basis, indices, max(width, 1))
+        windows = numeration._windows(basis, indices, max(width, 1))
         return chain.from_iterable(repeat(_SAME, hi - lo) for lo, hi, _ in windows)
     if n + 2 <= width:
         table = _verdict_table(basis, n)
-        return chain.from_iterable(table[lo:hi] for lo, hi, _ in _windows(basis, indices, width))
+        windows = numeration._windows(basis, indices, width)
+        return chain.from_iterable(table[lo:hi] for lo, hi, _ in windows)
     edge = basis.value(n + 1) - 2   # the first mismatch of V_{n+1}
     pair = _PAIRS[n % 2]
 
     def runs() -> Iterator[Iterable[MismatchVerdict]]:
-        for lo, hi, _ in _windows(basis, indices, n + 1):
+        for lo, hi, _ in numeration._windows(basis, indices, n + 1):
             yield repeat(_SAME, min(hi, edge) - lo)
             if hi > edge:
                 yield pair[max(lo - edge, 0):hi - edge]
@@ -182,4 +184,4 @@ def _mismatch_offsets(k: int, n: int, cutoff: int) -> list[int]:
     walk values each vector once and extends the basis only until a value
     passes cutoff.
     """
-    return [h for h, d in regular_vectors(k, cutoff + 1, n + 1) if d[:1] != (k,)]
+    return [h for h, d in numeration.regular_vectors(k, cutoff + 1, n + 1) if d[:1] != (k,)]

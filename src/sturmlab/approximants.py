@@ -14,10 +14,8 @@ from __future__ import annotations
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .access import _mismatch_offsets
+from . import access, numeration, words
 from .errors import CapExceededError, IndecisiveEnclosureError
-from .numeration import get_basis
-from .words import _DIGITS, fixed_point_prefix
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,7 +30,7 @@ _DIGIT_LEAF = 4_000  # digits per int(str, b) call, under CPython's 4300 limit
 
 def default_depth(k: int, n: int) -> int:
     """Expansion depth that makes the level-n gap enclosure decisive."""
-    basis = get_basis(k)
+    basis = numeration.get_basis(k)
     return basis.value(n + 2) + 4 * basis.value(n)
 
 
@@ -55,7 +53,7 @@ def word_value(w: bytes, b: int) -> int:
     digits = hi < 10 and hi < b <= 36
     # int(str, b) is limited to ~4300 digits unless b is a power of two.
     if digits and b & (b - 1) == 0:
-        return int(w.translate(_DIGITS), b)
+        return int(w.translate(words._DIGITS), b)
     leaf = _DIGIT_LEAF if digits else 256
     powers: dict[int, int] = {}
 
@@ -70,7 +68,7 @@ def word_value(w: bytes, b: int) -> int:
         n = hi_ - lo
         if n <= leaf:
             if digits:
-                return int(w[lo:hi_].translate(_DIGITS), b)
+                return int(w[lo:hi_].translate(words._DIGITS), b)
             acc = 0
             for c in w[lo:hi_]:
                 acc = acc * b + c
@@ -118,7 +116,7 @@ def fixed_point_series(k: int, b: int, depth: int) -> SeriesTruncation:
     """Enclosure of x = sum of fixed-point symbols at 1/b^i, truncated at ``depth``."""
     if depth > DEPTH_CAP:
         raise CapExceededError(f"depth {depth} exceeds cap {DEPTH_CAP}")
-    return series_truncation(fixed_point_prefix(k, depth), b, digit_cap=1)
+    return series_truncation(words.fixed_point_prefix(k, depth), b, digit_cap=1)
 
 
 def _reduced(num: int, b: int, scale: int, rest: int) -> Fraction:
@@ -187,14 +185,14 @@ def approximant(k: int, n: int, b: int) -> ApproximantRecord:
     _require_base(b)
     if n < 0:
         raise ValueError("n must be >= 0")
-    fn = get_basis(k).value(n)
+    fn = numeration.get_basis(k).value(n)
     depth = default_depth(k, n)
     if depth > DEPTH_CAP:
         raise CapExceededError(
             f"depth {depth} exceeds cap {DEPTH_CAP}; "
             "use the scaled bound checks for indices this deep"
         )
-    prefix = fixed_point_prefix(k, depth)
+    prefix = words.fixed_point_prefix(k, depth)
     x = series_truncation(prefix, b, digit_cap=1)
     p = b * word_value(prefix[:fn], b)
     q = b**fn - 1
@@ -230,7 +228,7 @@ def error_bounds(k: int, n: int, b: int) -> tuple[Fraction, Fraction]:
     from fractions import Fraction
 
     _require_base(b)
-    basis = get_basis(k)
+    basis = numeration.get_basis(k)
     fn, fn1 = basis.value(n), basis.value(n + 1)
     _require_materializable_bounds(b, fn, fn1)
     q = b**fn - 1
@@ -271,7 +269,7 @@ def check_error_bounds(record: ApproximantRecord) -> BoundsCheck:
     """
     k, n, b = record.k, record.n, record.b
     _require_base(b)
-    basis = get_basis(k)
+    basis = numeration.get_basis(k)
     fn1 = basis.value(n + 1)
     _require_materializable_bounds(b, basis.value(n), fn1)
     e = record.depth - fn1
@@ -337,13 +335,13 @@ def scaled_error_bounds_hold(k: int, n: int, b: int) -> BoundsCheck:
     _require_base(b)
     if n < 0:
         raise ValueError("n must be >= 0")
-    basis = get_basis(k)
+    basis = numeration.get_basis(k)
     fn1 = basis.value(n + 1)
     # Smallest positive offset: f_{n+2} when k == 1 (j = 1 is excluded there),
     # f_{n+1} otherwise; pad the cutoff so its term dominates the tail.
     h_min = basis.value(n + 2) if k == 1 else fn1
     cutoff = h_min + fn1 + 4
-    hs = _mismatch_offsets(k, n, cutoff)
+    hs = access._mismatch_offsets(k, n, cutoff)
     if not hs or hs[0] != 0:
         raise AssertionError("offset enumeration must start at h = 0")
     if len(hs) < 2:
@@ -415,7 +413,7 @@ def growth_law_holds(k: int, b: int, n: int) -> bool:
     _require_base(b)
     if n < 0:
         raise ValueError("n must be >= 0")
-    basis = get_basis(k)
+    basis = numeration.get_basis(k)
     fn, fn1 = basis.value(n), basis.value(n + 1)
     if _law_settles(b, fn, fn1, 2):
         return True
@@ -435,7 +433,7 @@ def bound_constants_hold(k: int, b: int, n: int) -> bool:
     _require_base(b)
     if not scaled_error_bounds_hold(k, n, b).holds:
         return False
-    basis = get_basis(k)
+    basis = numeration.get_basis(k)
     fn, fn1 = basis.value(n), basis.value(n + 1)
     if _law_settles(b, fn, fn1, 3):
         return True

@@ -2,51 +2,24 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error or an
 input past a resource cap, 3 insufficient precision to decide.
+
+The check bodies read names through the package's module bindings, which
+run on first read (``numeration.normalize``), so a request runs only the
+modules its command reads; all are in ``sys.modules`` once ``sturmlab.cli``
+is imported, where ``perfbench/traced_cli.py`` finds what it wraps.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import itertools
 import math
 import sys
 from operator import ne
-from types import ModuleType
 from typing import NamedTuple, Sequence
 
+from . import access, approximants, exponent, numeration, transforms, words
 from .errors import CapExceededError, IndecisiveEnclosureError, InsufficientPrecisionError
-
-
-def _on_first_use(name: str) -> ModuleType:
-    """``sturmlab.<name>``, entered in ``sys.modules`` now and run on first attribute read.
-
-    Every library module the commands read is bound this way, and the
-    check bodies read names through it (``numeration.normalize``), so a
-    request compiles and runs only the modules its command reads and what
-    those import: ``generate`` and ``blocks`` run neither ``numeration``
-    nor ``access``, and no ``lemma`` check runs ``approximants``.  Each is
-    still in ``sys.modules`` as soon as ``sturmlab.cli`` is imported, where
-    ``perfbench/traced_cli.py`` finds the functions it wraps.
-    """
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-access = _on_first_use("access")
-approximants = _on_first_use("approximants")
-exponent = _on_first_use("exponent")
-numeration = _on_first_use("numeration")
-transforms = _on_first_use("transforms")
-words = _on_first_use("words")
 
 
 class LemmaSpec(NamedTuple):

@@ -11,9 +11,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .approximants import _require_base, fixed_point_series
+from . import approximants, numeration
 from .errors import InsufficientPrecisionError
-from .numeration import get_basis
 
 
 def closed_form_exponent(k: int) -> float:
@@ -75,7 +74,7 @@ def exponent_sandwich(k: int, n_min: int = 2, n_max: int = 12) -> ExponentEstima
         raise ValueError("n_min must be >= 2")
     if n_max <= n_min:
         raise ValueError("n_max must exceed n_min")
-    basis = get_basis(k)
+    basis = numeration.get_basis(k)
     f, g = basis.value(n_min), basis.value(n_min + 1)
     m, big = sorted((Fraction(g, f), Fraction(k * g + f, g)))
     lower = _float_below(1 + m)
@@ -157,10 +156,10 @@ def empirical_exponent(k: int, b: int, digits: int) -> float:
     stops at the first convergent past that bound.  The earliest convergents
     carry no asymptotic signal and are excluded.
     """
-    _require_base(b)
+    approximants._require_base(b)
     if digits < 40:
         raise ValueError("digits must be >= 40")
-    x = fixed_point_series(k, b, digits)
+    x = approximants.fixed_point_series(k, b, digits)
     precision = b**digits
     head_floor = b ** max(2, digits // 20)
     ratios: list[float] = []

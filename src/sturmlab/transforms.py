@@ -13,8 +13,8 @@ from __future__ import annotations
 from math import isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import approximants, words
 from .errors import CapExceededError
-from .words import _first_positions, _require_binary
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -27,7 +27,7 @@ def _require_difference_args(u: bytes, order: int) -> None:
         raise ValueError("order must be >= 0")
     if order >= len(u):
         raise ValueError("order must be smaller than the word length")
-    _require_binary(u, "difference")
+    words._require_binary(u, "difference")
 
 
 def difference(u: bytes, order: int = 1) -> bytes:
@@ -69,7 +69,7 @@ def shift_product(u: bytes) -> bytes:
     """The coded sequence of adjacent pairs: symbol i = 2*u_i + u_{i+1}."""
     if len(u) < 2:
         raise ValueError("word must have length >= 2")
-    _require_binary(u, "shift_product")
+    words._require_binary(u, "shift_product")
     # Symbols are 0/1 bytes, so twice the big-endian integer of the word plus
     # that of its shift codes every adjacent pair at once, with no carries.
     return (
@@ -104,24 +104,22 @@ def value_affine_relation(u: bytes, b: int, depth: int) -> ValueRelationReport:
     """Check V(v) = 2*V(u) + b*(V(u) - u_0) for v the coded pair sequence of u."""
     from fractions import Fraction
 
-    from .approximants import DEPTH_CAP, _require_base, series_truncation
-
-    _require_base(b)
+    approximants._require_base(b)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > DEPTH_CAP:
-        raise CapExceededError(f"depth {depth} exceeds cap {DEPTH_CAP}")
+    if depth > approximants.DEPTH_CAP:
+        raise CapExceededError(f"depth {depth} exceeds cap {approximants.DEPTH_CAP}")
     if len(u) < depth + 1:
         raise ValueError("word must supply depth + 1 symbols")
     # The enclosure of u's tail assumes digits of at most 1.
-    _require_binary(u, "value_affine_relation")
+    words._require_binary(u, "value_affine_relation")
     head = u[: depth + 1]
     v = shift_product(head)
     # Truncations: u cut at `depth` symbols, v naturally has `depth` symbols
     # of at most 3, so both enclosures share one denominator and everything
     # below is an integer scaled by it.
-    su = series_truncation(head[:depth], b, digit_cap=1)
-    sv = series_truncation(v, b, digit_cap=3)
+    su = approximants.series_truncation(head[:depth], b, digit_cap=1)
+    sv = approximants.series_truncation(v, b, digit_cap=3)
     den = su.den
     a0, a1, _ = _AFFINE_LAW  # a2 = 0: the law has no constant term
     c = a0 + a1 * b
@@ -163,7 +161,7 @@ def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
         raise _MaskDisagreement(
             "binomial-mask evaluation disagrees with the iterated operator"
         )
-    first = _first_positions(u, order + 1)
+    first = words._first_positions(u, order + 1)
     table = {block: d[first[block]] for block in sorted(first)}
     return len(table), table
 
@@ -203,13 +201,11 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
     """Test the golden power sum against its index-shifted affine law, by enclosures."""
     from fractions import Fraction
 
-    from .approximants import DEPTH_CAP, _require_base, fixed_point_series, series_truncation
-
-    _require_base(b)
+    approximants._require_base(b)
     if depth < 50:
         raise ValueError("depth must be >= 50")
-    if depth > DEPTH_CAP:
-        raise CapExceededError(f"depth {depth} exceeds cap {DEPTH_CAP}")
+    if depth > approximants.DEPTH_CAP:
+        raise CapExceededError(f"depth {depth} exceeds cap {approximants.DEPTH_CAP}")
     # The exponents are distinct and >= 1, so sum b^(-e) is the series of the
     # 0/1 word with a 1 at each position e, cut after position `depth`.
     marks = bytearray(depth + 1)
@@ -217,8 +213,8 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
     while (e := floor_golden(n)) <= depth:
         marks[e] = 1
         n += 1
-    marked = series_truncation(bytes(marks), b, digit_cap=1)
-    x = fixed_point_series(1, b, depth)
+    marked = approximants.series_truncation(bytes(marks), b, digit_cap=1)
+    x = approximants.fixed_point_series(1, b, depth)
     # Over the common denominator marked.den = b * x.den, the sum has the
     # numerators (b-1) * marked.lo and (b-1) * marked.hi, and the law's image
     # 1 - (b-1)/b * V has marked.den - (b-1) * x.hi and marked.den - (b-1) * x.lo.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from itertools import chain, repeat
 
+from . import numeration
 from .errors import CapExceededError
 
 LENGTH_CAP = 100_000_000  # longest word any constructor will build
@@ -74,9 +75,7 @@ def _require_level(k: int, n: int) -> None:
     at large n it has tens of thousands of digits, and the table up to it
     grows with n^2.
     """
-    from .numeration import get_basis
-
-    top = get_basis(k).largest_index_leq(LENGTH_CAP)
+    top = numeration.get_basis(k).largest_index_leq(LENGTH_CAP)
     if n > top:
         raise CapExceededError(
             f"word U_{n} at k = {k} is longer than the cap {LENGTH_CAP}; levels up to {top} fit"
@@ -139,13 +138,11 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     are lists of pieces: U_{n+2} is U_{n+1}^k U_n, and U_{n-1}* (|U_{n-1}| >= 2)
     is three ``memoryview`` slices of U_{n-1}.
     """
-    from .numeration import get_basis
-
     if n < 2:
         raise ValueError("identities are stated for n >= 2")
     # Refuse U_{n+2} by index, though it is never joined.
     _require_level(k, n + 2)
-    f = get_basis(k).value
+    f = numeration.get_basis(k).value
     un1 = fixed_point_prefix(k, f(n + 1))
     un, un_1 = un1[: f(n)], un1[: f(n - 1)]
     view = memoryview(un_1)

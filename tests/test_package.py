@@ -4,6 +4,7 @@ import doctest
 import importlib
 import os
 import re
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -177,9 +178,9 @@ def test_cli_import_runs_no_lemma_module():
     assert done.stdout.splitlines() == [
         "[]",
         "[]",
-        # transforms reads from words as it runs, and from approximants
-        # only in its two value checks.
-        "['sturmlab.transforms', 'sturmlab.words'] True",
+        # transforms runs words and approximants only in the functions
+        # that read them.
+        "['sturmlab.transforms'] True",
     ]
 
 
@@ -201,16 +202,38 @@ print(code, *ran(), *(m for m in ("fractions", "decimal") if m in sys.modules))
      ["sturmlab.transforms", "sturmlab.words"]),
     (("verify", "--lemma", "lemma1", "--k", "1..2", "--n", "2..6"),
      ["sturmlab.numeration", "sturmlab.words"]),
+    (("verify", "--lemma", "lemma2", "--k", "1..2", "--imax", "300"),
+     ["sturmlab.access", "sturmlab.numeration", "sturmlab.words"]),
     (("verify", "--lemma", "lemma3", "--k", "1..2", "--imax", "300", "--cases", "20"),
      ["sturmlab.numeration"]),
     (("verify", "--lemma", "lemma4", "--k", "1", "--n", "0..4", "--imax", "300"),
      ["sturmlab.access", "sturmlab.numeration", "sturmlab.words"]),
-], ids=["generate", "generate-diff", "blocks", "lemma1", "lemma3", "lemma4"])
+    (("verify", "--lemma", "formula3", "--k", "1..2", "--b", "2,3", "--n", "2..6"),
+     ["sturmlab.approximants", "sturmlab.numeration", "sturmlab.words", "fractions", "decimal"]),
+    (("verify", "--lemma", "formula3", "--b", "2,3,10,1099511627776", "--n", "22..40"),
+     ["sturmlab.access", "sturmlab.approximants", "sturmlab.numeration"]),
+    (("verify", "--lemma", "growth", "--k", "1..2", "--b", "2,3", "--n", "2..6"),
+     ["sturmlab.approximants", "sturmlab.numeration"]),
+    (("verify", "--lemma", "constants", "--k", "1..2", "--b", "2,3", "--n", "2..6"),
+     ["sturmlab.access", "sturmlab.approximants", "sturmlab.numeration"]),
+    (("verify", "--lemma", "affine", "--k", "1..2", "--b", "2,3"),
+     ["sturmlab.approximants", "sturmlab.transforms", "sturmlab.words", "fractions", "decimal"]),
+    (("verify", "--lemma", "sba", "--b", "2,3"),
+     ["sturmlab.approximants", "sturmlab.transforms", "sturmlab.words", "fractions", "decimal"]),
+    (("exponent", "--k", "1", "--digits", "300"),
+     ["sturmlab.approximants", "sturmlab.exponent", "sturmlab.numeration", "sturmlab.words",
+      "fractions", "decimal"]),
+    (("exponent", "--k", "2", "--n", "5..9"),
+     ["sturmlab.exponent", "sturmlab.numeration", "fractions", "decimal"]),
+], ids=["generate", "generate-diff", "blocks", "lemma1", "lemma2", "lemma3", "lemma4",
+        "formula3-dense", "formula3-scaled", "growth", "constants", "affine", "sba",
+        "exponent-digits", "exponent-n"])
 def test_fresh_request_runs_only_the_modules_its_command_reads(argv, ran):
-    """A request executes the library modules its command reads and what
-    they import, no other: ``generate`` and ``blocks`` run neither
-    ``numeration`` nor ``access``, and no command here runs ``approximants``
-    or imports ``fractions``."""
+    """A request executes the library modules its command reads, no other:
+    ``generate`` and ``blocks`` run neither ``numeration`` nor ``access``, no
+    ``lemma`` check runs ``approximants``, a scaled ``formula3`` cell builds
+    no word, and ``fractions`` is imported only where a ``Fraction`` is
+    built.  These lists are README's "modules run" table."""
     done = python("-c", REQUEST_PROBE, *argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", *ran]
@@ -241,15 +264,114 @@ def test_fresh_process_matches_in_process(argv, tmp_path, capsys):
 
 
 def test_benchmark_tracer_times_modules_bound_on_first_use():
-    """The tracer looks the lemma modules up in sys.modules right after importing the CLI."""
+    """The tracer looks every module it times up in sys.modules right after
+    importing the CLI, and each request here calls a function it wraps there."""
     marker = "@@perfbench-trace "
-    runs = {
-        "approximants.approximant": ("verify", "--lemma", "formula3", "--n", "2..4"),
-        "transforms.block_determinism": ("verify", "--lemma", "blocks", "--imax", "300"),
-        "exponent.empirical_exponent": ("exponent", "--k", "1", "--digits", "300"),
-    }
-    for timed, argv in runs.items():
+    timed_modules = runpy.run_path(str(ROOT / "perfbench" / "traced_cli.py"))["TIMED"]
+    runs = [
+        (("verify", "--lemma", "formula3", "--n", "2..4"),
+         ("cli._check_formula3", "approximants.approximant")),
+        (("verify", "--lemma", "blocks", "--imax", "300"),
+         ("transforms.block_determinism", "words.fixed_point_prefix")),
+        (("verify", "--lemma", "lemma3", "--imax", "300", "--cases", "20"),
+         ("numeration.normalize",)),
+        (("verify", "--lemma", "lemma4", "--n", "0..4", "--imax", "300"), ("access.mismatch",)),
+        (("exponent", "--k", "1", "--digits", "300"), ("exponent.empirical_exponent",)),
+    ]
+    assert {t.partition(".")[0] for _, timed in runs for t in timed} == set(timed_modules)
+    for argv, timed in runs:
         done = python(str(ROOT / "perfbench" / "traced_cli.py"), *argv)
         assert done.returncode == 0, done.stderr
         summary = [line for line in done.stderr.splitlines() if line.startswith(marker)]
-        assert len(summary) == 1 and f'"{timed}": [' in summary[0], timed
+        assert len(summary) == 1, argv
+        for name in timed:
+            assert f'"{name}": [' in summary[0], name
+
+
+# ---------------------------------------------------------------------------
+# Sibling reads: every module reads its siblings through the package's
+# bindings when it calls them.
+
+IMPORT_PROBE = """
+import sys
+import sturmlab
+
+homes = sorted(set(sturmlab._EXPORTS.values()))
+
+
+def ran():
+    return [m for m in homes if any(
+        name in object.__getattribute__(sys.modules[f"sturmlab.{m}"], "__dict__")
+        for name, home in sturmlab._EXPORTS.items() if home == m)]
+
+
+print([m for m in homes if sys.modules.get(f"sturmlab.{m}") is not vars(sturmlab).get(m, 0)])
+print(ran())
+sturmlab.to_digits
+print(ran())
+print(sturmlab.errors.CapExceededError is sturmlab.CapExceededError)
+"""
+
+
+def test_package_import_binds_every_module_unexecuted():
+    done = python("-c", IMPORT_PROBE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]",   # each module is in sys.modules and bound on the package
+        "[]",   # and none has run
+        # numeration runs, and errors, which it imports a name from.
+        "['errors', 'numeration']",
+        "True",
+    ]
+
+
+def test_siblings_are_read_at_call_time(monkeypatch):
+    """``access`` reads ``numeration.regular_vectors`` when the scaled route
+    calls it, so a patched walk reaches ``scaled_error_bounds_hold``."""
+    from sturmlab import approximants, numeration
+
+    class Walked(Exception):
+        pass
+
+    def walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(numeration, "regular_vectors", walk)
+    with pytest.raises(Walked):
+        approximants.scaled_error_bounds_hold(1, 5, 2)
+
+
+THREAD_PROBE = """
+import sys, threading
+import sturmlab
+
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(8)
+got, failed = [], []
+
+
+def first_read():
+    start.wait()
+    try:
+        got.append(sturmlab.check_error_bounds_auto(1, 3, 2).holds)
+    except Exception as exc:
+        failed.append(repr(exc))
+
+
+threads = [threading.Thread(target=first_read) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(sum(thread.is_alive() for thread in threads), got.count(True), failed)
+"""
+
+
+def test_concurrent_first_reads_wait_for_the_module_to_run():
+    """Eight threads make the first read of a name, and each reads the
+    siblings its module calls, at once: every read waits until the module
+    it reads has run."""
+    done = python("-c", THREAD_PROBE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "8", "[]"]
+
