@@ -17,6 +17,7 @@ from . import approximants, words
 from .errors import CapExceededError
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from fractions import Fraction
 
     from .approximants import SeriesTruncation
@@ -45,6 +46,16 @@ def difference(u: bytes, order: int = 1) -> bytes:
     return u
 
 
+def _submasks(order: int) -> Iterator[int]:
+    """j = order, (j - 1) & order, ..., 0: each submask of ``order`` once,
+    2^popcount(order) of them.  C(order, j) is odd exactly at these j."""
+    j = order
+    while j:
+        yield j
+        j = (j - 1) & order
+    yield 0
+
+
 def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     """Same operator evaluated directly: position i sums C(order, j)*u[i+j] mod 2.
 
@@ -55,13 +66,10 @@ def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     """
     _require_difference_args(u, order)
     positions = len(u) - order
-    # j = order, (order-1) & order, ... visits each submask once, 2^popcount
-    # of them; XOR commutes, so the order of the slices does not matter.
-    acc = int.from_bytes(u[:positions], "big")
-    j = order
-    while j:
+    # XOR commutes, so the order of the slices does not matter.
+    acc = 0
+    for j in _submasks(order):
         acc ^= int.from_bytes(u[j : j + positions], "big")
-        j = (j - 1) & order
     return acc.to_bytes(positions, "big")
 
 
@@ -146,23 +154,29 @@ def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
     The order-th difference at position i depends only on the block
     u_i..u_{i+order}, through the parity mask of binomial coefficients.  The
     mask evaluation must equal the iterated operator on the whole word, which
-    proves that dependence at every position; the table then reads each
-    distinct block's symbol from that checked word, at the block's first
-    occurrence, which the pass that finds the blocks hands over with them
-    (``words._first_positions``), so no block is searched for.  The
-    whole-word mask evaluation, one slice per mask index, 2^popcount(order)
-    of them, is what the check costs beyond the operator.  A Sturmian word
-    shows exactly order+2 blocks; the caller judges the returned count.
+    proves that dependence at every position; the whole-word mask
+    evaluation, one slice per mask index, 2^popcount(order) of them, is
+    what the check costs beyond the operator.  The table reads each
+    distinct block's symbol from the block itself: the block read as a
+    big-endian integer of 0/1 bytes, ANDed with the mask's 1 bytes, has the
+    symbol as the parity of its set bits.  The blocks are
+    ``words.distinct_factors(u, order + 1)``.  A Sturmian word shows exactly
+    order+2 blocks; the caller judges the returned count.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    d = difference(u, order)
-    if d != difference_by_binomial(u, order):
+    if difference(u, order) != difference_by_binomial(u, order):
         raise _MaskDisagreement(
             "binomial-mask evaluation disagrees with the iterated operator"
         )
-    first = words._first_positions(u, order + 1)
-    table = {block: d[first[block]] for block in sorted(first)}
+    mask_bytes = bytearray(order + 1)
+    for j in _submasks(order):
+        mask_bytes[j] = 1
+    mask = int.from_bytes(mask_bytes, "big")
+    table = {
+        block: (int.from_bytes(block, "big") & mask).bit_count() & 1
+        for block in sorted(words.distinct_factors(u, order + 1))
+    }
     return len(table), table
 
 

@@ -157,28 +157,27 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
 _LANE_CHUNK = 1 << 16
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII bit -> symbol byte
 
-# The last word packed, its lane width, and each distinct lane of that width
-# mapped to its first position.
-_kept_lanes: tuple[bytes, int, dict[int, int]] = (b"", 0, {})
+# The last word packed, its lane width, and its distinct lanes of that width.
+_kept_lanes: tuple[bytes, int, set[int]] = (b"", 0, set())
 
 
-def _lanes(w: bytes, width: int) -> tuple[int, dict[int, int]]:
-    """The lanes of a width of at least ``width``: (that width, first position of each).
+def _lanes(w: bytes, width: int) -> tuple[int, set[int]]:
+    """The distinct lanes of a width of at least ``width``: (that width, the lanes).
 
     A lane is one native 8-byte word whose bit j is w[i + j] for j below
     the width, lane byte b holding bits 8b..8b+7.  Each lane byte is
     assembled for a whole pass at once from the big-endian integers of its
     eight shifted columns, whose 0/1 bytes OR without carries, then strided
-    into a buffer read back as native words.  The distinct lanes of the
-    last word packed are kept, keyed by its bytes, since every sweep cell
-    builds its own prefix, and are answered again for any width up to
-    theirs.  ``w`` must be binary ``bytes``.
+    into a buffer read back as native words into a ``set``.  The distinct
+    lanes of the last word packed are kept, keyed by its bytes, since every
+    sweep cell builds its own prefix, and are answered again for any width
+    up to theirs.  ``w`` must be binary ``bytes``.
     """
     global _kept_lanes
-    kept, kept_width, kept_first = _kept_lanes
+    kept, kept_width, kept_found = _kept_lanes
     if width <= kept_width and w == kept:
-        return kept_width, kept_first
-    first: dict[int, int] = {}
+        return kept_width, kept_found
+    found: set[int] = set()
     positions = len(w) - width + 1
     for start in range(0, max(positions, 0), _LANE_CHUNK):
         count = min(_LANE_CHUNK, positions - start)
@@ -189,35 +188,23 @@ def _lanes(w: bytes, width: int) -> tuple[int, dict[int, int]]:
                 j = start + 8 * b + t
                 lane_byte |= int.from_bytes(w[j : j + count], "big") << t
             buf[b::8] = lane_byte.to_bytes(count, "big")
-        lanes = memoryview(buf).cast("Q")
-        fresh = set(lanes).difference(first)
-        # Positions of the lanes this pass adds, from ever longer heads of
-        # the pass read backwards, so that the first occurrence is kept: a
-        # Sturmian word shows all its short factors near its start, and any
-        # other word costs at most about 4/3 of one dict over the pass.
-        head = 256
-        while fresh:
-            head = min(head, count)
-            seen = dict(zip(reversed(lanes[:head]), reversed(range(start, start + head))))
-            if seen.keys() >= fresh:
-                first.update({lane: seen[lane] for lane in fresh})
-                break
-            head *= 4
-    _kept_lanes = (w, width, first)
-    return width, first
+        found.update(memoryview(buf).cast("Q"))
+    _kept_lanes = (w, width, found)
+    return width, found
 
 
-def _first_positions(w: bytes, m: int) -> dict[bytes, int]:
-    """Each distinct factor of length ``m`` of the binary word ``w``, mapped to
-    the position of its first occurrence.
+def distinct_factors(w: bytes, m: int) -> set[bytes]:
+    """All distinct factors of length ``m`` occurring in the binary word ``w``.
 
-    Past m = 64 the factors are the slices ``w[i:i+m]``, read from the last
-    position down so that the first occurrence is the one kept.  Up to 64
-    the factors at positions 0..len(w) - W are the kept or packed lanes of
-    width W = 8*ceil(m/8) or wider, each masked to its low m bits; only the
-    distinct masked lanes are decoded, from their bytes in native order read
-    little-endian, so the result does not depend on the byte order.  The
-    last W - m positions, which no lane of width W starts, are slices.
+    Past m = 64 they are the slices ``w[i:i+m]``.  Up to 64 the factors at
+    positions 0..len(w) - W are the kept or packed lanes of width
+    W = 8*ceil(m/8) or wider, each masked to its low m bits, so a shorter m
+    on an equal word reuses the lanes of a wider pass
+    (``verify --lemma blocks --n 1..8`` packs each word at widths 8 and 16
+    only).  Only the distinct masked lanes are decoded, from their bytes in
+    native order read little-endian, so the result does not depend on the
+    byte order.  The last W - m positions, which no lane of width W
+    starts, are slices.
     """
     if m < 0:
         raise ValueError("factor length must be >= 0")
@@ -225,33 +212,14 @@ def _first_positions(w: bytes, m: int) -> dict[bytes, int]:
     w = bytes(w)  # the same object for bytes; a bytearray's slices are not keys
     positions = len(w) - m + 1
     if positions <= 0:
-        return {}
+        return set()
     if m == 0:
-        return {b"": 0}
+        return {b""}
     if m > 64:
-        return {w[i : i + m]: i for i in reversed(range(positions))}
+        return {w[i : i + m] for i in range(positions)}
     width, lanes = _lanes(w, -(-m // 8) * 8)
     mask = (1 << m) - 1
-    masked: dict[int, int] = {}  # each masked lane at the least position of the lanes under it
-    for code, i in lanes.items():
-        lane = int.from_bytes(code.to_bytes(8, sys.byteorder), "little") & mask
-        if masked.get(lane, positions) > i:
-            masked[lane] = i
-    first = {
-        format(lane, f"0{m}b")[::-1].encode().translate(_BITS): i for lane, i in masked.items()
-    }
-    for i in range(max(len(w) - width + 1, 0), positions):
-        first.setdefault(w[i : i + m], i)
-    return first
-
-
-def distinct_factors(w: bytes, m: int) -> set[bytes]:
-    """All distinct factors of length ``m`` occurring in the binary word ``w``.
-
-    They are the keys of :func:`_first_positions`: up to m = 64 one pass
-    packs each position into a lane of width 8*ceil(m/8) bits, and the
-    lanes of the last word packed are kept, so a shorter m on an equal word
-    reuses them (``verify --lemma blocks --n 1..8`` packs each word at
-    widths 8 and 16 only).  Past 64 the factors are slices.
-    """
-    return set(_first_positions(w, m))
+    masked = {int.from_bytes(code.to_bytes(8, sys.byteorder), "little") & mask for code in lanes}
+    factors = {format(lane, f"0{m}b")[::-1].encode().translate(_BITS) for lane in masked}
+    factors.update(w[i : i + m] for i in range(max(len(w) - width + 1, 0), positions))
+    return factors

@@ -266,7 +266,7 @@ def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(words, "_LANE_CHUNK", chunk)
         # Pack every word at this chunk size, none kept from an earlier call.
-        monkeypatch.setattr(words, "_kept_lanes", (b"", 0, {}))
+        monkeypatch.setattr(words, "_kept_lanes", (b"", 0, set()))
     step = words._LANE_CHUNK
     rng = random.Random(7700 + order)
     short = [order + 1, order + 2, order + 9, 300]
@@ -303,6 +303,43 @@ def test_block_determinism_checks_every_position(monkeypatch, flip_at):
     monkeypatch.setattr(transforms, "difference", flipped)
     with pytest.raises(RuntimeError, match="binomial-mask evaluation disagrees"):
         block_determinism(fixed_point_prefix(2, 1000), 3)
+
+
+@pytest.mark.parametrize("order", [1, 3, 8, 64, 65])
+def test_block_table_reads_each_symbol_from_its_block(monkeypatch, order):
+    """Both routes agreeing on a wrong first symbol pass the check, and the
+    table still gives the first block its true symbol: no symbol is read
+    from the checked word."""
+    u = fixed_point_prefix(2, 1000)
+    expected = _sliced_block_table(u, order)
+    exact = transforms.difference
+
+    def flipped(w, order=1):
+        sym = bytearray(exact(w, order))
+        sym[0] ^= 1
+        return bytes(sym)
+
+    monkeypatch.setattr(transforms, "difference", flipped)
+    monkeypatch.setattr(transforms, "difference_by_binomial", flipped)
+    count, table = block_determinism(u, order)
+    assert count == len(expected)
+    assert list(table.items()) == list(expected.items())
+
+
+def test_block_table_reads_its_blocks_through_distinct_factors(monkeypatch):
+    """One ``words.distinct_factors(u, order + 1)`` call gives the table's blocks."""
+    calls = []
+    real = words.distinct_factors
+
+    def spy(w, m):
+        calls.append((w, m))
+        return real(w, m)
+
+    monkeypatch.setattr(words, "distinct_factors", spy)
+    u = fixed_point_prefix(1, 500)
+    _count, table = block_determinism(u, 5)
+    assert calls == [(u, 6)]
+    assert set(table) == real(u, 6)
 
 
 def test_floor_golden():

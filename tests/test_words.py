@@ -328,11 +328,6 @@ def _sliced_factors(w: bytes, m: int) -> set[bytes]:
     return {w[i : i + m] for i in range(len(w) - m + 1)}
 
 
-def _sliced_first_positions(w: bytes, m: int) -> dict[bytes, int]:
-    """Each factor's first position, from one slice per position read backwards."""
-    return {w[i : i + m]: i for i in reversed(range(len(w) - m + 1))}
-
-
 # Lengths 0..20, lengths whose lanes end on, one or two bits short of, or
 # one bit past a 1-, 2-, 4- or 8-byte word or a second 64-bit lane word, and
 # lanes of 4 to 16 such words.
@@ -352,7 +347,7 @@ def test_distinct_factors_matches_sliced_reference(m, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(words, "_LANE_CHUNK", chunk)
         # Pack every word at this chunk size, none kept from an earlier call.
-        monkeypatch.setattr(words, "_kept_lanes", (b"", 0, {}))
+        monkeypatch.setattr(words, "_kept_lanes", (b"", 0, set()))
     step = words._LANE_CHUNK
     rng = random.Random(5300 + m)
     # A pass packs the windows starting at len(w) - m + 1 positions.
@@ -380,7 +375,7 @@ _MEMO_ORDERS = [1, 2, 7, 8, 9, 15, 16, 17, 33, 56, 57, 63, 64, 65]
 @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
 def test_kept_lanes_answer_every_order_of_one_word(order):
     """The lanes kept from a wider pass, masked, give the factors of each
-    shorter length and their first positions, whatever order the lengths
+    shorter length, and the block table's blocks, whatever order the lengths
     come in."""
     lengths = {
         "ascending": _MEMO_ORDERS,
@@ -392,8 +387,9 @@ def test_kept_lanes_answer_every_order_of_one_word(order):
         for m in lengths:
             # A fresh copy each call, as each sweep cell builds its own prefix.
             assert distinct_factors(bytes(bytearray(w)), m) == _sliced_factors(w, m), (order, m)
-            first = words._first_positions(bytes(bytearray(w)), m)
-            assert first == _sliced_first_positions(w, m), (order, m)
+            if m >= 2:
+                copy = bytes(bytearray(w))
+                assert set(block_determinism(copy, m - 1)[1]) == _sliced_factors(w, m), (order, m)
 
 
 def test_kept_lanes_are_keyed_by_the_whole_word():
