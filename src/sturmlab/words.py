@@ -7,12 +7,16 @@ defined on binary words refuse any other symbol through
 here, and ``difference``, ``difference_by_binomial``, ``shift_product``,
 ``block_determinism`` and ``value_affine_relation`` in ``transforms``.
 :func:`to_string` renders a word whose symbols are all decimal digits.
+The iterates U_m = sigma^m(0) are built by the recurrence
+U_{m+1} = U_m^k U_{m-1}, but a prefix of the fixed point is joined from
+the blocks sigma^j(0) = U_j and sigma^j(1) = U_{j-1} of one short U_j
+(:func:`fixed_point_prefix`).
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat, takewhile
 
 from . import numeration
 from .errors import CapExceededError
@@ -52,20 +56,9 @@ def substitute(k: int, w: bytes) -> bytes:
     )
 
 
-def _next_iterate(cur: bytes, prev: bytes, k: int, limit: int) -> bytes:
-    """The first ``limit`` symbols of U_{m+1} = U_m^k U_{m-1}, built by one join.
-
-    Pieces past ``limit`` are never copied, and the k copies of ``cur`` are
-    iterated, not listed, so the result is the only new allocation of its
-    size.
-    """
-    kept = []
-    for piece in chain(repeat(cur, k), (prev,)):
-        if limit <= 0:
-            break
-        kept.append(piece[:limit])
-        limit -= len(piece)
-    return b"".join(kept)
+def _next_iterate(cur: bytes, prev: bytes, k: int) -> bytes:
+    """U_{m+1} = U_m^k U_{m-1}, built by one join of its k + 1 pieces."""
+    return b"".join(chain(repeat(cur, k), (prev,)))
 
 
 def _require_level(k: int, n: int) -> None:
@@ -83,7 +76,16 @@ def _require_level(k: int, n: int) -> None:
 
 
 def fixed_point_prefix(k: int, length: int) -> bytes:
-    """The first ``length`` symbols of the infinite fixed point of the morphism."""
+    """The first ``length`` symbols of the infinite fixed point x of the morphism.
+
+    x = sigma^j(x) for every j, and sigma^j maps 0 to U_j and 1 to U_{j-1},
+    so x is the join of one block per symbol of x: U_j for a 0 and U_{j-1}
+    for a 1, both prefixes of U_j.  The iterates are built only up to the
+    first j with f_{2j} = |sigma^j(U_j)| >= ``length``, about the square
+    root of ``length`` symbols, and U_j's own head then gives x[:length] as
+    one join of ``memoryview`` prefixes of U_j, the last one cut to fit; no
+    iterate longer than U_j and no overshoot of ``length`` is built.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if length < 0:
@@ -94,30 +96,39 @@ def fixed_point_prefix(k: int, length: int) -> bytes:
         # The fixed point starts with U_1 = 0^k 1; its first k symbols need
         # no iterate, which at large k would not fit in memory.
         return bytes(length)
-    prev = b"\x00"
-    cur = b"\x00" * k + b"\x01"
-    # Truncating an iterate beyond ``length`` is safe: the truncation only
-    # ever bites on the final round, after which the loop exits.
-    while len(cur) < length:
-        prev, cur = cur, _next_iterate(cur, prev, k, length)
-    return cur[:length]
+    prev, cur = b"\x00", b"\x00" * k + b"\x01"  # U_0, U_1
+    f_odd, f_even = k + 1, k * k + k + 1  # f_{2j-1}, f_{2j} at j = 1
+    while f_even < length:
+        prev, cur = cur, _next_iterate(cur, prev, k)
+        f_odd = k * f_even + f_odd
+        f_even = k * f_odd + f_even
+    head = memoryview(cur)
+    blocks = (head, head[: len(prev)])
+    # 0 and the ends of the blocks that end before ``length``: those blocks
+    # are whole, and the next one is cut to the symbols still missing.
+    ends = list(takewhile(length.__gt__, accumulate(
+        map((len(cur), len(prev)).__getitem__, cur), initial=0)))
+    whole = map(blocks.__getitem__, islice(cur, len(ends) - 1))
+    return b"".join(chain(whole, (head[: length - ends[-1]],)))
 
 
-def _pieces_equal(left: list[bytes], right: list) -> bool:
-    """Whether the joins of the ``bytes`` pieces ``left`` and the bytes-like
-    pieces ``right`` are equal, decided without joining either side: each
-    overlap of a left and a right piece is one ``startswith`` memcmp."""
-    if sum(map(len, left)) != sum(map(len, right)):
+def _pieces_equal(left: list[tuple[bytes, int]], right: list) -> bool:
+    """Whether the joins of the left pieces, each a prefix ``word[:end]`` of
+    a ``bytes`` word given as ``(word, end)`` with ``end <= len(word)``,
+    and of the bytes-like pieces ``right`` are equal, decided without
+    joining either side: each overlap of a left and a right piece is one
+    ``startswith`` memcmp."""
+    if sum(end for _, end in left) != sum(map(len, right)):
         return False
     pieces = iter(left)
-    cur, pos = b"", 0
+    cur, end, pos = b"", 0, 0
     for piece in right:
         view = memoryview(piece)
         while view:
-            if pos == len(cur):
-                cur, pos = next(pieces), 0
+            if pos == end:
+                (cur, end), pos = next(pieces), 0
                 continue
-            m = min(len(cur) - pos, len(view))
+            m = min(end - pos, len(view))
             if not cur.startswith(view[:m], pos):
                 return False
             pos += m
@@ -133,10 +144,12 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     product length >= 2).  Second: U_{n+2} equals U_n (U_n^k U_{n-1}*)^k where
     * exchanges the last two symbols (needs n >= 2).
 
-    Each U_m is the first f_m symbols of the fixed point, so only U_{n+1}
-    is built and U_n, U_{n-1} are its prefixes.  Both sides of each identity
-    are lists of pieces: U_{n+2} is U_{n+1}^k U_n, and U_{n-1}* (|U_{n-1}| >= 2)
-    is three ``memoryview`` slices of U_{n-1}.
+    Each U_m is the first f_m symbols of the fixed point, so U_{n+1} is the
+    only word built and U_n, U_{n-1} are ``memoryview`` prefixes of it.
+    Both sides of each identity are lists of pieces: on the left U_{n+2} is
+    U_{n+1}^k U_n, each piece U_{n+1} at its built length or a prefix at
+    its view's length, and on the right U_{n-1}* (|U_{n-1}| >= 2) is three
+    slices of the view of U_{n-1}.
     """
     if n < 2:
         raise ValueError("identities are stated for n >= 2")
@@ -144,11 +157,11 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     _require_level(k, n + 2)
     f = numeration.get_basis(k).value
     un1 = fixed_point_prefix(k, f(n + 1))
-    un, un_1 = un1[: f(n)], un1[: f(n - 1)]
-    view = memoryview(un_1)
-    swapped = [view[:-2], view[-1:], view[-2:-1]]
-    id1 = _pieces_equal([un_1, un], [un, *swapped])
-    id2 = _pieces_equal([un1] * k + [un], [un] + ([un] * k + swapped) * k)
+    un, un_1 = memoryview(un1)[: f(n)], memoryview(un1)[: f(n - 1)]
+    swapped = [un_1[:-2], un_1[-1:], un_1[-2:-1]]
+    at_un1, at_un, at_un_1 = (un1, len(un1)), (un1, len(un)), (un1, len(un_1))
+    id1 = _pieces_equal([at_un_1, at_un], [un, *swapped])
+    id2 = _pieces_equal([at_un1] * k + [at_un], [un] + ([un] * k + swapped) * k)
     return id1, id2
 
 

@@ -226,12 +226,12 @@ def test_pieces_equal_matches_joined_comparison():
     rng = random.Random(2200)
     for _ in range(300):
         w = bytes(rng.getrandbits(1) for _ in range(rng.randrange(12)))
-        left = [bytes(p) for p in _pieces(w, rng)]
+        left = [(bytes(p), len(p)) for p in _pieces(w, rng)]
         right = _pieces(w, rng)
         assert words._pieces_equal(left, right)
         # Each byte that opens or closes a piece of either side, flipped.
         edges = set()
-        for side in (left, right):
+        for side in ([p for p, _ in left], right):
             pos = 0
             for piece in side:
                 if len(piece):
@@ -245,13 +245,36 @@ def test_pieces_equal_matches_joined_comparison():
         variants += [w[:-1], w + b"\x00", w + b"\x01", b"\x00" + w]
         for v in variants:
             assert words._pieces_equal(left, _pieces(v, rng)) == (w == v), (w, v)
-            assert words._pieces_equal([bytes(p) for p in _pieces(v, rng)], right) == (w == v)
+            assert words._pieces_equal([(bytes(p), len(p)) for p in _pieces(v, rng)], right) == (w == v)
+
+
+def test_pieces_equal_reads_left_pieces_only_up_to_their_end():
+    """A left piece ``(word, end)`` stands for ``word[:end]``: a byte of
+    ``word`` flipped past ``end`` is ignored, and one flipped before it is
+    caught, with the right side cut anywhere."""
+    rng = random.Random(2201)
+    for _ in range(300):
+        w = bytes(rng.getrandbits(1) for _ in range(rng.randrange(1, 12)))
+        left, pos = [], 0
+        for piece in _pieces(w, rng):
+            tail = bytes(rng.getrandbits(1) for _ in range(rng.randrange(1, 4)))
+            left.append((bytes(piece) + tail, len(piece), pos))
+            pos += len(piece)
+        pieces = [(word, end) for word, end, _ in left]
+        assert words._pieces_equal(pieces, _pieces(w, rng))
+        for i, (word, end, start) in enumerate(left):
+            for at in range(len(word)):
+                flipped = bytearray(word)
+                flipped[at] ^= 1
+                changed = pieces[:i] + [(bytes(flipped), end)] + pieces[i + 1 :]
+                assert words._pieces_equal(changed, _pieces(w, rng)) == (at >= end), (w, i, at)
 
 
 def test_word_identities_holds_three_words():
-    """Only U_{n-1}, U_n and U_{n+1} are held: U_{n+2} and both right-hand
-    sides stay lists of pieces (the joined check peaked at 4.53 times the
-    three words' length, and keeping every iterate U_0..U_{n+1} 1.029 times)."""
+    """Only U_{n+1} is held, U_n and U_{n-1} being views of it: U_{n+2} and
+    both right-hand sides stay lists of pieces (the joined check peaked at
+    4.53 times the length of U_{n-1}, U_n and U_{n+1} together, and keeping
+    every iterate U_0..U_{n+1} 1.029 times)."""
     f = get_basis(3).value
     words._require_level(3, 14)   # the basis table, outside the measurement
     tracemalloc.start()
@@ -261,6 +284,71 @@ def test_word_identities_holds_three_words():
     finally:
         tracemalloc.stop()
     assert peak < 1.01 * (f(11) + f(12) + f(13))
+
+
+def test_word_identities_holds_one_word():
+    """U_n and U_{n-1} are views of U_{n+1}, not copies, and U_{n+1} is built
+    without the iterates before it: the peak stays within 5% of f_{n+1}
+    (slicing U_n and U_{n-1} out of a U_{n+1} built through every iterate
+    peaked at 1.39 times f_{n+1})."""
+    f = get_basis(3).value
+    words._require_level(3, 14)   # the basis table, outside the measurement
+    tracemalloc.start()
+    try:
+        assert word_identities(3, 12) == (True, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * f(13), peak / f(13)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_fixed_point_prefix_writes_each_symbol_once(k):
+    """The prefix is one join of blocks of an iterate of about the square
+    root of its length: the peak stays within 10% of the length (building
+    every iterate up to the length peaked at 2.57 times it at k = 1 and
+    2.20 times at k = 3)."""
+    length = 10**7
+    tracemalloc.start()
+    try:
+        w = fixed_point_prefix(k, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == length
+    assert peak < 1.1 * length, peak / length
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_fixed_point_prefix_at_every_block_end(k):
+    """x[:length] is the join of the blocks sigma^j(x_i), U_j for a 0 and
+    U_{j-1} for a 1, for the first j with f_{2j} >= length.  Every block end
+    of that join is cut at, one before and one after, as are f_{2j} - 1,
+    f_{2j} and f_{2j} + 1, where the builder moves on to U_{j+1}."""
+    f = get_basis(k).value
+    top = 1
+    while f(2 * top + 2) <= 200_000:
+        top += 1
+    x = _substituted(k, 2 * top + 1)
+    for j in range(1, top + 1):
+        lengths = {f(2 * j) - 1, f(2 * j), f(2 * j) + 1}
+        end = 0
+        for symbol in x[: f(j)]:
+            end += f(j) if symbol == 0 else f(j - 1)
+            if end >= f(2 * j - 2) - 1:
+                lengths |= {end - 1, end, end + 1}
+        assert end == f(2 * j)
+        for length in sorted(lengths):
+            assert fixed_point_prefix(k, length) == x[:length], (k, j, length)
+
+
+@pytest.mark.parametrize("k", [4095, 10**7])
+def test_fixed_point_prefix_just_past_k(k):
+    """x starts 0^k 1 0: the lengths k, k + 1 and k + 2 end in the first
+    block U_1 and in the first symbol of the second."""
+    start = bytes(k) + b"\x01\x00"
+    for length in (k, k + 1, k + 2):
+        assert fixed_point_prefix(k, length) == start[:length], length
 
 
 def test_fixed_point_prefix_cuts_the_iterate():
@@ -282,8 +370,8 @@ def test_fixed_point_prefix_at_huge_k():
 
 @pytest.mark.parametrize("k, length, budget", [
     (10**8, 10, 1 << 20),
-    # U_1 = 0^k 1 is built, then two copies of it and k - 2 symbols of a
-    # third; the k copies of U_1 are never listed.
+    # U_1 = 0^k 1 is built, and the prefix is one join of two views of it
+    # and a third cut to k - 2 symbols; no iterate past U_1 is built.
     (10**7, 3 * 10**7, 2 * 3 * 10**7),
 ])
 def test_fixed_point_prefix_memory_at_large_k(k, length, budget):
