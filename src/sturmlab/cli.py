@@ -16,10 +16,13 @@ import itertools
 import math
 import sys
 from operator import ne
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import access, approximants, exponent, numeration, transforms, words
 from .errors import CapExceededError, IndecisiveEnclosureError, InsufficientPrecisionError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LemmaSpec(NamedTuple):
@@ -89,12 +92,8 @@ def parse_range(text: str) -> Sequence[int]:
     return range(lo, hi + 1)
 
 
-def _fmt(value) -> str:
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+def _fmt(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _row(lemma: str, coords: tuple, ok: bool, detail: str) -> Row:
@@ -262,7 +261,7 @@ def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
 def _check_blocks(k: int, order: int, imax: int) -> tuple[bool, str]:
     prefix = words.fixed_point_prefix(k, imax)
     try:
-        count, _table = transforms.block_determinism(prefix, order)
+        count, _blocks = transforms.block_determinism(prefix, order)
     except transforms._MaskDisagreement:
         return False, f"blocks=-;expected={order + 2};failed=mask"
     return count == order + 2, f"blocks={count};expected={order + 2}"

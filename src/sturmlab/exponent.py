@@ -12,14 +12,30 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import approximants, numeration
-from .errors import InsufficientPrecisionError
+from .errors import CapExceededError, InsufficientPrecisionError
+
+
+def _float(x: int | Fraction) -> float:
+    """float(x), refused with ``CapExceededError`` past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        bits = x.numerator.bit_length() - x.denominator.bit_length()
+        raise CapExceededError(
+            f"k is too large for a float exponent: a value near 2^{bits} "
+            "is past the float range"
+        ) from None
 
 
 def closed_form_exponent(k: int) -> float:
-    """1 + (k + sqrt(k^2 + 4)) / 2, the limiting exponent for parameter k."""
+    """1 + (k + sqrt(k^2 + 4)) / 2, the limiting exponent for parameter k.
+
+    From k of about 1.34e154 on, k^2 + 4 is past the float range and
+    ``CapExceededError`` is raised.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return 1.0 + (k + math.sqrt(k * k + 4)) / 2.0
+    return 1.0 + (k + math.sqrt(_float(k * k + 4))) / 2.0
 
 
 def exponent_upper_bound(alpha, beta, gamma):
@@ -45,12 +61,12 @@ class ExponentEstimate(NamedTuple):
 
 
 def _float_below(x: Fraction) -> float:
-    f = float(x)
+    f = _float(x)
     return math.nextafter(f, -math.inf) if Fraction(f) > x else f
 
 
 def _float_above(x: Fraction) -> float:
-    f = float(x)
+    f = _float(x)
     return math.nextafter(f, math.inf) if Fraction(f) < x else f
 
 

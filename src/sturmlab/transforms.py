@@ -3,9 +3,10 @@
 Words are ``bytes``, one byte per symbol.  Covers the mod-2 difference
 operator, the pair-with-shift product coded by the one coding
 (x, y) -> 2x + y, the fixed affine law V(v) = 2*V(u) + b*(V(u) - u_0) tying
-the coded product's value to the word's own, the table of difference
-symbols each block forces, and the golden-rotation power sum whose affine
-tie to the k=1 value is tested here by exact enclosures.
+the coded product's value to the word's own, the distinct blocks, each
+forcing its difference symbol by a whole-word check, and the golden-rotation
+power sum whose affine tie to the k=1 value is tested here by exact
+enclosures.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from . import approximants, words
 from .errors import CapExceededError
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
     from fractions import Fraction
 
     from .approximants import SeriesTruncation
@@ -46,16 +46,6 @@ def difference(u: bytes, order: int = 1) -> bytes:
     return u
 
 
-def _submasks(order: int) -> Iterator[int]:
-    """j = order, (j - 1) & order, ..., 0: each submask of ``order`` once,
-    2^popcount(order) of them.  C(order, j) is odd exactly at these j."""
-    j = order
-    while j:
-        yield j
-        j = (j - 1) & order
-    yield 0
-
-
 def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     """Same operator evaluated directly: position i sums C(order, j)*u[i+j] mod 2.
 
@@ -66,10 +56,15 @@ def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     """
     _require_difference_args(u, order)
     positions = len(u) - order
-    # XOR commutes, so the order of the slices does not matter.
-    acc = 0
-    for j in _submasks(order):
+    # The slice at j = 0, then j = order, (j - 1) & order, ... while j > 0:
+    # each submask of order once, 2^popcount(order) of them, and C(order, j)
+    # is odd exactly here.  XOR commutes, so the order of the slices does
+    # not matter.
+    acc = int.from_bytes(u[:positions], "big")
+    j = order
+    while j:
         acc ^= int.from_bytes(u[j : j + positions], "big")
+        j = (j - 1) & order
     return acc.to_bytes(positions, "big")
 
 
@@ -148,18 +143,16 @@ class _MaskDisagreement(RuntimeError):
     """The binomial mask and the iterated operator give different words."""
 
 
-def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
-    """Map each length-(order+1) block to the difference symbol it forces.
+def block_determinism(u: bytes, order: int) -> tuple[int, set[bytes]]:
+    """The number of distinct length-(order+1) blocks of u, and the blocks.
 
     The order-th difference at position i depends only on the block
     u_i..u_{i+order}, through the parity mask of binomial coefficients.  The
     mask evaluation must equal the iterated operator on the whole word, which
     proves that dependence at every position; the whole-word mask
     evaluation, one slice per mask index, 2^popcount(order) of them, is
-    what the check costs beyond the operator.  The table reads each
-    distinct block's symbol from the block itself: the block read as a
-    big-endian integer of 0/1 bytes, ANDed with the mask's 1 bytes, has the
-    symbol as the parity of its set bits.  The blocks are
+    what the check costs beyond the operator.  A block's symbol is then
+    ``difference_by_binomial(block, order)``.  The blocks are
     ``words.distinct_factors(u, order + 1)``.  A Sturmian word shows exactly
     order+2 blocks; the caller judges the returned count.
     """
@@ -169,15 +162,8 @@ def block_determinism(u: bytes, order: int) -> tuple[int, dict[bytes, int]]:
         raise _MaskDisagreement(
             "binomial-mask evaluation disagrees with the iterated operator"
         )
-    mask_bytes = bytearray(order + 1)
-    for j in _submasks(order):
-        mask_bytes[j] = 1
-    mask = int.from_bytes(mask_bytes, "big")
-    table = {
-        block: (int.from_bytes(block, "big") & mask).bit_count() & 1
-        for block in sorted(words.distinct_factors(u, order + 1))
-    }
-    return len(table), table
+    blocks = words.distinct_factors(u, order + 1)
+    return len(blocks), blocks
 
 
 def floor_golden(n: int) -> int:

@@ -834,6 +834,18 @@ def test_exponent_index_cap_admits_its_edge(capsys):
     assert code == 0 and json.loads(out)["agrees"] is True
 
 
+@pytest.mark.parametrize("k, bits", [(10**200, 1328), (10**400, 1329)],
+                         ids=["k-1e200", "k-1e400"])
+def test_exponent_past_the_float_range_is_exit_two(k, bits, capsys):
+    """Both k pass the level cap, but the floats the exponent prints cannot
+    hold them: at 10^200 the closed form's k^2 + 4 overflows, and at 10^400
+    the bracket itself does first."""
+    code, out, err = run(capsys, "exponent", "--k", str(k), "--n", "2..3")
+    assert (code, out) == (2, "")
+    assert err == (f"error: k is too large for a float exponent: a value near "
+                   f"2^{bits} is past the float range\n")
+
+
 def test_traced_names_exist():
     """Every function the benchmark tracer wraps is still defined where it looks."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"

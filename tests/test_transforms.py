@@ -187,15 +187,6 @@ def test_block_determinism_warns_on_short_prefix():
     assert count == 1
 
 
-def test_block_table_consistent_with_difference():
-    u = fixed_point_prefix(2, 2000)
-    order = 3
-    _count, table = block_determinism(u, order)
-    d = difference(u, order)
-    for i in range(0, 1500, 7):
-        assert table[u[i : i + order + 1]] == d[i]
-
-
 def _per_position_difference(sym: bytes, order: int) -> bytes:
     for _ in range(order):
         sym = bytes(x ^ y for x, y in zip(sym, sym[1:]))
@@ -223,9 +214,9 @@ def test_whole_word_transforms_match_per_position(order):
         table_here: dict[bytes, int] = {}
         for i, value in enumerate(expected):
             assert table_here.setdefault(sym[i : i + order + 1], value) == value
-        count, table = block_determinism(sym, order)
+        count, blocks = block_determinism(sym, order)
         assert count == len(table_here)
-        assert table == table_here
+        assert blocks == set(table_here)
 
 
 _REAL_CHUNK = words._LANE_CHUNK
@@ -236,14 +227,10 @@ def _fixed_point_symbols(k: int) -> bytes:
     return fixed_point_prefix(k, 2 * _REAL_CHUNK + 200)
 
 
-def _sliced_block_table(sym: bytes, order: int) -> dict[bytes, int]:
-    """Block -> difference from one slice per position (the reference)."""
-    diff = difference(sym, order)
+def _sliced_blocks(sym: bytes, order: int) -> set[bytes]:
+    """The length-(order+1) blocks from one slice per position (the reference)."""
     ends = range(order + 1, len(sym) + 1)
-    pairs = set(zip(map(sym.__getitem__, map(slice, range(len(diff)), ends)), diff))
-    table = dict(sorted(pairs))
-    assert len(table) == len(pairs), "a block forces two values"
-    return table
+    return set(map(sym.__getitem__, map(slice, range(len(sym) - order), ends)))
 
 
 # Orders 1..20, and orders whose lanes (the order + 1 bits of a block) end
@@ -258,7 +245,7 @@ _LANE_EDGE_ORDERS = sorted(
 @pytest.mark.parametrize("chunk", [None, 37], ids=["real-chunk", "chunk-37"])
 @pytest.mark.parametrize("order", _LANE_EDGE_ORDERS)
 def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
-    """Lane-packed tables equal per-position slices, on Sturmian and random words.
+    """The blocks equal per-position slices, on Sturmian and random words.
 
     Lengths put the last pass just short of, on and just past a chunk edge,
     with the real chunk size and with a small odd one.
@@ -284,10 +271,10 @@ def test_block_determinism_matches_sliced_reference(order, chunk, monkeypatch):
         random_lengths = short + edges
     samples += [bytes(rng.getrandbits(1) for _ in range(n)) for n in random_lengths]
     for sym in samples:
-        count, table = block_determinism(sym, order)
-        expected = _sliced_block_table(sym, order)
+        count, blocks = block_determinism(sym, order)
+        expected = _sliced_blocks(sym, order)
         assert count == len(expected), (order, len(sym))
-        assert list(table.items()) == list(expected.items())
+        assert blocks == expected, (order, len(sym))
 
 
 @pytest.mark.parametrize("flip_at", [0, 1, 500, -2, -1])
@@ -305,29 +292,8 @@ def test_block_determinism_checks_every_position(monkeypatch, flip_at):
         block_determinism(fixed_point_prefix(2, 1000), 3)
 
 
-@pytest.mark.parametrize("order", [1, 3, 8, 64, 65])
-def test_block_table_reads_each_symbol_from_its_block(monkeypatch, order):
-    """Both routes agreeing on a wrong first symbol pass the check, and the
-    table still gives the first block its true symbol: no symbol is read
-    from the checked word."""
-    u = fixed_point_prefix(2, 1000)
-    expected = _sliced_block_table(u, order)
-    exact = transforms.difference
-
-    def flipped(w, order=1):
-        sym = bytearray(exact(w, order))
-        sym[0] ^= 1
-        return bytes(sym)
-
-    monkeypatch.setattr(transforms, "difference", flipped)
-    monkeypatch.setattr(transforms, "difference_by_binomial", flipped)
-    count, table = block_determinism(u, order)
-    assert count == len(expected)
-    assert list(table.items()) == list(expected.items())
-
-
 def test_block_table_reads_its_blocks_through_distinct_factors(monkeypatch):
-    """One ``words.distinct_factors(u, order + 1)`` call gives the table's blocks."""
+    """One ``words.distinct_factors(u, order + 1)`` call gives the blocks returned."""
     calls = []
     real = words.distinct_factors
 
@@ -337,9 +303,10 @@ def test_block_table_reads_its_blocks_through_distinct_factors(monkeypatch):
 
     monkeypatch.setattr(words, "distinct_factors", spy)
     u = fixed_point_prefix(1, 500)
-    _count, table = block_determinism(u, 5)
+    count, blocks = block_determinism(u, 5)
     assert calls == [(u, 6)]
-    assert set(table) == real(u, 6)
+    assert blocks == real(u, 6)
+    assert count == len(blocks)
 
 
 def test_floor_golden():

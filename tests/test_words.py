@@ -270,22 +270,6 @@ def test_pieces_equal_reads_left_pieces_only_up_to_their_end():
                 assert words._pieces_equal(changed, _pieces(w, rng)) == (at >= end), (w, i, at)
 
 
-def test_word_identities_holds_three_words():
-    """Only U_{n+1} is held, U_n and U_{n-1} being views of it: U_{n+2} and
-    both right-hand sides stay lists of pieces (the joined check peaked at
-    4.53 times the length of U_{n-1}, U_n and U_{n+1} together, and keeping
-    every iterate U_0..U_{n+1} 1.029 times)."""
-    f = get_basis(3).value
-    words._require_level(3, 14)   # the basis table, outside the measurement
-    tracemalloc.start()
-    try:
-        assert word_identities(3, 12) == (True, True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.01 * (f(11) + f(12) + f(13))
-
-
 def test_word_identities_holds_one_word():
     """U_n and U_{n-1} are views of U_{n+1}, not copies, and U_{n+1} is built
     without the iterates before it: the peak stays within 5% of f_{n+1}
@@ -352,7 +336,8 @@ def test_fixed_point_prefix_just_past_k(k):
 
 
 def test_fixed_point_prefix_cuts_the_iterate():
-    """Lengths at, just past and inside the pieces of the last round."""
+    """Lengths one short of, at and one past f_n, 2 f_n + 3, and at and one
+    past k f_n, for n = 1..6, against U_9 built by substitution."""
     for k in (1, 2, 3, 4):
         big = _substituted(k, 9)
         for n in range(1, 7):
@@ -371,8 +356,9 @@ def test_fixed_point_prefix_at_huge_k():
 @pytest.mark.parametrize("k, length, budget", [
     (10**8, 10, 1 << 20),
     # U_1 = 0^k 1 is built, and the prefix is one join of two views of it
-    # and a third cut to k - 2 symbols; no iterate past U_1 is built.
-    (10**7, 3 * 10**7, 2 * 3 * 10**7),
+    # and a third cut to k - 2 symbols; no iterate past U_1 is built, so
+    # the peak is U_1 and the prefix: 1.1 x (length + k + 1).
+    (10**7, 3 * 10**7, 11 * (3 * 10**7 + 10**7 + 1) // 10),
 ])
 def test_fixed_point_prefix_memory_at_large_k(k, length, budget):
     tracemalloc.start()
