@@ -8,15 +8,17 @@ here, and ``difference``, ``difference_by_binomial``, ``shift_product``,
 ``block_determinism`` and ``value_affine_relation`` in ``transforms``.
 :func:`to_string` renders a word whose symbols are all decimal digits.
 The iterates U_m = sigma^m(0) are built by the recurrence
-U_{m+1} = U_m^k U_{m-1}, but a prefix of the fixed point is joined from
+U_{m+1} = U_m^k U_{m-1}, but a prefix of the fixed point is the stream of
 the blocks sigma^j(0) = U_j and sigma^j(1) = U_{j-1} of one short U_j
-(:func:`fixed_point_prefix`).
+(:func:`_sigma_blocks`), which :func:`fixed_point_prefix` joins.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, chain, islice, repeat, takewhile
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice, repeat
 
 from . import numeration
 from .errors import CapExceededError
@@ -75,16 +77,47 @@ def _require_level(k: int, n: int) -> None:
         )
 
 
-def fixed_point_prefix(k: int, length: int) -> bytes:
-    """The first ``length`` symbols of the infinite fixed point x of the morphism.
+def _sigma_blocks(k: int, length: int) -> Iterator[tuple[bytes, int]]:
+    """x[:length] as the pieces ``(word, end)``, each standing for ``word[:end]``.
 
     x = sigma^j(x) for every j, and sigma^j maps 0 to U_j and 1 to U_{j-1},
     so x is the join of one block per symbol of x: U_j for a 0 and U_{j-1}
     for a 1, both prefixes of U_j.  The iterates are built only up to the
     first j with f_{2j} = |sigma^j(U_j)| >= ``length``, about the square
-    root of ``length`` symbols, and U_j's own head then gives x[:length] as
-    one join of ``memoryview`` prefixes of U_j, the last one cut to fit; no
-    iterate longer than U_j and no overshoot of ``length`` is built.
+    root of ``length`` symbols, and U_j's own head then names the blocks:
+    each piece is ``(U_j, f_j)`` or ``(U_j, f_{j-1})``, and the last is
+    cut to the symbols still missing.  The whole blocks are two tuples
+    repeated, so the stream costs no object per block.
+    """
+    if length <= k:
+        # The fixed point starts with U_1 = 0^k 1; its first k symbols need
+        # no iterate, which at large k would not fit in memory.
+        return iter(((bytes(length), length),))
+    prev, cur = b"\x00", b"\x00" * k + b"\x01"  # U_0, U_1
+    f_odd, f_even = k + 1, k * k + k + 1  # f_{2j-1}, f_{2j} at j = 1
+    while f_even < length:
+        prev, cur = cur, _next_iterate(cur, prev, k)
+        f_odd = k * f_even + f_odd
+        f_even = k * f_odd + f_even
+
+    def end(i: int) -> int:
+        """Where the first i blocks end: f_j per 0 and f_{j-1} per 1 of U_j[:i]."""
+        zeros = cur.count(0, 0, i)
+        return zeros * len(cur) + (i - zeros) * len(prev)
+
+    # The blocks that end before ``length`` are whole; the next one is cut.
+    whole = bisect_left(range(len(cur)), length, key=end) - 1
+    blocks = ((cur, len(cur)), (cur, len(prev)))
+    return chain(map(blocks.__getitem__, islice(cur, whole)), ((cur, length - end(whole)),))
+
+
+def fixed_point_prefix(k: int, length: int) -> bytes:
+    """The first ``length`` symbols of the infinite fixed point x of the morphism.
+
+    One join of the pieces of :func:`_sigma_blocks`, each distinct piece
+    read through one ``memoryview`` prefix of its word, so no iterate
+    longer than about the square root of ``length`` and no overshoot of
+    ``length`` is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -92,33 +125,23 @@ def fixed_point_prefix(k: int, length: int) -> bytes:
         raise ValueError("length must be >= 0")
     if length > LENGTH_CAP:
         raise CapExceededError(f"prefix of length {length} exceeds cap {LENGTH_CAP}")
-    if length <= k:
-        # The fixed point starts with U_1 = 0^k 1; its first k symbols need
-        # no iterate, which at large k would not fit in memory.
-        return bytes(length)
-    prev, cur = b"\x00", b"\x00" * k + b"\x01"  # U_0, U_1
-    f_odd, f_even = k + 1, k * k + k + 1  # f_{2j-1}, f_{2j} at j = 1
-    while f_even < length:
-        prev, cur = cur, _next_iterate(cur, prev, k)
-        f_odd = k * f_even + f_odd
-        f_even = k * f_odd + f_even
-    head = memoryview(cur)
-    blocks = (head, head[: len(prev)])
-    # 0 and the ends of the blocks that end before ``length``: those blocks
-    # are whole, and the next one is cut to the symbols still missing.
-    ends = list(takewhile(length.__gt__, accumulate(
-        map((len(cur), len(prev)).__getitem__, cur), initial=0)))
-    whole = map(blocks.__getitem__, islice(cur, len(ends) - 1))
-    return b"".join(chain(whole, (head[: length - ends[-1]],)))
+    pieces = list(_sigma_blocks(k, length))
+    # A whole word is joined as itself, so a one-piece prefix is not copied.
+    views = {(word, end): word if end == len(word) else memoryview(word)[:end]
+             for word, end in set(pieces)}
+    return b"".join(map(views.__getitem__, pieces))
 
 
-def _pieces_equal(left: list[tuple[bytes, int]], right: list) -> bool:
+def _pieces_equal(left: Iterable[tuple[bytes, int]], size: int, right: list) -> bool:
     """Whether the joins of the left pieces, each a prefix ``word[:end]`` of
     a ``bytes`` word given as ``(word, end)`` with ``end <= len(word)``,
     and of the bytes-like pieces ``right`` are equal, decided without
     joining either side: each overlap of a left and a right piece is one
-    ``startswith`` memcmp."""
-    if sum(end for _, end in left) != sum(map(len, right)):
+    ``startswith`` memcmp.  ``size`` is the total length of the left
+    pieces, so unequal lengths are refused before any piece is read; left
+    pieces that run short of it or past it still compare unequal.
+    """
+    if size != sum(map(len, right)):
         return False
     pieces = iter(left)
     cur, end, pos = b"", 0, 0
@@ -126,14 +149,16 @@ def _pieces_equal(left: list[tuple[bytes, int]], right: list) -> bool:
         view = memoryview(piece)
         while view:
             if pos == end:
-                (cur, end), pos = next(pieces), 0
+                (cur, end), pos = next(pieces, (b"", -1)), 0
+                if end < 0:
+                    return False
                 continue
             m = min(end - pos, len(view))
             if not cur.startswith(view[:m], pos):
                 return False
             pos += m
             view = view[m:]
-    return True
+    return pos == end and not any(end for _, end in pieces)
 
 
 def word_identities(k: int, n: int) -> tuple[bool, bool]:
@@ -144,24 +169,26 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     product length >= 2).  Second: U_{n+2} equals U_n (U_n^k U_{n-1}*)^k where
     * exchanges the last two symbols (needs n >= 2).
 
-    Each U_m is the first f_m symbols of the fixed point, so U_{n+1} is the
-    only word built and U_n, U_{n-1} are ``memoryview`` prefixes of it.
-    Both sides of each identity are lists of pieces: on the left U_{n+2} is
-    U_{n+1}^k U_n, each piece U_{n+1} at its built length or a prefix at
-    its view's length, and on the right U_{n-1}* (|U_{n-1}| >= 2) is three
-    slices of the view of U_{n-1}.
+    Each U_m is the first f_m symbols of the fixed point, so U_n is the only
+    word built and U_{n-1} is a ``memoryview`` prefix of it.  On the left
+    U_{n+2} = U_{n+1}^k U_n, and each copy of U_{n+1} is the stream of its
+    sigma^j blocks (:func:`_sigma_blocks`), matched as it comes and never
+    joined; on the right U_{n-1}* (|U_{n-1}| >= 2) is three slices of the
+    view of U_{n-1}.
     """
     if n < 2:
         raise ValueError("identities are stated for n >= 2")
     # Refuse U_{n+2} by index, though it is never joined.
     _require_level(k, n + 2)
     f = numeration.get_basis(k).value
-    un1 = fixed_point_prefix(k, f(n + 1))
-    un, un_1 = memoryview(un1)[: f(n)], memoryview(un1)[: f(n - 1)]
+    un = fixed_point_prefix(k, f(n))
+    view = memoryview(un)
+    un_1 = view[: f(n - 1)]
     swapped = [un_1[:-2], un_1[-1:], un_1[-2:-1]]
-    at_un1, at_un, at_un_1 = (un1, len(un1)), (un1, len(un)), (un1, len(un_1))
-    id1 = _pieces_equal([at_un_1, at_un], [un, *swapped])
-    id2 = _pieces_equal([at_un1] * k + [at_un], [un] + ([un] * k + swapped) * k)
+    id1 = _pieces_equal([(un, f(n - 1)), (un, f(n))], f(n - 1) + f(n), [view, *swapped])
+    un1 = chain.from_iterable(_sigma_blocks(k, f(n + 1)) for _ in range(k))
+    id2 = _pieces_equal(chain(un1, [(un, f(n))]), k * f(n + 1) + f(n),
+                        [view] + ([view] * k + swapped) * k)
     return id1, id2
 
 

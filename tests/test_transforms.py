@@ -173,9 +173,9 @@ def test_block_determinism_counts():
     for order in (1, 2, 3, 5, 8):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            count, table = block_determinism(u, order)
+            count, blocks = block_determinism(u, order)
         assert count == order + 2
-        assert all(len(block) == order + 1 for block in table)
+        assert all(len(block) == order + 1 for block in blocks)
 
 
 def test_block_determinism_warns_on_short_prefix():
@@ -292,7 +292,7 @@ def test_block_determinism_checks_every_position(monkeypatch, flip_at):
         block_determinism(fixed_point_prefix(2, 1000), 3)
 
 
-def test_block_table_reads_its_blocks_through_distinct_factors(monkeypatch):
+def test_block_determinism_reads_its_blocks_through_distinct_factors(monkeypatch):
     """One ``words.distinct_factors(u, order + 1)`` call gives the blocks returned."""
     calls = []
     real = words.distinct_factors

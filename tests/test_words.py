@@ -188,20 +188,39 @@ def test_word_identities_small_grid():
             assert word_identities(k, n) == _literal_identities(k, un_1, un, un1) == (True, True)
 
 
+def _stream_of(word: bytes, exact) -> list[tuple[bytes, int]]:
+    """``word`` as pieces cut where the ``exact`` pieces end, the last piece
+    running to the end of ``word``, so a length change lands in it."""
+    pieces, start = [], 0
+    for _, end in exact:
+        pieces.append((word[start : start + end], end))
+        start += end
+    start -= end
+    pieces[-1] = (word[start:], len(word) - start)
+    return pieces
+
+
 @pytest.mark.parametrize(
     "corrupt", ["flip_first", "flip_in_un", "flip_in_un1", "flip_last", "drop_last", "append"]
 )
 def test_word_identities_detects_a_wrong_iterate(monkeypatch, corrupt):
     """The piecewise matches fail on a symbol change inside U_{n-1}, inside
     U_n past U_{n-1} or inside U_{n+1} past U_n, and on a length change of
-    the built U_{n+1}: the verdict is the literal joined statements' verdict
-    on the words sliced from the corrupted U_{n+1}, and never (True, True)."""
-    exact = words.fixed_point_prefix
+    U_{n+1}.  The corruption is made in the block stream that both U_n and
+    each streamed copy of U_{n+1} are read from: the verdict is the literal
+    joined statements' verdict on the words sliced from the corrupted
+    U_{n+1}, and never (True, True)."""
+    exact = words._sigma_blocks
     for k in (1, 2, 3):
         f = get_basis(k).value
         for n in (2, 3, 5):
-            for bad in _corruptions(exact(k, f(n + 1)), corrupt, [f(n - 1), f(n)]):
-                monkeypatch.setattr(words, "fixed_point_prefix", lambda k, length: bad)
+            for bad in _corruptions(_substituted(k, n + 1), corrupt, [f(n - 1), f(n)]):
+
+                def stream(k, length, bad=bad, top=f(n + 1)):
+                    word = bad if length == top else bad[:length]
+                    return iter(_stream_of(word, exact(k, length)))
+
+                monkeypatch.setattr(words, "_sigma_blocks", stream)
                 got = word_identities(k, n)
                 window = (bad[: f(n - 1)], bad[: f(n)], bad)
                 assert got == _literal_identities(k, *window), (k, n)
@@ -222,13 +241,15 @@ def _pieces(w: bytes, rng: random.Random) -> list:
 def test_pieces_equal_matches_joined_comparison():
     """The piecewise comparison equals comparing the joins, for a difference
     in the first or last byte of every piece on either side, pieces of
-    length 0..2, and unequal total lengths."""
+    length 0..2, and unequal total lengths, whether the left pieces' given
+    total is theirs or the right side's; the left pieces are an iterator,
+    read once."""
     rng = random.Random(2200)
     for _ in range(300):
         w = bytes(rng.getrandbits(1) for _ in range(rng.randrange(12)))
         left = [(bytes(p), len(p)) for p in _pieces(w, rng)]
         right = _pieces(w, rng)
-        assert words._pieces_equal(left, right)
+        assert words._pieces_equal(iter(left), len(w), right)
         # Each byte that opens or closes a piece of either side, flipped.
         edges = set()
         for side in ([p for p, _ in left], right):
@@ -244,8 +265,11 @@ def test_pieces_equal_matches_joined_comparison():
             variants.append(bytes(v))
         variants += [w[:-1], w + b"\x00", w + b"\x01", b"\x00" + w]
         for v in variants:
-            assert words._pieces_equal(left, _pieces(v, rng)) == (w == v), (w, v)
-            assert words._pieces_equal([(bytes(p), len(p)) for p in _pieces(v, rng)], right) == (w == v)
+            assert words._pieces_equal(iter(left), len(w), _pieces(v, rng)) == (w == v), (w, v)
+            other = [(bytes(p), len(p)) for p in _pieces(v, rng)]
+            assert words._pieces_equal(iter(other), len(v), right) == (w == v), (w, v)
+            # Left pieces that run short of or past the total they are given.
+            assert words._pieces_equal(iter(other), len(w), right) == (w == v), (w, v)
 
 
 def test_pieces_equal_reads_left_pieces_only_up_to_their_end():
@@ -261,29 +285,67 @@ def test_pieces_equal_reads_left_pieces_only_up_to_their_end():
             left.append((bytes(piece) + tail, len(piece), pos))
             pos += len(piece)
         pieces = [(word, end) for word, end, _ in left]
-        assert words._pieces_equal(pieces, _pieces(w, rng))
+        assert words._pieces_equal(iter(pieces), len(w), _pieces(w, rng))
         for i, (word, end, start) in enumerate(left):
             for at in range(len(word)):
                 flipped = bytearray(word)
                 flipped[at] ^= 1
                 changed = pieces[:i] + [(bytes(flipped), end)] + pieces[i + 1 :]
-                assert words._pieces_equal(changed, _pieces(w, rng)) == (at >= end), (w, i, at)
+                same = words._pieces_equal(iter(changed), len(w), _pieces(w, rng))
+                assert same == (at >= end), (w, i, at)
 
 
 def test_word_identities_holds_one_word():
-    """U_n and U_{n-1} are views of U_{n+1}, not copies, and U_{n+1} is built
-    without the iterates before it: the peak stays within 5% of f_{n+1}
-    (slicing U_n and U_{n-1} out of a U_{n+1} built through every iterate
-    peaked at 1.39 times f_{n+1})."""
-    f = get_basis(3).value
-    words._require_level(3, 14)   # the basis table, outside the measurement
-    tracemalloc.start()
-    try:
-        assert word_identities(3, 12) == (True, True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.05 * f(13), peak / f(13)
+    """U_n is the only word built: U_{n-1} is a view of it, and each copy of
+    U_{n+1} is matched block by block as the sigma^j blocks stream, never
+    joined.  The peak stays within 15% of f_n (joining U_{n+1} and viewing
+    U_n and U_{n-1} in it peaked at 3.4 times f_12 at k = 3 and 1.67 times
+    f_30 at k = 1)."""
+    for k, n in ((3, 12), (1, 30)):
+        f = get_basis(k).value
+        words._require_level(k, n + 2)   # the basis table, outside the measurement
+        tracemalloc.start()
+        try:
+            assert word_identities(k, n) == (True, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * f(n), (k, n, peak / f(n))
+
+
+def test_word_identities_reads_one_block_stream(monkeypatch):
+    """Both words come from the sigma^j block stream: U_n is one stream of
+    f_n symbols, joined by ``fixed_point_prefix``, and each of the k copies
+    of U_{n+1} is one stream of f_{n+1} symbols, consumed as it comes."""
+    calls = []
+    real = words._sigma_blocks
+
+    def spy(k, length):
+        calls.append(length)
+        return real(k, length)
+
+    monkeypatch.setattr(words, "_sigma_blocks", spy)
+    for k in (1, 2, 3):
+        f = get_basis(k).value
+        for n in (2, 7):
+            calls.clear()
+            assert word_identities(k, n) == (True, True)
+            assert calls == [f(n)] + [f(n + 1)] * k, (k, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sigma_blocks_are_prefixes_of_one_iterate(k):
+    """Every piece is a prefix of one iterate U_j, the whole blocks are two
+    tuples repeated and the last is cut: at most three distinct pieces,
+    whose join is x[:length]."""
+    x = _substituted(k, 15 if k == 1 else 9)
+    for length in sorted({0, 1, k, k + 1, k + 2, 50, 51, 1000, len(x) - 1, len(x)}):
+        assert length <= len(x)
+        pieces = list(words._sigma_blocks(k, length))
+        assert len({word for word, _ in pieces}) == 1, (k, length)
+        assert len(set(map(id, pieces[:-1]))) <= 2, (k, length)
+        assert all(0 < end <= len(word) for word, end in pieces) or length == 0
+        assert b"".join(word[:end] for word, end in pieces) == x[:length], (k, length)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -449,8 +511,8 @@ _MEMO_ORDERS = [1, 2, 7, 8, 9, 15, 16, 17, 33, 56, 57, 63, 64, 65]
 @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
 def test_kept_lanes_answer_every_order_of_one_word(order):
     """The lanes kept from a wider pass, masked, give the factors of each
-    shorter length, and the block table's blocks, whatever order the lengths
-    come in."""
+    shorter length, and the blocks ``block_determinism`` returns, whatever
+    order the lengths come in."""
     lengths = {
         "ascending": _MEMO_ORDERS,
         "descending": _MEMO_ORDERS[::-1],
