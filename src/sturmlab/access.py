@@ -5,7 +5,7 @@ representation of n equals k.  Shifting an index by a basis value f_n flips
 the symbol only for indices whose digits 0..n are worth f_{n+1} - 2 or
 f_{n+1} - 1, which gives a direct description of where a prefix and its
 shift disagree: per index (``mismatches``) or as the offsets of the mismatch
-pairs (``_mismatch_offsets``), which the scaled bound checks sum over.
+pairs (``_mismatch_offsets``), which the scaled bound checks read.
 
 The range forms ``symbols_at`` and ``mismatches`` are the kernels.  Each
 takes a ``range`` of step 1, checks k (and n) and the start when it is

@@ -5,7 +5,7 @@ q = b^{f_n} - 1; the gap q*x - p is a signed series supported exactly on the
 indices where the fixed point disagrees with its f_n-shift.  Everything here
 is exact: enclosures are integer numerators over one known denominator, the
 dense bound checks decide by integer cross-multiplication, and the large-n
-bound checks reduce to integer sign evaluations on sparse power sums.
+bound checks read their verdict off which mismatch offsets are present.
 Reduced ``Fraction`` values are built only when something reads them.
 """
 
@@ -243,7 +243,7 @@ class BoundsCheck(NamedTuple):
     Truthiness is ``holds``; the side flags say which inequality carried or
     failed.  The dense route keeps its approximant ``record``, whose
     ``deltas()`` builds the certified enclosure of |x - p/q|; the scaled
-    route decides by integer sign tests and leaves it None.
+    route decides from the mismatch offsets alone and leaves it None.
     """
 
     k: int
@@ -283,54 +283,20 @@ def check_error_bounds(record: ApproximantRecord) -> BoundsCheck:
     )
 
 
-def _power_sum_sign(b: int, terms: list[tuple[int, int]]) -> int:
-    """Sign of sum(c * b^e) without materializing the large powers.
-
-    ``terms`` holds (exponent, coefficient) pairs; exponents must be >= 0.
-    Works from the top exponent down, stopping as soon as bit lengths show
-    that the accumulated head outweighs every remaining term, and folding
-    the next term in exactly otherwise.  A fold only happens when b^gap has
-    under twice the bit length of the remaining coefficient mass, so no
-    power grows past that.
-    """
-    _require_base(b)
-    merged: dict[int, int] = {}
-    for e, c in terms:
-        if e < 0:
-            raise ValueError("exponents must be >= 0")
-        merged[e] = merged.get(e, 0) + c
-    items = sorted((pair for pair in merged.items() if pair[1]), reverse=True)
-    if not items:
-        return 0
-    acc = items[0][1]
-    frame = items[0][0]
-    rest_abs = sum(abs(c) for _, c in items[1:])
-    b_bits = b.bit_length() - 1  # 2^b_bits <= b
-    for e, c in items[1:]:
-        gap = frame - e
-        if acc != 0:
-            # Everything at exponents <= e sums to at most rest_abs in the
-            # b^e frame, and rest_abs < 2^bits(rest_abs) <= |acc| * b^gap.
-            if rest_abs.bit_length() <= abs(acc).bit_length() - 1 + gap * b_bits:
-                return 1 if acc > 0 else -1
-            acc *= b**gap
-        acc += c
-        frame = e
-        rest_abs -= abs(c)
-    if acc > 0:
-        return 1
-    if acc < 0:
-        return -1
-    return 0
-
-
 def scaled_error_bounds_hold(k: int, n: int, b: int) -> BoundsCheck:
-    """Check the two-sided gap bounds at level n by integer sign tests alone.
+    """Check the two-sided gap bounds at level n from which offsets mismatch.
 
-    Writes |q*x - p| as (b-1)/b * sum(b^{-(f_{n+1}-2+h)}) over the mismatch
-    offsets h, splits off the offsets up to a cutoff, bounds the rest by a
-    geometric tail, and reduces both comparisons to signs of sparse integer
-    power sums.  Never builds numbers anywhere near b^{f_n}.
+    |q*x - p| is (b-1)/b * sum(b^{-(f_{n+1}-2+h)}) over the mismatch offsets
+    h.  Splitting off the offsets up to a cutoff and bounding the rest by a
+    geometric tail turns the two sides, scaled by b^cutoff, into
+    (b-1)^2 * sum_{h>0} b^{cutoff-h} >= b and
+    (b-1)^2 * sum_h b^{cutoff-h} <= (b-1) * b^{cutoff+1} - b.  The offsets
+    increase strictly, so each sum is a base-b numeral with a digit 1 at
+    every position cutoff - h.  The lower side holds iff a term has exponent
+    >= 1 (an offset in 1..cutoff-1), or the exponent-0 term (b-1)^2 reaches
+    b (the cutoff is an offset and b >= 3).  The upper side fails only at
+    the all-ones numeral (the offsets fill 0..cutoff), which overshoots by
+    1; any missing digit leaves a margin of (b-1)^2 - 1 >= 0.
     """
     _require_base(b)
     if n < 0:
@@ -338,7 +304,8 @@ def scaled_error_bounds_hold(k: int, n: int, b: int) -> BoundsCheck:
     basis = numeration.get_basis(k)
     fn1 = basis.value(n + 1)
     # Smallest positive offset: f_{n+2} when k == 1 (j = 1 is excluded there),
-    # f_{n+1} otherwise; pad the cutoff so its term dominates the tail.
+    # f_{n+1} otherwise.  The lower side needs a positive offset below the
+    # cutoff, so the cutoff lies past this one.
     h_min = basis.value(n + 2) if k == 1 else fn1
     cutoff = h_min + fn1 + 4
     hs = access._mismatch_offsets(k, n, cutoff)
@@ -346,13 +313,10 @@ def scaled_error_bounds_hold(k: int, n: int, b: int) -> BoundsCheck:
         raise AssertionError("offset enumeration must start at h = 0")
     if len(hs) < 2:
         raise AssertionError("cutoff admitted no positive offset")
-    coef = (b - 1) ** 2
-    lower_terms = [(cutoff - h, coef) for h in hs if h > 0]
-    lower_terms.append((0, -b))
-    lower_ok = _power_sum_sign(b, lower_terms) >= 0
-    upper_terms = [(cutoff + 2, 1), (cutoff + 1, -1), (0, -b)]
-    upper_terms.extend((cutoff - h, -coef) for h in hs)
-    upper_ok = _power_sum_sign(b, upper_terms) >= 0
+    if any(h >= nxt for h, nxt in zip(hs, [*hs[1:], cutoff + 1])):
+        raise AssertionError("offsets must increase strictly up to the cutoff")
+    lower_ok = any(0 < h < cutoff for h in hs) or (hs[-1] == cutoff and b >= 3)
+    upper_ok = len(hs) <= cutoff
     return BoundsCheck(
         k=k, n=n, b=b,
         holds=lower_ok and upper_ok, lower_ok=lower_ok, upper_ok=upper_ok,
@@ -426,9 +390,9 @@ def bound_constants_hold(k: int, b: int, n: int) -> bool:
     The upper constant follows from q < b^{f_n} alone; the lower reduces to
     q^theta >= b^{f_{n+1}-3}, which holds whenever ``_law_settles`` with c = 3 and
     is otherwise decided raised to the f_n-th power.  The middle inequality
-    is the two-sided gap bound, decided on every cell by the sign tests of
-    ``scaled_error_bounds_hold``: only its verdict is needed, so no dense
-    prefix value is built.
+    is the two-sided gap bound, decided on every cell from the mismatch
+    offsets by ``scaled_error_bounds_hold``: only its verdict is needed, so
+    no dense prefix value is built.
     """
     _require_base(b)
     if not scaled_error_bounds_hold(k, n, b).holds:

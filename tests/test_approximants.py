@@ -24,8 +24,8 @@ from sturmlab import (
     series_truncation,
     word_value,
 )
-from sturmlab import approximants, numeration
-from sturmlab.approximants import _law_settles, _power_sum_sign, _reduced
+from sturmlab import access, approximants, numeration
+from sturmlab.approximants import _law_settles, _reduced
 from sturmlab.numeration import get_basis
 
 
@@ -384,31 +384,53 @@ def test_scaled_route_heavy_tail_at_wide_base(k, n):
     assert chk.holds and chk.lower_ok and chk.upper_ok
 
 
-def test_power_sum_sign_matches_exact_sum():
-    import random
+def _scaled_sums_hold(b, cutoff, hs):
+    """Both sides of the scaled gap bound as exact sums of powers of b."""
+    coef = (b - 1) ** 2
+    lower = coef * sum(b ** (cutoff - h) for h in hs if h > 0) - b
+    upper = (b ** (cutoff + 2) - b ** (cutoff + 1) - b
+             - coef * sum(b ** (cutoff - h) for h in hs))
+    return lower >= 0, upper >= 0
 
-    rng = random.Random(20261017)
-    for trial in range(400):
-        b = rng.choice([2, 3, 10, 2**40, 10**30])
-        terms = []
-        e = rng.randrange(0, 400)
-        for _ in range(rng.randint(1, 8)):
-            c = rng.choice([1, -1]) * rng.randrange(1, b * b + 2)
-            if rng.random() < 0.4:
-                # c*b^(e+1) - c*b*b^e cancels exactly; the sign lives lower down.
-                terms += [(e + 1, c), (e, -c * b)]
-            else:
-                terms.append((e, c))
-            # Gaps up to 200, so many exceed 64.
-            e = max(0, e - rng.choice([0, 1, 2, 63, 64, 65, 200]))
-        # A heavy tail: many terms at the bottom exponents.
-        if rng.random() < 0.5:
-            terms += [(rng.randrange(0, 3), rng.randrange(1, b * b)) for _ in range(30)]
-        exact = sum(c * b**e for e, c in terms)
-        want = (exact > 0) - (exact < 0)
-        assert _power_sum_sign(b, terms) == want, (trial, b, terms)
-    assert _power_sum_sign(10, [(3, 1), (2, -10)]) == 0
-    assert _power_sum_sign(10, []) == 0
+
+# Cells whose cutoff is at most 40: 9, 12, 17, 25, 38, 10, 18, 38, 12, 30, 14.
+_SMALL_CUTOFF_CELLS = [(1, n) for n in range(5)] + [(2, 0), (2, 1), (2, 2),
+                                                    (3, 0), (3, 1), (4, 0)]
+
+
+def test_scaled_decision_matches_exact_sums(monkeypatch):
+    """The offset tests of ``scaled_error_bounds_hold`` give the verdicts of
+    its two scaled sums on offset lists planted in 0..cutoff, each starting
+    at 0 and strictly increasing."""
+    rng = random.Random(20261021)
+    make = None
+    planted = []
+
+    def offsets(k, n, cutoff):
+        assert cutoff <= 40
+        planted.append((cutoff, make(cutoff)))
+        return planted[-1][1]
+
+    def random_offsets(cutoff):
+        return [0, *sorted(rng.sample(range(1, cutoff + 1), rng.randint(1, cutoff)))]
+
+    monkeypatch.setattr(access, "_mismatch_offsets", offsets)
+    makers = [lambda c: [0, c], lambda c: list(range(c + 1))] + [random_offsets] * 30
+    verdicts = set()
+    for b in (2, 3, 10, 2**40, 10**30):
+        for k, n in _SMALL_CUTOFF_CELLS:
+            for make in makers:
+                chk = scaled_error_bounds_hold(k, n, b)
+                cutoff, hs = planted[-1]
+                want = _scaled_sums_hold(b, cutoff, hs)
+                assert (chk.lower_ok, chk.upper_ok) == want, (b, k, n, hs)
+                assert chk.holds == all(want)
+                verdicts.update(enumerate(want))
+            # The walk's invariants refuse lists without h = 0 or a positive h.
+            for make in (lambda c: [0], lambda c: [c]):
+                with pytest.raises(AssertionError):
+                    scaled_error_bounds_hold(k, n, b)
+    assert verdicts == {(0, True), (0, False), (1, True), (1, False)}
 
 
 def test_power_guard_raises():

@@ -163,6 +163,29 @@ def test_verify_fail_row_forces_exit_one(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_verify_planted_offsets_reach_scaled_fail_rows(monkeypatch, capsys):
+    # Offsets 0 and the cutoff leave the lower side one exponent-0 term,
+    # (b-1)^2, which reaches b only from b = 3 on.
+    monkeypatch.setattr(access, "_mismatch_offsets", lambda k, n, cutoff: [0, cutoff])
+    code, out, err = run(capsys, "verify", "--lemma", "constants", "--k", "1",
+                         "--b", "2,3", "--n", "5")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "constants\t1\t2\t5\tFAIL\tc1=(b-1)/b^2;c2=b^2;holds=False",
+        "constants\t1\t3\t5\tPASS\tc1=(b-1)/b^2;c2=b^2;holds=True",
+    ]
+    # Offsets filling 0..cutoff break the upper side alone.
+    monkeypatch.setattr(access, "_mismatch_offsets",
+                        lambda k, n, cutoff: list(range(cutoff + 1)))
+    b = str(10**30)
+    code, out, err = run(capsys, "verify", "--lemma", "formula3", "--k", "1",
+                         "--b", b, "--n", "20")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        f"formula3\t1\t{b}\t20\tFAIL\troute=scaled;lower_ok=True;upper_ok=False",
+    ]
+
+
 def test_verify_cap_after_a_fail_row_is_exit_two(monkeypatch, tmp_path, capsys):
     """Rows print only after the last cell, so a capped cell later in sorted
     order ends a sweep whose earlier cell failed: exit 2, no row printed."""
