@@ -119,15 +119,17 @@ def fixed_point_series(k: int, b: int, depth: int) -> SeriesTruncation:
     return series_truncation(words.fixed_point_prefix(k, depth), b, digit_cap=1)
 
 
-def _reduced(num: int, b: int, scale: int, rest: int) -> Fraction:
-    """``num / (scale * rest)`` in lowest terms, for ``scale`` a power of b
-    and ``rest`` a positive integer coprime to b.
+def _reduced(num: int, b: int, scale: int, rest: int, residue: int) -> Fraction:
+    """``num / (scale * rest)`` in lowest terms, for ``scale`` a power of b,
+    ``rest`` a positive integer coprime to b and ``residue`` = num mod rest.
 
-    The common factor is gcd(num, scale) * gcd(num, rest), and neither gcd
-    sees ``num`` at full size.  The b-part is gcd(num mod b^s, b^s) for
-    s = 1, 2, 4, ... until b^s reaches ``scale``: once doubling s leaves it
-    unchanged, every prime of b has its full valuation in it, so b is never
-    factored.
+    The common factor is gcd(num, scale) * gcd(residue, rest), so neither
+    gcd sees ``num`` at full size and ``num`` is never divided by ``rest``.
+    The b-part is gcd(num mod b^s, b^s) for s = 1, 2, 4, ... until b^s
+    reaches ``scale``: once doubling s leaves it unchanged, every prime of b
+    has its full valuation in it, so b is never factored.  ``num`` is then
+    divided by the common factor with a zero remainder asserted, so a
+    residue that claims a factor ``num`` lacks raises AssertionError.
     """
     from fractions import Fraction
 
@@ -138,11 +140,14 @@ def _reduced(num: int, b: int, scale: int, rest: int) -> Fraction:
         if h == g or bs == scale:
             break
         g, bs = h, bs * bs
-    r = gcd(num % rest, rest)
+    r = gcd(residue, rest)
+    quot, rem = divmod(num, h * r)
+    if rem:
+        raise AssertionError("the residue claims a factor the numerator lacks")
     # Fraction(n, d) would run a full-size gcd again, and 3.12 dropped its
     # _normalize=False; set the slots as 3.12's _from_coprime_ints does.
     out = object.__new__(Fraction)
-    out._numerator = num // (h * r)
+    out._numerator = quot
     out._denominator = scale // h * (rest // r)
     return out
 
@@ -153,10 +158,13 @@ class ApproximantRecord(NamedTuple):
     ``sign`` is the certified sign of x - p/q; ``deltas()`` returns the
     pair (delta_lo, delta_hi) that brackets its absolute value, so
     0 < delta_lo <= |x - p/q| <= delta_hi.  They are ``num_lo``/``num_hi``
-    over the denominator ``(b-1) * b^(depth-1) * q``.  The record keeps
-    only the integers, and each ``deltas()`` call reduces both values with
-    ``_reduced``: b^(depth-1) is coprime to (b-1) * q, so the common factor
-    with each is found apart, and no gcd sees the full-size numerator.
+    over ``den * q``, where ``den`` = (b-1) * b^(depth-1) is the series
+    denominator of the prefix enclosure [lo/den, hi/den] of x.  The record
+    keeps only the integers, and each ``deltas()`` call reduces both values
+    with ``_reduced``: b^(depth-1) is coprime to (b-1) * q, so the common
+    factor with each is found apart.  The residues mod (b-1) * q come from
+    p and q alone (see ``_residues``), so no gcd or division by (b-1) * q
+    sees a full-size numerator.
     """
 
     k: int
@@ -168,11 +176,36 @@ class ApproximantRecord(NamedTuple):
     num_hi: int
     sign: int
     depth: int
+    den: int
 
     def deltas(self) -> tuple[Fraction, Fraction]:
-        """(delta_lo, delta_hi), reduced."""
-        b, scale, rest = self.b, self.b ** (self.depth - 1), (self.b - 1) * self.q
-        return _reduced(self.num_lo, b, scale, rest), _reduced(self.num_hi, b, scale, rest)
+        """(delta_lo, delta_hi), reduced from their residues mod (b-1) * q."""
+        b, rest = self.b, (self.b - 1) * self.q
+        scale = self.den // (b - 1)
+        res_lo, res_hi = self._residues()
+        return (_reduced(self.num_lo, b, scale, rest, res_lo),
+                _reduced(self.num_hi, b, scale, rest, res_hi))
+
+    def _residues(self) -> tuple[int, int]:
+        """``num_lo`` and ``num_hi`` mod R = (b-1) * q, from p and q alone.
+
+        Over den * q the enclosure of x - p/q has the numerators
+        N_lo = lo*q - p*den and N_hi = N_lo + q.  Three facts make their
+        residues small-number work: (b-1) divides ``lo``, so lo*q = 0 mod R;
+        the digit cap is 1, so hi - lo = 1; and q = b^{f_n} - 1, so
+        b^{f_n} = 1 (mod q).  With den = (b-1) * b^(depth-1) this gives
+        N_lo = -(b-1) * t (mod R) for t = p * b^((depth-1) mod f_n) mod q, and
+        N_hi = N_lo + q (mod R); the sign says which is ``num_lo``.
+        """
+        b, q = self.b, self.q
+        rest = (b - 1) * q
+        fn = numeration.get_basis(self.k).value(self.n)
+        t = self.p * pow(b, (self.depth - 1) % fn, q) % q
+        n_lo = -(b - 1) * t % rest
+        n_hi = (n_lo + q) % rest
+        if self.sign > 0:
+            return n_lo, n_hi
+        return -n_hi % rest, -n_lo % rest
 
 
 def approximant(k: int, n: int, b: int) -> ApproximantRecord:
@@ -208,7 +241,7 @@ def approximant(k: int, n: int, b: int) -> ApproximantRecord:
         )
     return ApproximantRecord(
         k=k, n=n, b=b, p=p, q=q,
-        num_lo=num_lo, num_hi=num_hi, sign=sign, depth=depth,
+        num_lo=num_lo, num_hi=num_hi, sign=sign, depth=depth, den=x.den,
     )
 
 

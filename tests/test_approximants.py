@@ -284,7 +284,8 @@ def test_reduced_matches_fraction(b, v):
             while gcd(unit, b) > 1:
                 unit += 2
             num = b**v * unit * c
-            _same_fraction(_reduced(num, b, scale, rest), Fraction(num, scale * rest))
+            _same_fraction(_reduced(num, b, scale, rest, num % rest),
+                           Fraction(num, scale * rest))
 
 
 @pytest.mark.parametrize(
@@ -301,7 +302,7 @@ def test_reduced_matches_fraction(b, v):
 def test_reduced_caps_at_scale(num, b, e):
     rest = (b - 1) * (b**3 - 1)
     scale = b**e
-    _same_fraction(_reduced(num, b, scale, rest), Fraction(num, scale * rest))
+    _same_fraction(_reduced(num, b, scale, rest, num % rest), Fraction(num, scale * rest))
 
 
 def test_deltas_runs_no_full_size_gcd(monkeypatch):
@@ -328,6 +329,55 @@ def test_deltas_runs_no_full_size_gcd(monkeypatch):
     assert bits and max(bits) <= limit
     for g, w in zip(got, want):
         _same_fraction(g, w)
+
+
+def test_residues_match_numerators():
+    """The residues deltas() reduces by are num mod (b-1)q, on every dense
+    cell of the certify grid's bases and on wider digit alphabets and bases,
+    with both signs of x - p/q."""
+    recs = [chk.record for k in (1, 2, 3) for b in (2, 3, 10) for n in range(16)
+            if (chk := check_error_bounds_auto(k, n, b)).route == "dense"]
+    recs += [approximant(5, n, 7) for n in range(6)]
+    recs += [approximant(1, n, 2**40) for n in range(12)]
+    for rec in recs:
+        rest = (rec.b - 1) * rec.q
+        assert rec._residues() == (rec.num_lo % rest, rec.num_hi % rest), (rec.k, rec.n, rec.b)
+    assert {rec.sign for rec in recs} == {-1, 1}
+
+
+def test_deltas_divides_numerators_by_small_numbers_only():
+    """deltas() takes no full-size remainder: every divisor that num_lo or
+    num_hi meets is a small power of b or the common factor, never (b-1)q."""
+    rec = approximant(3, 8, 10)
+    assert ((rec.b - 1) * rec.q).bit_length() > 50_000
+    divisors = []
+
+    class Logged(int):
+        def __mod__(self, other):
+            divisors.append(other)
+            return int.__mod__(self, other)
+
+        def __floordiv__(self, other):
+            divisors.append(other)
+            return int.__floordiv__(self, other)
+
+        def __divmod__(self, other):
+            divisors.append(other)
+            return int.__divmod__(self, other)
+
+    logged = rec._replace(num_lo=Logged(rec.num_lo), num_hi=Logged(rec.num_hi))
+    got = logged.deltas()
+    widths = [d.bit_length() for d in divisors]
+    assert widths and max(widths) <= 64
+    for g, w in zip(got, rec.deltas()):
+        _same_fraction(g, w)
+
+
+def test_wrong_residue_raises(monkeypatch):
+    rec = approximant(2, 5, 10)
+    monkeypatch.setattr(approximants.ApproximantRecord, "_residues", lambda self: (0, 0))
+    with pytest.raises(AssertionError, match="residue"):
+        rec.deltas()
 
 
 def test_scaled_route_leaves_values_unset():
