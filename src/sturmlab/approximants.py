@@ -119,17 +119,20 @@ def fixed_point_series(k: int, b: int, depth: int) -> SeriesTruncation:
     return series_truncation(words.fixed_point_prefix(k, depth), b, digit_cap=1)
 
 
-def _reduced(num: int, b: int, scale: int, rest: int, residue: int) -> Fraction:
-    """``num / (scale * rest)`` in lowest terms, for ``scale`` a power of b,
-    ``rest`` a positive integer coprime to b and ``residue`` = num mod rest.
+def _reduced(num: int, b: int, scale: int, rest: int, residue: int, full: int) -> Fraction:
+    """``num / full`` in lowest terms, for ``full`` = scale * rest, ``scale``
+    a power of b, ``rest`` a positive integer coprime to b and ``residue`` =
+    num mod rest.
 
     The common factor is gcd(num, scale) * gcd(residue, rest), so neither
     gcd sees ``num`` at full size and ``num`` is never divided by ``rest``.
     The b-part is gcd(num mod b^s, b^s) for s = 1, 2, 4, ... until b^s
     reaches ``scale``: once doubling s leaves it unchanged, every prime of b
-    has its full valuation in it, so b is never factored.  ``num`` is then
-    divided by the common factor with a zero remainder asserted, so a
-    residue that claims a factor ``num`` lacks raises AssertionError.
+    has its full valuation in it, so b is never factored.  ``num`` and
+    ``full``, which the caller builds once for all its values, are then
+    divided by the common factor, with a zero remainder asserted for
+    ``num``, so a residue that claims a factor ``num`` lacks raises
+    AssertionError.
     """
     from fractions import Fraction
 
@@ -148,7 +151,7 @@ def _reduced(num: int, b: int, scale: int, rest: int, residue: int) -> Fraction:
     # _normalize=False; set the slots as 3.12's _from_coprime_ints does.
     out = object.__new__(Fraction)
     out._numerator = quot
-    out._denominator = scale // h * (rest // r)
+    out._denominator = full // (h * r)
     return out
 
 
@@ -180,11 +183,11 @@ class ApproximantRecord(NamedTuple):
 
     def deltas(self) -> tuple[Fraction, Fraction]:
         """(delta_lo, delta_hi), reduced from their residues mod (b-1) * q."""
-        b, rest = self.b, (self.b - 1) * self.q
+        b, rest, full = self.b, (self.b - 1) * self.q, self.den * self.q
         scale = self.den // (b - 1)
         res_lo, res_hi = self._residues()
-        return (_reduced(self.num_lo, b, scale, rest, res_lo),
-                _reduced(self.num_hi, b, scale, rest, res_hi))
+        return (_reduced(self.num_lo, b, scale, rest, res_lo, full),
+                _reduced(self.num_hi, b, scale, rest, res_hi, full))
 
     def _residues(self) -> tuple[int, int]:
         """``num_lo`` and ``num_hi`` mod R = (b-1) * q, from p and q alone.

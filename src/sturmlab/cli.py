@@ -68,8 +68,8 @@ PLAN_CAP = 1_000_000
 # Largest level n, in units of k's bit length, that `exponent --n` and the
 # formula3, growth and constants cells take.  Each reads a few basis values
 # near index n, of about n*bits(k) bits each, so its cost is set by
-# n * bits(k): at k = 1 and the cap, the sandwich over 2..n takes about
-# 0.02 s, and one of those cells about 0.001 s (2 vCPUs, CPython 3.11).
+# n * bits(k): at k = 1 and the cap, the sandwich at level n takes about
+# 0.002 s and one of those cells about 0.001 s (2 vCPUs, CPython 3.11).
 LEVEL_CAP = 10_000
 
 Row = dict[str, str]
@@ -252,6 +252,8 @@ def _check_constants(k: int, b: int, n: int) -> tuple[bool, str]:
 
 
 def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
+    words._require_prefix(k, depth + 1)
+    transforms._require_depth(b, depth, 1)
     u = words.fixed_point_prefix(k, depth + 1)
     rep = transforms.value_affine_relation(u, b, depth)
     law = ";".join(f"a{i}={a}/1" for i, a in enumerate(transforms._AFFINE_LAW))
@@ -259,6 +261,8 @@ def _check_affine(k: int, b: int, depth: int) -> tuple[bool, str]:
 
 
 def _check_blocks(k: int, order: int, imax: int) -> tuple[bool, str]:
+    words._require_prefix(k, imax)
+    transforms._require_order(order, imax, 1)
     prefix = words.fixed_point_prefix(k, imax)
     try:
         count, _blocks = transforms.block_determinism(prefix, order)
@@ -420,12 +424,13 @@ def cmd_exponent(args) -> int:
     if args.b < 2:
         raise ValueError(f"--b must be >= 2, got {args.b}")
     n_values = parse_range(args.n)
-    # Every listed level is checked; a range only by its last, unexpanded.
-    for n in n_values[-1:] if isinstance(n_values, range) else n_values:
+    # Every listed level is checked; a range only by its ends, unexpanded.
+    ends = [n_values[0], n_values[-1]] if isinstance(n_values, range) else n_values
+    for n in ends:
         _require_level_cap(args.k, n)
-    if _span(n_values) < 2:
+    if max(ends) == min(ends):
         raise ValueError("--n must span at least two indices, e.g. 30..40")
-    est = exponent.exponent_sandwich(args.k, min(n_values), max(n_values))
+    est = exponent.exponent_sandwich(args.k, min(ends))
     target = est.target
     cf = None
     if args.digits is not None:

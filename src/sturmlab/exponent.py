@@ -70,28 +70,25 @@ def _float_above(x: Fraction) -> float:
     return math.nextafter(f, math.inf) if Fraction(f) < x else f
 
 
-def exponent_sandwich(k: int, n_min: int = 2, n_max: int = 12) -> ExponentEstimate:
-    """Bracket the exponent using exact ratios theta_n for n in [n_min, n_max].
+def exponent_sandwich(k: int, n: int = 2) -> ExponentEstimate:
+    """Bracket the exponent using the exact ratios theta_n and theta_{n+1}.
 
-    The ratios alternate around their limit, so 1 + min(theta) is a valid
-    lower bracket and the upper comes from the generic rate bound evaluated
-    at the observed extremes; both ends are rounded outward.  The extremes
-    need no scan.  Cassini's identity holds for this recurrence:
-    f_{n+1}^2 - f_{n+2}*f_n = (-1)^n * k, by induction from
-    f_1^2 - f_2*f_0 = (k+1)^2 - (k^2+k+1) = k, since each step maps
-    f_{n+1}^2 - f_{n+2}*f_n to f_{n+2}^2 - (k*f_{n+2} + f_{n+1})*f_{n+1} =
-    -(f_{n+1}^2 - f_{n+2}*f_n).  So theta_{n+1} - theta_n =
-    (-1)^(n+1) * k / (f_n * f_{n+1}): consecutive ratios step to alternate
-    sides by gaps that shrink, as f_n * f_{n+1} grows, and every ratio from
-    n_min + 2 on lies strictly between theta_{n_min} and theta_{n_min+1},
-    which are the extremes.
+    Every ratio theta_m for m >= n lies between those two, so 1 plus the
+    smaller is a valid lower bracket and the upper comes from the generic
+    rate bound evaluated at both; both ends are rounded outward.  Cassini's
+    identity holds for this recurrence: f_{n+1}^2 - f_{n+2}*f_n =
+    (-1)^n * k, by induction from f_1^2 - f_2*f_0 = (k+1)^2 - (k^2+k+1) =
+    k, since each step maps f_{n+1}^2 - f_{n+2}*f_n to
+    f_{n+2}^2 - (k*f_{n+2} + f_{n+1})*f_{n+1} = -(f_{n+1}^2 - f_{n+2}*f_n).
+    So theta_{n+1} - theta_n = (-1)^(n+1) * k / (f_n * f_{n+1}):
+    consecutive ratios step to alternate sides by gaps that shrink, as
+    f_n * f_{n+1} grows, and every ratio from n + 2 on lies strictly
+    between theta_n and theta_{n+1}.
     """
-    if n_min < 2:
-        raise ValueError("n_min must be >= 2")
-    if n_max <= n_min:
-        raise ValueError("n_max must exceed n_min")
+    if n < 2:
+        raise ValueError("n must be >= 2")
     basis = numeration.get_basis(k)
-    f, g = basis.value(n_min), basis.value(n_min + 1)
+    f, g = basis.value(n), basis.value(n + 1)
     m, big = sorted((Fraction(g, f), Fraction(k * g + f, g)))
     lower = _float_below(1 + m)
     upper = _float_above(exponent_upper_bound(m, big, big))

@@ -23,17 +23,18 @@ if TYPE_CHECKING:
     from .approximants import SeriesTruncation
 
 
-def _require_difference_args(u: bytes, order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order >= len(u):
+def _require_order(order: int, length: int, least: int = 0) -> None:
+    """Refuse a difference order below ``least`` or not below the word length."""
+    if order < least:
+        raise ValueError(f"order must be >= {least}")
+    if order >= length:
         raise ValueError("order must be smaller than the word length")
-    words._require_binary(u, "difference")
 
 
 def difference(u: bytes, order: int = 1) -> bytes:
     """Iterated adjacent difference mod 2; order 0 returns the word unchanged."""
-    _require_difference_args(u, order)
+    _require_order(order, len(u))
+    words._require_binary(u, "difference")
     # Mod 2, (1 + x)^(2^j) = 1 + x^(2^j): the order is a product of rounds,
     # one per set bit j, each XORing the word with its 2^j-shift.  Symbols are
     # 0/1 bytes, so a round is one XOR of big-endian integers, with no carries.
@@ -54,7 +55,8 @@ def difference_by_binomial(u: bytes, order: int = 1) -> bytes:
     word is the XOR of the mask's shifted slices, read as big-endian integers
     of 0/1 bytes.  Serves as an independent oracle for :func:`difference`.
     """
-    _require_difference_args(u, order)
+    _require_order(order, len(u))
+    words._require_binary(u, "difference")
     positions = len(u) - order
     # The slice at j = 0, then j = order, (j - 1) & order, ... while j > 0:
     # each submask of order once, 2^popcount(order) of them, and C(order, j)
@@ -85,6 +87,15 @@ def shift_product(u: bytes) -> bytes:
 _AFFINE_LAW = (2, 1, 0)
 
 
+def _require_depth(b: int, depth: int, least: int) -> None:
+    """Refuse a base, or a series depth below ``least`` or past the cap."""
+    approximants._require_base(b)
+    if depth < least:
+        raise ValueError(f"depth must be >= {least}")
+    if depth > approximants.DEPTH_CAP:
+        raise CapExceededError(f"depth {depth} exceeds cap {approximants.DEPTH_CAP}")
+
+
 class ValueRelationReport(NamedTuple):
     """Certified comparison of the coded product's value against its affine image.
 
@@ -107,11 +118,7 @@ def value_affine_relation(u: bytes, b: int, depth: int) -> ValueRelationReport:
     """Check V(v) = 2*V(u) + b*(V(u) - u_0) for v the coded pair sequence of u."""
     from fractions import Fraction
 
-    approximants._require_base(b)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > approximants.DEPTH_CAP:
-        raise CapExceededError(f"depth {depth} exceeds cap {approximants.DEPTH_CAP}")
+    _require_depth(b, depth, 1)
     if len(u) < depth + 1:
         raise ValueError("word must supply depth + 1 symbols")
     # The enclosure of u's tail assumes digits of at most 1.
@@ -156,8 +163,7 @@ def block_determinism(u: bytes, order: int) -> tuple[int, set[bytes]]:
     ``words.distinct_factors(u, order + 1)``.  A Sturmian word shows exactly
     order+2 blocks; the caller judges the returned count.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _require_order(order, len(u), 1)
     if difference(u, order) != difference_by_binomial(u, order):
         raise _MaskDisagreement(
             "binomial-mask evaluation disagrees with the iterated operator"
@@ -201,11 +207,7 @@ def rotation_sum_relation(b: int, depth: int) -> RotationSumReport:
     """Test the golden power sum against its index-shifted affine law, by enclosures."""
     from fractions import Fraction
 
-    approximants._require_base(b)
-    if depth < 50:
-        raise ValueError("depth must be >= 50")
-    if depth > approximants.DEPTH_CAP:
-        raise CapExceededError(f"depth {depth} exceeds cap {approximants.DEPTH_CAP}")
+    _require_depth(b, depth, 50)
     # The exponents are distinct and >= 1, so sum b^(-e) is the series of the
     # 0/1 word with a 1 at each position e, cut after position `depth`.
     marks = bytearray(depth + 1)

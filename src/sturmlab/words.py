@@ -10,7 +10,8 @@ here, and ``difference``, ``difference_by_binomial``, ``shift_product``,
 The iterates U_m = sigma^m(0) are built by the recurrence
 U_{m+1} = U_m^k U_{m-1}, but a prefix of the fixed point is the stream of
 the blocks sigma^j(0) = U_j and sigma^j(1) = U_{j-1} of one short U_j
-(:func:`_sigma_blocks`), which :func:`fixed_point_prefix` joins.
+(:func:`_sigma_blocks`).  :func:`fixed_point_prefix` joins that stream;
+:func:`word_identities` reads U_{n+2} = x[:f_{n+2}] from it unjoined.
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def _sigma_blocks(k: int, length: int) -> Iterator[tuple[bytes, int]]:
     return chain(map(blocks.__getitem__, islice(cur, whole)), ((cur, length - end(whole)),))
 
 
+def _require_prefix(k: int, length: int) -> None:
+    """Refuse the arguments :func:`fixed_point_prefix` refuses, building nothing."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    if length > LENGTH_CAP:
+        raise CapExceededError(f"prefix of length {length} exceeds cap {LENGTH_CAP}")
+
+
 def fixed_point_prefix(k: int, length: int) -> bytes:
     """The first ``length`` symbols of the infinite fixed point x of the morphism.
 
@@ -119,12 +130,7 @@ def fixed_point_prefix(k: int, length: int) -> bytes:
     longer than about the square root of ``length`` and no overshoot of
     ``length`` is built.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length > LENGTH_CAP:
-        raise CapExceededError(f"prefix of length {length} exceeds cap {LENGTH_CAP}")
+    _require_prefix(k, length)
     pieces = list(_sigma_blocks(k, length))
     # A whole word is joined as itself, so a one-piece prefix is not copied.
     views = {(word, end): word if end == len(word) else memoryview(word)[:end]
@@ -132,17 +138,14 @@ def fixed_point_prefix(k: int, length: int) -> bytes:
     return b"".join(map(views.__getitem__, pieces))
 
 
-def _pieces_equal(left: Iterable[tuple[bytes, int]], size: int, right: list) -> bool:
+def _pieces_equal(left: Iterable[tuple[bytes, int]], right: list) -> bool:
     """Whether the joins of the left pieces, each a prefix ``word[:end]`` of
     a ``bytes`` word given as ``(word, end)`` with ``end <= len(word)``,
     and of the bytes-like pieces ``right`` are equal, decided without
     joining either side: each overlap of a left and a right piece is one
-    ``startswith`` memcmp.  ``size`` is the total length of the left
-    pieces, so unequal lengths are refused before any piece is read; left
-    pieces that run short of it or past it still compare unequal.
+    ``startswith`` memcmp.  The pieces carry their own lengths: left
+    pieces that run short of the right ones or past them compare unequal.
     """
-    if size != sum(map(len, right)):
-        return False
     pieces = iter(left)
     cur, end, pos = b"", 0, 0
     for piece in right:
@@ -171,10 +174,11 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
 
     Each U_m is the first f_m symbols of the fixed point, so U_n is the only
     word built and U_{n-1} is a ``memoryview`` prefix of it.  On the left
-    U_{n+2} = U_{n+1}^k U_n, and each copy of U_{n+1} is the stream of its
-    sigma^j blocks (:func:`_sigma_blocks`), matched as it comes and never
-    joined; on the right U_{n-1}* (|U_{n-1}| >= 2) is three slices of the
-    view of U_{n-1}.
+    U_{n+2} is the stream of the sigma^j blocks of its f_{n+2} symbols
+    (:func:`_sigma_blocks`), matched as it comes and never joined, so
+    neither side is built by the recurrence U_{n+2} = U_{n+1}^k U_n; on
+    the right U_{n-1}* (|U_{n-1}| >= 2) is three slices of the view of
+    U_{n-1}.
     """
     if n < 2:
         raise ValueError("identities are stated for n >= 2")
@@ -185,10 +189,8 @@ def word_identities(k: int, n: int) -> tuple[bool, bool]:
     view = memoryview(un)
     un_1 = view[: f(n - 1)]
     swapped = [un_1[:-2], un_1[-1:], un_1[-2:-1]]
-    id1 = _pieces_equal([(un, f(n - 1)), (un, f(n))], f(n - 1) + f(n), [view, *swapped])
-    un1 = chain.from_iterable(_sigma_blocks(k, f(n + 1)) for _ in range(k))
-    id2 = _pieces_equal(chain(un1, [(un, f(n))]), k * f(n + 1) + f(n),
-                        [view] + ([view] * k + swapped) * k)
+    id1 = _pieces_equal([(un, f(n - 1)), (un, f(n))], [view, *swapped])
+    id2 = _pieces_equal(_sigma_blocks(k, f(n + 2)), [view] + ([view] * k + swapped) * k)
     return id1, id2
 
 

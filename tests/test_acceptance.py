@@ -154,7 +154,7 @@ def test_criterion_06_exponent_sandwich():
     t0 = time.perf_counter()
     ok = True
     for k in range(1, 6):
-        est = exponent_sandwich(k, 30, 40)
+        est = exponent_sandwich(k, 30)
         target = closed_form_exponent(k)
         if not (est.lower <= target <= est.upper and est.upper - est.lower < 1e-6):
             ok = False

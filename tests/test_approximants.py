@@ -284,7 +284,7 @@ def test_reduced_matches_fraction(b, v):
             while gcd(unit, b) > 1:
                 unit += 2
             num = b**v * unit * c
-            _same_fraction(_reduced(num, b, scale, rest, num % rest),
+            _same_fraction(_reduced(num, b, scale, rest, num % rest, scale * rest),
                            Fraction(num, scale * rest))
 
 
@@ -302,7 +302,8 @@ def test_reduced_matches_fraction(b, v):
 def test_reduced_caps_at_scale(num, b, e):
     rest = (b - 1) * (b**3 - 1)
     scale = b**e
-    _same_fraction(_reduced(num, b, scale, rest, num % rest), Fraction(num, scale * rest))
+    _same_fraction(_reduced(num, b, scale, rest, num % rest, scale * rest),
+                   Fraction(num, scale * rest))
 
 
 def test_deltas_runs_no_full_size_gcd(monkeypatch):

@@ -647,6 +647,33 @@ def test_verify_affine_cap_precedes_series(monkeypatch, capsys):
     assert err.startswith("error:") and "cap" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("affine", "--k", "1", "--b", "2", "--depth", "99999999"),
+     "depth 99999999 exceeds cap 1000000"),
+    (("blocks", "--k", "1", "--n", "99999999", "--imax", "99999999"),
+     "order must be smaller than the word length"),
+    (("blocks", "--k", "1", "--n", "0", "--imax", "99999999"), "order must be >= 1"),
+    # The prefix's own refusals still come first, then the base.
+    (("blocks", "--k", "0", "--n", "0", "--imax", "99999999"), "k must be >= 1"),
+    (("affine", "--k", "1", "--b", "1", "--depth", "99999999"), "base must be >= 2"),
+], ids=["affine-depth", "blocks-order-past-length", "blocks-order-0", "blocks-k-0",
+        "affine-base-1"])
+def test_verify_refuses_before_the_prefix_is_built(argv, message, monkeypatch, capsys):
+    """A depth past the cap and an order out of range are refused from the
+    numbers, before a prefix of about 10^8 symbols is built (each of these
+    cells built one, 111 MB ``ru_maxrss``, and then exited 2)."""
+    real = words.fixed_point_prefix
+
+    def small(k, length):
+        if length > 10**6:
+            raise AssertionError(f"a prefix of {length} symbols was built")
+        return real(k, length)
+
+    monkeypatch.setattr(words, "fixed_point_prefix", small)
+    code, out, err = run(capsys, "verify", "--lemma", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("depth", range(1, 6))
 def test_verify_affine_fixed_law_at_shallow_depth(depth, capsys):
     """At depth <= k the prefix shows fewer than three blocks; the law is still 2, 1, 0."""
@@ -849,6 +876,35 @@ def test_exponent_list_brackets_smallest_to_largest(listed, span, capsys):
     doc, expected = json.loads(out), json.loads(ranged)
     assert doc["n_range"] == listed
     assert {**doc, "n_range": span} == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exponent_reads_the_lowest_level_only(k, capsys):
+    """Every --n with lowest level 30 prints the same bracket: the range to
+    40, the range to the largest level the cap admits, and the pair 30,31
+    differ only in the echoed n_range.  A single level is still refused."""
+    top = cli.LEVEL_CAP // k.bit_length()
+    kept = []
+    for n_range in ("30..40", f"30..{top}", "30,31"):
+        code, out, _ = run(capsys, "exponent", "--k", str(k), "--n", n_range)
+        lines = out.splitlines()
+        assert code == 0 and f'  "n_range": "{n_range}",' in lines
+        kept.append([line for line in lines if '"n_range"' not in line])
+    assert kept[0] == kept[1] == kept[2]
+    code, out, err = run(capsys, "exponent", "--k", str(k), "--n", "30")
+    assert (code, out) == (2, "") and "must span at least two indices" in err
+
+
+@pytest.mark.parametrize("n_range, message", [
+    ("30,30", "--n must span at least two indices, e.g. 30..40"),
+    ("-1000000000000000..30", "n must be >= 2"),
+], ids=["repeated-level", "far-below-level-2"])
+def test_exponent_reads_a_range_by_its_ends(n_range, message, capsys):
+    """A repeated level spans one index, and a range is read by its ends
+    without being expanded, so a range from far below level 2 is refused
+    at once (iterating it for its least value took 2 s per 3*10^7 levels)."""
+    code, out, err = run(capsys, "exponent", "--k", "1", f"--n={n_range}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_exponent_index_cap_admits_its_edge(capsys):

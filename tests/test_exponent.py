@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -51,7 +50,7 @@ def test_exponent_upper_bound_formula():
 
 def test_sandwich_contains_target():
     for k in range(1, 6):
-        est = exponent_sandwich(k, 30, 40)
+        est = exponent_sandwich(k, 30)
         target = closed_form_exponent(k)
         assert est.lower <= target <= est.upper
         assert est.upper - est.lower < 1e-6
@@ -59,8 +58,8 @@ def test_sandwich_contains_target():
 
 
 def test_sandwich_narrows_with_n():
-    wide = exponent_sandwich(1, 2, 6)
-    tight = exponent_sandwich(1, 20, 30)
+    wide = exponent_sandwich(1, 2)
+    tight = exponent_sandwich(1, 20)
     assert (tight.upper - tight.lower) < (wide.upper - wide.lower)
 
 
@@ -77,47 +76,34 @@ def test_cassini_identity(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 2**40])
 def test_sandwich_matches_extremes_of_every_ratio(k):
-    """The two ratios the sandwich reads give the bracket that min and max
-    over every exact ratio give.  The reference steps f_n by the recurrence
-    and finds both extremes by integer cross-multiplication, so only the two
+    """The pair of ratios at n brackets every ratio from n to N: the
+    sandwich at n equals the bracket that min and max over every exact
+    ratio from n to N give.  The reference steps f_n by the recurrence and
+    finds both extremes by integer cross-multiplication, so only the two
     extreme ratios are built as Fractions."""
     f = [1, k + 1]
     while len(f) < 2002:
         f.append(k * f[-1] + f[-2])
-    for n_min, n_max in [(2, 12), (2, 40), (5, 300), (2, 2000)]:
-        lo = hi = n_min
-        for n in range(n_min + 1, n_max + 1):
-            # f_{n+1}/f_n against the extremes so far; every f is positive.
-            if f[n + 1] * f[lo] < f[lo + 1] * f[n]:
-                lo = n
-            if f[n + 1] * f[hi] > f[hi + 1] * f[n]:
-                hi = n
+    for n, N in [(2, 12), (2, 40), (5, 300), (2, 2000)]:
+        lo = hi = n
+        for j in range(n + 1, N + 1):
+            # f_{j+1}/f_j against the extremes so far; every f is positive.
+            if f[j + 1] * f[lo] < f[lo + 1] * f[j]:
+                lo = j
+            if f[j + 1] * f[hi] > f[hi + 1] * f[j]:
+                hi = j
         m, big = Fraction(f[lo + 1], f[lo]), Fraction(f[hi + 1], f[hi])
         expected = ExponentEstimate(
             target=closed_form_exponent(k),
             lower=_float_below(1 + m),
             upper=_float_above(exponent_upper_bound(m, big, big)),
         )
-        assert exponent_sandwich(k, n_min, n_max) == expected, (k, n_min, n_max)
-
-
-def test_sandwich_keeps_two_ratios():
-    """Only the two extreme ratios are held, not a Fraction per level
-    (28.9 MB over this range)."""
-    tracemalloc.start()
-    try:
-        exponent_sandwich(1, 2, 10_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**10   # 4 KB measured
+        assert exponent_sandwich(k, n) == expected, (k, n, N)
 
 
 def test_sandwich_validates_range():
-    with pytest.raises(ValueError):
-        exponent_sandwich(1, 1, 5)
-    with pytest.raises(ValueError):
-        exponent_sandwich(1, 5, 5)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        exponent_sandwich(1, 1)
 
 
 def test_continued_fraction_exact_rational():

@@ -95,7 +95,7 @@ def _records():
         "SeriesTruncation": lambda: sturmlab.fixed_point_series(1, 2, 40),
         "ApproximantRecord": lambda: sturmlab.approximant(1, 3, 2),
         "BoundsCheck": lambda: sturmlab.check_error_bounds_auto(1, 3, 2),
-        "ExponentEstimate": lambda: sturmlab.exponent_sandwich(1, 5, 9),
+        "ExponentEstimate": lambda: sturmlab.exponent_sandwich(1, 5),
         "ContinuedFraction": lambda: sturmlab.continued_fraction(Fraction(355, 113)),
         "ValueRelationReport": lambda: t.value_affine_relation(u, 3, 40),
         "RotationSumReport": lambda: sturmlab.rotation_sum_relation(2, 60),

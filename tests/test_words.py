@@ -150,16 +150,18 @@ def test_swap_last_two():
 
 
 def _corruptions(w: bytes, corrupt: str, f: list[int]) -> list[bytes]:
-    """``w`` = U_{n+1} changed in one way, for the lengths f = [f_{n-1}, f_n]."""
+    """``w`` = U_{n+2} changed in one way, for the lengths f = [f_{n-1}, f_n]."""
     if corrupt == "drop_last":
         return [w[:-1]]
     if corrupt == "append":
         return [w + b"\x00", w + b"\x01"]
-    # The first and last symbol of each region a flip can land in.
+    # The first and last symbol of each region a flip can land in; inside
+    # U_{n-1}, the two symbols the exchange touches.
     at = {
         "flip_first": {0},
+        "flip_in_un_1": {f[0] - 2, f[0] - 1},
         "flip_in_un": {f[0], f[1] - 1},
-        "flip_in_un1": {f[1], len(w) - 2},
+        "flip_past_un": {f[1], len(w) - 2},
         "flip_last": {len(w) - 1},
     }[corrupt]
     out = []
@@ -170,9 +172,8 @@ def _corruptions(w: bytes, corrupt: str, f: list[int]) -> list[bytes]:
     return out
 
 
-def _literal_identities(k, un_1, un, un1):
-    """Both identities as literal joined statements, U_{n+2} = U_{n+1}^k U_n."""
-    un2 = un1 * k + un
+def _literal_identities(k, un_1, un, un2):
+    """Both identities as literal joined statements."""
     return (
         un_1 + un == swap_last_two(un + un_1),
         un2 == un + (un * k + swap_last_two(un_1)) * k,
@@ -180,12 +181,13 @@ def _literal_identities(k, un_1, un, un1):
 
 
 def test_word_identities_small_grid():
-    """The piecewise check equals the literal joined statements, and both hold."""
+    """The piecewise check equals the literal joined statements, and both
+    hold; U_{n+2} is also built by its recurrence U_{n+1}^k U_n."""
     for k in (1, 2, 3, 4):
         for n in range(2, 10):
-            un_1, un, un1 = (_substituted(k, m) for m in (n - 1, n, n + 1))
-            assert un1 * k + un == _substituted(k, n + 2)
-            assert word_identities(k, n) == _literal_identities(k, un_1, un, un1) == (True, True)
+            un_1, un, un1, un2 = (_substituted(k, m) for m in (n - 1, n, n + 1, n + 2))
+            assert un1 * k + un == un2
+            assert word_identities(k, n) == _literal_identities(k, un_1, un, un2) == (True, True)
 
 
 def _stream_of(word: bytes, exact) -> list[tuple[bytes, int]]:
@@ -201,22 +203,24 @@ def _stream_of(word: bytes, exact) -> list[tuple[bytes, int]]:
 
 
 @pytest.mark.parametrize(
-    "corrupt", ["flip_first", "flip_in_un", "flip_in_un1", "flip_last", "drop_last", "append"]
+    "corrupt",
+    ["flip_first", "flip_in_un_1", "flip_in_un", "flip_past_un", "flip_last", "drop_last",
+     "append"],
 )
 def test_word_identities_detects_a_wrong_iterate(monkeypatch, corrupt):
     """The piecewise matches fail on a symbol change inside U_{n-1}, inside
-    U_n past U_{n-1} or inside U_{n+1} past U_n, and on a length change of
-    U_{n+1}.  The corruption is made in the block stream that both U_n and
-    each streamed copy of U_{n+1} are read from: the verdict is the literal
+    U_n past U_{n-1} or inside U_{n+2} past U_n, and on a length change of
+    U_{n+2}.  The corruption is made in the f_{n+2} block stream, and U_n
+    is read from the same corrupted stream: the verdict is the literal
     joined statements' verdict on the words sliced from the corrupted
-    U_{n+1}, and never (True, True)."""
+    U_{n+2}, and never (True, True)."""
     exact = words._sigma_blocks
     for k in (1, 2, 3):
         f = get_basis(k).value
         for n in (2, 3, 5):
-            for bad in _corruptions(_substituted(k, n + 1), corrupt, [f(n - 1), f(n)]):
+            for bad in _corruptions(_substituted(k, n + 2), corrupt, [f(n - 1), f(n)]):
 
-                def stream(k, length, bad=bad, top=f(n + 1)):
+                def stream(k, length, bad=bad, top=f(n + 2)):
                     word = bad if length == top else bad[:length]
                     return iter(_stream_of(word, exact(k, length)))
 
@@ -241,15 +245,15 @@ def _pieces(w: bytes, rng: random.Random) -> list:
 def test_pieces_equal_matches_joined_comparison():
     """The piecewise comparison equals comparing the joins, for a difference
     in the first or last byte of every piece on either side, pieces of
-    length 0..2, and unequal total lengths, whether the left pieces' given
-    total is theirs or the right side's; the left pieces are an iterator,
+    length 0..2, and unequal total lengths, with the left pieces running
+    short of the right ones or past them; the left pieces are an iterator,
     read once."""
     rng = random.Random(2200)
     for _ in range(300):
         w = bytes(rng.getrandbits(1) for _ in range(rng.randrange(12)))
         left = [(bytes(p), len(p)) for p in _pieces(w, rng)]
         right = _pieces(w, rng)
-        assert words._pieces_equal(iter(left), len(w), right)
+        assert words._pieces_equal(iter(left), right)
         # Each byte that opens or closes a piece of either side, flipped.
         edges = set()
         for side in ([p for p, _ in left], right):
@@ -265,11 +269,9 @@ def test_pieces_equal_matches_joined_comparison():
             variants.append(bytes(v))
         variants += [w[:-1], w + b"\x00", w + b"\x01", b"\x00" + w]
         for v in variants:
-            assert words._pieces_equal(iter(left), len(w), _pieces(v, rng)) == (w == v), (w, v)
+            assert words._pieces_equal(iter(left), _pieces(v, rng)) == (w == v), (w, v)
             other = [(bytes(p), len(p)) for p in _pieces(v, rng)]
-            assert words._pieces_equal(iter(other), len(v), right) == (w == v), (w, v)
-            # Left pieces that run short of or past the total they are given.
-            assert words._pieces_equal(iter(other), len(w), right) == (w == v), (w, v)
+            assert words._pieces_equal(iter(other), right) == (w == v), (w, v)
 
 
 def test_pieces_equal_reads_left_pieces_only_up_to_their_end():
@@ -285,22 +287,22 @@ def test_pieces_equal_reads_left_pieces_only_up_to_their_end():
             left.append((bytes(piece) + tail, len(piece), pos))
             pos += len(piece)
         pieces = [(word, end) for word, end, _ in left]
-        assert words._pieces_equal(iter(pieces), len(w), _pieces(w, rng))
+        assert words._pieces_equal(iter(pieces), _pieces(w, rng))
         for i, (word, end, start) in enumerate(left):
             for at in range(len(word)):
                 flipped = bytearray(word)
                 flipped[at] ^= 1
                 changed = pieces[:i] + [(bytes(flipped), end)] + pieces[i + 1 :]
-                same = words._pieces_equal(iter(changed), len(w), _pieces(w, rng))
+                same = words._pieces_equal(iter(changed), _pieces(w, rng))
                 assert same == (at >= end), (w, i, at)
 
 
 def test_word_identities_holds_one_word():
-    """U_n is the only word built: U_{n-1} is a view of it, and each copy of
-    U_{n+1} is matched block by block as the sigma^j blocks stream, never
-    joined.  The peak stays within 15% of f_n (joining U_{n+1} and viewing
-    U_n and U_{n-1} in it peaked at 3.4 times f_12 at k = 3 and 1.67 times
-    f_30 at k = 1)."""
+    """U_n is the only word built: U_{n-1} is a view of it, and U_{n+2} is
+    matched block by block as its sigma^j blocks stream, never joined.  The
+    peak stays within 15% of f_n (joining U_{n+1} and viewing U_n and
+    U_{n-1} in it peaked at 3.4 times f_12 at k = 3 and 1.67 times f_30 at
+    k = 1)."""
     for k, n in ((3, 12), (1, 30)):
         f = get_basis(k).value
         words._require_level(k, n + 2)   # the basis table, outside the measurement
@@ -315,8 +317,8 @@ def test_word_identities_holds_one_word():
 
 def test_word_identities_reads_one_block_stream(monkeypatch):
     """Both words come from the sigma^j block stream: U_n is one stream of
-    f_n symbols, joined by ``fixed_point_prefix``, and each of the k copies
-    of U_{n+1} is one stream of f_{n+1} symbols, consumed as it comes."""
+    f_n symbols, joined by ``fixed_point_prefix``, and U_{n+2} is one
+    stream of f_{n+2} symbols, consumed as it comes."""
     calls = []
     real = words._sigma_blocks
 
@@ -330,7 +332,7 @@ def test_word_identities_reads_one_block_stream(monkeypatch):
         for n in (2, 7):
             calls.clear()
             assert word_identities(k, n) == (True, True)
-            assert calls == [f(n)] + [f(n + 1)] * k, (k, n)
+            assert calls == [f(n), f(n + 2)], (k, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
